@@ -26,8 +26,6 @@ __all__ = [
     "diagonal_select",
 ]
 
-RANK_THRESHOLD = 1e-10
-
 
 def _phase_canonical(A: np.ndarray) -> np.ndarray:
     """Rotate A by a global phase making its largest entry real positive.

@@ -204,10 +204,9 @@ def build_sequence(spec: str, max_degree: int = 8) -> MatrixSeq:
     raise ConfigError(f"unknown sequence head {head!r}")
 
 
-def build_symbol(text: str, max_degree: int = 8):
+def build_symbol(text: str):
     """A symbol config value: an expression in x and/or theta."""
-    expr = _parse_expr_cfg(text, "k")
-    return expr
+    return _parse_expr_cfg(text, "k")
 
 
 @dataclass
@@ -292,7 +291,7 @@ def run_symbol_check(exp: Experiment) -> list:
     opts = exp.options
     max_degree = int(opts.get("max_degree", 8))
     seq = build_sequence(_require(opts, "sequence", exp.name), max_degree)
-    symbol = build_symbol(_require(opts, "symbol", exp.name), max_degree)
+    symbol = build_symbol(_require(opts, "symbol", exp.name))
     mode = opts.get("mode", "sv")
     if mode not in ("sv", "eig"):
         raise ConfigError(f"mode must be sv or eig, got {mode!r}")
@@ -410,7 +409,7 @@ def run_shift_test(exp: Experiment) -> list:
     opts = exp.options
     max_degree = int(opts.get("max_degree", 8))
     seq = build_sequence(_require(opts, "sequence", exp.name), max_degree)
-    symbol = build_symbol(_require(opts, "symbol", exp.name), max_degree)
+    symbol = build_symbol(_require(opts, "symbol", exp.name))
     sizes = _parse_sizes(_require(opts, "sizes", exp.name))
     resolution = _parse_grid(opts["grid"]) if "grid" in opts else None
     if "shifts" in opts:

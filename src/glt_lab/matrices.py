@@ -72,12 +72,19 @@ class MatrixSeq:
 
     `symbol` optionally attaches the symbol the sequence is expected to
     distribute like (a GltExpr, TrigPoly, FuncExpr or sampled grid).
+
+    `svals` and `eigs` optionally map n to the n singular values or
+    eigenvalues of A_n in closed form, for sequences whose structure fixes
+    them.  The residual ladders use them instead of a dense decomposition;
+    each raises the errors the generator raises at the same n.
     """
 
     name: str
     generator: object
     symbol: object = None
     info: dict = field(default_factory=dict)
+    svals: object = None
+    eigs: object = None
 
     def __call__(self, n: int) -> np.ndarray:
         A = np.asarray(self.generator(n), dtype=complex)
@@ -109,23 +116,26 @@ def toeplitz(f: TrigPoly, n: int) -> np.ndarray:
     return scipy.linalg.toeplitz(col, row)
 
 
-def diag_sampling(a: FuncExpr, n: int) -> np.ndarray:
-    """Diagonal matrix diag(a(1/n), a(2/n), ..., a(1))."""
-    if n < 1:
-        raise DomainError("size must be positive")
-    nodes = np.arange(1, n + 1) / n
+def _grid_values(a: FuncExpr, m: int) -> np.ndarray:
+    """a(1/m), a(2/m), ..., a(1); EvalError at the first non-finite value."""
+    nodes = np.arange(1, m + 1) / m
     vals = np.broadcast_to(a(x=nodes), nodes.shape)
     if not np.isfinite(vals).all():
         bad = nodes[~np.isfinite(vals)][0]
         raise EvalError(f"{a.source!r} is non-finite at x={bad}")
-    return np.diag(vals.astype(complex))
+    return vals.astype(complex)
 
 
-def _cycle_power(n: int, k: int) -> np.ndarray:
-    """Permutation matrix with ones at (i, i-k mod n)."""
-    P = np.zeros((n, n))
-    P[np.arange(n), (np.arange(n) - k) % n] = 1.0
-    return P
+def diag_sampling(a: FuncExpr, n: int) -> np.ndarray:
+    """Diagonal matrix diag(a(1/n), a(2/n), ..., a(1))."""
+    if n < 1:
+        raise DomainError("size must be positive")
+    return np.diag(_grid_values(a, n))
+
+
+def _check_circulant_size(f: TrigPoly, n: int) -> None:
+    if n <= 2 * f.degree:
+        raise DomainError(f"circulant needs n > 2*degree, got n={n}, degree={f.degree}")
 
 
 def circulant(f: TrigPoly, n: int) -> np.ndarray:
@@ -136,15 +146,17 @@ def circulant(f: TrigPoly, n: int) -> np.ndarray:
     wrapped corner entries.  Requires n > 2*degree so the band wraps without
     aliasing.
     """
-    d = f.degree
-    if n <= 2 * d:
-        raise DomainError(f"circulant needs n > 2*degree, got n={n}, degree={d}")
-    M = np.zeros((n, n), dtype=complex)
-    for k in range(-d, d + 1):
-        c = f.coeff(k)
-        if c != 0:
-            M += c * _cycle_power(n, k)
-    return M
+    _check_circulant_size(f, n)
+    col = np.zeros(n, dtype=complex)
+    for k in range(-f.degree, f.degree + 1):
+        col[k % n] = f.coeff(k)
+    return scipy.linalg.circulant(col)
+
+
+def _circulant_eigs(f: TrigPoly, n: int) -> np.ndarray:
+    """Eigenvalues f(2*pi*k/n), k = 0..n-1, of circulant(f, n)."""
+    _check_circulant_size(f, n)
+    return f(2 * np.pi * np.arange(n) / n)
 
 
 def circulant_spectrum(f: TrigPoly, n: int) -> np.ndarray:
@@ -166,15 +178,6 @@ def fourier_matrix(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(j, j) / n) / math.sqrt(n)
 
 
-def _block_values(a: FuncExpr, m: int) -> np.ndarray:
-    nodes = np.arange(1, m + 1) / m
-    vals = np.broadcast_to(a(x=nodes), nodes.shape)
-    if not np.isfinite(vals).all():
-        bad = nodes[~np.isfinite(vals)][0]
-        raise EvalError(f"{a.source!r} is non-finite at x={bad}")
-    return vals.astype(complex)
-
-
 def _assemble_blocks(blocks, n: int) -> np.ndarray:
     M = np.zeros((n, n), dtype=complex)
     pos = 0
@@ -185,21 +188,30 @@ def _assemble_blocks(blocks, n: int) -> np.ndarray:
     return M
 
 
-def lt_op(a: FuncExpr, f: TrigPoly, n: int) -> np.ndarray:
-    """Locally Toeplitz operator: blocks a(i/m) T_block(f), then a zero block."""
+def _lt_parts(a: FuncExpr, f: TrigPoly, n: int):
     if n < 4:
         raise DomainError("locally Toeplitz operator needs n >= 4")
     lay = block_layout(n)
-    T = toeplitz(f, lay.block)
-    vals = _block_values(a, lay.m)
+    return lay, toeplitz(f, lay.block), _grid_values(a, lay.m)
+
+
+def lt_op(a: FuncExpr, f: TrigPoly, n: int) -> np.ndarray:
+    """Locally Toeplitz operator: blocks a(i/m) T_block(f), then a zero block."""
+    lay, T, vals = _lt_parts(a, f, n)
     return _assemble_blocks([v * T for v in vals], n)
 
 
-def lc_op(a: FuncExpr, f: TrigPoly, n: int) -> np.ndarray:
-    """Locally circulant operator: blocks a(i/m) C_block(f), then a zero block.
+def _lt_svals(a: FuncExpr, f: TrigPoly, n: int) -> np.ndarray:
+    """Singular values of lt_op(a, f, n): |a(i/m)| sigma(T_block(f)) for each
+    block, then t zeros.  One block-sized SVD."""
+    lay, T, vals = _lt_parts(a, f, n)
+    if not np.isfinite(T).all():
+        raise DomainError("matrix has non-finite entries")
+    s = np.linalg.svd(T, compute_uv=False)
+    return np.concatenate([np.outer(np.abs(vals), s).ravel(), np.zeros(lay.t)])
 
-    Normal by construction (each block is circulant).
-    """
+
+def _lc_parts(a: FuncExpr, f: TrigPoly, n: int):
     if n < 4:
         raise DomainError("locally circulant operator needs n >= 4")
     lay = block_layout(n)
@@ -207,9 +219,25 @@ def lc_op(a: FuncExpr, f: TrigPoly, n: int) -> np.ndarray:
         raise DomainError(
             f"block size {lay.block} must exceed 2*degree={2 * f.degree} at n={n}"
         )
+    return lay, _grid_values(a, lay.m)
+
+
+def lc_op(a: FuncExpr, f: TrigPoly, n: int) -> np.ndarray:
+    """Locally circulant operator: blocks a(i/m) C_block(f), then a zero block.
+
+    Normal by construction (each block is circulant).
+    """
+    lay, vals = _lc_parts(a, f, n)
     C = circulant(f, lay.block)
-    vals = _block_values(a, lay.m)
     return _assemble_blocks([v * C for v in vals], n)
+
+
+def _lc_eigs(a: FuncExpr, f: TrigPoly, n: int) -> np.ndarray:
+    """Eigenvalues of lc_op(a, f, n) in block order: a(i/m) f(2*pi*j/block),
+    then t zeros."""
+    lay, vals = _lc_parts(a, f, n)
+    spectrum = f(2 * np.pi * np.arange(lay.block) / lay.block)
+    return np.concatenate([np.outer(vals, spectrum).ravel(), np.zeros(lay.t, dtype=complex)])
 
 
 def q_block(n: int) -> np.ndarray:
@@ -234,15 +262,7 @@ def d_af(a: FuncExpr, f: TrigPoly, n: int) -> np.ndarray:
     """
     if n < 4:
         raise DomainError("needs n >= 4")
-    lay = block_layout(n)
-    if lay.block <= 2 * f.degree:
-        raise DomainError(
-            f"block size {lay.block} must exceed 2*degree={2 * f.degree} at n={n}"
-        )
-    spectrum = f(2 * np.pi * np.arange(lay.block) / lay.block)
-    vals = _block_values(a, lay.m)
-    diag = np.concatenate([v * spectrum for v in vals] + [np.zeros(lay.t, dtype=complex)])
-    return np.diag(diag)
+    return np.diag(_lc_eigs(a, f, n))
 
 
 def _theta_grid(block: int) -> np.ndarray:
@@ -327,24 +347,46 @@ def diag_seq(a: FuncExpr) -> MatrixSeq:
 
 
 def circulant_seq(f: TrigPoly, label: str = "f") -> MatrixSeq:
-    return MatrixSeq(f"C({label})", lambda n: circulant(f, n), symbol=f)
+    # normal, so the singular values are the moduli of the eigenvalues
+    return MatrixSeq(
+        f"C({label})",
+        lambda n: circulant(f, n),
+        symbol=f,
+        svals=lambda n: np.abs(_circulant_eigs(f, n)),
+        eigs=lambda n: _circulant_eigs(f, n),
+    )
 
 
 def lt_seq(a: FuncExpr, f: TrigPoly, label: str = "f") -> MatrixSeq:
-    return MatrixSeq(f"LT({a.source},{label})", lambda n: lt_op(a, f, n))
+    return MatrixSeq(
+        f"LT({a.source},{label})", lambda n: lt_op(a, f, n), svals=lambda n: _lt_svals(a, f, n)
+    )
 
 
 def lc_seq(a: FuncExpr, f: TrigPoly, label: str = "f") -> MatrixSeq:
-    return MatrixSeq(f"LC({a.source},{label})", lambda n: lc_op(a, f, n))
+    # normal, so the singular values are the moduli of the eigenvalues
+    return MatrixSeq(
+        f"LC({a.source},{label})",
+        lambda n: lc_op(a, f, n),
+        svals=lambda n: np.abs(_lc_eigs(a, f, n)),
+        eigs=lambda n: _lc_eigs(a, f, n),
+    )
 
 
 def glt_product_seq(expr: GltExpr) -> MatrixSeq:
-    """The sequence sum_i D_n(a_i) T_n(f_i) generated by a separable symbol."""
+    """The sequence sum_i D_n(a_i) T_n(f_i) generated by a separable symbol.
+
+    D_n(a_i) T_n(f_i) is formed by scaling the rows of T_n(f_i).  This equals
+    the dense product bitwise when a_i or f_i is real; otherwise the two can
+    differ by one rounding per entry (the product may be fused).
+    """
 
     def gen(n):
+        if n < 1:
+            raise DomainError("size must be positive")
         M = np.zeros((n, n), dtype=complex)
         for a, f in expr.terms:
-            M += diag_sampling(a, n) @ toeplitz(f, n)
+            M += _grid_values(a, n)[:, None] * toeplitz(f, n)
         return M
 
     label = " + ".join(f"D({a.source})T(deg{f.degree})" for a, f in expr.terms)

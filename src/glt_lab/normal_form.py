@@ -16,7 +16,7 @@ import numpy as np
 
 from .acs import acs_equivalent, p_metric
 from .errors import DomainError, HermitianError, NumericalError
-from .matrices import MatrixSeq, d_af, glt_product_seq, q_block
+from .matrices import MatrixSeq, block_layout, d_af, glt_product_seq, q_block
 from .spectra import (
     ResidualTable,
     as_symbol_grid,
@@ -60,7 +60,16 @@ class NormalForm:
     n: int
 
     def matrix(self) -> np.ndarray:
-        return self.q.conj().T @ self.d @ self.q
+        """Q^H D Q, one diagonal block of Q at a time: Q is block diagonal
+        (F_block repeated m times, then I_t) and D is diagonal."""
+        lay = block_layout(self.n)
+        d = np.diag(self.d)
+        M = np.zeros((self.n, self.n), dtype=complex)
+        edges = [i * lay.block for i in range(lay.m + 1)] + [self.n]
+        for lo, hi in zip(edges, edges[1:]):
+            Qi = self.q[lo:hi, lo:hi]
+            M[lo:hi, lo:hi] = (Qi.conj().T * d[lo:hi]) @ Qi
+        return M
 
     def diagonal(self) -> np.ndarray:
         return np.diag(self.d)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, EvalError, NumericalError
 from .matrices import MatrixSeq
 from .symbols import (
     FuncExpr,
@@ -180,6 +180,10 @@ def symbol_functional(k: SymbolGrid, F: FuncExpr, mode: str = "abs") -> complex:
         raise ValueError("mode must be 'abs' or 'plain'")
     if len(k.samples) == 0:
         raise DomainError("empty symbol grid")
+    if k.nonfinite_count:
+        raise EvalError(
+            f"symbol is non-finite at {k.nonfinite_count} of {k.samples.size} grid samples"
+        )
     vals = np.abs(k.samples) if mode == "abs" else k.samples
     return complex(np.mean(F(t=vals)))
 
@@ -219,6 +223,20 @@ class ResidualTable:
         return self.residuals[self.sizes.index(n)]
 
 
+def _spectrum(seq: MatrixSeq, n: int, kind: str) -> EmpiricalDist:
+    """Spectrum of A_n: the sequence's closed form when it has one for this
+    kind, otherwise a dense decomposition."""
+    hook = seq.svals if kind == "sv" else seq.eigs
+    if hook is None:
+        return singular_values(seq(n)) if kind == "sv" else eigenvalues(seq(n))
+    samples = np.asarray(hook(n))
+    if samples.shape != (n,):
+        raise ValueError(f"{seq.name}: {kind} hook returned shape {samples.shape} for n={n}")
+    if not np.isfinite(samples).all():
+        raise DomainError("matrix has non-finite entries")
+    return EmpiricalDist(samples, kind)
+
+
 def _residual_table(seq, grid, family, sizes, kind, mode):
     sizes = tuple(int(n) for n in sizes)
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
@@ -226,7 +244,7 @@ def _residual_table(seq, grid, family, sizes, kind, mode):
     sym_means = np.array([symbol_functional(grid, F, mode) for F in family.funcs])
 
     def one_size(n):
-        dist = singular_values(seq(n)) if kind == "sv" else eigenvalues(seq(n))
+        dist = _spectrum(seq, n, kind)
         emp = np.array([empirical_functional(dist, F) for F in family.funcs])
         return np.abs(emp - sym_means)
 

@@ -415,13 +415,6 @@ class GltExpr:
         return max(f.degree for _, f in self.terms)
 
 
-def glt_term(a_source: str, f_coeffs) -> GltExpr:
-    """Convenience single-term builder from an x-expression and coefficient map."""
-    a = parse_expr(a_source, "a")
-    f = TrigPoly.from_coeff_map(f_coeffs) if isinstance(f_coeffs, dict) else TrigPoly(np.asarray(f_coeffs, dtype=complex))
-    return GltExpr(((a, f),))
-
-
 def symbol_add(p: GltExpr, q: GltExpr) -> GltExpr:
     """Sum of two separable-term symbols: term lists concatenate."""
     return GltExpr(p.terms + q.terms)

@@ -319,6 +319,20 @@ class TestNumericalFailureRows:
         assert "error[" in out and "FAIL" in out
 
 
+    def test_symbol_pole_on_grid_becomes_fail_row(self, tmp_path):
+        # the 3-point midpoint grid puts x = 1/2 on the pole of the symbol
+        cfg = write_config(
+            tmp_path,
+            "[global]\nseed = 1\n\n[pole]\nkind = symbol-check\n"
+            "sequence = diag(1/x)\nsymbol = 1/(x-0.5)\nsizes = 16, 32\ngrid = 3\n",
+        )
+        code, out, _ = run_cli(["run", cfg])
+        assert code == 1
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[1][0] == "pole" and rows[1][2].startswith("error[symbol is non-finite")
+        assert rows[1][5] == "FAIL"
+
+
 class TestThreadCap:
     def test_thread_env_var_preserves_results(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, GOOD_CONFIG)

@@ -12,9 +12,11 @@ from glt_lab import (
     counterexample,
     counterexample_seq,
     d_af,
+    GltExpr,
     d_grid,
     diag_sampling,
     fourier_matrix,
+    glt_product_seq,
     lc_op,
     lt_op,
     parse_expr,
@@ -112,6 +114,57 @@ class TestCirculant:
     def test_size_precondition(self):
         with pytest.raises(DomainError):
             circulant(TWO_COS, 2)
+
+
+class TestBuildersMatchDenseFormulas:
+    """The circulant and glt builders against the dense formulas they
+    replaced: a sum of 2d+1 permutation matrices, and D_n(a) @ T_n(f)."""
+
+    @staticmethod
+    def permutation_sum(f, n):
+        M = np.zeros((n, n), dtype=complex)
+        for k in range(-f.degree, f.degree + 1):
+            c = f.coeff(k)
+            if c != 0:
+                P = np.zeros((n, n))
+                P[np.arange(n), (np.arange(n) - k) % n] = 1.0
+                M += c * P
+        return M
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 12, 17])
+    @pytest.mark.parametrize(
+        "f",
+        [
+            CONST1,
+            SHIFT,
+            TWO_COS,
+            TrigPoly.from_coeff_map({-2: 1j, -1: -2, 1: 3.5, 2: -0.5 - 1e-3j}),
+        ],
+    )
+    def test_circulant_bitwise(self, f, n):
+        np.testing.assert_array_equal(circulant(f, n), self.permutation_sum(f, n))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 33])
+    def test_glt_rows_scaled_bitwise_for_real_coefficients(self, n):
+        f = TrigPoly.from_coeff_map({-1: 2j, 0: 1, 1: -0.5, 2: 0.25 + 1j})
+        expr = GltExpr(((X, f), (parse_expr("1+x^2", "a"), TWO_COS)))
+        oracle = sum(diag_sampling(a, n) @ toeplitz(g, n) for a, g in expr.terms)
+        np.testing.assert_array_equal(glt_product_seq(expr)(n), oracle)
+
+    @pytest.mark.parametrize("n", [5, 16, 33])
+    def test_glt_rows_scaled_within_one_rounding_for_complex_coefficients(self, n):
+        # a fused complex product in the matrix multiply may round differently
+        f = TrigPoly.from_coeff_map({-1: 2j, 0: 1, 1: -0.5 + 0.3j})
+        expr = GltExpr(((parse_expr("x+i*x^2", "a"), f),))
+        oracle = diag_sampling(expr.terms[0][0], n) @ toeplitz(f, n)
+        np.testing.assert_allclose(glt_product_seq(expr)(n), oracle, rtol=1e-15, atol=0)
+
+    def test_glt_size_and_pole_errors(self):
+        expr = GltExpr(((parse_expr("1/(x-0.5)", "a"), TWO_COS),))
+        with pytest.raises(DomainError, match="size must be positive"):
+            glt_product_seq(expr)(0)
+        with pytest.raises(EvalError, match="non-finite at x=0.5"):
+            glt_product_seq(expr)(4)
 
 
 class TestCirculantSpectrum:

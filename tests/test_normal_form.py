@@ -64,6 +64,14 @@ class TestNormalForm:
         lam = eigenvalues(nf.matrix()).samples
         assert multiset_close(lam, nf.diagonal(), 1e-8)
 
+    @pytest.mark.parametrize("n", [9, 10, 37, 50, 64, 257])
+    def test_blockwise_matrix_equals_dense_conjugation(self, n):
+        g = TrigPoly.from_coeff_map({0: 2j, 1: -1})
+        expr = GltExpr(((X, TWO_COS), (parse_expr("1+x^2", "a"), g)))
+        nf = normal_form(expr, n)
+        dense = nf.q.conj().T @ nf.d @ nf.q
+        np.testing.assert_allclose(nf.matrix(), dense, rtol=0, atol=1e-13)
+
     def test_q_independent_of_expression(self):
         nf1 = normal_form(GltExpr(((ONE, CONST1),)), 16)
         nf2 = normal_form(GltExpr(((X, TWO_COS),)), 16)

@@ -1,9 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from glt_lab import (
+    DomainError,
+    EvalError,
+    GltExpr,
+    GltLabError,
     TrigPoly,
     circulant,
+    circulant_seq,
     counterexample_seq,
     default_family,
     diag_seq,
@@ -13,6 +21,8 @@ from glt_lab import (
     hat_function,
     identity_seq,
     lc_op,
+    lc_seq,
+    lt_seq,
     parse_expr,
     sample_symbol,
     singular_values,
@@ -28,6 +38,7 @@ from glt_lab.spectra import as_symbol_grid
 TWO_COS = TrigPoly.from_coeff_map({1: 1, -1: 1})
 SHIFT = TrigPoly.from_coeff_map({1: 1})
 X = parse_expr("x", "a")
+CONST1 = TrigPoly.constant(1)
 
 
 def multiset_close(a, b, tol):
@@ -248,3 +259,137 @@ class TestInvarianceProperties:
         sv_power = singular_values(np.linalg.matrix_power(A, s)).samples
         expected = np.sort(np.abs(lam) ** s)[::-1]
         assert np.abs(sv_power - expected).max() <= 1e-8
+
+
+# closed-form spectra hooks against the dense decompositions they replace;
+# n covers even blocks (37: block 6, 64: block 8), an odd block (50: block 7)
+# and a nonzero trailing block (37, 50, 257)
+HOOK_SIZES = [37, 50, 64, 100, 257]
+A_HOOK = parse_expr("1+x^2", "a")
+F_HOOK = TrigPoly.from_coeff_map({-2: 0.5j, -1: 2, 0: 1, 1: -1, 2: 0.25})
+
+
+def hook_seqs():
+    return {
+        "lt": lt_seq(A_HOOK, F_HOOK),
+        "lc": lc_seq(A_HOOK, F_HOOK),
+        "circulant": circulant_seq(F_HOOK),
+    }
+
+
+def dense_only(seq):
+    return dataclasses.replace(seq, svals=None, eigs=None)
+
+
+def assigned_gap(a, b):
+    """Largest distance between two multisets under their optimal matching."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    assert a.shape == b.shape
+    rows, cols = linear_sum_assignment(np.abs(a[:, None] - b[None, :]))
+    return np.abs(a[rows] - b[cols]).max()
+
+
+def raised(fn):
+    with pytest.raises(GltLabError) as info:
+        fn()
+    return type(info.value), str(info.value)
+
+
+class TestStructuredHooks:
+    def test_hooks_are_set_only_where_the_spectrum_is_closed_form(self):
+        seqs = hook_seqs()
+        assert seqs["lt"].svals is not None and seqs["lt"].eigs is None
+        for name in ("lc", "circulant"):
+            assert seqs[name].svals is not None and seqs[name].eigs is not None
+        for seq in (toeplitz_seq(F_HOOK), diag_seq(X), seqs["lc"].shifted(1.0)):
+            assert seq.svals is None and seq.eigs is None
+
+    @pytest.mark.parametrize("name", ["lt", "lc", "circulant"])
+    @pytest.mark.parametrize("n", HOOK_SIZES)
+    def test_svals_match_dense_svd(self, name, n):
+        seq = hook_seqs()[name]
+        got = np.sort(seq.svals(n))
+        dense = np.sort(singular_values(seq(n)).samples)
+        assert got.shape == (n,)
+        assert np.abs(got - dense).max() <= 1e-12 * max(1.0, dense.max())
+
+    @pytest.mark.parametrize("name", ["lc", "circulant"])
+    @pytest.mark.parametrize("n", HOOK_SIZES)
+    def test_eigs_match_dense_eig(self, name, n):
+        seq = hook_seqs()[name]
+        got = seq.eigs(n)
+        dense = eigenvalues(seq(n)).samples
+        assert got.shape == (n,)
+        assert assigned_gap(got, dense) <= 1e-12 * max(1.0, np.abs(dense).max())
+
+    @pytest.mark.parametrize("kind", ["sv", "eig"])
+    def test_residual_ladder_prefers_the_hook_within_roundoff(self, kind):
+        seq = hook_seqs()["lc"]
+        fn = sv_symbol_residual if kind == "sv" else eig_symbol_residual
+        k = GltExpr(((A_HOOK, F_HOOK),))
+        fast = fn(seq, k, (37, 64))
+        dense = fn(dense_only(seq), k, (37, 64))
+        np.testing.assert_allclose(fast.residuals, dense.residuals, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["lt", "lc"])
+    def test_small_size_errors_match_generator(self, name, n):
+        seq = hook_seqs()[name]
+        want = raised(lambda: seq(n))
+        assert want[0] is DomainError
+        assert raised(lambda: seq.svals(n)) == want
+        if seq.eigs is not None:
+            assert raised(lambda: seq.eigs(n)) == want
+
+    @pytest.mark.parametrize("n", [9, 10, 16, 19])
+    def test_lc_block_size_errors_match_generator(self, n):
+        # blocks of 3 and 4 cannot hold a degree-2 circulant
+        seq = hook_seqs()["lc"]
+        want = raised(lambda: seq(n))
+        assert want[0] is DomainError
+        assert raised(lambda: seq.svals(n)) == want
+        assert raised(lambda: seq.eigs(n)) == want
+
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_circulant_size_errors_match_generator(self, n):
+        seq = hook_seqs()["circulant"]
+        want = raised(lambda: seq(n))
+        assert want[0] is DomainError
+        assert raised(lambda: seq.svals(n)) == want
+        assert raised(lambda: seq.eigs(n)) == want
+
+    @pytest.mark.parametrize("n", [4, 8, 16, 36])
+    def test_nonfinite_coefficient_errors_match_generator(self, n):
+        # block nodes i/m hit the pole at x = 1/2 whenever m is even
+        pole = parse_expr("1/(x-0.5)", "a")
+        for seq in (lt_seq(pole, TWO_COS), lc_seq(pole, CONST1)):
+            want = raised(lambda: seq(n))
+            assert want[0] is EvalError
+            assert raised(lambda: seq.svals(n)) == want
+            if seq.eigs is not None:
+                assert raised(lambda: seq.eigs(n)) == want
+
+    def test_nonfinite_symbol_coefficients_fail_like_the_dense_path(self):
+        bad = TrigPoly(np.array([np.nan, 1.0, 0.0]))
+        grid = as_symbol_grid(parse_expr("x", "a"))
+        for seq in (lt_seq(X, bad), lc_seq(X, bad), circulant_seq(bad)):
+            for fn in (sv_symbol_residual, eig_symbol_residual):
+                if fn is eig_symbol_residual and seq.eigs is None:
+                    continue
+                want = raised(lambda: fn(dense_only(seq), grid, (16, 25)))
+                assert want == (DomainError, "matrix has non-finite entries")
+                assert raised(lambda: fn(seq, grid, (16, 25))) == want
+
+
+class TestNonFiniteSymbol:
+    def test_symbol_functional_rejects_nonfinite_grid(self):
+        grid = sample_symbol(parse_expr("1/(x-0.5)", "a"), "UNIT", (3,))
+        assert grid.nonfinite_count == 1
+        with pytest.raises(EvalError, match="non-finite at 1 of 3"):
+            symbol_functional(grid, hat_function(0.0, 1.0))
+
+    def test_residual_ladder_raises_before_decomposing(self):
+        grid = sample_symbol(parse_expr("1/(x-0.5)", "a"), "UNIT", (3,))
+        with pytest.raises(EvalError):
+            sv_symbol_residual(diag_seq(parse_expr("1/x", "a")), grid, (8, 16))
