@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 from .matrices import MatrixSeq
-from .spectra import _ladder_map
 
 __all__ = [
     "SplitResult",
@@ -111,8 +110,8 @@ def _check_ladder(sizes, minimum):
 
 
 def _p_ladder(seqA: MatrixSeq, seqB: MatrixSeq, sizes) -> AcsEstimate:
-    ps = _ladder_map(lambda n: p_metric(seqA(n) - seqB(n)), sizes)
-    return AcsEstimate(tuple(sizes), tuple(ps))
+    ps = tuple(p_metric(seqA(n) - seqB(n)) for n in sizes)
+    return AcsEstimate(tuple(sizes), ps)
 
 
 def acs_distance(seqA: MatrixSeq, seqB: MatrixSeq, sizes) -> AcsEstimate:
@@ -160,7 +159,7 @@ def diagonal_select(family, sizes):
         # tail spread for level m (1-based): max over the trailing submatrix
         return np.array([P[m - 1 :, m - 1 :].max() for m in range(1, M + 1)])
 
-    spread = np.vstack(_ladder_map(spreads_at, sizes))  # (len(sizes), M)
+    spread = np.vstack([spreads_at(n) for n in sizes])  # (len(sizes), M)
     half = len(sizes) // 2
     eps = 2.0 * spread[half:].max(axis=0)
 

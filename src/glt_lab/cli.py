@@ -105,6 +105,8 @@ def _parse_sizes(text: str):
         raise ConfigError(f"bad sizes {text!r}: {exc}") from exc
     if len(sizes) < 1:
         raise ConfigError("sizes must be non-empty")
+    if min(sizes) < 1:
+        raise ConfigError(f"sizes must be positive, got {sizes}")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ConfigError(f"sizes must be strictly ascending, got {sizes}")
     return sizes
@@ -268,8 +270,61 @@ def _require(opts: dict, key: str, section: str) -> str:
     return opts[key]
 
 
+def _number(exp: Experiment, key: str, default, kind=float):
+    """A non-negative numeric option (finite for floats), or `default` when
+    the key is absent."""
+    text = exp.options.get(key)
+    if text is None:
+        return default
+    try:
+        value = kind(text)
+    except ValueError:
+        value = None
+    if value is None or not 0 <= value < math.inf:
+        what = "integer" if kind is int else "number"
+        raise ConfigError(
+            f"experiment [{exp.name}]: {key} must be a non-negative {what}, got {text!r}"
+        )
+    return value
+
+
 # ---------------------------------------------------------------------------
 # experiment execution
+
+
+def _shift_rows(name, sizes, report) -> list:
+    """Per-shift residual ladders and verdicts, the normality residuals, and
+    whether the shift verdicts license an eigenvalue conclusion."""
+    rows = []
+    for c, table, ok in zip(report.shifts, report.tables, report.shift_pass):
+        worst = table.max_per_size()
+        for i, n in enumerate(sizes):
+            rows.append(
+                ReportRow(name, n, f"sv_residual_max[shift={c:g}]", float(worst[i]), None, "N/A")
+            )
+        rows.append(
+            ReportRow(
+                name,
+                sizes[-1],
+                f"shift_verdict[shift={c:g}]",
+                float(worst[-1]),
+                None,
+                "PASS" if ok else "FAIL",
+            )
+        )
+    for n, r in zip(sizes, report.normality_residuals):
+        rows.append(ReportRow(name, n, "normality_residual", r, None, "N/A"))
+    rows.append(
+        ReportRow(
+            name,
+            sizes[-1],
+            "eig_conclusion_licensed",
+            1.0 if (report.all_pass and report.is_normal) else 0.0,
+            None,
+            "N/A",
+        )
+    )
+    return rows
 
 
 def _residual_rows(name, table, sizes, grid, mode, tol_override=None):
@@ -289,7 +344,7 @@ def _residual_rows(name, table, sizes, grid, mode, tol_override=None):
 
 def run_symbol_check(exp: Experiment) -> list:
     opts = exp.options
-    max_degree = int(opts.get("max_degree", 8))
+    max_degree = _number(exp, "max_degree", 8, int)
     seq = build_sequence(_require(opts, "sequence", exp.name), max_degree)
     symbol = build_symbol(_require(opts, "symbol", exp.name))
     mode = opts.get("mode", "sv")
@@ -298,7 +353,7 @@ def run_symbol_check(exp: Experiment) -> list:
     sizes = _parse_sizes(_require(opts, "sizes", exp.name))
     resolution = _parse_grid(opts["grid"]) if "grid" in opts else None
     grid = spectra.as_symbol_grid(symbol, resolution)
-    tol = float(opts["tolerance"]) if "tolerance" in opts else None
+    tol = _number(exp, "tolerance", None)
     fn = sv_symbol_residual if mode == "sv" else eig_symbol_residual
     table = fn(seq, grid, sizes)
     return _residual_rows(exp.name, table, sizes, grid, mode, tol)
@@ -306,11 +361,11 @@ def run_symbol_check(exp: Experiment) -> list:
 
 def run_acs(exp: Experiment) -> list:
     opts = exp.options
-    max_degree = int(opts.get("max_degree", 8))
+    max_degree = _number(exp, "max_degree", 8, int)
     seq_a = build_sequence(_require(opts, "sequence_a", exp.name), max_degree)
     seq_b = build_sequence(_require(opts, "sequence_b", exp.name), max_degree)
     sizes = _parse_sizes(_require(opts, "sizes", exp.name))
-    tol = float(opts.get("tolerance", 0.5))
+    tol = _number(exp, "tolerance", 0.5)
     verdict, est = acs_equivalent(seq_a, seq_b, sizes, tol)
     rows = [
         ReportRow(exp.name, n, "p", float(p), None, "N/A")
@@ -331,11 +386,11 @@ def run_acs(exp: Experiment) -> list:
 
 def run_normal_form(exp: Experiment) -> list:
     opts = exp.options
-    max_degree = int(opts.get("max_degree", 8))
+    max_degree = _number(exp, "max_degree", 8, int)
     expr = _parse_terms(_require(opts, "terms", exp.name), max_degree)
     sizes = _parse_sizes(_require(opts, "sizes", exp.name))
     resolution = _parse_grid(opts["grid"]) if "grid" in opts else None
-    acs_tol = float(opts.get("acs_tolerance", 0.5))
+    acs_tol = _number(exp, "acs_tolerance", 0.5)
     report = verify_normal_form(expr, sizes, resolution=resolution, acs_tol=acs_tol)
     rows = [
         ReportRow(exp.name, n, "acs_p", float(p), None, "N/A")
@@ -368,7 +423,7 @@ def run_normal_form(exp: Experiment) -> list:
 
 def run_embed(exp: Experiment) -> list:
     opts = exp.options
-    max_degree = int(opts.get("max_degree", 8))
+    max_degree = _number(exp, "max_degree", 8, int)
     seq_a = build_sequence(_require(opts, "sequence_a", exp.name), max_degree)
     seq_b = build_sequence(_require(opts, "sequence_b", exp.name), max_degree)
     sizes = _parse_sizes(_require(opts, "sizes", exp.name))
@@ -381,7 +436,7 @@ def run_embed(exp: Experiment) -> list:
 
 def run_hermitian_fn(exp: Experiment) -> list:
     opts = exp.options
-    max_degree = int(opts.get("max_degree", 8))
+    max_degree = _number(exp, "max_degree", 8, int)
     seq = build_sequence(_require(opts, "sequence", exp.name), max_degree)
     g = _parse_expr_cfg(_require(opts, "function", exp.name), "F")
     sizes = _parse_sizes(_require(opts, "sizes", exp.name))
@@ -407,7 +462,7 @@ def run_hermitian_fn(exp: Experiment) -> list:
 
 def run_shift_test(exp: Experiment) -> list:
     opts = exp.options
-    max_degree = int(opts.get("max_degree", 8))
+    max_degree = _number(exp, "max_degree", 8, int)
     seq = build_sequence(_require(opts, "sequence", exp.name), max_degree)
     symbol = build_symbol(_require(opts, "symbol", exp.name))
     sizes = _parse_sizes(_require(opts, "sizes", exp.name))
@@ -417,36 +472,7 @@ def run_shift_test(exp: Experiment) -> list:
     else:
         from .normal_form import DEFAULT_SHIFTS as shifts
     report = affine_shift_test(seq, symbol, sizes, shifts, resolution=resolution)
-    rows = []
-    for c, table, ok in zip(report.shifts, report.tables, report.shift_pass):
-        worst = table.max_per_size()
-        for i, n in enumerate(sizes):
-            rows.append(
-                ReportRow(exp.name, n, f"sv_residual_max[shift={c:g}]", float(worst[i]), None, "N/A")
-            )
-        rows.append(
-            ReportRow(
-                exp.name,
-                sizes[-1],
-                f"shift_verdict[shift={c:g}]",
-                float(worst[-1]),
-                None,
-                "PASS" if ok else "FAIL",
-            )
-        )
-    for n, r in zip(sizes, report.normality_residuals):
-        rows.append(ReportRow(exp.name, n, "normality_residual", r, None, "N/A"))
-    rows.append(
-        ReportRow(
-            exp.name,
-            sizes[-1],
-            "eig_conclusion_licensed",
-            1.0 if (report.all_pass and report.is_normal) else 0.0,
-            None,
-            "N/A",
-        )
-    )
-    return rows
+    return _shift_rows(exp.name, sizes, report)
 
 
 # ---------------------------------------------------------------------------
@@ -532,26 +558,7 @@ def demo_jordan_shift(name="jordan_shift") -> list:
     seq = counterexample_seq("jordan_shift")
     shift_poly = TrigPoly.from_coeff_map({1: 1.0})
     report = affine_shift_test(seq, shift_poly, sizes, shifts=(0, 1))
-    rows = []
-    for c, table, ok in zip(report.shifts, report.tables, report.shift_pass):
-        worst = table.max_per_size()
-        for i, n in enumerate(sizes):
-            rows.append(
-                ReportRow(name, n, f"sv_residual_max[shift={c:g}]", float(worst[i]), None, "N/A")
-            )
-        rows.append(
-            ReportRow(
-                name,
-                sizes[-1],
-                f"shift_verdict[shift={c:g}]",
-                float(worst[-1]),
-                None,
-                "PASS" if ok else "FAIL",
-            )
-        )
-    for n, r in zip(sizes, report.normality_residuals):
-        rows.append(ReportRow(name, n, "normality_residual", r, None, "N/A"))
-    rows.append(ReportRow(name, sizes[-1], "eig_conclusion_licensed", 0.0, None, "N/A"))
+    rows = _shift_rows(name, sizes, report)
     zero = _constant_unit_grid(0.0)
     eig_table = eig_symbol_residual(seq, zero, sizes)
     for i, n in enumerate(sizes):
@@ -599,10 +606,10 @@ def _dump_matrices(exp: Experiment, out_dir: Path) -> None:
     if spec is None and exp.kind == "counterexample":
         spec = f"counterexample({opts.get('name', '')})"
     if spec is None and exp.kind == "normal-form" and "terms" in opts:
-        spec = f"glt({opts['terms']})"
+        spec = f"normal-form({opts['terms']})"
     if spec is None or "sizes" not in opts:
         return
-    seq = build_sequence(spec, int(opts.get("max_degree", 8)))
+    seq = build_sequence(spec, _number(exp, "max_degree", 8, int))
     for n in _parse_sizes(opts["sizes"]):
         A = seq(n)
         path = out_dir / f"{exp.name}_{n}.csv"

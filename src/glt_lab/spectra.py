@@ -10,8 +10,6 @@ is a fine midpoint-grid mean, so every verdict carries an explicit tolerance.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +21,6 @@ from .symbols import (
     GltExpr,
     SymbolGrid,
     TrigPoly,
-    _num_literal,
-    parse_expr,
     sample_symbol,
 )
 
@@ -47,18 +43,6 @@ __all__ = [
 
 DEFAULT_RECT_RESOLUTION = (64, 256)
 DEFAULT_UNIT_RESOLUTION = (4096,)
-
-
-def _ladder_map(fn, items):
-    """Apply fn over a size ladder, optionally in parallel (GLT_LAB_THREADS),
-    always returning results in input order."""
-    items = list(items)
-    workers = os.environ.get("GLT_LAB_THREADS")
-    workers = int(workers) if workers else (os.cpu_count() or 1)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -110,17 +94,21 @@ def eigenvalues(A: np.ndarray) -> EmpiricalDist:
     return EmpiricalDist(lam, "eig")
 
 
-def hat_function(center: complex, width: float) -> FuncExpr:
-    """Radial hat max(0, 1 - |t - c|/w), compactly supported on |t-c| <= w."""
+def hat_function(center: complex, width: float):
+    """Radial hat max(0, 1 - |t - c|/w), compactly supported on |t-c| <= w.
+
+    Called as F(t=samples); returns a complex array like a parsed FuncExpr.
+    """
     c = complex(center)
-    if c.imag == 0:
-        shift = f"t-{_num_literal(c.real)}" if c.real >= 0 else f"t+{_num_literal(-c.real)}"
-    else:
-        re = _num_literal(c.real)
-        im = _num_literal(c.imag)
-        shift = f"t-({re}+{im}*i)"
-    g = f"1-abs({shift})/{_num_literal(width)}"
-    return parse_expr(f"(({g})+abs({g}))/2", "F")
+    # scale by 1/w rather than divide: numpy's complex division by a real w
+    # does exactly this, so the values equal the parsed expression bit for bit
+    inv_w = 1.0 / float(width)
+
+    def hat(t):
+        g = 1.0 - np.abs(np.asarray(t, dtype=complex) - c) * inv_w
+        return np.maximum(g, 0.0).astype(complex)
+
+    return hat
 
 
 @dataclass(frozen=True)
@@ -219,9 +207,6 @@ class ResidualTable:
     def max_per_size(self) -> np.ndarray:
         return self.residuals.max(axis=1)
 
-    def row(self, n: int) -> np.ndarray:
-        return self.residuals[self.sizes.index(n)]
-
 
 def _spectrum(seq: MatrixSeq, n: int, kind: str) -> EmpiricalDist:
     """Spectrum of A_n: the sequence's closed form when it has one for this
@@ -243,12 +228,11 @@ def _residual_table(seq, grid, family, sizes, kind, mode):
         raise DomainError("sizes must be strictly ascending")
     sym_means = np.array([symbol_functional(grid, F, mode) for F in family.funcs])
 
-    def one_size(n):
+    rows = []
+    for n in sizes:
         dist = _spectrum(seq, n, kind)
         emp = np.array([empirical_functional(dist, F) for F in family.funcs])
-        return np.abs(emp - sym_means)
-
-    rows = _ladder_map(one_size, sizes)
+        rows.append(np.abs(emp - sym_means))
     return ResidualTable(kind, sizes, family.labels, np.vstack(rows))
 
 

@@ -261,9 +261,6 @@ def _expr_scale(e: FuncExpr, lam: complex) -> FuncExpr:
     return FuncExpr(f"{lit}*({e.source})", ast, e.role, e.free_vars)
 
 
-CONST_ONE = parse_expr("1", "a")
-
-
 @dataclass(frozen=True)
 class TrigPoly:
     """Trigonometric polynomial sum_{k=-d}^{d} f_k e^{ik theta}.

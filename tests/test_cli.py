@@ -8,12 +8,14 @@ import pytest
 from glt_lab.cli import (
     CSV_HEADER,
     ReportRow,
+    _parse_terms,
     build_sequence,
     load_config,
     main,
     rows_to_csv,
 )
 from glt_lab.errors import ConfigError
+from glt_lab.normal_form import normal_form
 
 
 def run_cli(argv):
@@ -141,6 +143,44 @@ class TestConfigValidation:
         code, _, err = run_cli(["run", cfg])
         assert code == 2
 
+    @pytest.mark.parametrize("sizes", ["-4, 8", "0, 8"])
+    def test_nonpositive_sizes_rejected(self, tmp_path, sizes):
+        cfg = write_config(
+            tmp_path,
+            "[global]\nseed = 1\n\n[exp]\nkind = symbol-check\n"
+            f"sequence = identity\nsymbol = 1\nsizes = {sizes}\n",
+        )
+        code, out, err = run_cli(["run", cfg])
+        assert code == 2
+        assert out == ""
+        assert "sizes must be positive" in err
+
+    @pytest.mark.parametrize(
+        "body, key",
+        [
+            ("kind = symbol-check\nsequence = toeplitz(2*cos(theta))\nsymbol = 2*cos(theta)\n"
+             "max_degree = abc\n", "max_degree"),
+            ("kind = symbol-check\nsequence = toeplitz(2*cos(theta))\nsymbol = 2*cos(theta)\n"
+             "max_degree = -1\n", "max_degree"),
+            ("kind = symbol-check\nsequence = toeplitz(2*cos(theta))\nsymbol = 2*cos(theta)\n"
+             "tolerance = nan\n", "tolerance"),
+            ("kind = acs\nsequence_a = toeplitz(2*cos(theta))\n"
+             "sequence_b = circulant(2*cos(theta))\ntolerance = half\n", "tolerance"),
+            ("kind = normal-form\nterms = x | 2*cos(theta)\nacs_tolerance = 1/2\n",
+             "acs_tolerance"),
+        ],
+        ids=["max_degree-abc", "max_degree-negative", "tolerance-nan", "acs-tolerance-half",
+             "acs_tolerance-fraction"],
+    )
+    def test_bad_numeric_option_rejected(self, tmp_path, body, key):
+        cfg = write_config(
+            tmp_path, f"[global]\nseed = 1\n\n[exp]\n{body}sizes = 16, 36, 64\n"
+        )
+        code, out, err = run_cli(["run", cfg])
+        assert code == 2
+        assert out == ""
+        assert f"{key} must be a non-negative" in err
+
     def test_load_config_roundtrip(self, tmp_path):
         cfg = write_config(tmp_path, GOOD_CONFIG)
         rc = load_config(cfg)
@@ -205,6 +245,24 @@ class TestRunCommand:
         i, j, re, im = rows[0]
         assert int(i) == int(j) + 1
         assert float(re) == 1.0 and float(im) == 0.0
+
+    def test_dump_matrices_normal_form_dumps_the_verified_matrix(self, tmp_path):
+        out_path = tmp_path / "report.csv"
+        terms = "1+x | 2*cos(theta) + i*sin(theta)"
+        cfg = write_config(
+            tmp_path,
+            f"[global]\nseed = 3\noutput = {out_path}\n\n[nf]\nkind = normal-form\n"
+            f"terms = {terms}\nsizes = 16, 36\n",
+        )
+        run_cli(["run", cfg, "--dump-matrices"])
+        expr = _parse_terms(terms, 8)
+        for n in (16, 36):
+            A = normal_form(expr, n).matrix()
+            rows = list(csv.reader((tmp_path / f"nf_{n}.csv").open()))
+            i, j = np.nonzero(A)
+            assert [(int(r[0]), int(r[1])) for r in rows] == list(zip(i + 1, j + 1))
+            dumped = np.array([complex(float(r[2]), float(r[3])) for r in rows])
+            assert np.array_equal(dumped, A[i, j])
 
     def test_shift_test_kind(self, tmp_path):
         cfg = write_config(
@@ -331,17 +389,6 @@ class TestNumericalFailureRows:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[1][0] == "pole" and rows[1][2].startswith("error[symbol is non-finite")
         assert rows[1][5] == "FAIL"
-
-
-class TestThreadCap:
-    def test_thread_env_var_preserves_results(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path, GOOD_CONFIG)
-        _, serial, _ = run_cli(["run", cfg])
-        monkeypatch.setenv("GLT_LAB_THREADS", "2")
-        _, threaded, _ = run_cli(["run", cfg])
-        monkeypatch.setenv("GLT_LAB_THREADS", "1")
-        _, capped, _ = run_cli(["run", cfg])
-        assert serial == threaded == capped
 
 
 class TestToleranceOverride:

@@ -34,6 +34,7 @@ from glt_lab import (
     zero_seq,
 )
 from glt_lab.spectra import as_symbol_grid
+from glt_lab.symbols import _num_literal
 
 TWO_COS = TrigPoly.from_coeff_map({1: 1, -1: 1})
 SHIFT = TrigPoly.from_coeff_map({1: 1})
@@ -130,6 +131,34 @@ class TestHatFamily:
         assert F(t=np.array([0.5]))[0] == pytest.approx(1.0)
         assert F(t=np.array([0.625]))[0] == pytest.approx(0.5)
         assert F(t=np.array([0.75]))[0] == pytest.approx(0.0)
+
+    @staticmethod
+    def parsed_hat(center, width):
+        """The hat as an expression string through the grammar: the oracle."""
+        c = complex(center)
+        if c.imag == 0:
+            shift = f"t-{_num_literal(c.real)}" if c.real >= 0 else f"t+{_num_literal(-c.real)}"
+        else:
+            shift = f"t-({_num_literal(c.real)}+{_num_literal(c.imag)}*i)"
+        g = f"1-abs({shift})/{_num_literal(width)}"
+        return parse_expr(f"(({g})+abs({g}))/2", "F")
+
+    @pytest.mark.parametrize("R", [1.0, 3.0, 41.5, 8193.0])
+    def test_hat_bitwise_equals_parsed_oracle(self, R):
+        rng = np.random.default_rng(int(R))
+        centers = list(np.linspace(-R, R, 8))
+        centers += [0.0, 1.0, -0.5, 0.3 * R - 0.7j * R, -R / 3 + 0.2j * R]
+        for w in (0.01, 0.1, 0.5, R / 7, R / 4):
+            for c in centers:
+                c_re = complex(c).real
+                near = c_re + w * rng.uniform(-1.5, 1.5, 300)
+                real_t = np.concatenate([rng.uniform(-1.5 * R, 1.5 * R, 300), near, [c_re]])
+                complex_t = real_t + 1j * rng.uniform(-R, R, real_t.size)
+                for t in (real_t, complex_t, np.abs(complex_t)):
+                    got = hat_function(c, w)(t=t)
+                    want = self.parsed_hat(c, w)(t=t)
+                    assert got.dtype == want.dtype == complex
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_family_has_nine_members(self):
         fam = default_family(2.0)
