@@ -29,7 +29,14 @@ from . import matrices, spectra
 from .acs import acs_equivalent, p_metric
 from .errors import ConfigError, ExprSyntaxError, GltLabError, VariableError
 from .matrices import MatrixSeq, counterexample_seq
-from .normal_form import affine_shift_test, group_embed, hermitian_function, verify_normal_form
+from .normal_form import (
+    DEFAULT_SHIFTS,
+    affine_shift_test,
+    group_embed,
+    hermitian_function,
+    normal_form_seq,
+    verify_normal_form,
+)
 from .spectra import (
     convergence_tolerance,
     default_family,
@@ -120,6 +127,8 @@ def _parse_grid(text: str):
         raise ConfigError(f"bad grid {text!r}") from exc
     if len(res) not in (1, 2):
         raise ConfigError(f"grid needs 1 or 2 axes, got {text!r}")
+    if min(res) < 1:
+        raise ConfigError(f"grid resolutions must be positive, got {text!r}")
     return res
 
 
@@ -200,8 +209,6 @@ def build_sequence(spec: str, max_degree: int = 8) -> MatrixSeq:
     if head == "glt":
         return matrices.glt_product_seq(_parse_terms(inner, max_degree))
     if head == "normal-form":
-        from .normal_form import normal_form_seq
-
         return normal_form_seq(_parse_terms(inner, max_degree))
     raise ConfigError(f"unknown sequence head {head!r}")
 
@@ -288,8 +295,39 @@ def _number(exp: Experiment, key: str, default, kind=float):
     return value
 
 
+def _seq(exp: Experiment, key: str) -> MatrixSeq:
+    max_degree = _number(exp, "max_degree", 8, int)
+    return build_sequence(_require(exp.options, key, exp.name), max_degree)
+
+
+def _sizes(exp: Experiment):
+    return _parse_sizes(_require(exp.options, "sizes", exp.name))
+
+
+def _grid(exp: Experiment):
+    return _parse_grid(exp.options["grid"]) if "grid" in exp.options else None
+
+
 # ---------------------------------------------------------------------------
 # experiment execution
+
+
+def _row(name, n, metric, value, bound=None, ok=None) -> ReportRow:
+    """A report row.  Its verdict is N/A when neither `bound` nor `ok` is
+    given, else PASS when `ok`, which defaults to `value <= bound`."""
+    if bound is None and ok is None:
+        verdict = "N/A"
+    elif value <= bound if ok is None else ok:
+        verdict = "PASS"
+    else:
+        verdict = "FAIL"
+    return ReportRow(name, n, metric, float(value), bound, verdict)
+
+
+def _ladder(name, sizes, metric, values, bounds=None) -> list:
+    """One row per size, each judged against its bound when `bounds` is given."""
+    bounds = [None] * len(sizes) if bounds is None else bounds
+    return [_row(name, n, metric, v, b) for n, v, b in zip(sizes, values, bounds)]
 
 
 def _shift_rows(name, sizes, report) -> list:
@@ -298,61 +336,32 @@ def _shift_rows(name, sizes, report) -> list:
     rows = []
     for c, table, ok in zip(report.shifts, report.tables, report.shift_pass):
         worst = table.max_per_size()
-        for i, n in enumerate(sizes):
-            rows.append(
-                ReportRow(name, n, f"sv_residual_max[shift={c:g}]", float(worst[i]), None, "N/A")
-            )
-        rows.append(
-            ReportRow(
-                name,
-                sizes[-1],
-                f"shift_verdict[shift={c:g}]",
-                float(worst[-1]),
-                None,
-                "PASS" if ok else "FAIL",
-            )
-        )
-    for n, r in zip(sizes, report.normality_residuals):
-        rows.append(ReportRow(name, n, "normality_residual", r, None, "N/A"))
-    rows.append(
-        ReportRow(
-            name,
-            sizes[-1],
-            "eig_conclusion_licensed",
-            1.0 if (report.all_pass and report.is_normal) else 0.0,
-            None,
-            "N/A",
-        )
-    )
+        rows += _ladder(name, sizes, f"sv_residual_max[shift={c:g}]", worst)
+        rows.append(_row(name, sizes[-1], f"shift_verdict[shift={c:g}]", worst[-1], ok=ok))
+    rows += _ladder(name, sizes, "normality_residual", report.normality_residuals)
+    licensed = report.all_pass and report.is_normal
+    rows.append(_row(name, sizes[-1], "eig_conclusion_licensed", 1.0 if licensed else 0.0))
     return rows
 
 
 def _residual_rows(name, table, sizes, grid, mode, tol_override=None):
     rows = []
-    for i, n in enumerate(sizes):
+    for n, residuals in zip(sizes, table.residuals):
         tol = tol_override if tol_override is not None else convergence_tolerance(n, grid)
-        for label, res in zip(table.labels, table.residuals[i]):
-            rows.append(ReportRow(name, n, f"{mode}_residual[{label}]", float(res), None, "N/A"))
-        worst = float(table.residuals[i].max())
-        rows.append(
-            ReportRow(
-                name, n, f"{mode}_residual_max", worst, tol, "PASS" if worst <= tol else "FAIL"
-            )
-        )
+        for label, res in zip(table.labels, residuals):
+            rows.append(_row(name, n, f"{mode}_residual[{label}]", res))
+        rows.append(_row(name, n, f"{mode}_residual_max", residuals.max(), tol))
     return rows
 
 
 def run_symbol_check(exp: Experiment) -> list:
-    opts = exp.options
-    max_degree = _number(exp, "max_degree", 8, int)
-    seq = build_sequence(_require(opts, "sequence", exp.name), max_degree)
-    symbol = build_symbol(_require(opts, "symbol", exp.name))
-    mode = opts.get("mode", "sv")
+    seq = _seq(exp, "sequence")
+    symbol = build_symbol(_require(exp.options, "symbol", exp.name))
+    mode = exp.options.get("mode", "sv")
     if mode not in ("sv", "eig"):
         raise ConfigError(f"mode must be sv or eig, got {mode!r}")
-    sizes = _parse_sizes(_require(opts, "sizes", exp.name))
-    resolution = _parse_grid(opts["grid"]) if "grid" in opts else None
-    grid = spectra.as_symbol_grid(symbol, resolution)
+    sizes = _sizes(exp)
+    grid = spectra.as_symbol_grid(symbol, _grid(exp))
     tol = _number(exp, "tolerance", None)
     fn = sv_symbol_residual if mode == "sv" else eig_symbol_residual
     table = fn(seq, grid, sizes)
@@ -360,117 +369,56 @@ def run_symbol_check(exp: Experiment) -> list:
 
 
 def run_acs(exp: Experiment) -> list:
-    opts = exp.options
-    max_degree = _number(exp, "max_degree", 8, int)
-    seq_a = build_sequence(_require(opts, "sequence_a", exp.name), max_degree)
-    seq_b = build_sequence(_require(opts, "sequence_b", exp.name), max_degree)
-    sizes = _parse_sizes(_require(opts, "sizes", exp.name))
+    seq_a, seq_b = _seq(exp, "sequence_a"), _seq(exp, "sequence_b")
+    sizes = _sizes(exp)
     tol = _number(exp, "tolerance", 0.5)
     verdict, est = acs_equivalent(seq_a, seq_b, sizes, tol)
-    rows = [
-        ReportRow(exp.name, n, "p", float(p), None, "N/A")
-        for n, p in zip(est.sizes, est.p_values)
-    ]
-    rows.append(
-        ReportRow(
-            exp.name,
-            sizes[-1],
-            "rho_estimate",
-            est.rho_estimate,
-            tol,
-            "PASS" if verdict else "FAIL",
-        )
-    )
+    rows = _ladder(exp.name, est.sizes, "p", est.p_values)
+    rows.append(_row(exp.name, sizes[-1], "rho_estimate", est.rho_estimate, tol, verdict))
     return rows
 
 
 def run_normal_form(exp: Experiment) -> list:
-    opts = exp.options
     max_degree = _number(exp, "max_degree", 8, int)
-    expr = _parse_terms(_require(opts, "terms", exp.name), max_degree)
-    sizes = _parse_sizes(_require(opts, "sizes", exp.name))
-    resolution = _parse_grid(opts["grid"]) if "grid" in opts else None
+    expr = _parse_terms(_require(exp.options, "terms", exp.name), max_degree)
+    sizes = _sizes(exp)
+    resolution = _grid(exp)
     acs_tol = _number(exp, "acs_tolerance", 0.5)
     report = verify_normal_form(expr, sizes, resolution=resolution, acs_tol=acs_tol)
-    rows = [
-        ReportRow(exp.name, n, "acs_p", float(p), None, "N/A")
-        for n, p in zip(sizes, report.acs_p_values)
-    ]
-    rows.append(
-        ReportRow(
-            exp.name,
-            sizes[-1],
-            "acs_rho",
-            report.acs_rho,
-            acs_tol,
-            "PASS" if report.acs_pass else "FAIL",
-        )
-    )
+    rows = _ladder(exp.name, sizes, "acs_p", report.acs_p_values)
+    rows.append(_row(exp.name, sizes[-1], "acs_rho", report.acs_rho, acs_tol, report.acs_pass))
     worst = report.eig_table.max_per_size()
-    for i, n in enumerate(sizes):
-        rows.append(
-            ReportRow(
-                exp.name,
-                n,
-                "eig_residual_max",
-                float(worst[i]),
-                report.eig_tolerances[i],
-                "PASS" if worst[i] <= report.eig_tolerances[i] else "FAIL",
-            )
-        )
-    return rows
+    return rows + _ladder(exp.name, sizes, "eig_residual_max", worst, report.eig_tolerances)
 
 
 def run_embed(exp: Experiment) -> list:
-    opts = exp.options
-    max_degree = _number(exp, "max_degree", 8, int)
-    seq_a = build_sequence(_require(opts, "sequence_a", exp.name), max_degree)
-    seq_b = build_sequence(_require(opts, "sequence_b", exp.name), max_degree)
-    sizes = _parse_sizes(_require(opts, "sizes", exp.name))
-    rows = []
-    for n in sizes:
-        pair = group_embed(seq_a, seq_b, n)
-        rows.append(ReportRow(exp.name, n, "embed_residual_p", pair.residual_p, None, "N/A"))
-    return rows
+    seq_a, seq_b = _seq(exp, "sequence_a"), _seq(exp, "sequence_b")
+    sizes = _sizes(exp)
+    residuals = [group_embed(seq_a, seq_b, n).residual_p for n in sizes]
+    return _ladder(exp.name, sizes, "embed_residual_p", residuals)
 
 
 def run_hermitian_fn(exp: Experiment) -> list:
-    opts = exp.options
-    max_degree = _number(exp, "max_degree", 8, int)
-    seq = build_sequence(_require(opts, "sequence", exp.name), max_degree)
-    g = _parse_expr_cfg(_require(opts, "function", exp.name), "F")
-    sizes = _parse_sizes(_require(opts, "sizes", exp.name))
-    resolution = _parse_grid(opts["grid"]) if "grid" in opts else None
-    report = hermitian_function(seq, g, sizes, resolution=resolution)
+    seq = _seq(exp, "sequence")
+    g = _parse_expr_cfg(_require(exp.options, "function", exp.name), "F")
+    sizes = _sizes(exp)
+    report = hermitian_function(seq, g, sizes, resolution=_grid(exp))
     rows = []
     for kind, table in (("sv", report.sv_table), ("eig", report.eig_table)):
-        worst = table.max_per_size()
-        for i, n in enumerate(sizes):
-            tol = report.tolerances[i]
-            rows.append(
-                ReportRow(
-                    exp.name,
-                    n,
-                    f"{kind}_residual_max",
-                    float(worst[i]),
-                    tol,
-                    "PASS" if worst[i] <= tol else "FAIL",
-                )
-            )
+        rows += _ladder(exp.name, sizes, f"{kind}_residual_max", table.max_per_size(),
+                        report.tolerances)
     return rows
 
 
 def run_shift_test(exp: Experiment) -> list:
     opts = exp.options
-    max_degree = _number(exp, "max_degree", 8, int)
-    seq = build_sequence(_require(opts, "sequence", exp.name), max_degree)
+    seq = _seq(exp, "sequence")
     symbol = build_symbol(_require(opts, "symbol", exp.name))
-    sizes = _parse_sizes(_require(opts, "sizes", exp.name))
-    resolution = _parse_grid(opts["grid"]) if "grid" in opts else None
+    sizes = _sizes(exp)
+    resolution = _grid(exp)
+    shifts = DEFAULT_SHIFTS
     if "shifts" in opts:
         shifts = tuple(_parse_complex(s) for s in opts["shifts"].split(","))
-    else:
-        from .normal_form import DEFAULT_SHIFTS as shifts
     report = affine_shift_test(seq, symbol, sizes, shifts, resolution=resolution)
     return _shift_rows(exp.name, sizes, report)
 
@@ -492,10 +440,8 @@ def demo_alt_identity(name="alt_identity") -> list:
     rows = _residual_rows(name, table, sizes, one, "eig")
     even_emp = np.array([empirical_functional(eigenvalues(seq(256)), F) for F in family.funcs])
     odd_emp = np.array([empirical_functional(eigenvalues(seq(257)), F) for F in family.funcs])
-    gap = float(np.abs(even_emp - odd_emp).max())
-    rows.append(
-        ReportRow(name, 257, "even_odd_gap", gap, 0.9, "FAIL" if gap >= 0.9 else "PASS")
-    )
+    gap = np.abs(even_emp - odd_emp).max()
+    rows.append(_row(name, 257, "even_odd_gap", gap, 0.9, ok=gap < 0.9))
     return rows
 
 
@@ -506,11 +452,8 @@ def demo_half_shift(name="half_shift") -> list:
     step = SymbolGrid("UNIT", (4096,), (x < 0.5).astype(complex))
     table = sv_symbol_residual(seq, step, sizes)
     rows = _residual_rows(name, table, sizes, step, "sv")
-    for n in sizes:
-        A = seq(n)
-        sq = float(np.abs(A @ A).max())
-        rows.append(ReportRow(name, n, "square_norm", sq, 0.0, "PASS" if sq == 0.0 else "FAIL"))
-    return rows
+    squares = [np.abs(A @ A).max() for A in map(seq, sizes)]
+    return rows + _ladder(name, sizes, "square_norm", squares, [0.0] * len(sizes))
 
 
 def demo_scaled_cycle(name="scaled_cycle") -> list:
@@ -518,21 +461,11 @@ def demo_scaled_cycle(name="scaled_cycle") -> list:
     seq = counterexample_seq("scaled_cycle")
     verdict, table = zero_distributed_test(seq, sizes)
     zero = _constant_unit_grid(0.0)
-    rows = _residual_rows(name, table, sizes, zero, "sv", tol_override=10.0 / math.sqrt(sizes[-1]))
-    rows.append(
-        ReportRow(
-            name,
-            sizes[-1],
-            "zero_distributed",
-            float(table.residuals[-1].max()),
-            10.0 / math.sqrt(sizes[-1]),
-            "PASS" if verdict else "FAIL",
-        )
-    )
-    for n in sizes:
-        p = p_metric(seq(n))
-        bound = 2.0 / n + 1e-10
-        rows.append(ReportRow(name, n, "p", p, bound, "PASS" if p <= bound else "FAIL"))
+    tol = 10.0 / math.sqrt(sizes[-1])
+    rows = _residual_rows(name, table, sizes, zero, "sv", tol_override=tol)
+    rows.append(_row(name, sizes[-1], "zero_distributed", table.residuals[-1].max(), tol, verdict))
+    p_values = [p_metric(seq(n)) for n in sizes]
+    rows += _ladder(name, sizes, "p", p_values, [2.0 / n + 1e-10 for n in sizes])
     # the function t + 1 - |t|^2 fixes every eigenvalue on the unit circle,
     # so applying it leaves the matrix alone while moving 0 to 1: the
     # singular value functionals stay near F(0), far from F(1)
@@ -541,15 +474,14 @@ def demo_scaled_cycle(name="scaled_cycle") -> list:
     lam, S = np.linalg.eig(E)
     f_lam = lam + 1.0 - np.abs(lam) ** 2
     fE = S @ np.diag(f_lam) @ np.linalg.inv(S)
-    fixed_err = float(np.abs(fE - E).max())
-    rows.append(ReportRow(name, n_fn, "fn_fixed_point_error", fixed_err, None, "N/A"))
+    rows.append(_row(name, n_fn, "fn_fixed_point_error", np.abs(fE - E).max()))
     family = default_family(1.0)
     sv_fE = singular_values(fE)
     gap = max(
         abs(empirical_functional(sv_fE, F) - complex(F(t=np.array([1.0]))[0]))
         for F in family.funcs
     )
-    rows.append(ReportRow(name, n_fn, "fn_pathology_gap", float(gap), None, "N/A"))
+    rows.append(_row(name, n_fn, "fn_pathology_gap", gap))
     return rows
 
 
@@ -560,16 +492,9 @@ def demo_jordan_shift(name="jordan_shift") -> list:
     report = affine_shift_test(seq, shift_poly, sizes, shifts=(0, 1))
     rows = _shift_rows(name, sizes, report)
     zero = _constant_unit_grid(0.0)
-    eig_table = eig_symbol_residual(seq, zero, sizes)
-    for i, n in enumerate(sizes):
-        worst = float(eig_table.residuals[i].max())
-        tol = convergence_tolerance(n, zero)
-        rows.append(
-            ReportRow(
-                name, n, "eig_residual_vs_zero", worst, tol, "PASS" if worst <= tol else "FAIL"
-            )
-        )
-    return rows
+    worst = eig_symbol_residual(seq, zero, sizes).max_per_size()
+    tols = [convergence_tolerance(n, zero) for n in sizes]
+    return rows + _ladder(name, sizes, "eig_residual_vs_zero", worst, tols)
 
 
 DEMOS = {
@@ -579,25 +504,23 @@ DEMOS = {
     "jordan_shift": demo_jordan_shift,
 }
 
-RUNNERS = {
-    "symbol-check": run_symbol_check,
-    "acs": run_acs,
-    "normal-form": run_normal_form,
-    "embed": run_embed,
-    "hermitian-fn": run_hermitian_fn,
-    "shift-test": run_shift_test,
-}
-
 
 def run_counterexample(exp: Experiment) -> list:
     name = _require(exp.options, "name", exp.name)
     if name not in DEMOS:
         raise ConfigError(f"unknown counterexample {name!r}; choose from {tuple(DEMOS)}")
-    rows = DEMOS[name](name=exp.name)
-    return rows
+    return DEMOS[name](name=exp.name)
 
 
-RUNNERS["counterexample"] = run_counterexample
+RUNNERS = {
+    "symbol-check": run_symbol_check,
+    "acs": run_acs,
+    "normal-form": run_normal_form,
+    "embed": run_embed,
+    "counterexample": run_counterexample,
+    "hermitian-fn": run_hermitian_fn,
+    "shift-test": run_shift_test,
+}
 
 
 def _dump_matrices(exp: Experiment, out_dir: Path) -> None:
@@ -610,7 +533,7 @@ def _dump_matrices(exp: Experiment, out_dir: Path) -> None:
     if spec is None or "sizes" not in opts:
         return
     seq = build_sequence(spec, _number(exp, "max_degree", 8, int))
-    for n in _parse_sizes(opts["sizes"]):
+    for n in _sizes(exp):
         A = seq(n)
         path = out_dir / f"{exp.name}_{n}.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -178,16 +178,6 @@ def fourier_matrix(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(j, j) / n) / math.sqrt(n)
 
 
-def _assemble_blocks(blocks, n: int) -> np.ndarray:
-    M = np.zeros((n, n), dtype=complex)
-    pos = 0
-    for B in blocks:
-        p = B.shape[0]
-        M[pos : pos + p, pos : pos + p] = B
-        pos += p
-    return M
-
-
 def _lt_parts(a: FuncExpr, f: TrigPoly, n: int):
     if n < 4:
         raise DomainError("locally Toeplitz operator needs n >= 4")
@@ -198,7 +188,7 @@ def _lt_parts(a: FuncExpr, f: TrigPoly, n: int):
 def lt_op(a: FuncExpr, f: TrigPoly, n: int) -> np.ndarray:
     """Locally Toeplitz operator: blocks a(i/m) T_block(f), then a zero block."""
     lay, T, vals = _lt_parts(a, f, n)
-    return _assemble_blocks([v * T for v in vals], n)
+    return scipy.linalg.block_diag(*(v * T for v in vals), np.zeros((lay.t, lay.t)))
 
 
 def _lt_svals(a: FuncExpr, f: TrigPoly, n: int) -> np.ndarray:
@@ -229,7 +219,7 @@ def lc_op(a: FuncExpr, f: TrigPoly, n: int) -> np.ndarray:
     """
     lay, vals = _lc_parts(a, f, n)
     C = circulant(f, lay.block)
-    return _assemble_blocks([v * C for v in vals], n)
+    return scipy.linalg.block_diag(*(v * C for v in vals), np.zeros((lay.t, lay.t)))
 
 
 def _lc_eigs(a: FuncExpr, f: TrigPoly, n: int) -> np.ndarray:
@@ -246,12 +236,7 @@ def q_block(n: int) -> np.ndarray:
         raise DomainError("block Fourier matrix needs n >= 4")
     lay = block_layout(n)
     F = fourier_matrix(lay.block)
-    Q = np.zeros((n, n), dtype=complex)
-    for i in range(lay.m):
-        Q[i * lay.block : (i + 1) * lay.block, i * lay.block : (i + 1) * lay.block] = F
-    for i in range(lay.m * lay.block, n):
-        Q[i, i] = 1.0
-    return Q
+    return scipy.linalg.block_diag(*[F] * lay.m, np.eye(lay.t))
 
 
 def d_af(a: FuncExpr, f: TrigPoly, n: int) -> np.ndarray:

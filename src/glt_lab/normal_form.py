@@ -144,11 +144,7 @@ def sort_perm(D: np.ndarray) -> np.ndarray:
     d = np.diag(D)
     if np.abs(d.imag).max(initial=0.0) > 1e-12 * max(1.0, np.abs(d).max(initial=0.0)):
         raise DomainError("diagonal entries must be real; pass their absolute values")
-    order = np.argsort(d.real, kind="stable")
-    n = D.shape[0]
-    P = np.zeros((n, n))
-    P[np.arange(n), order] = 1.0
-    return P
+    return _ascending_perm(d.real)
 
 
 @dataclass(frozen=True)

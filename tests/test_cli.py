@@ -1,6 +1,7 @@
 import csv
 import io
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -154,6 +155,19 @@ class TestConfigValidation:
         assert code == 2
         assert out == ""
         assert "sizes must be positive" in err
+
+    @pytest.mark.parametrize("grid", ["0", "-4", "0x8"])
+    def test_nonpositive_grid_rejected(self, tmp_path, grid):
+        cfg = write_config(
+            tmp_path,
+            "[global]\nseed = 1\n\n[exp]\nkind = symbol-check\n"
+            "sequence = toeplitz(2*cos(theta))\nsymbol = 2*cos(theta)\n"
+            f"sizes = 16, 32\ngrid = {grid}\n",
+        )
+        code, out, err = run_cli(["run", cfg])
+        assert code == 2
+        assert out == ""
+        assert "grid resolutions must be positive" in err
 
     @pytest.mark.parametrize(
         "body, key",
@@ -313,6 +327,27 @@ class TestRunCommand:
         code, out, _ = run_cli(["run", cfg])
         assert code == 0
         assert "square_norm" in out
+
+
+class TestReportLayout:
+    def test_every_kind_matches_the_stored_report(self):
+        # one experiment of each kind plus a non-Hermitian hermitian-fn error
+        # row; the stored report pins row order, labels, bounds and verdicts
+        data = Path(__file__).parent / "data"
+        code, out, _ = run_cli(["run", str(data / "report_layout.ini")])
+        assert code == 1
+        got = list(csv.DictReader(io.StringIO(out)))
+        with open(data / "report_layout.csv", encoding="utf-8", newline="") as fh:
+            want = list(csv.DictReader(fh))
+        assert {r["experiment"] for r in want} == {
+            "szego", "acs_tc", "nf", "emb", "sq", "jordan", "hs", "bad"
+        }
+        keys = ("experiment", "n", "metric", "bound", "verdict")
+        assert [[r[k] for k in keys] for r in got] == [[r[k] for k in keys] for r in want]
+        np.testing.assert_allclose(
+            [float(r["value"]) for r in got], [float(r["value"]) for r in want],
+            rtol=1e-9, atol=1e-12,
+        )
 
 
 class TestDemoCommand:
