@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .matrices import MatrixSeq
+from .matrices import MatrixSeq, svdvals
 
 __all__ = [
     "SplitResult",
@@ -39,21 +39,14 @@ def _phase_canonical(A: np.ndarray) -> np.ndarray:
     return A * (abs(v) / v)
 
 
-def _p_objective(A: np.ndarray) -> np.ndarray:
-    n = A.shape[0]
-    try:
-        s = np.linalg.svd(A, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD failed: {exc}") from exc
-    return np.arange(n + 1) / n + np.append(s, 0.0)
-
-
 def p_metric(A: np.ndarray) -> float:
     """min_{i=1..n+1} {(i-1)/n + sigma_i(A)} with sigma_{n+1} = 0."""
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DomainError("matrix must be square")
-    return float(_p_objective(_phase_canonical(A)).min())
+    n = A.shape[0]
+    s = svdvals(_phase_canonical(A))
+    return float((np.arange(n + 1) / n + np.append(s, 0.0)).min())
 
 
 @dataclass(frozen=True)

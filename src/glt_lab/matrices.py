@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import DomainError, EvalError, UnknownNameError
+from .errors import DomainError, EvalError, NumericalError, UnknownNameError
 from .symbols import FuncExpr, GltExpr, TrigPoly
 
 __all__ = [
@@ -101,6 +101,27 @@ class MatrixSeq:
             symbol=None,
             info=dict(self.info),
         )
+
+
+def svdvals(A: np.ndarray) -> np.ndarray:
+    """The n singular values of a square matrix A, non-increasing.
+
+    Rows and columns without a nonzero entry only add zero singular values,
+    so the rest is decomposed alone and zeros pad the result back to n.  That
+    block is decomposed in real arithmetic when its imaginary part is exactly
+    zero.
+    """
+    nonzero = A != 0
+    rows = np.flatnonzero(nonzero.any(axis=1))
+    cols = np.flatnonzero(nonzero.any(axis=0))
+    core = A if rows.size == cols.size == A.shape[0] else A[np.ix_(rows, cols)]
+    if not core.imag.any():
+        core = core.real
+    try:
+        s = np.linalg.svd(core, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD failed: {exc}") from exc
+    return np.concatenate([s, np.zeros(A.shape[0] - s.size)])
 
 
 def toeplitz(f: TrigPoly, n: int) -> np.ndarray:
@@ -197,8 +218,7 @@ def _lt_svals(a: FuncExpr, f: TrigPoly, n: int) -> np.ndarray:
     lay, T, vals = _lt_parts(a, f, n)
     if not np.isfinite(T).all():
         raise DomainError("matrix has non-finite entries")
-    s = np.linalg.svd(T, compute_uv=False)
-    return np.concatenate([np.outer(np.abs(vals), s).ravel(), np.zeros(lay.t)])
+    return np.concatenate([np.outer(np.abs(vals), svdvals(T)).ravel(), np.zeros(lay.t)])
 
 
 def _lc_parts(a: FuncExpr, f: TrigPoly, n: int):
@@ -361,9 +381,10 @@ def lc_seq(a: FuncExpr, f: TrigPoly, label: str = "f") -> MatrixSeq:
 def glt_product_seq(expr: GltExpr) -> MatrixSeq:
     """The sequence sum_i D_n(a_i) T_n(f_i) generated by a separable symbol.
 
-    D_n(a_i) T_n(f_i) is formed by scaling the rows of T_n(f_i).  This equals
-    the dense product bitwise when a_i or f_i is real; otherwise the two can
-    differ by one rounding per entry (the product may be fused).
+    D_n(a_i) T_n(f_i) is added one diagonal of T_n(f_i) at a time: entry
+    (i, i-k) gains a_i(i/n) f_k.  This equals the dense product bitwise when
+    a_i or f_i is real; otherwise the two can differ by one rounding per entry
+    (the product may be fused).
     """
 
     def gen(n):
@@ -371,7 +392,11 @@ def glt_product_seq(expr: GltExpr) -> MatrixSeq:
             raise DomainError("size must be positive")
         M = np.zeros((n, n), dtype=complex)
         for a, f in expr.terms:
-            M += _grid_values(a, n)[:, None] * toeplitz(f, n)
+            vals = _grid_values(a, n)
+            d = min(f.degree, n - 1)
+            for k in range(-d, d + 1):
+                rows = np.arange(max(k, 0), n + min(k, 0))
+                M[rows, rows - k] += vals[rows] * f.coeff(k)
         return M
 
     label = " + ".join(f"D({a.source})T(deg{f.degree})" for a, f in expr.terms)

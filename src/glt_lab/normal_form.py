@@ -16,7 +16,15 @@ import numpy as np
 
 from .acs import acs_equivalent, p_metric
 from .errors import DomainError, HermitianError, NumericalError
-from .matrices import MatrixSeq, block_layout, d_af, glt_product_seq, q_block
+from .matrices import (
+    MatrixSeq,
+    _grid_values,
+    block_layout,
+    circulant,
+    d_af,
+    glt_product_seq,
+    q_block,
+)
 from .spectra import (
     ResidualTable,
     as_symbol_grid,
@@ -60,15 +68,18 @@ class NormalForm:
     n: int
 
     def matrix(self) -> np.ndarray:
-        """Q^H D Q, one diagonal block of Q at a time: Q is block diagonal
-        (F_block repeated m times, then I_t) and D is diagonal."""
+        """Q^H D Q in closed form.  Q is block diagonal (F_block repeated m
+        times, then I_t) and F^H diag(f(2 pi k/block)) F = C_block(f), so
+        block j is sum_i a_i(j/m) C_block(f_i) and the trailing t x t block
+        is zero.  Exactly real when every a_i is real on the grid and every
+        f_i has real Fourier coefficients."""
         lay = block_layout(self.n)
-        d = np.diag(self.d)
         M = np.zeros((self.n, self.n), dtype=complex)
-        edges = [i * lay.block for i in range(lay.m + 1)] + [self.n]
-        for lo, hi in zip(edges, edges[1:]):
-            Qi = self.q[lo:hi, lo:hi]
-            M[lo:hi, lo:hi] = (Qi.conj().T * d[lo:hi]) @ Qi
+        for a, f in self.source.terms:
+            C = circulant(f, lay.block)
+            for j, v in enumerate(_grid_values(a, lay.m)):
+                lo = j * lay.block
+                M[lo : lo + lay.block, lo : lo + lay.block] += v * C
         return M
 
     def diagonal(self) -> np.ndarray:

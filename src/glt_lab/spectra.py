@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EvalError, NumericalError
-from .matrices import MatrixSeq
+from .matrices import MatrixSeq, svdvals
 from .symbols import (
     FuncExpr,
     GltExpr,
@@ -73,11 +73,7 @@ def singular_values(A: np.ndarray) -> EmpiricalDist:
         raise DomainError("matrix must be square")
     if not np.isfinite(A).all():
         raise DomainError("matrix has non-finite entries")
-    try:
-        s = np.linalg.svd(A, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD failed: {exc}") from exc
-    return EmpiricalDist(s, "sv")
+    return EmpiricalDist(svdvals(A), "sv")
 
 
 def eigenvalues(A: np.ndarray) -> EmpiricalDist:

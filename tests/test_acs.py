@@ -6,6 +6,7 @@ from glt_lab import (
     TrigPoly,
     acs_distance,
     acs_equivalent,
+    circulant,
     circulant_seq,
     counterexample,
     diag_seq,
@@ -17,12 +18,14 @@ from glt_lab import (
     optimal_split,
     p_metric,
     parse_expr,
+    toeplitz,
     toeplitz_seq,
     zero_seq,
 )
 from glt_lab.symbols import GltExpr
 
 TWO_COS = TrigPoly.from_coeff_map({1: 1, -1: 1})
+F_REAL = TrigPoly.from_coeff_map({-2: 0.4, -1: 1.1, 0: 1.0, 1: 0.9, 2: -0.4})
 SHIFT = TrigPoly.from_coeff_map({1: 1})
 X = parse_expr("x", "a")
 ONE = parse_expr("1", "a")
@@ -70,6 +73,21 @@ class TestPMetric:
     def test_sign_symmetry_exact(self):
         rng = np.random.default_rng(8)
         A = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+        assert p_metric(A) == p_metric(-A)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_real_matrix_matches_bruteforce_oracle(self, seed):
+        A = np.random.default_rng(seed).standard_normal((8, 8))
+        assert abs(p_metric(A) - p_bruteforce(A)) <= 1e-8
+
+    def test_sign_symmetry_exact_on_real_matrix(self):
+        A = np.random.default_rng(8).standard_normal((9, 9))
+        assert p_metric(A) == p_metric(-A)
+        assert p_metric(A.astype(complex)) == p_metric(-A.astype(complex))
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_sign_symmetry_exact_on_toeplitz_minus_circulant(self, n):
+        A = toeplitz(F_REAL, n) - circulant(F_REAL, n)
         assert p_metric(A) == p_metric(-A)
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -153,6 +171,13 @@ class TestAcsDistance:
             m = int(np.sqrt(n))
             bound = (2 * m + (n - m * m)) / n + 3 * 2.0 / m
             assert p <= bound + 1e-8
+
+    def test_toeplitz_vs_circulant_is_exactly_four_over_n(self):
+        # T_n(f) - C_n(f) has rank 2*deg(f) = 4 and O(1) singular values, so
+        # the minimum sits at i = 5 with sigma_5 = 0 exactly
+        sizes = (64, 128, 256, 512)
+        est = acs_distance(toeplitz_seq(F_REAL), circulant_seq(F_REAL), sizes)
+        assert est.p_values == tuple(4 / n for n in sizes)
 
     def test_requires_four_sizes(self):
         with pytest.raises(DomainError):

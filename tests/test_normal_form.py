@@ -72,6 +72,27 @@ class TestNormalForm:
         dense = nf.q.conj().T @ nf.d @ nf.q
         np.testing.assert_allclose(nf.matrix(), dense, rtol=0, atol=1e-13)
 
+    def test_one_term_matrix_is_the_locally_circulant_operator(self):
+        nf = normal_form(GltExpr(((parse_expr("1+x^2", "a"), TWO_COS),)), 50)
+        assert np.array_equal(nf.matrix(), lc_op(parse_expr("1+x^2", "a"), TWO_COS, 50))
+
+    @pytest.mark.parametrize("n", [9, 10, 37, 64])
+    def test_real_terms_give_an_exactly_real_matrix(self, n):
+        g = TrigPoly.from_coeff_map({-1: 0.5, 0: 2, 1: -1})
+        expr = GltExpr(((X, TWO_COS), (parse_expr("1+x^2", "a"), g)))
+        nf = normal_form(expr, n)
+        M = nf.matrix()
+        assert not M.imag.any()
+        np.testing.assert_allclose(M, nf.q.conj().T @ nf.d @ nf.q, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [9, 37, 64])
+    def test_complex_term_keeps_its_imaginary_part(self, n):
+        expr = GltExpr(((X, TWO_COS), (parse_expr("x+2*i", "a"), SHIFT)))
+        nf = normal_form(expr, n)
+        M = nf.matrix()
+        assert M.imag.any()
+        np.testing.assert_allclose(M, nf.q.conj().T @ nf.d @ nf.q, rtol=0, atol=1e-13)
+
     def test_q_independent_of_expression(self):
         nf1 = normal_form(GltExpr(((ONE, CONST1),)), 16)
         nf2 = normal_form(GltExpr(((X, TWO_COS),)), 16)

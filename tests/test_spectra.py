@@ -33,6 +33,8 @@ from glt_lab import (
     zero_distributed_test,
     zero_seq,
 )
+from glt_lab.errors import NumericalError
+from glt_lab.matrices import counterexample, lt_op, svdvals
 from glt_lab.spectra import as_symbol_grid
 from glt_lab.symbols import _num_literal
 
@@ -422,3 +424,69 @@ class TestNonFiniteSymbol:
         grid = sample_symbol(parse_expr("1/(x-0.5)", "a"), "UNIT", (3,))
         with pytest.raises(EvalError):
             sv_symbol_residual(diag_seq(parse_expr("1/x", "a")), grid, (8, 16))
+
+
+F_REAL = TrigPoly.from_coeff_map({-2: 0.4, -1: 1.1, 0: 1.0, 1: 0.9, 2: -0.4})
+
+
+def assert_svdvals_match_complex_svd(A):
+    s = svdvals(A)
+    dense = np.linalg.svd(A.astype(complex), compute_uv=False)
+    assert s.shape == (A.shape[0],)
+    assert np.all(np.diff(s) <= 0)
+    assert np.abs(s - dense).max() <= 1e-12 * max(1.0, dense[0])
+
+
+class TestSvdvals:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_complex_matrix(self, seed):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((13, 13)) + 1j * rng.standard_normal((13, 13))
+        assert_svdvals_match_complex_svd(A)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_real_matrix_stored_as_complex_takes_the_real_path(self, seed):
+        A = np.random.default_rng(seed).standard_normal((13, 13)).astype(complex)
+        assert_svdvals_match_complex_svd(A)
+        assert np.array_equal(svdvals(A), np.linalg.svd(A.real, compute_uv=False))
+
+    @pytest.mark.parametrize("f", [F_REAL, F_HOOK], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", [5, 16, 37, 64])
+    def test_toeplitz_minus_circulant(self, f, n):
+        assert_svdvals_match_complex_svd(toeplitz(f, n) - circulant(f, n))
+
+    @pytest.mark.parametrize("f", [F_REAL, F_HOOK], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", [37, 50, 64])
+    def test_lt_minus_lc(self, f, n):
+        assert_svdvals_match_complex_svd(lt_op(A_HOOK, f, n) - lc_op(A_HOOK, f, n))
+
+    @pytest.mark.parametrize("n", [2, 7, 10])
+    def test_half_shift(self, n):
+        assert_svdvals_match_complex_svd(counterexample("half_shift", n))
+
+    @pytest.mark.parametrize("A", [
+        np.zeros((5, 5), dtype=complex),
+        np.zeros((1, 1), dtype=complex),
+        np.array([[3 - 4j]]),
+        np.array([[-2.0 + 0j]]),
+    ], ids=["zero", "zero-1x1", "complex-1x1", "real-1x1"])
+    def test_degenerate_matrices(self, A):
+        assert_svdvals_match_complex_svd(A)
+
+    @pytest.mark.parametrize("which", ["column", "row"])
+    def test_single_zero_column_or_row(self, which):
+        rng = np.random.default_rng(7)
+        A = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        if which == "column":
+            A[:, 2] = 0
+        else:
+            A[3] = 0
+        assert_svdvals_match_complex_svd(A)
+        assert svdvals(A)[-1] == 0.0
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_nan_entry_raises_numerical_error(self, dtype):
+        A = np.eye(4, dtype=dtype)
+        A[1, 2] = np.nan
+        with pytest.raises(NumericalError, match="SVD failed"):
+            svdvals(A)
