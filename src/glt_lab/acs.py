@@ -44,6 +44,8 @@ def p_metric(A: np.ndarray) -> float:
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DomainError("matrix must be square")
+    if not np.isfinite(A).all():
+        raise DomainError("matrix has non-finite entries")
     n = A.shape[0]
     s = svdvals(_phase_canonical(A))
     return float((np.arange(n + 1) / n + np.append(s, 0.0)).min())

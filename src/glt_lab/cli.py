@@ -277,9 +277,9 @@ def _require(opts: dict, key: str, section: str) -> str:
     return opts[key]
 
 
-def _number(exp: Experiment, key: str, default, kind=float):
-    """A non-negative numeric option (finite for floats), or `default` when
-    the key is absent."""
+def _number(exp: Experiment, key: str, default, kind=float, maximum=math.inf):
+    """A non-negative numeric option (finite for floats) at most `maximum`,
+    or `default` when the key is absent."""
     text = exp.options.get(key)
     if text is None:
         return default
@@ -292,12 +292,22 @@ def _number(exp: Experiment, key: str, default, kind=float):
         raise ConfigError(
             f"experiment [{exp.name}]: {key} must be a non-negative {what}, got {text!r}"
         )
+    if value > maximum:
+        raise ConfigError(f"experiment [{exp.name}]: {key} must be at most {maximum}, got {text!r}")
     return value
 
 
+# Coefficients past degree n - 1 fall outside an n x n Toeplitz band, so a
+# degree above the desk-scale sizes adds cost and no entry.
+MAX_DEGREE_CAP = 4096
+
+
+def _max_degree(exp: Experiment) -> int:
+    return _number(exp, "max_degree", 8, int, MAX_DEGREE_CAP)
+
+
 def _seq(exp: Experiment, key: str) -> MatrixSeq:
-    max_degree = _number(exp, "max_degree", 8, int)
-    return build_sequence(_require(exp.options, key, exp.name), max_degree)
+    return build_sequence(_require(exp.options, key, exp.name), _max_degree(exp))
 
 
 def _sizes(exp: Experiment):
@@ -379,8 +389,7 @@ def run_acs(exp: Experiment) -> list:
 
 
 def run_normal_form(exp: Experiment) -> list:
-    max_degree = _number(exp, "max_degree", 8, int)
-    expr = _parse_terms(_require(exp.options, "terms", exp.name), max_degree)
+    expr = _parse_terms(_require(exp.options, "terms", exp.name), _max_degree(exp))
     sizes = _sizes(exp)
     resolution = _grid(exp)
     acs_tol = _number(exp, "acs_tolerance", 0.5)
@@ -532,7 +541,7 @@ def _dump_matrices(exp: Experiment, out_dir: Path) -> None:
         spec = f"normal-form({opts['terms']})"
     if spec is None or "sizes" not in opts:
         return
-    seq = build_sequence(spec, _number(exp, "max_degree", 8, int))
+    seq = build_sequence(spec, _max_degree(exp))
     for n in _sizes(exp):
         A = seq(n)
         path = out_dir / f"{exp.name}_{n}.csv"

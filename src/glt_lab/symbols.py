@@ -330,6 +330,16 @@ class TrigPoly:
         return bool(np.abs(self.coeffs - np.conj(self.coeffs[::-1])).max() <= tol)
 
 
+def _theta_samples(f, quad_points: int):
+    """Nodes theta_j = -pi + (j + 1/2) 2pi/quad_points and f at them."""
+    theta = -np.pi + (np.arange(quad_points) + 0.5) * (2 * np.pi / quad_points)
+    if isinstance(f, TrigPoly):
+        return theta, f(theta)
+    if not f.free_vars <= {"theta"}:
+        raise VariableError("Fourier coefficients need an expression in theta only")
+    return theta, np.broadcast_to(f(theta=theta), theta.shape)
+
+
 def fourier_coeff(f, k: int, quad_points: int) -> complex:
     """Fourier coefficient (1/2pi) int_{-pi}^{pi} f(theta) e^{-ik theta} dtheta.
 
@@ -341,32 +351,29 @@ def fourier_coeff(f, k: int, quad_points: int) -> complex:
         raise DomainError(
             f"quad_points={quad_points} below minimum {4 * (abs(k) + 1)} for k={k}"
         )
-    theta = -np.pi + (np.arange(quad_points) + 0.5) * (2 * np.pi / quad_points)
-    if isinstance(f, TrigPoly):
-        vals = f(theta)
-    else:
-        if not f.free_vars <= {"theta"}:
-            raise VariableError("fourier_coeff needs an expression in theta only")
-        vals = f(theta=theta)
+    theta, vals = _theta_samples(f, quad_points)
     return complex(np.mean(vals * np.exp(-1j * k * theta)))
 
 
 def trig_poly_from_expr(f: FuncExpr, max_degree: int = 8, tol: float = 1e-12) -> TrigPoly:
     """Extract the coefficient table of a trig-polynomial expression.
 
-    Scans k = -max_degree..max_degree and trims the outermost coefficients
-    that vanish to `tol`.
+    Computes k = -max_degree..max_degree from one sampling and one FFT (the
+    midpoint rule of `fourier_coeff` for every k at once) and trims the
+    outermost coefficients that vanish to `tol`.
     """
     quad = max(4 * (max_degree + 1), 64)
-    d = max_degree
-    c = np.array([fourier_coeff(f, k, quad) for k in range(-d, d + 1)])
+    _, vals = _theta_samples(f, quad)
+    k = np.arange(-max_degree, max_degree + 1)
+    # theta_j = -pi + (j + 1/2) h, so mean(vals e^{-ik theta_j}) is the DFT
+    # at k times e^{ik pi} e^{-ik h/2}; e^{ik pi} = (-1)^k is taken exactly
+    phase = np.where(k % 2, -1.0, 1.0) * np.exp(-1j * np.pi * k / quad)
+    c = np.fft.fft(vals)[k % quad] / quad * phase
     re = np.where(np.abs(c.real) <= tol, 0.0, c.real)
     im = np.where(np.abs(c.imag) <= tol, 0.0, c.imag)
     c = re + 1j * im
-    while d > 0 and c[0] == 0 and c[-1] == 0:
-        c = c[1:-1]
-        d -= 1
-    return TrigPoly(c)
+    d = int(np.abs(k[c != 0]).max(initial=0))
+    return TrigPoly(c[max_degree - d : max_degree + d + 1])
 
 
 @dataclass(frozen=True)

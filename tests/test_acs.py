@@ -90,6 +90,14 @@ class TestPMetric:
         A = toeplitz(F_REAL, n) - circulant(F_REAL, n)
         assert p_metric(A) == p_metric(-A)
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_entry_rejected(self, bad, dtype):
+        A = np.eye(4, dtype=dtype)
+        A[0, 1] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            p_metric(A)
+
     @pytest.mark.parametrize("seed", [0, 1])
     def test_unitary_invariance(self, seed):
         rng = np.random.default_rng(seed)

@@ -8,6 +8,7 @@ import pytest
 
 from glt_lab.cli import (
     CSV_HEADER,
+    MAX_DEGREE_CAP,
     ReportRow,
     _parse_terms,
     build_sequence,
@@ -194,6 +195,21 @@ class TestConfigValidation:
         assert code == 2
         assert out == ""
         assert f"{key} must be a non-negative" in err
+
+    @pytest.mark.parametrize("kind_keys", [
+        "kind = symbol-check\nsequence = toeplitz(2*cos(theta))\nsymbol = 2*cos(theta)\n",
+        "kind = normal-form\nterms = x | 2*cos(theta)\n",
+    ], ids=["symbol-check", "normal-form"])
+    def test_max_degree_above_cap_rejected(self, tmp_path, kind_keys):
+        cfg = write_config(
+            tmp_path,
+            f"[global]\nseed = 1\n\n[exp]\n{kind_keys}max_degree = {MAX_DEGREE_CAP + 1}\n"
+            "sizes = 16, 36, 64\n",
+        )
+        code, out, err = run_cli(["run", cfg])
+        assert code == 2
+        assert out == ""
+        assert f"max_degree must be at most {MAX_DEGREE_CAP}" in err
 
     def test_load_config_roundtrip(self, tmp_path):
         cfg = write_config(tmp_path, GOOD_CONFIG)

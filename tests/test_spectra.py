@@ -18,6 +18,7 @@ from glt_lab import (
     eig_symbol_residual,
     eigenvalues,
     empirical_functional,
+    glt_product_seq,
     hat_function,
     identity_seq,
     lc_op,
@@ -33,10 +34,11 @@ from glt_lab import (
     zero_distributed_test,
     zero_seq,
 )
+from glt_lab import matrices
 from glt_lab.errors import NumericalError
 from glt_lab.matrices import counterexample, lt_op, svdvals
 from glt_lab.spectra import as_symbol_grid
-from glt_lab.symbols import _num_literal
+from glt_lab.symbols import GltExpr, _num_literal
 
 TWO_COS = TrigPoly.from_coeff_map({1: 1, -1: 1})
 SHIFT = TrigPoly.from_coeff_map({1: 1})
@@ -437,6 +439,37 @@ def assert_svdvals_match_complex_svd(A):
     assert np.abs(s - dense).max() <= 1e-12 * max(1.0, dense[0])
 
 
+# the banded path: n = 256 is below its crossover and n = 640 above it, where
+# the rule accepts a half-bandwidth up to 640 // 160 = 4 real, 640 // 320 = 2 complex
+BAND_SIZES = [256, 640]
+
+
+def random_trig_poly(degree, complex_coeffs, seed):
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(2 * degree + 1)
+    if complex_coeffs:
+        c = c + 1j * rng.standard_normal(2 * degree + 1)
+    return TrigPoly(c)
+
+
+@pytest.fixture
+def banded_results(monkeypatch):
+    """The banded helper's result per svdvals call, None where it declined."""
+    results = []
+    helper = matrices._banded_svdvals
+
+    def spy(*args):
+        results.append(helper(*args))
+        return results[-1]
+
+    monkeypatch.setattr(matrices, "_banded_svdvals", spy)
+    return results
+
+
+def took_band(results):
+    return [s is not None for s in results]
+
+
 class TestSvdvals:
     @pytest.mark.parametrize("seed", range(4))
     def test_random_complex_matrix(self, seed):
@@ -490,3 +523,50 @@ class TestSvdvals:
         A[1, 2] = np.nan
         with pytest.raises(NumericalError, match="SVD failed"):
             svdvals(A)
+
+    @pytest.mark.parametrize("complex_coeffs", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("b", [0, 1, 2])
+    @pytest.mark.parametrize("n", BAND_SIZES)
+    def test_banded_toeplitz(self, banded_results, n, b, complex_coeffs):
+        assert_svdvals_match_complex_svd(toeplitz(random_trig_poly(b, complex_coeffs, b), n))
+        assert took_band(banded_results) == [n >= 512]
+
+    @pytest.mark.parametrize("a2", ["exp(x)", "1+i*x"], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", BAND_SIZES)
+    def test_banded_two_term_glt(self, banded_results, n, a2):
+        expr = GltExpr(((A_HOOK, F_REAL), (parse_expr(a2, "a"), TrigPoly.from_coeff_map({1: 1}))))
+        assert_svdvals_match_complex_svd(glt_product_seq(expr)(n))
+        assert took_band(banded_results) == [n >= 512]
+
+    @pytest.mark.parametrize("complex_coeffs, b", [(False, 4), (True, 2)], ids=["real", "complex"])
+    def test_banded_largest_accepted_band(self, banded_results, complex_coeffs, b):
+        f = random_trig_poly(b, complex_coeffs, 3)
+        assert_svdvals_match_complex_svd(toeplitz(f, 640))
+        svdvals(toeplitz(random_trig_poly(b + 1, complex_coeffs, 3), 640))
+        assert took_band(banded_results) == [True, False]
+
+    def test_banded_zero_rows(self, banded_results):
+        A = toeplitz(F_REAL, 640)
+        A[100:110] = 0
+        A[-1] = 0
+        assert_svdvals_match_complex_svd(A)
+        assert took_band(banded_results) == [True]
+
+    @pytest.mark.parametrize("f", [F_REAL, TrigPoly.from_coeff_map({0: 1j, 1: 2})],
+                             ids=["real", "complex"])
+    def test_banded_nan_entry_raises_numerical_error(self, f):
+        A = toeplitz(f, 640)
+        A[5, 6] = np.nan
+        # the banded path's message: the dense one reports no convergence
+        with pytest.raises(NumericalError, match="SVD failed: matrix has non-finite entries"):
+            svdvals(A)
+
+    def test_banded_path_follows_the_band(self, banded_results):
+        n = 1024
+        glt = glt_product_seq(GltExpr(((A_HOOK, F_REAL),)))
+        s = singular_values(glt(n)).samples
+        singular_values(toeplitz(F_REAL, n) - circulant(F_REAL, n))
+        singular_values(glt(n) - lc_op(A_HOOK, F_REAL, n))
+        assert took_band(banded_results) == [True, False, False]
+        # svdvals returns the banded values rather than decomposing again
+        assert np.array_equal(s, banded_results[0])

@@ -139,6 +139,22 @@ class TestFourierCoeff:
                 got = fourier_coeff(f, k, quad)
                 assert abs(got - f.coeff(k)) < 1e-12
 
+    @pytest.mark.parametrize("kind", ["real", "complex", "trimmed"])
+    @pytest.mark.parametrize("max_degree", [0, 1, 2, 5, 8, 17, 32, 64])
+    def test_fft_extraction_matches_quadrature_oracle(self, kind, max_degree):
+        rng = np.random.default_rng(max_degree)
+        d = max_degree // 2 if kind == "trimmed" else max_degree
+        c = rng.standard_normal(2 * d + 1)
+        if kind == "complex":
+            c = c + 1j * rng.standard_normal(2 * d + 1)
+        # scaled so that |f| <= 1: the roundoff of both methods grows with |f|
+        f = TrigPoly(c / np.abs(c).sum())
+        got = trig_poly_from_expr(f, max_degree)
+        quad = max(4 * (max_degree + 1), 64)
+        oracle = [fourier_coeff(f, k, quad) for k in range(-d, d + 1)]
+        assert got.degree == d
+        np.testing.assert_allclose(got.coeffs, oracle, rtol=0, atol=1e-14)
+
     def test_trig_poly_from_expr_roundtrip(self):
         f = trig_poly_from_expr(parse_expr("2*cos(theta)", "k"))
         assert f.degree == 1
