@@ -42,7 +42,6 @@ from .spectra import (
     default_family,
     eig_symbol_residual,
     eigenvalues,
-    empirical_functional,
     family_with_extra_centers,
     singular_values,
     sv_symbol_residual,
@@ -133,12 +132,16 @@ def _parse_grid(text: str):
 
 
 def _parse_complex(text: str) -> complex:
-    s = text.strip().replace(" ", "").replace("i", "j")
+    text = text.strip()
+    s = text.replace(" ", "").replace("i", "j")
     s = re.sub(r"(?<![\d.])j", "1j", s)
     try:
-        return complex(s)
+        z = complex(s)
     except ValueError as exc:
         raise ConfigError(f"bad complex literal {text!r}") from exc
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ConfigError(f"complex literal {text!r} is not finite")
+    return z
 
 
 def _parse_expr_cfg(text: str, role: str):
@@ -447,8 +450,8 @@ def demo_alt_identity(name="alt_identity") -> list:
     family = family_with_extra_centers(default_family(1.0), (1.0, -1.0), 0.5)
     table = eig_symbol_residual(seq, one, sizes, family)
     rows = _residual_rows(name, table, sizes, one, "eig")
-    even_emp = np.array([empirical_functional(eigenvalues(seq(256)), F) for F in family.funcs])
-    odd_emp = np.array([empirical_functional(eigenvalues(seq(257)), F) for F in family.funcs])
+    even_emp = family.means(eigenvalues(seq(256)).samples)
+    odd_emp = family.means(eigenvalues(seq(257)).samples)
     gap = np.abs(even_emp - odd_emp).max()
     rows.append(_row(name, 257, "even_odd_gap", gap, 0.9, ok=gap < 0.9))
     return rows
@@ -485,11 +488,7 @@ def demo_scaled_cycle(name="scaled_cycle") -> list:
     fE = S @ np.diag(f_lam) @ np.linalg.inv(S)
     rows.append(_row(name, n_fn, "fn_fixed_point_error", np.abs(fE - E).max()))
     family = default_family(1.0)
-    sv_fE = singular_values(fE)
-    gap = max(
-        abs(empirical_functional(sv_fE, F) - complex(F(t=np.array([1.0]))[0]))
-        for F in family.funcs
-    )
+    gap = np.abs(family.means(singular_values(fE).samples) - family.means([1.0])).max()
     rows.append(_row(name, n_fn, "fn_pathology_gap", gap))
     return rows
 

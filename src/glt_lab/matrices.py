@@ -76,7 +76,10 @@ class MatrixSeq:
     `svals` and `eigs` optionally map n to the n singular values or
     eigenvalues of A_n in closed form, for sequences whose structure fixes
     them.  The residual ladders use them instead of a dense decomposition;
-    each raises the errors the generator raises at the same n.
+    each raises the errors the generator raises at the same n.  `eigs` is
+    given only to normal sequences (today `circulant` and `lc`), whose
+    singular values are the moduli of their eigenvalues: `shifted` relies on
+    it.
     """
 
     name: str
@@ -93,13 +96,26 @@ class MatrixSeq:
         return A
 
     def shifted(self, c: complex) -> "MatrixSeq":
-        """The sequence A_n - c*I_n."""
+        """The sequence A_n - c*I_n.  A normal A_n (one with `eigs`) stays
+        normal with eigenvalues lambda_i - c, so the closed forms carry over."""
         c = complex(c)
+        eigs = svals = None
+        if self.eigs is not None:
+            base = self.eigs
+
+            def eigs(n):
+                return base(n) - c
+
+            def svals(n):
+                return np.abs(eigs(n))
+
         return MatrixSeq(
             name=f"{self.name} - ({c})*I",
             generator=lambda n: self(n) - c * np.eye(n, dtype=complex),
             symbol=None,
             info=dict(self.info),
+            svals=svals,
+            eigs=eigs,
         )
 
 

@@ -172,6 +172,26 @@ def _matrix_function(A: np.ndarray, g: FuncExpr) -> np.ndarray:
     return (V * gv) @ V.conj().T
 
 
+def _pushed_seq(seq: MatrixSeq, g: FuncExpr) -> MatrixSeq:
+    """The sequence g(A_n), with HermitianError at any n where A_n is not
+    Hermitian (to 1e-10).  g(A_n) = V g(Lambda) V^H is normal, so its
+    eigenvalues are g(lambda_i) and its singular values their moduli; the
+    dense generator stays as their oracle."""
+
+    def hermitian(n):
+        A = seq(n)
+        if np.abs(A - A.conj().T).max() > 1e-10:
+            raise HermitianError(f"{seq.name} is not Hermitian at n={n}")
+        return A
+
+    def eigs(n):
+        lam = np.linalg.eigvalsh(hermitian(n))
+        return np.broadcast_to(g(t=lam), lam.shape)
+
+    return MatrixSeq(f"g({seq.name})", lambda n: _matrix_function(hermitian(n), g),
+                     svals=lambda n: np.abs(eigs(n)), eigs=eigs)
+
+
 def hermitian_function(seq: MatrixSeq, g: FuncExpr, sizes, family=None,
                        resolution=None) -> HermitianFnReport:
     """Distribution test for {g(A_n)} against the pushed symbol g(k).
@@ -183,14 +203,7 @@ def hermitian_function(seq: MatrixSeq, g: FuncExpr, sizes, family=None,
     if seq.symbol is None:
         raise DomainError("sequence needs an attached symbol")
     sizes = tuple(int(n) for n in sizes)
-
-    def gen(n):
-        A = seq(n)
-        if np.abs(A - A.conj().T).max() > 1e-10:
-            raise HermitianError(f"{seq.name} is not Hermitian at n={n}")
-        return _matrix_function(A, g)
-
-    pushed_seq = MatrixSeq(f"g({seq.name})", gen)
+    pushed_seq = _pushed_seq(seq, g)
     base = as_symbol_grid(seq.symbol, resolution)
     if np.abs(base.samples.imag).max(initial=0.0) > 1e-10:
         raise HermitianError("symbol of a Hermitian sequence must be real-valued")

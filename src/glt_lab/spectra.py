@@ -107,24 +107,33 @@ def hat_function(center: complex, width: float):
     return hat
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TestFamily:
     """Finite family of compactly supported test functions.
 
-    Each member is a radial hat with a recorded center and support radius;
-    reports always name the family members they used.
+    Member j is the radial hat with center `centers[j]` and support radius
+    `radii[j]`; reports always name the family members they used.
     """
 
-    funcs: tuple
-    centers: tuple
-    radii: tuple
+    centers: np.ndarray
+    radii: np.ndarray
 
     def __post_init__(self):
-        if not (len(self.funcs) == len(self.centers) == len(self.radii)):
-            raise ValueError("funcs, centers and radii must align")
+        centers = np.array(self.centers, dtype=complex, ndmin=1)
+        radii = np.array(self.radii, dtype=float, ndmin=1)
+        if centers.ndim != 1 or centers.shape != radii.shape:
+            raise ValueError("centers and radii must be 1-D and align")
+        for name, value in (("centers", centers), ("radii", radii)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     def __len__(self):
-        return len(self.funcs)
+        return self.centers.size
+
+    @property
+    def funcs(self) -> tuple:
+        """The members as `hat_function` closures, one F per hat."""
+        return tuple(hat_function(c, w) for c, w in zip(self.centers, self.radii))
 
     @property
     def labels(self):
@@ -133,23 +142,45 @@ class TestFamily:
 
         return tuple(f"hat(c={cfmt(c)},w={w:g})" for c, w in zip(self.centers, self.radii))
 
+    def means(self, t) -> np.ndarray:
+        """Mean of every member over the samples t: [mean(F(t)) for F in
+        funcs], with each hat value computed as `hat_function` computes it.
+
+        One hat at a time through two reused buffers, so memory stays at a
+        few copies of t whatever the family size.  When t and the centers are
+        real, |t - c| is the same number in real arithmetic, so it runs there.
+        """
+        t = np.asarray(t)
+        if np.iscomplexobj(t) and not t.imag.any():
+            t = t.real
+        real = not np.iscomplexobj(t) and not self.centers.imag.any()
+        centers = self.centers.real if real else self.centers
+        g = np.empty(t.shape)
+        diff = g if real else np.empty(t.shape, dtype=complex)
+        out = np.empty(len(self))
+        for j, (c, w) in enumerate(zip(centers, self.radii)):
+            np.subtract(t, c, out=diff)
+            np.abs(diff, out=g)
+            g *= 1.0 / w
+            np.subtract(1.0, g, out=g)
+            np.maximum(g, 0.0, out=g)
+            out[j] = g.mean()
+        return out
+
 
 def default_family(max_abs_symbol: float) -> TestFamily:
     """Eight hats with centers spanning [-R, R], R = 1 + max |k|, width R/4,
     plus one hat at 0."""
     R = 1.0 + float(max_abs_symbol)
-    w = R / 4.0
-    centers = list(np.linspace(-R, R, 8)) + [0.0]
-    funcs = tuple(hat_function(c, w) for c in centers)
-    return TestFamily(funcs, tuple(complex(c) for c in centers), tuple(w for _ in centers))
+    centers = np.append(np.linspace(-R, R, 8), 0.0)
+    return TestFamily(centers, np.full(centers.size, R / 4.0))
 
 
 def family_with_extra_centers(base: TestFamily, centers, width: float) -> TestFamily:
-    funcs = base.funcs + tuple(hat_function(c, width) for c in centers)
+    centers = np.asarray(centers, dtype=complex)
     return TestFamily(
-        funcs,
-        base.centers + tuple(complex(c) for c in centers),
-        base.radii + tuple(width for _ in centers),
+        np.concatenate([base.centers, centers]),
+        np.concatenate([base.radii, np.full(centers.size, float(width))]),
     )
 
 
@@ -158,8 +189,10 @@ def empirical_functional(dist: EmpiricalDist, F: FuncExpr) -> complex:
     return complex(np.mean(F(t=dist.samples)))
 
 
-def symbol_functional(k: SymbolGrid, F: FuncExpr, mode: str = "abs") -> complex:
-    """Grid mean of F(|k|) (mode 'abs') or F(k) (mode 'plain')."""
+def _grid_samples(k: SymbolGrid, mode: str) -> np.ndarray:
+    """The values a symbol-side mean averages: |k| (mode 'abs') or k (mode
+    'plain') at every grid sample, once the grid is known to be non-empty
+    and finite."""
     if mode not in ("abs", "plain"):
         raise ValueError("mode must be 'abs' or 'plain'")
     if len(k.samples) == 0:
@@ -168,8 +201,12 @@ def symbol_functional(k: SymbolGrid, F: FuncExpr, mode: str = "abs") -> complex:
         raise EvalError(
             f"symbol is non-finite at {k.nonfinite_count} of {k.samples.size} grid samples"
         )
-    vals = np.abs(k.samples) if mode == "abs" else k.samples
-    return complex(np.mean(F(t=vals)))
+    return np.abs(k.samples) if mode == "abs" else k.samples
+
+
+def symbol_functional(k: SymbolGrid, F: FuncExpr, mode: str = "abs") -> complex:
+    """Grid mean of F(|k|) (mode 'abs') or F(k) (mode 'plain')."""
+    return complex(np.mean(F(t=_grid_samples(k, mode))))
 
 
 def as_symbol_grid(k, resolution=None) -> SymbolGrid:
@@ -222,13 +259,8 @@ def _residual_table(seq, grid, family, sizes, kind, mode):
     sizes = tuple(int(n) for n in sizes)
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise DomainError("sizes must be strictly ascending")
-    sym_means = np.array([symbol_functional(grid, F, mode) for F in family.funcs])
-
-    rows = []
-    for n in sizes:
-        dist = _spectrum(seq, n, kind)
-        emp = np.array([empirical_functional(dist, F) for F in family.funcs])
-        rows.append(np.abs(emp - sym_means))
+    sym_means = family.means(_grid_samples(grid, mode))
+    rows = [np.abs(family.means(_spectrum(seq, n, kind).samples) - sym_means) for n in sizes]
     return ResidualTable(kind, sizes, family.labels, np.vstack(rows))
 
 

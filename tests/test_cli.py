@@ -211,6 +211,19 @@ class TestConfigValidation:
         assert out == ""
         assert f"max_degree must be at most {MAX_DEGREE_CAP}" in err
 
+    @pytest.mark.parametrize("shift", ["nan", "1e400", "1e400i", "nan+1i"])
+    def test_non_finite_shift_rejected(self, tmp_path, shift):
+        cfg = write_config(
+            tmp_path,
+            "[global]\nseed = 1\n\n[exp]\nkind = shift-test\n"
+            "sequence = circulant(2*cos(theta))\nsymbol = 2*cos(theta)\n"
+            f"shifts = 0, {shift}\nsizes = 16, 32\n",
+        )
+        code, out, err = run_cli(["run", cfg])
+        assert code == 2
+        assert out == ""
+        assert f"complex literal {shift!r} is not finite" in err
+
     def test_load_config_roundtrip(self, tmp_path):
         cfg = write_config(tmp_path, GOOD_CONFIG)
         rc = load_config(cfg)

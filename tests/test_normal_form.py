@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from glt_lab import (
     DomainError,
@@ -25,6 +26,8 @@ from glt_lab import (
     verify_normal_form,
 )
 from glt_lab.matrices import MatrixSeq, d_af, diag_sampling, toeplitz
+from glt_lab.normal_form import _pushed_seq
+from glt_lab.spectra import singular_values
 
 TWO_COS = TrigPoly.from_coeff_map({1: 1, -1: 1})
 SHIFT = TrigPoly.from_coeff_map({1: 1})
@@ -225,6 +228,28 @@ class TestHermitianFunction:
         g = parse_expr("t", "F")
         with pytest.raises(HermitianError):
             hermitian_function(seq, g, (8, 16, 32))
+
+    @pytest.mark.parametrize("g", ["t^2", "exp(t)", "abs(t)-1", "i*t+2", "3"])
+    @pytest.mark.parametrize("n", [16, 37, 64])
+    def test_pushed_hooks_match_dense_decompositions(self, g, n):
+        f = TrigPoly.from_coeff_map({-2: 0.4, -1: 1.1 - 0.3j, 0: 1.0, 1: 1.1 + 0.3j, 2: 0.4})
+        for seq in (toeplitz_seq(f), diag_seq(parse_expr("exp(x)-x", "a"))):
+            pushed = _pushed_seq(seq, parse_expr(g, "F"))
+            A = pushed(n)
+            sv = singular_values(A).samples
+            assert pushed.svals(n).shape == pushed.eigs(n).shape == (n,)
+            assert np.abs(np.sort(pushed.svals(n))[::-1] - sv).max() <= 1e-12 * max(1.0, sv[0])
+            lam, dense = pushed.eigs(n), eigenvalues(A).samples
+            rows, cols = linear_sum_assignment(np.abs(lam[:, None] - dense[None, :]))
+            assert np.abs(lam[rows] - dense[cols]).max() <= 1e-12 * max(1.0, sv[0])
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_pushed_hooks_raise_the_generator_error(self, n):
+        pushed = _pushed_seq(toeplitz_seq(SHIFT), parse_expr("t", "F"))
+        for fn in (pushed, pushed.svals, pushed.eigs):
+            with pytest.raises(HermitianError) as info:
+                fn(n)
+            assert str(info.value) == f"T(f) is not Hermitian at n={n}"
 
 
 class TestAffineShiftTest:

@@ -1,4 +1,6 @@
 import dataclasses
+import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,8 +39,9 @@ from glt_lab import (
 from glt_lab import matrices
 from glt_lab.errors import NumericalError
 from glt_lab.matrices import counterexample, lt_op, svdvals
-from glt_lab.spectra import as_symbol_grid
-from glt_lab.symbols import GltExpr, _num_literal
+from glt_lab.spectra import TestFamily as Family
+from glt_lab.spectra import _grid_samples, as_symbol_grid, family_with_extra_centers
+from glt_lab.symbols import GltExpr, SymbolGrid, _num_literal
 
 TWO_COS = TrigPoly.from_coeff_map({1: 1, -1: 1})
 SHIFT = TrigPoly.from_coeff_map({1: 1})
@@ -335,7 +338,8 @@ class TestStructuredHooks:
         assert seqs["lt"].svals is not None and seqs["lt"].eigs is None
         for name in ("lc", "circulant"):
             assert seqs[name].svals is not None and seqs[name].eigs is not None
-        for seq in (toeplitz_seq(F_HOOK), diag_seq(X), seqs["lc"].shifted(1.0)):
+        for seq in (toeplitz_seq(F_HOOK), diag_seq(X), toeplitz_seq(F_HOOK).shifted(1.0),
+                    seqs["lt"].shifted(1.0)):
             assert seq.svals is None and seq.eigs is None
 
     @pytest.mark.parametrize("name", ["lt", "lc", "circulant"])
@@ -413,6 +417,124 @@ class TestStructuredHooks:
                 want = raised(lambda: fn(dense_only(seq), grid, (16, 25)))
                 assert want == (DomainError, "matrix has non-finite entries")
                 assert raised(lambda: fn(seq, grid, (16, 25))) == want
+
+    @pytest.mark.parametrize("name", ["lc", "circulant"])
+    @pytest.mark.parametrize("c", [0, 1, -0.5j, 2 + 1j])
+    @pytest.mark.parametrize("n", [37, 64])
+    def test_shifted_hooks_match_dense_decompositions(self, name, c, n):
+        seq = hook_seqs()[name].shifted(c)
+        A = seq(n)
+        dense = singular_values(A).samples
+        scale = max(1.0, dense[0])
+        assert np.abs(np.sort(seq.svals(n))[::-1] - dense).max() <= 1e-12 * scale
+        assert assigned_gap(seq.eigs(n), eigenvalues(A).samples) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("name, n", [("lc", 3), ("lc", 9), ("circulant", 4)])
+    def test_shifted_hook_errors_match_generator(self, name, n):
+        seq = hook_seqs()[name].shifted(2 + 1j)
+        want = raised(lambda: seq(n))
+        assert want[0] is DomainError
+        assert raised(lambda: seq.svals(n)) == want
+        assert raised(lambda: seq.eigs(n)) == want
+
+    def test_every_builder_with_eigs_is_normal(self):
+        """`shifted` takes |eigs - c| as the singular values, which holds
+        only for normal matrices: every builder that sets `eigs` must build
+        normal ones."""
+        expr = GltExpr(((A_HOOK, F_HOOK),))
+        args = {
+            "toeplitz_seq": [(F_HOOK,)],
+            "diag_seq": [(A_HOOK,)],
+            "circulant_seq": [(F_HOOK,)],
+            "lt_seq": [(A_HOOK, F_HOOK)],
+            "lc_seq": [(A_HOOK, F_HOOK)],
+            "glt_product_seq": [(expr,)],
+            "counterexample_seq": [(name,) for name in matrices.COUNTEREXAMPLES],
+            "identity_seq": [()],
+            "zero_seq": [()],
+            "normal_form_seq": [(expr,)],
+            "diagonal_factor_seq": [(expr,)],
+        }
+        builders = {}
+        for module in (matrices, importlib.import_module("glt_lab.normal_form")):
+            builders.update({name: getattr(module, name) for name in module.__all__
+                             if name.endswith("_seq")})
+        assert set(builders) == set(args)
+        with_eigs = set()
+        for name, build in builders.items():
+            for seq in (build(*a) for a in args[name]):
+                if seq.eigs is None:
+                    continue
+                with_eigs.add(name)
+                for n in (37, 64, 257):
+                    A = seq(n)
+                    assert np.linalg.norm(A.conj().T @ A - A @ A.conj().T, "fro") <= 1e-10
+        assert with_eigs == {"circulant_seq", "lc_seq"}
+
+
+def closure_means(family, t):
+    """The test oracle: one hat_function closure per member."""
+    return np.array([np.mean(F(t=t)) for F in family.funcs])
+
+
+class TestFamilyMeans:
+    @pytest.mark.parametrize("R", [1.0, 3.0, 41.5, 8193.0])
+    @pytest.mark.parametrize("complex_centers", [False, True])
+    def test_means_match_closure_oracle(self, R, complex_centers):
+        rng = np.random.default_rng(int(R) + complex_centers)
+        centers = list(np.linspace(-R, R, 8)) + [0.0]
+        if complex_centers:
+            centers += [0.3 * R - 0.7j * R, -R / 3 + 0.2j * R]
+        widths = (0.01, 0.1, 0.5, R / 7, R / 4)
+        families = [Family(centers, [w] * len(centers)) for w in widths]
+        families.append(Family(centers, [widths[j % 5] for j in range(len(centers))]))
+        near = np.concatenate([complex(c).real + w * rng.uniform(-1.5, 1.5, 200)
+                               for c in centers for w in widths])
+        real_t = np.concatenate([rng.uniform(-1.5 * R, 1.5 * R, 2000), near])
+        complex_t = real_t + 1j * rng.uniform(-R, R, real_t.size)
+        samples = (real_t, complex_t, np.abs(complex_t), real_t.astype(complex),
+                   real_t[:1], complex_t[:1], [complex(centers[-1]).real])
+        for fam in families:
+            for t in samples:
+                got = fam.means(t)
+                assert got.shape == (len(fam),)
+                assert np.abs(got - closure_means(fam, t)).max() <= 1e-15
+
+    def test_family_with_extra_centers(self):
+        fam = family_with_extra_centers(default_family(1.0), (1.0, -1.0), 0.5)
+        assert len(fam) == 11
+        assert fam.labels[-2:] == ("hat(c=1,w=0.5)", "hat(c=-1,w=0.5)")
+        t = np.concatenate([np.ones(128), -np.ones(129)]).astype(complex)
+        assert np.abs(fam.means(t) - closure_means(fam, t)).max() <= 1e-15
+
+    @pytest.mark.parametrize("mode", ["abs", "plain"])
+    def test_grid_means_match_symbol_functional(self, mode):
+        k = GltExpr(((A_HOOK, F_HOOK),))
+        grid = as_symbol_grid(k, (16, 64))
+        fam = default_family(grid.max_abs())
+        want = [symbol_functional(grid, F, mode) for F in fam.funcs]
+        assert np.abs(fam.means(_grid_samples(grid, mode)) - want).max() <= 1e-15
+
+    def test_bad_grids_raise_like_symbol_functional(self):
+        empty = SymbolGrid("UNIT", (0,), np.zeros(0))
+        nonfinite = sample_symbol(parse_expr("1/(x-0.5)", "a"), "UNIT", (3,))
+        for grid in (empty, nonfinite):
+            for fn, mode in ((sv_symbol_residual, "abs"), (eig_symbol_residual, "plain")):
+                want = raised(lambda: symbol_functional(grid, hat_function(0.0, 1.0), mode))
+                assert want[0] in (DomainError, EvalError)
+                assert raised(lambda: fn(identity_seq(), grid, (4, 8))) == want
+
+    def test_means_allocate_no_hats_by_samples_array(self):
+        t = np.random.default_rng(3).uniform(-2, 2, 100_000) * np.exp(0.3j)
+        fam = family_with_extra_centers(default_family(2.0), (1j, -1j), 0.5)
+        tracemalloc.start()
+        try:
+            fam.means(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one complex and one real buffer; 11 hats x samples would be 5.5 t.nbytes
+        assert peak <= 2 * t.nbytes
 
 
 class TestNonFiniteSymbol:
