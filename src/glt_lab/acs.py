@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .matrices import MatrixSeq, svdvals
+from .matrices import MatrixSeq, _check_ladder, _square_finite, svdvals
 
 __all__ = [
     "SplitResult",
@@ -41,11 +41,7 @@ def _phase_canonical(A: np.ndarray) -> np.ndarray:
 
 def p_metric(A: np.ndarray) -> float:
     """min_{i=1..n+1} {(i-1)/n + sigma_i(A)} with sigma_{n+1} = 0."""
-    A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DomainError("matrix must be square")
-    if not np.isfinite(A).all():
-        raise DomainError("matrix has non-finite entries")
+    A = _square_finite(A)
     n = A.shape[0]
     s = svdvals(_phase_canonical(A))
     return float((np.arange(n + 1) / n + np.append(s, 0.0)).min())
@@ -93,15 +89,6 @@ class AcsEstimate:
     def rho_estimate(self) -> float:
         half = len(self.p_values) // 2
         return float(max(self.p_values[half:]))
-
-
-def _check_ladder(sizes, minimum):
-    sizes = tuple(int(n) for n in sizes)
-    if len(sizes) < minimum:
-        raise DomainError(f"need at least {minimum} sizes")
-    if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise DomainError("sizes must be strictly ascending")
-    return sizes
 
 
 def _p_ladder(seqA: MatrixSeq, seqB: MatrixSeq, sizes) -> AcsEstimate:

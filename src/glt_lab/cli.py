@@ -216,11 +216,6 @@ def build_sequence(spec: str, max_degree: int = 8) -> MatrixSeq:
     raise ConfigError(f"unknown sequence head {head!r}")
 
 
-def build_symbol(text: str):
-    """A symbol config value: an expression in x and/or theta."""
-    return _parse_expr_cfg(text, "k")
-
-
 @dataclass
 class Experiment:
     name: str
@@ -369,7 +364,7 @@ def _residual_rows(name, table, sizes, grid, mode, tol_override=None):
 
 def run_symbol_check(exp: Experiment) -> list:
     seq = _seq(exp, "sequence")
-    symbol = build_symbol(_require(exp.options, "symbol", exp.name))
+    symbol = _parse_expr_cfg(_require(exp.options, "symbol", exp.name), "k")
     mode = exp.options.get("mode", "sv")
     if mode not in ("sv", "eig"):
         raise ConfigError(f"mode must be sv or eig, got {mode!r}")
@@ -425,7 +420,7 @@ def run_hermitian_fn(exp: Experiment) -> list:
 def run_shift_test(exp: Experiment) -> list:
     opts = exp.options
     seq = _seq(exp, "sequence")
-    symbol = build_symbol(_require(opts, "symbol", exp.name))
+    symbol = _parse_expr_cfg(_require(opts, "symbol", exp.name), "k")
     sizes = _sizes(exp)
     resolution = _grid(exp)
     shifts = DEFAULT_SHIFTS
@@ -439,8 +434,9 @@ def run_shift_test(exp: Experiment) -> list:
 # counterexample demos
 
 
-def _constant_unit_grid(value: complex, res: int = 4096) -> SymbolGrid:
-    return SymbolGrid("UNIT", (res,), np.full(res, complex(value)))
+def _constant_unit_grid(value: complex) -> SymbolGrid:
+    res = spectra.DEFAULT_UNIT_RESOLUTION
+    return SymbolGrid("UNIT", res, np.full(res, complex(value)))
 
 
 def demo_alt_identity(name="alt_identity") -> list:

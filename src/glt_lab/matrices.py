@@ -77,9 +77,9 @@ class MatrixSeq:
     eigenvalues of A_n in closed form, for sequences whose structure fixes
     them.  The residual ladders use them instead of a dense decomposition;
     each raises the errors the generator raises at the same n.  `eigs` is
-    given only to normal sequences (today `circulant` and `lc`), whose
-    singular values are the moduli of their eigenvalues: `shifted` relies on
-    it.
+    given only to normal sequences, whose singular values are the moduli of
+    their eigenvalues: a sequence given `eigs` alone gets `svals = |eigs|`
+    here, and `shifted` relies on it.
     """
 
     name: str
@@ -88,6 +88,11 @@ class MatrixSeq:
     info: dict = field(default_factory=dict)
     svals: object = None
     eigs: object = None
+
+    def __post_init__(self):
+        if self.svals is None and self.eigs is not None:
+            eigs = self.eigs
+            object.__setattr__(self, "svals", lambda n: np.abs(eigs(n)))
 
     def __call__(self, n: int) -> np.ndarray:
         A = np.asarray(self.generator(n), dtype=complex)
@@ -99,24 +104,35 @@ class MatrixSeq:
         """The sequence A_n - c*I_n.  A normal A_n (one with `eigs`) stays
         normal with eigenvalues lambda_i - c, so the closed forms carry over."""
         c = complex(c)
-        eigs = svals = None
-        if self.eigs is not None:
-            base = self.eigs
-
-            def eigs(n):
-                return base(n) - c
-
-            def svals(n):
-                return np.abs(eigs(n))
-
+        base = self.eigs
         return MatrixSeq(
             name=f"{self.name} - ({c})*I",
             generator=lambda n: self(n) - c * np.eye(n, dtype=complex),
             symbol=None,
             info=dict(self.info),
-            svals=svals,
-            eigs=eigs,
+            eigs=None if base is None else lambda n: base(n) - c,
         )
+
+
+def _check_ladder(sizes, minimum: int) -> tuple:
+    """The ladder as a tuple of ints: at least `minimum` sizes, strictly
+    ascending."""
+    sizes = tuple(int(n) for n in sizes)
+    if len(sizes) < minimum:
+        raise DomainError(f"need at least {minimum} sizes")
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise DomainError("sizes must be strictly ascending")
+    return sizes
+
+
+def _square_finite(A) -> np.ndarray:
+    """A as a complex array, once it is known to be square and finite."""
+    A = np.asarray(A, dtype=complex)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise DomainError("matrix must be square")
+    if not np.isfinite(A).all():
+        raise DomainError("matrix has non-finite entries")
+    return A
 
 
 # Crossover of the banded path, measured against a dense SVD of random band
@@ -290,9 +306,8 @@ def _lt_svals(a: FuncExpr, f: TrigPoly, n: int) -> np.ndarray:
     """Singular values of lt_op(a, f, n): |a(i/m)| sigma(T_block(f)) for each
     block, then t zeros.  One block-sized SVD."""
     lay, T, vals = _lt_parts(a, f, n)
-    if not np.isfinite(T).all():
-        raise DomainError("matrix has non-finite entries")
-    return np.concatenate([np.outer(np.abs(vals), svdvals(T)).ravel(), np.zeros(lay.t)])
+    return np.concatenate([np.outer(np.abs(vals), svdvals(_square_finite(T))).ravel(),
+                           np.zeros(lay.t)])
 
 
 def _lc_parts(a: FuncExpr, f: TrigPoly, n: int):
@@ -426,13 +441,8 @@ def diag_seq(a: FuncExpr) -> MatrixSeq:
 
 
 def circulant_seq(f: TrigPoly, label: str = "f") -> MatrixSeq:
-    # normal, so the singular values are the moduli of the eigenvalues
     return MatrixSeq(
-        f"C({label})",
-        lambda n: circulant(f, n),
-        symbol=f,
-        svals=lambda n: np.abs(_circulant_eigs(f, n)),
-        eigs=lambda n: _circulant_eigs(f, n),
+        f"C({label})", lambda n: circulant(f, n), symbol=f, eigs=lambda n: _circulant_eigs(f, n)
     )
 
 
@@ -443,12 +453,8 @@ def lt_seq(a: FuncExpr, f: TrigPoly, label: str = "f") -> MatrixSeq:
 
 
 def lc_seq(a: FuncExpr, f: TrigPoly, label: str = "f") -> MatrixSeq:
-    # normal, so the singular values are the moduli of the eigenvalues
     return MatrixSeq(
-        f"LC({a.source},{label})",
-        lambda n: lc_op(a, f, n),
-        svals=lambda n: np.abs(_lc_eigs(a, f, n)),
-        eigs=lambda n: _lc_eigs(a, f, n),
+        f"LC({a.source},{label})", lambda n: lc_op(a, f, n), eigs=lambda n: _lc_eigs(a, f, n)
     )
 
 

@@ -18,6 +18,7 @@ from .acs import acs_equivalent, p_metric
 from .errors import DomainError, HermitianError, NumericalError
 from .matrices import (
     MatrixSeq,
+    _check_ladder,
     _grid_values,
     block_layout,
     circulant,
@@ -29,7 +30,6 @@ from .spectra import (
     ResidualTable,
     as_symbol_grid,
     convergence_tolerance,
-    default_family,
     eig_symbol_residual,
     sv_symbol_residual,
 )
@@ -121,7 +121,7 @@ class NormalFormReport:
     eig_pass: bool
 
 
-def verify_normal_form(expr: GltExpr, sizes, family=None, resolution=None,
+def verify_normal_form(expr: GltExpr, sizes, resolution=None,
                        acs_tol: float = 0.5) -> NormalFormReport:
     """Check both halves of the normal-form construction on a size ladder."""
     sizes = tuple(int(n) for n in sizes)
@@ -130,9 +130,7 @@ def verify_normal_form(expr: GltExpr, sizes, family=None, resolution=None,
     acs_ok, est = acs_equivalent(seq_gen, seq_nf, sizes, acs_tol)
 
     grid = as_symbol_grid(expr, resolution)
-    if family is None:
-        family = default_family(grid.max_abs())
-    table = eig_symbol_residual(diagonal_factor_seq(expr), grid, sizes, family)
+    table = eig_symbol_residual(diagonal_factor_seq(expr), grid, sizes)
     tols = tuple(convergence_tolerance(n, grid) for n in sizes)
     eig_ok = bool(all(table.max_per_size()[i] <= tols[i] for i in range(len(sizes))))
     return NormalFormReport(
@@ -175,8 +173,9 @@ def _matrix_function(A: np.ndarray, g: FuncExpr) -> np.ndarray:
 def _pushed_seq(seq: MatrixSeq, g: FuncExpr) -> MatrixSeq:
     """The sequence g(A_n), with HermitianError at any n where A_n is not
     Hermitian (to 1e-10).  g(A_n) = V g(Lambda) V^H is normal, so its
-    eigenvalues are g(lambda_i) and its singular values their moduli; the
-    dense generator stays as their oracle."""
+    eigenvalues are g(lambda_i); the dense generator stays as their oracle.
+    Each n's eigenvalues are taken once and kept, read-only, for the sv and
+    eig ladders alike."""
 
     def hermitian(n):
         A = seq(n)
@@ -184,15 +183,18 @@ def _pushed_seq(seq: MatrixSeq, g: FuncExpr) -> MatrixSeq:
             raise HermitianError(f"{seq.name} is not Hermitian at n={n}")
         return A
 
+    taken = {}
+
     def eigs(n):
-        lam = np.linalg.eigvalsh(hermitian(n))
-        return np.broadcast_to(g(t=lam), lam.shape)
+        if n not in taken:
+            lam = np.linalg.eigvalsh(hermitian(n))
+            taken[n] = np.broadcast_to(g(t=lam), lam.shape)
+        return taken[n]
 
-    return MatrixSeq(f"g({seq.name})", lambda n: _matrix_function(hermitian(n), g),
-                     svals=lambda n: np.abs(eigs(n)), eigs=eigs)
+    return MatrixSeq(f"g({seq.name})", lambda n: _matrix_function(hermitian(n), g), eigs=eigs)
 
 
-def hermitian_function(seq: MatrixSeq, g: FuncExpr, sizes, family=None,
+def hermitian_function(seq: MatrixSeq, g: FuncExpr, sizes,
                        resolution=None) -> HermitianFnReport:
     """Distribution test for {g(A_n)} against the pushed symbol g(k).
 
@@ -208,10 +210,8 @@ def hermitian_function(seq: MatrixSeq, g: FuncExpr, sizes, family=None,
     if np.abs(base.samples.imag).max(initial=0.0) > 1e-10:
         raise HermitianError("symbol of a Hermitian sequence must be real-valued")
     pushed = SymbolGrid(base.domain, base.resolution, g(t=base.samples.real))
-    if family is None:
-        family = default_family(pushed.max_abs())
-    sv_table = sv_symbol_residual(pushed_seq, pushed, sizes, family)
-    eig_table = eig_symbol_residual(pushed_seq, pushed, sizes, family)
+    sv_table = sv_symbol_residual(pushed_seq, pushed, sizes)
+    eig_table = eig_symbol_residual(pushed_seq, pushed, sizes)
     tols = tuple(convergence_tolerance(n, pushed) for n in sizes)
     return HermitianFnReport(sizes, sv_table, eig_table, tols)
 
@@ -235,9 +235,9 @@ class AffineShiftReport:
 
 
 def affine_shift_test(seq: MatrixSeq, k, sizes, shifts=DEFAULT_SHIFTS,
-                      family=None, resolution=None) -> AffineShiftReport:
+                      resolution=None) -> AffineShiftReport:
     """Test {A_n - cI} ~sigma k - c for each shift c."""
-    sizes = tuple(int(n) for n in sizes)
+    sizes = _check_ladder(sizes, 1)
     grid = as_symbol_grid(k, resolution)
     normality = []
     for n in sizes:
@@ -245,13 +245,13 @@ def affine_shift_test(seq: MatrixSeq, k, sizes, shifts=DEFAULT_SHIFTS,
         normality.append(float(np.linalg.norm(A.conj().T @ A - A @ A.conj().T, "fro")))
     is_normal = bool(max(normality) <= NORMALITY_TOL)
 
+    # every shifted grid has the base grid's resolution, so one tolerance
+    tol = convergence_tolerance(sizes[-1], grid)
     tables = []
     verdicts = []
     for c in shifts:
         shifted_grid = SymbolGrid(grid.domain, grid.resolution, grid.samples - complex(c))
-        fam = family if family is not None else default_family(shifted_grid.max_abs())
-        table = sv_symbol_residual(seq.shifted(c), shifted_grid, sizes, fam)
-        tol = convergence_tolerance(sizes[-1], shifted_grid)
+        table = sv_symbol_residual(seq.shifted(c), shifted_grid, sizes)
         verdicts.append(bool(table.max_per_size()[-1] <= tol))
         tables.append(table)
     all_pass = bool(all(verdicts))
@@ -292,17 +292,14 @@ def _canonical_svd(A: np.ndarray):
         U, s, Vh = np.linalg.svd(A)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed: {exc}") from exc
-    U = U.copy()
-    Vh = Vh.copy()
-    for j in range(U.shape[1]):
-        col = U[:, j]
-        idx = int(np.argmax(np.abs(col)))
-        v = col[idx]
-        if v != 0:
-            phase = v / abs(v)
-            U[:, j] = col / phase
-            if j < Vh.shape[0]:
-                Vh[j, :] = Vh[j, :] * phase
+    # the largest component of each column; a unitary factor has no zero
+    # column, so every phase is defined.  hypot is the modulus abs() takes of
+    # one complex number, which np.abs on an array may round differently.
+    v = U[np.argmax(np.abs(U), axis=0), np.arange(U.shape[1])]
+    phase = v / np.hypot(v.real, v.imag)
+    U /= phase
+    k = min(U.shape[1], Vh.shape[0])
+    Vh[:k] *= phase[:k, None]
     return U, s, Vh
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EvalError, NumericalError
-from .matrices import MatrixSeq, svdvals
+from .matrices import MatrixSeq, _check_ladder, _square_finite, svdvals
 from .symbols import (
     FuncExpr,
     GltExpr,
@@ -68,21 +68,12 @@ class EmpiricalDist:
 
 def singular_values(A: np.ndarray) -> EmpiricalDist:
     """Full singular value spectrum, sorted non-increasing."""
-    A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DomainError("matrix must be square")
-    if not np.isfinite(A).all():
-        raise DomainError("matrix has non-finite entries")
-    return EmpiricalDist(svdvals(A), "sv")
+    return EmpiricalDist(svdvals(_square_finite(A)), "sv")
 
 
 def eigenvalues(A: np.ndarray) -> EmpiricalDist:
     """Full eigenvalue spectrum (dense solver, no symmetry assumptions)."""
-    A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DomainError("matrix must be square")
-    if not np.isfinite(A).all():
-        raise DomainError("matrix has non-finite entries")
+    A = _square_finite(A)
     try:
         lam = np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:
@@ -222,10 +213,9 @@ def as_symbol_grid(k, resolution=None) -> SymbolGrid:
     raise TypeError(f"cannot interpret {type(k).__name__} as a symbol")
 
 
-def convergence_tolerance(n: int, grid: SymbolGrid | None = None) -> float:
+def convergence_tolerance(n: int, grid: SymbolGrid) -> float:
     """Verdict tolerance 10 * max(grid resolution error, 1/sqrt(n))."""
-    grid_err = 1.0 / grid.min_resolution() if grid is not None else 0.0
-    return 10.0 * max(grid_err, 1.0 / math.sqrt(n))
+    return 10.0 * max(1.0 / grid.min_resolution(), 1.0 / math.sqrt(n))
 
 
 @dataclass(frozen=True)
@@ -256,9 +246,11 @@ def _spectrum(seq: MatrixSeq, n: int, kind: str) -> EmpiricalDist:
 
 
 def _residual_table(seq, grid, family, sizes, kind, mode):
-    sizes = tuple(int(n) for n in sizes)
-    if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise DomainError("sizes must be strictly ascending")
+    """The residual ladder.  Without a family, `default_family` is placed by
+    the grid's largest |k|."""
+    if family is None:
+        family = default_family(grid.max_abs())
+    sizes = _check_ladder(sizes, 1)
     sym_means = family.means(_grid_samples(grid, mode))
     rows = [np.abs(family.means(_spectrum(seq, n, kind).samples) - sym_means) for n in sizes]
     return ResidualTable(kind, sizes, family.labels, np.vstack(rows))
@@ -268,8 +260,6 @@ def sv_symbol_residual(seq: MatrixSeq, k, sizes, family: TestFamily | None = Non
                        resolution=None) -> ResidualTable:
     """Residuals |(1/n) sum F(sigma_i(A_n)) - mean F(|k|)| per size and F."""
     grid = as_symbol_grid(k, resolution)
-    if family is None:
-        family = default_family(grid.max_abs())
     return _residual_table(seq, grid, family, sizes, "sv", "abs")
 
 
@@ -277,24 +267,18 @@ def eig_symbol_residual(seq: MatrixSeq, k, sizes, family: TestFamily | None = No
                         resolution=None) -> ResidualTable:
     """Residuals |(1/n) sum F(lambda_i(A_n)) - mean F(k)| per size and F."""
     grid = as_symbol_grid(k, resolution)
-    if family is None:
-        family = default_family(grid.max_abs())
     return _residual_table(seq, grid, family, sizes, "eig", "plain")
 
 
-def zero_distributed_test(seq: MatrixSeq, sizes, family: TestFamily | None = None):
+def zero_distributed_test(seq: MatrixSeq, sizes):
     """Test {A_n} ~ 0 in singular values: (1/n) sum F(sigma_i) -> F(0).
 
     Returns (verdict, table): PASS when the residuals at the largest size all
     stay below the 10/sqrt(n) noise scale.
     """
-    sizes = tuple(int(n) for n in sizes)
-    if len(sizes) < 3:
-        raise DomainError("need at least 3 sizes")
-    if family is None:
-        family = default_family(0.0)
+    sizes = _check_ladder(sizes, 3)
     zero_grid = SymbolGrid("UNIT", (2,), np.zeros(2, dtype=complex))
-    table = _residual_table(seq, zero_grid, family, sizes, "sv", "abs")
+    table = sv_symbol_residual(seq, zero_grid, sizes)
     tol = 10.0 / math.sqrt(sizes[-1])
     verdict = bool(table.residuals[-1].max() < tol)
     return verdict, table

@@ -322,9 +322,6 @@ class TrigPoly:
 
     __rmul__ = __mul__
 
-    def max_abs_coeff(self) -> float:
-        return float(np.abs(self.coeffs).max())
-
     def has_real_values(self, tol: float = 1e-12) -> bool:
         """True when f_{-k} = conj(f_k) for all k, so evaluation is real."""
         return bool(np.abs(self.coeffs - np.conj(self.coeffs[::-1])).max() <= tol)
@@ -355,12 +352,17 @@ def fourier_coeff(f, k: int, quad_points: int) -> complex:
     return complex(np.mean(vals * np.exp(-1j * k * theta)))
 
 
-def trig_poly_from_expr(f: FuncExpr, max_degree: int = 8, tol: float = 1e-12) -> TrigPoly:
+# coefficient parts at or below this magnitude are quadrature roundoff
+COEFF_TOL = 1e-12
+
+
+def trig_poly_from_expr(f: FuncExpr, max_degree: int = 8) -> TrigPoly:
     """Extract the coefficient table of a trig-polynomial expression.
 
     Computes k = -max_degree..max_degree from one sampling and one FFT (the
-    midpoint rule of `fourier_coeff` for every k at once) and trims the
-    outermost coefficients that vanish to `tol`.
+    midpoint rule of `fourier_coeff` for every k at once), zeroes real and
+    imaginary parts at or below `COEFF_TOL` and trims the outermost
+    coefficients that vanish.
     """
     quad = max(4 * (max_degree + 1), 64)
     _, vals = _theta_samples(f, quad)
@@ -369,8 +371,8 @@ def trig_poly_from_expr(f: FuncExpr, max_degree: int = 8, tol: float = 1e-12) ->
     # at k times e^{ik pi} e^{-ik h/2}; e^{ik pi} = (-1)^k is taken exactly
     phase = np.where(k % 2, -1.0, 1.0) * np.exp(-1j * np.pi * k / quad)
     c = np.fft.fft(vals)[k % quad] / quad * phase
-    re = np.where(np.abs(c.real) <= tol, 0.0, c.real)
-    im = np.where(np.abs(c.imag) <= tol, 0.0, c.imag)
+    re = np.where(np.abs(c.real) <= COEFF_TOL, 0.0, c.real)
+    im = np.where(np.abs(c.imag) <= COEFF_TOL, 0.0, c.imag)
     c = re + 1j * im
     d = int(np.abs(k[c != 0]).max(initial=0))
     return TrigPoly(c[max_degree - d : max_degree + d + 1])
@@ -449,6 +451,10 @@ class SymbolGrid:
     domain: str
     resolution: tuple
     samples: np.ndarray
+    # the samples are read-only, so one scan at construction serves every
+    # later finiteness check and `max_abs`
+    nonfinite_count: int = field(init=False, repr=False, compare=False)
+    _max_abs: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         s = np.asarray(self.samples, dtype=complex).ravel()
@@ -460,14 +466,17 @@ class SymbolGrid:
             raise DomainError(f"unknown domain tag {self.domain!r}")
         if int(np.prod(self.resolution)) != s.size:
             raise ValueError("sample count must equal the product of resolutions")
-
-    @property
-    def nonfinite_count(self) -> int:
-        return int(np.count_nonzero(~np.isfinite(self.samples)))
+        finite = np.isfinite(s)
+        nonfinite = s.size - int(np.count_nonzero(finite))
+        # index out the non-finite samples only when there are any: a copy
+        # of a fine grid costs megabytes of peak memory
+        absolute = np.abs(s[finite] if nonfinite else s)
+        object.__setattr__(self, "nonfinite_count", nonfinite)
+        object.__setattr__(self, "_max_abs", float(absolute.max(initial=0.0)))
 
     def max_abs(self) -> float:
-        finite = self.samples[np.isfinite(self.samples)]
-        return float(np.abs(finite).max()) if finite.size else 0.0
+        """The largest |k| over the finite samples; 0 when there are none."""
+        return self._max_abs
 
     def min_resolution(self) -> int:
         return min(self.resolution)

@@ -282,7 +282,7 @@ class TestRunCommand:
         assert code == 0
         dump = tmp_path / "shift_8.csv"
         assert dump.exists()
-        rows = list(csv.reader(dump.open()))
+        rows = list(csv.reader(dump.read_text(encoding="utf-8").splitlines()))
         # the shift Toeplitz has n-1 subdiagonal entries
         assert len(rows) == 7
         i, j, re, im = rows[0]
@@ -301,7 +301,8 @@ class TestRunCommand:
         expr = _parse_terms(terms, 8)
         for n in (16, 36):
             A = normal_form(expr, n).matrix()
-            rows = list(csv.reader((tmp_path / f"nf_{n}.csv").open()))
+            text = (tmp_path / f"nf_{n}.csv").read_text(encoding="utf-8")
+            rows = list(csv.reader(text.splitlines()))
             i, j = np.nonzero(A)
             assert [(int(r[0]), int(r[1])) for r in rows] == list(zip(i + 1, j + 1))
             dumped = np.array([complex(float(r[2]), float(r[3])) for r in rows])

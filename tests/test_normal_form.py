@@ -26,7 +26,7 @@ from glt_lab import (
     verify_normal_form,
 )
 from glt_lab.matrices import MatrixSeq, d_af, diag_sampling, toeplitz
-from glt_lab.normal_form import _pushed_seq
+from glt_lab.normal_form import _canonical_svd, _pushed_seq
 from glt_lab.spectra import singular_values
 
 TWO_COS = TrigPoly.from_coeff_map({1: 1, -1: 1})
@@ -243,6 +243,25 @@ class TestHermitianFunction:
             rows, cols = linear_sum_assignment(np.abs(lam[:, None] - dense[None, :]))
             assert np.abs(lam[rows] - dense[cols]).max() <= 1e-12 * max(1.0, sv[0])
 
+    def test_one_eigvalsh_per_size(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(A):
+            calls.append(A.shape[0])
+            return eigvalsh(A)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        sizes = (16, 32, 64)
+        hermitian_function(toeplitz_seq(TWO_COS), parse_expr("t^2", "F"), sizes)
+        assert calls == list(sizes)
+
+    def test_pushed_eigs_are_kept_read_only(self):
+        pushed = _pushed_seq(toeplitz_seq(TWO_COS), parse_expr("exp(t)", "F"))
+        lam = pushed.eigs(16)
+        assert pushed.eigs(16) is lam and not lam.flags.writeable
+        assert np.array_equal(pushed.svals(16), np.abs(lam))
+
     @pytest.mark.parametrize("n", [8, 16])
     def test_pushed_hooks_raise_the_generator_error(self, n):
         pushed = _pushed_seq(toeplitz_seq(SHIFT), parse_expr("t", "F"))
@@ -268,6 +287,11 @@ class TestAffineShiftTest:
         assert "not licensed" in report.conclusion
         assert min(report.normality_residuals) > 1e-10
 
+    @pytest.mark.parametrize("sizes", [(), (32, 16)])
+    def test_bad_ladder_is_a_domain_error(self, sizes):
+        with pytest.raises(DomainError):
+            affine_shift_test(identity_seq(), CONST1, sizes, shifts=(1,))
+
     def test_identity_with_unit_shift(self):
         seq = identity_seq()
         report = affine_shift_test(seq, TrigPoly.constant(1), (16, 32, 64), shifts=(1,))
@@ -275,7 +299,32 @@ class TestAffineShiftTest:
         assert report.tables[0].residuals.max() <= 1e-12
 
 
+def canonical_svd_loop(A):
+    """The test oracle: each column's phase fixed one at a time."""
+    U, s, Vh = np.linalg.svd(A)
+    for j in range(U.shape[1]):
+        col = U[:, j]
+        v = col[int(np.argmax(np.abs(col)))]
+        if v != 0:
+            phase = v / abs(v)
+            U[:, j] = col / phase
+            if j < Vh.shape[0]:
+                Vh[j, :] = Vh[j, :] * phase
+    return U, s, Vh
+
+
 class TestGroupEmbed:
+    @pytest.mark.parametrize("shape", [(24, 24), (9, 5), (5, 9)])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_canonical_svd_matches_the_column_loop_bitwise(self, shape, dtype, seed):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal(shape)
+        if dtype is complex:
+            A = A + 1j * rng.standard_normal(shape)
+        for got, want in zip(_canonical_svd(A), canonical_svd_loop(A)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_equal_sequences_cancel(self):
         seq = toeplitz_seq(TWO_COS)
         pair = group_embed(seq, seq, 24)

@@ -196,6 +196,11 @@ class TestSvSymbolResidual:
         )
         assert table.residuals.max() <= 1e-12
 
+    @pytest.mark.parametrize("fn", [sv_symbol_residual, eig_symbol_residual])
+    def test_empty_ladder_is_a_domain_error(self, fn):
+        with pytest.raises(DomainError, match="need at least 1 sizes"):
+            fn(identity_seq(), CONST1, ())
+
 
 class TestEigSymbolResidual:
     def test_diag_sampling_matches_midpoint_oracle(self):
@@ -341,6 +346,16 @@ class TestStructuredHooks:
         for seq in (toeplitz_seq(F_HOOK), diag_seq(X), toeplitz_seq(F_HOOK).shifted(1.0),
                     seqs["lt"].shifted(1.0)):
             assert seq.svals is None and seq.eigs is None
+
+    def test_eigs_alone_give_svals_as_moduli(self):
+        eigs = hook_seqs()["lc"].eigs
+        seq = matrices.MatrixSeq("normal", lambda n: lc_op(A_HOOK, F_HOOK, n), eigs=eigs)
+        for n in HOOK_SIZES:
+            assert np.array_equal(seq.svals(n), np.abs(eigs(n)))
+        dense = dense_only(seq)
+        assert dense.svals is None and dense.eigs is None
+        lt = hook_seqs()["lt"]
+        assert dataclasses.replace(lt, name="lt").svals is lt.svals and lt.eigs is None
 
     @pytest.mark.parametrize("name", ["lt", "lc", "circulant"])
     @pytest.mark.parametrize("n", HOOK_SIZES)
