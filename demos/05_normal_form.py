@@ -34,6 +34,6 @@ print(f"\nladder check for the symbol x * 2cos(theta) on {sizes}:")
 print("  p(generating sum - normal form):",
       [f"{p:.4f}" for p in report.acs_p_values], "->", "PASS" if report.acs_pass else "FAIL")
 print("  eigenvalue residual of the diagonal factor vs the symbol:")
-for n, worst, tol in zip(sizes, report.eig_table.max_per_size(), report.eig_tolerances):
+for n, worst, tol in zip(sizes, report.eig_table.max_per_size(), report.eig_table.bounds):
     print(f"    n={n:5d}  residual = {worst:.5f}  tolerance = {tol:.5f}")
 print("  distribution verdict:", "PASS" if report.eig_pass else "FAIL")

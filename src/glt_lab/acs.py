@@ -63,9 +63,7 @@ class SplitResult:
 
 def optimal_split(A: np.ndarray) -> SplitResult:
     """Split at the argmin of the p objective via truncated SVD."""
-    A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DomainError("matrix must be square")
+    A = _square_finite(A)
     n = A.shape[0]
     try:
         U, s, Vh = np.linalg.svd(A)

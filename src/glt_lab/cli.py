@@ -20,7 +20,7 @@ import io
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,6 @@ from .normal_form import (
     verify_normal_form,
 )
 from .spectra import (
-    convergence_tolerance,
     default_family,
     eig_symbol_residual,
     eigenvalues,
@@ -352,13 +351,19 @@ def _shift_rows(name, sizes, report) -> list:
     return rows
 
 
-def _residual_rows(name, table, sizes, grid, mode, tol_override=None):
+def _max_rows(name, metric, table) -> list:
+    """The table's largest residual per size, judged against its bound."""
+    return _ladder(name, table.sizes, metric, table.max_per_size(), table.bounds)
+
+
+def _residual_rows(name, table):
+    """Per size, one unjudged row per test function and the largest residual
+    judged against the table's bound."""
     rows = []
-    for n, residuals in zip(sizes, table.residuals):
-        tol = tol_override if tol_override is not None else convergence_tolerance(n, grid)
+    for n, residuals, bound in zip(table.sizes, table.residuals, table.bounds):
         for label, res in zip(table.labels, residuals):
-            rows.append(_row(name, n, f"{mode}_residual[{label}]", res))
-        rows.append(_row(name, n, f"{mode}_residual_max", residuals.max(), tol))
+            rows.append(_row(name, n, f"{table.kind}_residual[{label}]", res))
+        rows.append(_row(name, n, f"{table.kind}_residual_max", residuals.max(), bound))
     return rows
 
 
@@ -373,7 +378,9 @@ def run_symbol_check(exp: Experiment) -> list:
     tol = _number(exp, "tolerance", None)
     fn = sv_symbol_residual if mode == "sv" else eig_symbol_residual
     table = fn(seq, grid, sizes)
-    return _residual_rows(exp.name, table, sizes, grid, mode, tol)
+    if tol is not None:
+        table = replace(table, bounds=np.full(len(sizes), tol))
+    return _residual_rows(exp.name, table)
 
 
 def run_acs(exp: Experiment) -> list:
@@ -394,8 +401,7 @@ def run_normal_form(exp: Experiment) -> list:
     report = verify_normal_form(expr, sizes, resolution=resolution, acs_tol=acs_tol)
     rows = _ladder(exp.name, sizes, "acs_p", report.acs_p_values)
     rows.append(_row(exp.name, sizes[-1], "acs_rho", report.acs_rho, acs_tol, report.acs_pass))
-    worst = report.eig_table.max_per_size()
-    return rows + _ladder(exp.name, sizes, "eig_residual_max", worst, report.eig_tolerances)
+    return rows + _max_rows(exp.name, "eig_residual_max", report.eig_table)
 
 
 def run_embed(exp: Experiment) -> list:
@@ -408,13 +414,9 @@ def run_embed(exp: Experiment) -> list:
 def run_hermitian_fn(exp: Experiment) -> list:
     seq = _seq(exp, "sequence")
     g = _parse_expr_cfg(_require(exp.options, "function", exp.name), "F")
-    sizes = _sizes(exp)
-    report = hermitian_function(seq, g, sizes, resolution=_grid(exp))
-    rows = []
-    for kind, table in (("sv", report.sv_table), ("eig", report.eig_table)):
-        rows += _ladder(exp.name, sizes, f"{kind}_residual_max", table.max_per_size(),
-                        report.tolerances)
-    return rows
+    report = hermitian_function(seq, g, _sizes(exp), resolution=_grid(exp))
+    return (_max_rows(exp.name, "sv_residual_max", report.sv_table)
+            + _max_rows(exp.name, "eig_residual_max", report.eig_table))
 
 
 def run_shift_test(exp: Experiment) -> list:
@@ -444,8 +446,7 @@ def demo_alt_identity(name="alt_identity") -> list:
     seq = counterexample_seq("alt_identity")
     one = _constant_unit_grid(1.0)
     family = family_with_extra_centers(default_family(1.0), (1.0, -1.0), 0.5)
-    table = eig_symbol_residual(seq, one, sizes, family)
-    rows = _residual_rows(name, table, sizes, one, "eig")
+    rows = _residual_rows(name, eig_symbol_residual(seq, one, sizes, family))
     even_emp = family.means(eigenvalues(seq(256)).samples)
     odd_emp = family.means(eigenvalues(seq(257)).samples)
     gap = np.abs(even_emp - odd_emp).max()
@@ -458,8 +459,7 @@ def demo_half_shift(name="half_shift") -> list:
     seq = counterexample_seq("half_shift")
     x = (np.arange(4096) + 0.5) / 4096
     step = SymbolGrid("UNIT", (4096,), (x < 0.5).astype(complex))
-    table = sv_symbol_residual(seq, step, sizes)
-    rows = _residual_rows(name, table, sizes, step, "sv")
+    rows = _residual_rows(name, sv_symbol_residual(seq, step, sizes))
     squares = [np.abs(A @ A).max() for A in map(seq, sizes)]
     return rows + _ladder(name, sizes, "square_norm", squares, [0.0] * len(sizes))
 
@@ -468,10 +468,9 @@ def demo_scaled_cycle(name="scaled_cycle") -> list:
     sizes = (8, 16, 32, 64)
     seq = counterexample_seq("scaled_cycle")
     verdict, table = zero_distributed_test(seq, sizes)
-    zero = _constant_unit_grid(0.0)
-    tol = 10.0 / math.sqrt(sizes[-1])
-    rows = _residual_rows(name, table, sizes, zero, "sv", tol_override=tol)
-    rows.append(_row(name, sizes[-1], "zero_distributed", table.residuals[-1].max(), tol, verdict))
+    rows = _residual_rows(name, table)
+    rows.append(_row(name, sizes[-1], "zero_distributed", table.max_per_size()[-1],
+                     table.bounds[-1], verdict))
     p_values = [p_metric(seq(n)) for n in sizes]
     rows += _ladder(name, sizes, "p", p_values, [2.0 / n + 1e-10 for n in sizes])
     # the function t + 1 - |t|^2 fixes every eigenvalue on the unit circle,
@@ -495,10 +494,8 @@ def demo_jordan_shift(name="jordan_shift") -> list:
     shift_poly = TrigPoly.from_coeff_map({1: 1.0})
     report = affine_shift_test(seq, shift_poly, sizes, shifts=(0, 1))
     rows = _shift_rows(name, sizes, report)
-    zero = _constant_unit_grid(0.0)
-    worst = eig_symbol_residual(seq, zero, sizes).max_per_size()
-    tols = [convergence_tolerance(n, zero) for n in sizes]
-    return rows + _ladder(name, sizes, "eig_residual_vs_zero", worst, tols)
+    table = eig_symbol_residual(seq, _constant_unit_grid(0.0), sizes)
+    return rows + _max_rows(name, "eig_residual_vs_zero", table)
 
 
 DEMOS = {

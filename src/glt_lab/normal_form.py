@@ -29,7 +29,6 @@ from .matrices import (
 from .spectra import (
     ResidualTable,
     as_symbol_grid,
-    convergence_tolerance,
     eig_symbol_residual,
     sv_symbol_residual,
 )
@@ -111,13 +110,10 @@ class NormalFormReport:
     """acs closeness of the generating sum to its normal form, plus the
     eigenvalue distribution of the diagonal factor against the symbol."""
 
-    expr: GltExpr
-    sizes: tuple
     acs_pass: bool
     acs_p_values: tuple
     acs_rho: float
     eig_table: ResidualTable
-    eig_tolerances: tuple
     eig_pass: bool
 
 
@@ -129,13 +125,9 @@ def verify_normal_form(expr: GltExpr, sizes, resolution=None,
     seq_nf = normal_form_seq(expr)
     acs_ok, est = acs_equivalent(seq_gen, seq_nf, sizes, acs_tol)
 
-    grid = as_symbol_grid(expr, resolution)
-    table = eig_symbol_residual(diagonal_factor_seq(expr), grid, sizes)
-    tols = tuple(convergence_tolerance(n, grid) for n in sizes)
-    eig_ok = bool(all(table.max_per_size()[i] <= tols[i] for i in range(len(sizes))))
-    return NormalFormReport(
-        expr, sizes, acs_ok, est.p_values, est.rho_estimate, table, tols, eig_ok
-    )
+    table = eig_symbol_residual(diagonal_factor_seq(expr), expr, sizes, resolution=resolution)
+    eig_ok = bool(table.passes().all())
+    return NormalFormReport(acs_ok, est.p_values, est.rho_estimate, table, eig_ok)
 
 
 def sort_perm(D: np.ndarray) -> np.ndarray:
@@ -158,10 +150,8 @@ def sort_perm(D: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HermitianFnReport:
-    sizes: tuple
     sv_table: ResidualTable
     eig_table: ResidualTable
-    tolerances: tuple
 
 
 def _matrix_function(A: np.ndarray, g: FuncExpr) -> np.ndarray:
@@ -212,8 +202,7 @@ def hermitian_function(seq: MatrixSeq, g: FuncExpr, sizes,
     pushed = SymbolGrid(base.domain, base.resolution, g(t=base.samples.real))
     sv_table = sv_symbol_residual(pushed_seq, pushed, sizes)
     eig_table = eig_symbol_residual(pushed_seq, pushed, sizes)
-    tols = tuple(convergence_tolerance(n, pushed) for n in sizes)
-    return HermitianFnReport(sizes, sv_table, eig_table, tols)
+    return HermitianFnReport(sv_table, eig_table)
 
 
 @dataclass(frozen=True)
@@ -245,14 +234,12 @@ def affine_shift_test(seq: MatrixSeq, k, sizes, shifts=DEFAULT_SHIFTS,
         normality.append(float(np.linalg.norm(A.conj().T @ A - A @ A.conj().T, "fro")))
     is_normal = bool(max(normality) <= NORMALITY_TOL)
 
-    # every shifted grid has the base grid's resolution, so one tolerance
-    tol = convergence_tolerance(sizes[-1], grid)
     tables = []
     verdicts = []
     for c in shifts:
         shifted_grid = SymbolGrid(grid.domain, grid.resolution, grid.samples - complex(c))
         table = sv_symbol_residual(seq.shifted(c), shifted_grid, sizes)
-        verdicts.append(bool(table.max_per_size()[-1] <= tol))
+        verdicts.append(bool(table.passes()[-1]))
         tables.append(table)
     all_pass = bool(all(verdicts))
     if not all_pass:

@@ -10,7 +10,7 @@ is a fine midpoint-grid mean, so every verdict carries an explicit tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -220,15 +220,21 @@ def convergence_tolerance(n: int, grid: SymbolGrid) -> float:
 
 @dataclass(frozen=True)
 class ResidualTable:
-    """Per-size, per-test-function residuals of empirical vs symbol means."""
+    """Per-size, per-test-function residuals of empirical vs symbol means,
+    with the verdict bound each size's largest residual is judged against."""
 
     kind: str
     sizes: tuple
     labels: tuple
     residuals: np.ndarray  # shape (len(sizes), len(labels))
+    bounds: np.ndarray  # shape (len(sizes),)
 
     def max_per_size(self) -> np.ndarray:
         return self.residuals.max(axis=1)
+
+    def passes(self) -> np.ndarray:
+        """Per size, whether the largest residual is within its bound."""
+        return self.max_per_size() <= self.bounds
 
 
 def _spectrum(seq: MatrixSeq, n: int, kind: str) -> EmpiricalDist:
@@ -246,14 +252,15 @@ def _spectrum(seq: MatrixSeq, n: int, kind: str) -> EmpiricalDist:
 
 
 def _residual_table(seq, grid, family, sizes, kind, mode):
-    """The residual ladder.  Without a family, `default_family` is placed by
-    the grid's largest |k|."""
+    """The residual ladder, bounded by `convergence_tolerance` at each size.
+    Without a family, `default_family` is placed by the grid's largest |k|."""
     if family is None:
         family = default_family(grid.max_abs())
     sizes = _check_ladder(sizes, 1)
     sym_means = family.means(_grid_samples(grid, mode))
     rows = [np.abs(family.means(_spectrum(seq, n, kind).samples) - sym_means) for n in sizes]
-    return ResidualTable(kind, sizes, family.labels, np.vstack(rows))
+    bounds = np.array([convergence_tolerance(n, grid) for n in sizes])
+    return ResidualTable(kind, sizes, family.labels, np.vstack(rows), bounds)
 
 
 def sv_symbol_residual(seq: MatrixSeq, k, sizes, family: TestFamily | None = None,
@@ -274,11 +281,12 @@ def zero_distributed_test(seq: MatrixSeq, sizes):
     """Test {A_n} ~ 0 in singular values: (1/n) sum F(sigma_i) -> F(0).
 
     Returns (verdict, table): PASS when the residuals at the largest size all
-    stay below the 10/sqrt(n) noise scale.
+    stay below the 10/sqrt(n) noise scale, which bounds every size of the
+    table.
     """
     sizes = _check_ladder(sizes, 3)
     zero_grid = SymbolGrid("UNIT", (2,), np.zeros(2, dtype=complex))
     table = sv_symbol_residual(seq, zero_grid, sizes)
-    tol = 10.0 / math.sqrt(sizes[-1])
-    verdict = bool(table.residuals[-1].max() < tol)
+    table = replace(table, bounds=np.full(len(sizes), 10.0 / math.sqrt(sizes[-1])))
+    verdict = bool(table.max_per_size()[-1] < table.bounds[-1])
     return verdict, table

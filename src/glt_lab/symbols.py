@@ -231,34 +231,9 @@ def _parse_any(source: str) -> FuncExpr:
     return FuncExpr(source, ast, "k", frozenset(parser.free_vars))
 
 
-def _num_literal(v: float) -> str:
-    """Render a float as a grammar-compatible literal (no sign, no exponent)."""
-    if v < 0:
-        return f"(0-{_num_literal(-v)})"
-    text = repr(float(v))
-    if "e" in text or "E" in text:
-        text = format(v, ".17f").rstrip("0")
-        if text.endswith("."):
-            text += "0"
-    return text
-
-
-def _complex_literal(z: complex) -> str:
-    z = complex(z)
-    if z.imag == 0:
-        return _num_literal(z.real)
-    return f"({_num_literal(z.real)}+{_num_literal(z.imag)}*i)"
-
-
 def _expr_product(e1: FuncExpr, e2: FuncExpr) -> FuncExpr:
     ast = ("bin", "*", e1.ast, e2.ast)
     return FuncExpr(f"({e1.source})*({e2.source})", ast, e1.role, e1.free_vars | e2.free_vars)
-
-
-def _expr_scale(e: FuncExpr, lam: complex) -> FuncExpr:
-    lit = _complex_literal(lam)
-    ast = ("bin", "*", ("const", complex(lam)), e.ast)
-    return FuncExpr(f"{lit}*({e.source})", ast, e.role, e.free_vars)
 
 
 @dataclass(frozen=True)
@@ -436,8 +411,9 @@ def symbol_mul(p: GltExpr, q: GltExpr) -> GltExpr:
 
 
 def symbol_scale(p: GltExpr, lam: complex) -> GltExpr:
-    """Scalar multiple: each coefficient expression is scaled by lam."""
-    return GltExpr(tuple((_expr_scale(a, lam), f) for a, f in p.terms))
+    """Scalar multiple: each term's trig polynomial is scaled by lam, so the
+    coefficient expressions stay as they were written."""
+    return GltExpr(tuple((a, f * lam) for a, f in p.terms))
 
 
 @dataclass(frozen=True)

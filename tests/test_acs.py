@@ -153,6 +153,14 @@ class TestOptimalSplit:
         assert res.split_index <= 3
         assert res.p_value <= 2 / 16 + 1e-12
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_entry_rejected(self, bad, dtype):
+        A = np.eye(4, dtype=dtype)
+        A[0, 1] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            optimal_split(A)
+
 
 class TestAcsDistance:
     def test_same_sequence_is_zero(self):

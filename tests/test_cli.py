@@ -468,6 +468,22 @@ class TestToleranceOverride:
         assert code == 1
         assert "FAIL" in out
 
+    def test_override_replaces_every_max_bound(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            "[global]\nseed = 1\n\n[loose]\nkind = symbol-check\n"
+            "sequence = toeplitz(2*cos(theta))\nsymbol = 2*cos(theta)\n"
+            "sizes = 16, 32\ntolerance = 0.25\n",
+        )
+        code, out, _ = run_cli(["run", cfg])
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        maxima = [r for r in rows if r["metric"].endswith("_residual_max")]
+        hats = [r for r in rows if "_residual[" in r["metric"]]
+        assert [r["n"] for r in maxima] == ["16", "32"]
+        assert all(float(r["bound"]) == 0.25 for r in maxima)
+        assert hats and all(r["bound"] == "" for r in hats)
+
 
 class TestReportRows:
     def test_verdict_validation(self):

@@ -211,7 +211,7 @@ class TestHermitianFunction:
         report = hermitian_function(seq, g, (32, 64, 128, 256))
         worst = report.sv_table.max_per_size()
         assert worst[-1] < worst[0]
-        assert worst[-1] <= report.tolerances[-1]
+        assert worst[-1] <= report.sv_table.bounds[-1]
 
     def test_exponential_of_diagonal_matches_midpoint_rate(self):
         seq = diag_seq(X)

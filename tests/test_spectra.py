@@ -40,13 +40,30 @@ from glt_lab import matrices
 from glt_lab.errors import NumericalError
 from glt_lab.matrices import counterexample, lt_op, svdvals
 from glt_lab.spectra import TestFamily as Family
-from glt_lab.spectra import _grid_samples, as_symbol_grid, family_with_extra_centers
-from glt_lab.symbols import GltExpr, SymbolGrid, _num_literal
+from glt_lab.spectra import (
+    _grid_samples,
+    as_symbol_grid,
+    convergence_tolerance,
+    family_with_extra_centers,
+)
+from glt_lab.symbols import GltExpr, SymbolGrid
 
 TWO_COS = TrigPoly.from_coeff_map({1: 1, -1: 1})
 SHIFT = TrigPoly.from_coeff_map({1: 1})
 X = parse_expr("x", "a")
 CONST1 = TrigPoly.constant(1)
+
+
+def _num_literal(v: float) -> str:
+    """Render a float as a grammar-compatible literal (no sign, no exponent)."""
+    if v < 0:
+        return f"(0-{_num_literal(-v)})"
+    text = repr(float(v))
+    if "e" in text or "E" in text:
+        text = format(v, ".17f").rstrip("0")
+        if text.endswith("."):
+            text += "0"
+    return text
 
 
 def multiset_close(a, b, tol):
@@ -259,6 +276,31 @@ class TestZeroDistributed:
         assert not verdict
         # the hat at 0 has F(0)=1 and F(1)=0, giving residual 1
         assert table.max_per_size()[-1] == pytest.approx(1.0, abs=1e-12)
+
+
+class TestResidualBounds:
+    @pytest.mark.parametrize("fn", [sv_symbol_residual, eig_symbol_residual])
+    def test_ladder_carries_convergence_tolerance(self, fn):
+        # a coarse grid, so 1/sqrt(n) wins at 4 and 16 and 1/8 at 256
+        sizes = (4, 16, 256)
+        grid = as_symbol_grid(TWO_COS, (8, 8))
+        table = fn(circulant_seq(TWO_COS), grid, sizes)
+        want = [convergence_tolerance(n, grid) for n in sizes]
+        assert table.bounds.tolist() == want == [5.0, 2.5, 1.25]
+
+    def test_zero_distributed_bound_is_last_size_noise_scale(self):
+        sizes = (8, 16, 32, 64)
+        _, table = zero_distributed_test(counterexample_seq("scaled_cycle"), sizes)
+        assert table.bounds.tolist() == [10.0 / np.sqrt(64)] * len(sizes)
+
+    def test_passes_compares_maxima_with_bounds(self):
+        table = sv_symbol_residual(toeplitz_seq(TWO_COS), TWO_COS, (16, 32, 64))
+        worst = table.max_per_size()
+        # one bound equal to the maximum, one just below it, one far above
+        bounds = np.array([worst[0], np.nextafter(worst[1], 0.0), 2.0 * worst[2]])
+        table = dataclasses.replace(table, bounds=bounds)
+        assert table.passes().tolist() == [True, False, True]
+        assert table.passes().tolist() == (table.max_per_size() <= table.bounds).tolist()
 
 
 class TestInvarianceProperties:

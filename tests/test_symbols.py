@@ -188,6 +188,17 @@ class TestSymbolAlgebra:
         z = symbol_scale(p, 0)
         np.testing.assert_allclose(z(np.linspace(0, 1, 5), np.linspace(-3, 3, 5)), 0, atol=1e-15)
 
+    def test_scale_by_complex_keeps_coefficient_sources(self):
+        p = GltExpr(((X, TWO_COS), (parse_expr("exp(x)", "a"), SHIFT)))
+        lam = 0.75 - 1.25j
+        scaled = symbol_scale(p, lam)
+        rng = np.random.default_rng(5)
+        x = rng.uniform(0, 1, 200)
+        theta = rng.uniform(-np.pi, np.pi, 200)
+        want = lam * p(x, theta)
+        assert np.abs(scaled(x, theta) - want).max() <= 1e-14 * np.abs(want).max()
+        assert [a.source for a, _ in scaled.terms] == [a.source for a, _ in p.terms]
+
     def test_mul_is_pointwise_product(self):
         rng = np.random.default_rng(3)
         p = GltExpr(((X, TWO_COS), (ONE, SHIFT)))
