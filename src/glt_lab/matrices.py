@@ -190,6 +190,35 @@ def _banded_svdvals(A: np.ndarray, nonzero: np.ndarray):
     return np.maximum(w[: n - 1 : -1], 0.0)
 
 
+def _svd_reduce(A: np.ndarray):
+    """The exact reductions `svdvals` applies before any dense work: either
+    (values, None) from the banded path, or (None, core) with core the rows
+    and columns of A that hold a nonzero entry, real when its imaginary part
+    is exactly zero.  The singular values of A are those of core padded with
+    zeros to n."""
+    nonzero = A != 0
+    s = _banded_svdvals(A, nonzero)
+    if s is not None:
+        return s, None
+    rows = np.flatnonzero(nonzero.any(axis=1))
+    cols = np.flatnonzero(nonzero.any(axis=0))
+    core = A if rows.size == cols.size == A.shape[0] else A[np.ix_(rows, cols)]
+    return None, core if core.imag.any() else core.real
+
+
+def _pad(s: np.ndarray, n: int) -> np.ndarray:
+    return np.concatenate([s, np.zeros(n - s.size)])
+
+
+def _dense_svdvals(core: np.ndarray, n: int) -> np.ndarray:
+    """The singular values of a reduced core from a dense SVD, padded to n."""
+    try:
+        s = np.linalg.svd(core, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD failed: {exc}") from exc
+    return _pad(s, n)
+
+
 def svdvals(A: np.ndarray) -> np.ndarray:
     """The n singular values of a square matrix A, non-increasing.
 
@@ -198,20 +227,8 @@ def svdvals(A: np.ndarray) -> np.ndarray:
     decomposed alone and zeros pad the result back to n.  That block is
     decomposed in real arithmetic when its imaginary part is exactly zero.
     """
-    nonzero = A != 0
-    s = _banded_svdvals(A, nonzero)
-    if s is not None:
-        return s
-    rows = np.flatnonzero(nonzero.any(axis=1))
-    cols = np.flatnonzero(nonzero.any(axis=0))
-    core = A if rows.size == cols.size == A.shape[0] else A[np.ix_(rows, cols)]
-    if not core.imag.any():
-        core = core.real
-    try:
-        s = np.linalg.svd(core, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD failed: {exc}") from exc
-    return np.concatenate([s, np.zeros(A.shape[0] - s.size)])
+    s, core = _svd_reduce(A)
+    return s if core is None else _dense_svdvals(core, A.shape[0])
 
 
 def toeplitz(f: TrigPoly, n: int) -> np.ndarray:

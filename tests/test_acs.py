@@ -22,6 +22,10 @@ from glt_lab import (
     toeplitz_seq,
     zero_seq,
 )
+from glt_lab import acs
+from glt_lab.acs import _phase_canonical
+from glt_lab.matrices import svdvals
+from glt_lab.normal_form import normal_form
 from glt_lab.symbols import GltExpr
 
 TWO_COS = TrigPoly.from_coeff_map({1: 1, -1: 1})
@@ -42,6 +46,129 @@ def p_bruteforce(A):
         sigma_i = s[i - 1] if i <= n else 0.0
         best = min(best, (i - 1) / n + sigma_i)
     return best
+
+
+def p_svd(A):
+    """Oracle for the Gram route: the dense SVD of the whole matrix."""
+    A = np.asarray(A, dtype=complex)
+    n = A.shape[0]
+    s = np.linalg.svd(A, compute_uv=False)
+    return float((np.arange(n + 1) / n + np.append(s, 0.0)).min())
+
+
+def p_svdvals(A):
+    """p from `svdvals`, the route p_metric falls back to."""
+    s = svdvals(_phase_canonical(np.asarray(A, dtype=complex)))
+    n = s.size
+    return float((np.arange(n + 1) / n + np.append(s, 0.0)).min())
+
+
+@pytest.fixture
+def route(monkeypatch):
+    """Records, per p_metric call, whether the Gram route certified its
+    values ("gram") or the dense SVD ran ("dense")."""
+    taken = []
+    gram, dense = acs._gram_svdvals, acs._dense_svdvals
+
+    def gram_spy(core, n):
+        s = gram(core, n)
+        if s is not None:
+            taken.append("gram")
+        return s
+
+    def dense_spy(core, n):
+        taken.append("dense")
+        return dense(core, n)
+
+    monkeypatch.setattr(acs, "_gram_svdvals", gram_spy)
+    monkeypatch.setattr(acs, "_dense_svdvals", dense_spy)
+    return taken
+
+
+def with_spectrum(sigma, seed=0):
+    """U diag(sigma) V^T for random orthogonal U and V."""
+    n = len(sigma)
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (U * np.asarray(sigma)) @ V.T
+
+
+# a degree-2 symbol with complex Fourier coefficients and a real one, and
+# the coefficient functions of the benchmark's two-term normal form
+F_CPLX = TrigPoly.from_coeff_map({-2: 0.2, -1: 0.5, 0: 1.0, 1: 0.5 + 0.3j, 2: -0.2j})
+A_QUAD = parse_expr("1+0.9*x^2", "a")
+A_EXP = parse_expr("exp(0.4*x)", "a")
+
+
+class TestGramRoute:
+    @pytest.mark.parametrize("f", [F_REAL, F_CPLX], ids=["real", "complex"])
+    def test_glt_minus_lc(self, f, route):
+        A = glt_product_seq(GltExpr(((A_QUAD, f),)))(576) - lc_seq(A_QUAD, f)(576)
+        assert abs(p_metric(A) - p_svd(A)) <= 1e-10 * p_svd(A)
+        assert route == ["gram"]
+
+    @pytest.mark.parametrize("f", [F_REAL, F_CPLX], ids=["real", "complex"])
+    def test_glt_minus_normal_form(self, f, route):
+        expr = GltExpr(((A_QUAD, f), (A_EXP, F_REAL)))
+        A = glt_product_seq(expr)(576) - normal_form(expr, 576).matrix()
+        assert abs(p_metric(A) - p_svd(A)) <= 1e-10 * p_svd(A)
+        assert route == ["gram"]
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("drop", ["rows", "cols"])
+    def test_zero_rows_and_rectangular_cores(self, dtype, drop, route):
+        # a 50x60 or 60x45 core: the Gram matrix is formed on the short side
+        rng = np.random.default_rng(11)
+        A = rng.standard_normal((60, 60)).astype(dtype)
+        if dtype is complex:
+            A += 1j * rng.standard_normal((60, 60))
+        A /= 4 * np.sqrt(60)
+        if drop == "rows":
+            A[::6] = 0
+        else:
+            A[:, ::4] = 0
+        assert abs(p_metric(A) - p_svd(A)) <= 1e-10 * p_svd(A)
+        assert route == ["gram"]
+
+    def test_toeplitz_minus_circulant_is_exactly_four_over_n(self, route):
+        A = toeplitz(F_REAL, 1024) - circulant(F_REAL, 1024)
+        assert p_metric(A) == 4 / 1024
+        assert route == ["gram"]
+
+    def test_exact_rank_falls_back(self, route):
+        # sigma_6 = 0 sets p = 5/40 and no relative bound can certify it
+        A = with_spectrum([3.0, 2.0, 1.5, 1.0, 0.5] + [0.0] * 35)
+        p = p_metric(A)
+        assert route == ["dense"]
+        assert p == p_svdvals(A)
+        assert p == pytest.approx(5 / 40, abs=1e-14)
+
+    @pytest.mark.parametrize("past", [0.99, 1.01])
+    def test_graded_spectrum_at_the_bound(self, past, route):
+        # sigma_2.. decay geometrically; sigma_1 is set `past` times the
+        # largest value the gate certifies, 100 eps sigma_1^2 = 1e-10 p sigma_min
+        n = 100
+        tail = 0.6 * 0.995 ** np.arange(n - 1)
+        obj = np.arange(1, n + 1) / n + np.append(tail, 0.0)
+        p = obj.min()
+        setting = tail[np.arange(1, n) / n <= p].min()
+        sigma_1 = past * np.sqrt(1e-10 * p * setting / (100 * np.finfo(float).eps))
+        A = with_spectrum(np.append(sigma_1, tail), seed=1)
+        value = p_metric(A)
+        if past > 1:
+            assert route == ["dense"]
+            assert value == p_svdvals(A)
+        else:
+            assert route == ["gram"]
+            assert abs(value - p_svd(A)) <= 1e-10 * p
+
+    @pytest.mark.parametrize("scale", [2.0**-520, 2.0**520], ids=["tiny", "huge"])
+    def test_extreme_scales_fall_back(self, scale, route):
+        # squaring would underflow or overflow
+        A = scale * with_spectrum(np.linspace(1.0, 0.5, 20))
+        assert p_metric(A) == p_svdvals(A)
+        assert route == ["dense"]
 
 
 class TestPMetric:
@@ -97,6 +224,10 @@ class TestPMetric:
         A[0, 1] = bad
         with pytest.raises(DomainError, match="non-finite"):
             p_metric(A)
+
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(DomainError, match="non-empty"):
+            p_metric(np.zeros((0, 0)))
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_unitary_invariance(self, seed):
@@ -160,6 +291,10 @@ class TestOptimalSplit:
         A[0, 1] = bad
         with pytest.raises(DomainError, match="non-finite"):
             optimal_split(A)
+
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(DomainError, match="non-empty"):
+            optimal_split(np.zeros((0, 0)))
 
 
 class TestAcsDistance:

@@ -33,6 +33,7 @@ from glt_lab import (
     symbol_functional,
     toeplitz,
     toeplitz_seq,
+    verify_normal_form,
     zero_distributed_test,
     zero_seq,
 )
@@ -89,6 +90,25 @@ class TestDecompositions:
     def test_circulant_shift_eigenvalues_are_roots_of_unity(self):
         ev = eigenvalues(circulant(SHIFT, 4))
         assert multiset_close(ev.samples, [1, 1j, -1, -1j], 1e-10)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_diagonal_spectrum_skips_the_dense_solver(self, dtype, monkeypatch):
+        rng = np.random.default_rng(5)
+        d = rng.standard_normal(300).astype(dtype)
+        if dtype is complex:
+            d += 1j * rng.standard_normal(300)
+        d[::7] = 0
+        A = np.diag(d)
+        oracle = np.linalg.eigvals(A.astype(complex))
+        calls = []
+        dense = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda M: calls.append(M.shape) or dense(M))
+        np.testing.assert_array_equal(eigenvalues(A).samples, oracle)
+        np.testing.assert_array_equal(eigenvalues(np.zeros((4, 4))).samples, np.zeros(4))
+        assert calls == []
+        A[3, 7] = 0.5  # one nonzero off the diagonal
+        np.testing.assert_allclose(eigenvalues(A).samples, oracle, atol=1e-14)
+        assert calls == [(300, 300)]
 
     def test_tridiagonal_closed_form(self):
         # 0-diagonal, 1-off-diagonal Toeplitz has eigenvalues 2cos(k pi/(n+1));
@@ -217,6 +237,26 @@ class TestSvSymbolResidual:
     def test_empty_ladder_is_a_domain_error(self, fn):
         with pytest.raises(DomainError, match="need at least 1 sizes"):
             fn(identity_seq(), CONST1, ())
+
+
+class TestResidualTableEquality:
+    """Tables hold arrays, so they compare by identity, like TestFamily;
+    equal-valued tables and the reports holding them compare without raising."""
+
+    def test_separately_computed_tables(self):
+        def table():
+            return sv_symbol_residual(toeplitz_seq(TWO_COS), TWO_COS, (16, 32))
+
+        a, b = table(), table()
+        np.testing.assert_array_equal(a.residuals, b.residuals)
+        assert a == a
+        assert (a == b) is False
+
+    def test_reports_holding_tables(self):
+        expr = GltExpr(((X, TWO_COS),))
+        a, b = (verify_normal_form(expr, (16, 36)) for _ in range(2))
+        assert a == a
+        assert (a == b) is False
 
 
 class TestEigSymbolResidual:
