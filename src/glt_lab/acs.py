@@ -64,7 +64,8 @@ def _objective(s: np.ndarray) -> np.ndarray:
 # is the corpus tolerance, relative to p.
 _GRAM_SAFETY = 100.0
 _GRAM_RTOL = 1e-10
-# squaring must neither overflow nor sink the bound into subnormals
+# squaring the core must neither overflow (a warning from the product) nor
+# underflow (a p of 0 would pass the gate)
 _GRAM_SCALE = (2.0**-400, 2.0**400)
 
 
