@@ -27,17 +27,22 @@ __all__ = [
 ]
 
 
-def _phase_canonical(A: np.ndarray) -> np.ndarray:
-    """Rotate A by a global phase making its largest entry real positive.
+def _phase_canonical(A: np.ndarray) -> tuple:
+    """A rotated by the global phase that makes its largest entry real
+    positive, as a pair (B, sign) with sign*B the rotated matrix.  A phase of
+    exactly +-1 needs no copy: B is A itself and sign is that phase, which
+    `_svd_reduce` applies to the reduced operand.
 
     Singular values are phase invariant; canonicalizing makes p(A) and p(-A)
     bitwise identical, so the induced pseudometric is exactly symmetric.
     """
-    idx = np.argmax(np.abs(A))
-    v = A.flat[idx]
+    v = A.flat[np.argmax(np.abs(A))]
     if v == 0:
-        return A
-    return A * (abs(v) / v)
+        return A, 1.0
+    phase = abs(v) / v
+    if phase == 1 or phase == -1:
+        return A, float(phase.real)
+    return A * phase, 1.0
 
 
 def _operand(A) -> np.ndarray:
@@ -108,7 +113,7 @@ def p_metric(A: np.ndarray) -> float:
     """
     A = _operand(A)
     n = A.shape[0]
-    s, core = _svd_reduce(_phase_canonical(A))
+    s, core = _svd_reduce(*_phase_canonical(A))
     if core is not None:
         s = _gram_svdvals(core, n)
         if s is None:

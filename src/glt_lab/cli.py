@@ -265,7 +265,23 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"seed must be an integer, got {seed!r}") from exc
     if not experiments:
         raise ConfigError("config defines no experiments")
+    # a run that may take the banded SVD path loads its solver with the
+    # config, not inside its first decomposition
+    if any(_reaches_band(exp.options.get("sizes", "")) for exp in experiments):
+        matrices._band_solver()
     return RunConfig(seed, output, experiments)
+
+
+def _reaches_band(sizes: str) -> bool:
+    """Whether a `sizes` value names a size the banded SVD path accepts.
+    Entries that are not integers are skipped: the runner reports them."""
+    for text in sizes.replace(" ", "").split(","):
+        try:
+            if int(text) >= matrices._BAND_MIN_N:
+                return True
+        except ValueError:
+            pass
+    return False
 
 
 def _require(opts: dict, key: str, section: str) -> str:

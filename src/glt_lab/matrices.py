@@ -3,6 +3,8 @@
 All generators return dense complex n x n arrays and are pure: the same size
 always yields the same matrix.  The locally-structured operators split n into
 m = floor(sqrt(n)) blocks of size floor(n/m) plus a trailing zero block.
+numpy builds every family; scipy is imported only by `_band_solver`, the
+first time a matrix takes the banded SVD path of `svdvals`.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import DomainError, EvalError, NumericalError, UnknownNameError
 from .symbols import FuncExpr, GltExpr, TrigPoly
@@ -145,10 +147,19 @@ _BAND_MIN_N = 512
 _BAND_N_PER_B = {"real": 160, "complex": 320}
 
 
-def _banded_svdvals(A: np.ndarray, nonzero: np.ndarray):
-    """The singular values of a square A through its Jordan-Wielandt matrix,
-    or None when A is too small or too wide for that to beat a dense SVD.
-    `nonzero` is the mask A != 0.
+def _band_solver():
+    """scipy's Hermitian band eigensolver.  Importing scipy.linalg costs about
+    0.25 s, so it happens here, on the first call: runs whose sizes stay below
+    _BAND_MIN_N never pay it."""
+    import scipy.linalg
+
+    return scipy.linalg.eigvals_banded
+
+
+def _banded_svdvals(A: np.ndarray, nonzero: np.ndarray, sign: float = 1.0):
+    """The singular values of sign*A (sign = +-1) through its Jordan-Wielandt
+    matrix, or None when A is too small or too wide for that to beat a dense
+    SVD.  `nonzero` is the mask A != 0.
 
     The eigenvalues of [[0, A], [A^H, 0]] are +-sigma_i.  Interleaving the
     two halves (row i of A -> 2i, column j -> 2j+1) makes it a Hermitian band
@@ -181,29 +192,31 @@ def _banded_svdvals(A: np.ndarray, nonzero: np.ndarray):
             band[2 * k - 1, 1 : 2 * (n - k) : 2] = np.diagonal(M, -k)
     if not np.isfinite(band).all():
         raise NumericalError("SVD failed: matrix has non-finite entries")
+    if sign < 0:
+        np.negative(band, out=band)
     try:
-        w = scipy.linalg.eigvals_banded(band, lower=True, overwrite_a_band=True,
-                                        check_finite=False)
+        w = _band_solver()(band, lower=True, overwrite_a_band=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed: {exc}") from exc
     # the n largest are sigma_1..sigma_n; zero singular values may come out -eps
     return np.maximum(w[: n - 1 : -1], 0.0)
 
 
-def _svd_reduce(A: np.ndarray):
-    """The exact reductions `svdvals` applies before any dense work: either
-    (values, None) from the banded path, or (None, core) with core the rows
-    and columns of A that hold a nonzero entry, real when its imaginary part
-    is exactly zero.  The singular values of A are those of core padded with
-    zeros to n."""
+def _svd_reduce(A: np.ndarray, sign: float = 1.0):
+    """The exact reductions `svdvals` applies before any dense work, to the
+    matrix sign*A (sign = +-1) without forming it: either (values, None) from
+    the banded path, or (None, core) with core the rows and columns of sign*A
+    that hold a nonzero entry, real when its imaginary part is exactly zero.
+    The singular values of A are those of core padded with zeros to n."""
     nonzero = A != 0
-    s = _banded_svdvals(A, nonzero)
+    s = _banded_svdvals(A, nonzero, sign)
     if s is not None:
         return s, None
     rows = np.flatnonzero(nonzero.any(axis=1))
     cols = np.flatnonzero(nonzero.any(axis=0))
     core = A if rows.size == cols.size == A.shape[0] else A[np.ix_(rows, cols)]
-    return None, core if core.imag.any() else core.real
+    core = core if core.imag.any() else core.real
+    return None, core if sign > 0 else -core
 
 
 def _pad(s: np.ndarray, n: int) -> np.ndarray:
@@ -231,6 +244,16 @@ def svdvals(A: np.ndarray) -> np.ndarray:
     return s if core is None else _dense_svdvals(core, A.shape[0])
 
 
+def _diagonal_constant(col: np.ndarray, row_tail: np.ndarray) -> np.ndarray:
+    """The n x n matrix whose first column is `col` and whose first row is
+    col[0] followed by `row_tail`, constant along each diagonal: a strided
+    view of one vector [col reversed, row_tail], copied."""
+    n = col.size
+    vals = np.concatenate((col[::-1], row_tail))
+    step = vals.strides[0]
+    return as_strided(vals[n - 1 :], shape=(n, n), strides=(-step, step)).copy()
+
+
 def toeplitz(f: TrigPoly, n: int) -> np.ndarray:
     """Toeplitz matrix [f_{i-j}]: banded with bandwidth = degree of f."""
     if n < 1:
@@ -241,7 +264,7 @@ def toeplitz(f: TrigPoly, n: int) -> np.ndarray:
     for s in range(min(d, n - 1) + 1):
         col[s] = f.coeff(s)
         row[s] = f.coeff(-s)
-    return scipy.linalg.toeplitz(col, row)
+    return _diagonal_constant(col, row[1:])
 
 
 def _grid_values(a: FuncExpr, m: int) -> np.ndarray:
@@ -278,7 +301,7 @@ def circulant(f: TrigPoly, n: int) -> np.ndarray:
     col = np.zeros(n, dtype=complex)
     for k in range(-f.degree, f.degree + 1):
         col[k % n] = f.coeff(k)
-    return scipy.linalg.circulant(col)
+    return _diagonal_constant(col, col[:0:-1])
 
 
 def _circulant_eigs(f: TrigPoly, n: int) -> np.ndarray:
@@ -306,6 +329,18 @@ def fourier_matrix(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(j, j) / n) / math.sqrt(n)
 
 
+def _block_diag(lay: BlockLayout, blocks, tail=0.0) -> np.ndarray:
+    """The n x n complex matrix with the m `blocks` (block x block) down its
+    diagonal, then the t x t `tail`, zero elsewhere; each block is copied
+    into its slice as it comes."""
+    out = np.zeros((lay.n, lay.n), dtype=complex)
+    for i, B in enumerate(blocks):
+        span = slice(i * lay.block, (i + 1) * lay.block)
+        out[span, span] = B
+    out[lay.n - lay.t :, lay.n - lay.t :] = tail
+    return out
+
+
 def _lt_parts(a: FuncExpr, f: TrigPoly, n: int):
     if n < 4:
         raise DomainError("locally Toeplitz operator needs n >= 4")
@@ -316,7 +351,7 @@ def _lt_parts(a: FuncExpr, f: TrigPoly, n: int):
 def lt_op(a: FuncExpr, f: TrigPoly, n: int) -> np.ndarray:
     """Locally Toeplitz operator: blocks a(i/m) T_block(f), then a zero block."""
     lay, T, vals = _lt_parts(a, f, n)
-    return scipy.linalg.block_diag(*(v * T for v in vals), np.zeros((lay.t, lay.t)))
+    return _block_diag(lay, (v * T for v in vals))
 
 
 def _lt_svals(a: FuncExpr, f: TrigPoly, n: int) -> np.ndarray:
@@ -345,7 +380,7 @@ def lc_op(a: FuncExpr, f: TrigPoly, n: int) -> np.ndarray:
     """
     lay, vals = _lc_parts(a, f, n)
     C = circulant(f, lay.block)
-    return scipy.linalg.block_diag(*(v * C for v in vals), np.zeros((lay.t, lay.t)))
+    return _block_diag(lay, (v * C for v in vals))
 
 
 def _lc_eigs(a: FuncExpr, f: TrigPoly, n: int) -> np.ndarray:
@@ -362,7 +397,7 @@ def q_block(n: int) -> np.ndarray:
         raise DomainError("block Fourier matrix needs n >= 4")
     lay = block_layout(n)
     F = fourier_matrix(lay.block)
-    return scipy.linalg.block_diag(*[F] * lay.m, np.eye(lay.t))
+    return _block_diag(lay, [F] * lay.m, np.eye(lay.t))
 
 
 def d_af(a: FuncExpr, f: TrigPoly, n: int) -> np.ndarray:

@@ -58,7 +58,8 @@ def p_svd(A):
 
 def p_svdvals(A):
     """p from `svdvals`, the route p_metric falls back to."""
-    s = svdvals(_phase_canonical(np.asarray(A, dtype=complex)))
+    B, sign = _phase_canonical(np.asarray(A, dtype=complex))
+    s = svdvals(sign * B)
     n = s.size
     return float((np.arange(n + 1) / n + np.append(s, 0.0)).min())
 
@@ -216,6 +217,38 @@ class TestPMetric:
     def test_sign_symmetry_exact_on_toeplitz_minus_circulant(self, n):
         A = toeplitz(F_REAL, n) - circulant(F_REAL, n)
         assert p_metric(A) == p_metric(-A)
+
+    @staticmethod
+    def phase_operand(kind, n):
+        """A matrix whose largest entry is real positive, real negative or
+        complex; n = 640 gives a narrow band that takes the banded path."""
+        rng = np.random.default_rng(n)
+        if n == 640:
+            coeffs = rng.standard_normal(5)
+            A = toeplitz(TrigPoly(coeffs + 1j if kind == "complex" else coeffs), n)
+        else:
+            A = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n))
+                                               if kind == "complex" else 0)
+        top = A.flat[np.argmax(np.abs(A))]
+        return A * (-1 if (top.real < 0) != (kind == "real-negative-max") else 1)
+
+    @pytest.mark.parametrize("n", [9, 64, 640])
+    @pytest.mark.parametrize("kind", ["real", "real-negative-max", "complex"])
+    def test_global_phase(self, kind, n):
+        A = self.phase_operand(kind, n)
+        p = p_metric(A)
+        assert p_metric(-A) == p
+        for phi in (0.3, 1.0, 2.5):
+            assert p_metric(np.exp(1j * phi) * A) == pytest.approx(p, rel=1e-13, abs=1e-15)
+        assert p == pytest.approx(p_svd(A), rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("top", [2.0, -2.0])
+    def test_real_phase_rotates_without_a_copy(self, top):
+        A = np.random.default_rng(1).uniform(-1, 1, (6, 6)).astype(complex)
+        A[2, 3] = top
+        B, sign = _phase_canonical(A)
+        assert B is A
+        assert sign == np.sign(top)
 
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])

@@ -157,6 +157,22 @@ class TestConfigValidation:
         assert out == ""
         assert "sizes must be positive" in err
 
+    @pytest.mark.parametrize("sizes", ["600, abc", "abc, 600", "1e3, 2e3"])
+    def test_bad_sizes_in_a_later_experiment(self, tmp_path, sizes):
+        # the band-solver pre-load reads sizes first and must leave bad text to the runner
+        cfg = write_config(
+            tmp_path,
+            "[global]\nseed = 1\n\n[first]\nkind = symbol-check\n"
+            "sequence = identity\nsymbol = 1\nsizes = 8, 16\n\n[later]\nkind = symbol-check\n"
+            f"sequence = identity\nsymbol = 1\nsizes = {sizes}\n",
+        )
+        bad = next(s for s in sizes.replace(" ", "").split(",") if not s.isdigit())
+        code, out, err = run_cli(["run", cfg])
+        assert code == 2
+        assert out == ""
+        assert err == (f"config error: bad sizes {sizes!r}: "
+                       f"invalid literal for int() with base 10: {bad!r}\n")
+
     @pytest.mark.parametrize("grid", ["0", "-4", "0x8"])
     def test_nonpositive_grid_rejected(self, tmp_path, grid):
         cfg = write_config(

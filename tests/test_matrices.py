@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from glt_lab import (
     DomainError,
@@ -165,6 +168,85 @@ class TestBuildersMatchDenseFormulas:
             glt_product_seq(expr)(0)
         with pytest.raises(EvalError, match="non-finite at x=0.5"):
             glt_product_seq(expr)(4)
+
+
+class TestBuildersMatchScipy:
+    """The numpy builders against the scipy constructions they replaced,
+    entry for entry."""
+
+    F_BUILDER = [
+        TrigPoly.from_coeff_map({-2: 0.4, -1: 1.1, 0: 1.0, 1: 0.9, 2: -0.4}),
+        TrigPoly.from_coeff_map({-2: 1j, -1: -2, 1: 3.5, 2: -0.5 - 1e-3j}),
+    ]
+    A_BUILDER = [parse_expr("1+x^2", "a"), parse_expr("x+i*x^2", "a")]
+
+    @staticmethod
+    def random_poly(degree, complex_coeffs):
+        rng = np.random.default_rng(degree)
+        c = rng.standard_normal(2 * degree + 1)
+        return TrigPoly(c + 1j * rng.standard_normal(c.size) if complex_coeffs else c)
+
+    @staticmethod
+    def scipy_toeplitz(f, n):
+        col = np.array([f.coeff(k) for k in range(n)], dtype=complex)
+        row = np.array([f.coeff(-k) for k in range(n)], dtype=complex)
+        return scipy.linalg.toeplitz(col, row)
+
+    @staticmethod
+    def scipy_circulant(f, n):
+        col = np.zeros(n, dtype=complex)
+        for k in range(-f.degree, f.degree + 1):
+            col[k % n] = f.coeff(k)
+        return scipy.linalg.circulant(col)
+
+    @staticmethod
+    def grid(a, m):
+        nodes = np.arange(1, m + 1) / m
+        return np.broadcast_to(a(x=nodes), nodes.shape).astype(complex)
+
+    @pytest.mark.parametrize("complex_coeffs", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("degree", [0, 1, 4, 40])
+    @pytest.mark.parametrize("n", [1, 2, 5, 33])
+    def test_toeplitz(self, n, degree, complex_coeffs):
+        # degree 4 and 40 reach n - 1 at the small sizes: the band fills the matrix
+        f = self.random_poly(degree, complex_coeffs)
+        assert np.array_equal(toeplitz(f, n), self.scipy_toeplitz(f, n))
+
+    @pytest.mark.parametrize("complex_coeffs", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("degree", [0, 1, 2, 16])
+    @pytest.mark.parametrize("extra", [1, 2, 33])
+    def test_circulant(self, degree, extra, complex_coeffs):
+        # extra = 1 is the smallest legal size, n = 2*degree + 1
+        f = self.random_poly(degree, complex_coeffs)
+        n = 2 * degree + extra
+        assert np.array_equal(circulant(f, n), self.scipy_circulant(f, n))
+
+    @pytest.mark.parametrize("n", [9, 16, 100, 10, 40, 34], ids=lambda n: f"n{n}-t{n % math.isqrt(n)}")
+    @pytest.mark.parametrize("k", [0, 1], ids=["real", "complex"])
+    def test_lt_op(self, n, k):
+        a, f = self.A_BUILDER[k], self.F_BUILDER[k]
+        lay = block_layout(n)
+        T = self.scipy_toeplitz(f, lay.block)
+        oracle = scipy.linalg.block_diag(*(v * T for v in self.grid(a, lay.m)),
+                                         np.zeros((lay.t, lay.t)))
+        assert np.array_equal(lt_op(a, f, n), oracle)
+
+    @pytest.mark.parametrize("n", [25, 100, 34, 40], ids=lambda n: f"n{n}-t{n % math.isqrt(n)}")
+    @pytest.mark.parametrize("k", [0, 1], ids=["real", "complex"])
+    def test_lc_op(self, n, k):
+        a, f = self.A_BUILDER[k], self.F_BUILDER[k]
+        lay = block_layout(n)
+        C = self.scipy_circulant(f, lay.block)
+        oracle = scipy.linalg.block_diag(*(v * C for v in self.grid(a, lay.m)),
+                                         np.zeros((lay.t, lay.t)))
+        assert np.array_equal(lc_op(a, f, n), oracle)
+
+    @pytest.mark.parametrize("n", [4, 9, 16, 5, 10, 40], ids=lambda n: f"n{n}-t{n % math.isqrt(n)}")
+    def test_q_block(self, n):
+        lay = block_layout(n)
+        F = fourier_matrix(lay.block)
+        oracle = scipy.linalg.block_diag(*[F] * lay.m, np.eye(lay.t))
+        assert np.array_equal(q_block(n), oracle)
 
 
 class TestCirculantSpectrum:
