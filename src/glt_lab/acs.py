@@ -27,22 +27,17 @@ __all__ = [
 ]
 
 
-def _phase_canonical(A: np.ndarray) -> tuple:
-    """A rotated by the global phase that makes its largest entry real
-    positive, as a pair (B, sign) with sign*B the rotated matrix.  A phase of
-    exactly +-1 needs no copy: B is A itself and sign is that phase, which
-    `_svd_reduce` applies to the reduced operand.
+def _phase_canonical(A: np.ndarray) -> np.ndarray:
+    """Rotate A by a global phase making its largest entry real positive.
 
     Singular values are phase invariant; canonicalizing makes p(A) and p(-A)
     bitwise identical, so the induced pseudometric is exactly symmetric.
     """
-    v = A.flat[np.argmax(np.abs(A))]
+    idx = np.argmax(np.abs(A))
+    v = A.flat[idx]
     if v == 0:
-        return A, 1.0
-    phase = abs(v) / v
-    if phase == 1 or phase == -1:
-        return A, float(phase.real)
-    return A * phase, 1.0
+        return A
+    return A * (abs(v) / v)
 
 
 def _operand(A) -> np.ndarray:
@@ -113,7 +108,7 @@ def p_metric(A: np.ndarray) -> float:
     """
     A = _operand(A)
     n = A.shape[0]
-    s, core = _svd_reduce(*_phase_canonical(A))
+    s, core = _svd_reduce(_phase_canonical(A))
     if core is not None:
         s = _gram_svdvals(core, n)
         if s is None:

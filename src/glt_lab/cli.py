@@ -265,23 +265,25 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"seed must be an integer, got {seed!r}") from exc
     if not experiments:
         raise ConfigError("config defines no experiments")
-    # a run that may take the banded SVD path loads its solver with the
-    # config, not inside its first decomposition
-    if any(_reaches_band(exp.options.get("sizes", "")) for exp in experiments):
-        matrices._band_solver()
+    # a run whose sv ladders may take the banded SVD path loads its solver
+    # with the config, not inside its first decomposition
+    matrices._preload_band_solver(max(map(_largest_sv_size, experiments)))
     return RunConfig(seed, output, experiments)
 
 
-def _reaches_band(sizes: str) -> bool:
-    """Whether a `sizes` value names a size the banded SVD path accepts.
-    Entries that are not integers are skipped: the runner reports them."""
-    for text in sizes.replace(" ", "").split(","):
-        try:
-            if int(text) >= matrices._BAND_MIN_N:
-                return True
-        except ValueError:
-            pass
-    return False
+def _largest_sv_size(exp: Experiment) -> int:
+    """The largest size of an sv `symbol-check`, else 0.  Those ladders are
+    where the banded SVD path runs.  Other kinds take eigenvalues or the
+    p-metric of differences such as T_n - C_n and glt - lc, whose entries lie
+    far from the diagonal; an acs of two banded sequences loads the solver on
+    its first banded call.  Sizes the runner will reject count as 0, so it
+    still reports them."""
+    if exp.kind != "symbol-check" or exp.options.get("mode", "sv") != "sv":
+        return 0
+    try:
+        return max(_parse_sizes(exp.options.get("sizes", "")))
+    except ConfigError:
+        return 0
 
 
 def _require(opts: dict, key: str, section: str) -> str:

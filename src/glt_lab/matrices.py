@@ -4,7 +4,8 @@ All generators return dense complex n x n arrays and are pure: the same size
 always yields the same matrix.  The locally-structured operators split n into
 m = floor(sqrt(n)) blocks of size floor(n/m) plus a trailing zero block.
 numpy builds every family; scipy is imported only by `_band_solver`, the
-first time a matrix takes the banded SVD path of `svdvals`.
+first time a matrix takes the banded SVD path of `svdvals`, or earlier through
+`_preload_band_solver` when `glt-lab run` reads a config that may take it.
 """
 
 from __future__ import annotations
@@ -156,10 +157,16 @@ def _band_solver():
     return scipy.linalg.eigvals_banded
 
 
-def _banded_svdvals(A: np.ndarray, nonzero: np.ndarray, sign: float = 1.0):
-    """The singular values of sign*A (sign = +-1) through its Jordan-Wielandt
-    matrix, or None when A is too small or too wide for that to beat a dense
-    SVD.  `nonzero` is the mask A != 0.
+def _preload_band_solver(n: int) -> None:
+    """Import the band solver now if an n x n matrix may take the banded path."""
+    if n >= _BAND_MIN_N:
+        _band_solver()
+
+
+def _banded_svdvals(A: np.ndarray, nonzero: np.ndarray):
+    """The singular values of a square A through its Jordan-Wielandt matrix,
+    or None when A is too small or too wide for that to beat a dense SVD.
+    `nonzero` is the mask A != 0.
 
     The eigenvalues of [[0, A], [A^H, 0]] are +-sigma_i.  Interleaving the
     two halves (row i of A -> 2i, column j -> 2j+1) makes it a Hermitian band
@@ -192,8 +199,6 @@ def _banded_svdvals(A: np.ndarray, nonzero: np.ndarray, sign: float = 1.0):
             band[2 * k - 1, 1 : 2 * (n - k) : 2] = np.diagonal(M, -k)
     if not np.isfinite(band).all():
         raise NumericalError("SVD failed: matrix has non-finite entries")
-    if sign < 0:
-        np.negative(band, out=band)
     try:
         w = _band_solver()(band, lower=True, overwrite_a_band=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
@@ -202,21 +207,20 @@ def _banded_svdvals(A: np.ndarray, nonzero: np.ndarray, sign: float = 1.0):
     return np.maximum(w[: n - 1 : -1], 0.0)
 
 
-def _svd_reduce(A: np.ndarray, sign: float = 1.0):
-    """The exact reductions `svdvals` applies before any dense work, to the
-    matrix sign*A (sign = +-1) without forming it: either (values, None) from
-    the banded path, or (None, core) with core the rows and columns of sign*A
-    that hold a nonzero entry, real when its imaginary part is exactly zero.
-    The singular values of A are those of core padded with zeros to n."""
+def _svd_reduce(A: np.ndarray):
+    """The exact reductions `svdvals` applies before any dense work: either
+    (values, None) from the banded path, or (None, core) with core the rows
+    and columns of A that hold a nonzero entry, real when its imaginary part
+    is exactly zero.  The singular values of A are those of core padded with
+    zeros to n."""
     nonzero = A != 0
-    s = _banded_svdvals(A, nonzero, sign)
+    s = _banded_svdvals(A, nonzero)
     if s is not None:
         return s, None
     rows = np.flatnonzero(nonzero.any(axis=1))
     cols = np.flatnonzero(nonzero.any(axis=0))
     core = A if rows.size == cols.size == A.shape[0] else A[np.ix_(rows, cols)]
-    core = core if core.imag.any() else core.real
-    return None, core if sign > 0 else -core
+    return None, core if core.imag.any() else core.real
 
 
 def _pad(s: np.ndarray, n: int) -> np.ndarray:

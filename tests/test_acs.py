@@ -58,8 +58,7 @@ def p_svd(A):
 
 def p_svdvals(A):
     """p from `svdvals`, the route p_metric falls back to."""
-    B, sign = _phase_canonical(np.asarray(A, dtype=complex))
-    s = svdvals(sign * B)
+    s = svdvals(_phase_canonical(np.asarray(A, dtype=complex)))
     n = s.size
     return float((np.arange(n + 1) / n + np.append(s, 0.0)).min())
 
@@ -241,14 +240,6 @@ class TestPMetric:
         for phi in (0.3, 1.0, 2.5):
             assert p_metric(np.exp(1j * phi) * A) == pytest.approx(p, rel=1e-13, abs=1e-15)
         assert p == pytest.approx(p_svd(A), rel=1e-12, abs=1e-14)
-
-    @pytest.mark.parametrize("top", [2.0, -2.0])
-    def test_real_phase_rotates_without_a_copy(self, top):
-        A = np.random.default_rng(1).uniform(-1, 1, (6, 6)).astype(complex)
-        A[2, 3] = top
-        B, sign = _phase_canonical(A)
-        assert B is A
-        assert sign == np.sign(top)
 
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])

@@ -1,5 +1,5 @@
-"""scipy stays off the import path: it loads with a config that reaches the
-banded SVD path, or on the first banded call, and nowhere else.
+"""scipy stays off the import path: it loads with a config whose sv ladders
+reach the banded SVD path, or on the first banded call, and nowhere else.
 
 Each check runs in a fresh interpreter, since this one already holds scipy.
 """
@@ -36,13 +36,22 @@ def test_import_leaves_scipy_out(module):
     assert out == {"scipy": False}
 
 
-@pytest.mark.parametrize("sizes, loads", [("128, 256, 511", False), ("128, 256, 512", True),
-                                          ("16, 600, oops", True)])
-def test_load_config_loads_the_band_solver_from_size_512(tmp_path, sizes, loads):
+SV_CHECK = "kind = symbol-check\nsequence = identity\nsymbol = 1\n"
+
+
+@pytest.mark.parametrize("later, loads", [
+    (SV_CHECK + "sizes = 128, 256, 511", False),
+    (SV_CHECK + "sizes = 128, 256, 512", True),
+    (SV_CHECK + "mode = sv\nsizes = 512", True),
+    (SV_CHECK + "mode = eig\nsizes = 512, 1024", False),
+    ("kind = acs\nsequence_a = toeplitz(2*cos(theta))\n"
+     "sequence_b = circulant(2*cos(theta))\nsizes = 512", False),
+    ("kind = normal-form\nterms = 1 | 2*cos(theta)\nsizes = 576", False),
+], ids=["sv-511", "sv-512", "explicit-sv-512", "eig-1024", "acs-512", "normal-form-576"])
+def test_load_config_loads_the_band_solver_for_sv_ladders_from_512(tmp_path, later, loads):
     cfg = tmp_path / "exp.ini"
-    cfg.write_text("[global]\nseed = 1\n\n[small]\nkind = symbol-check\nsequence = identity\n"
-                   "symbol = 1\nsizes = 8, 16\n\n[later]\nkind = symbol-check\n"
-                   f"sequence = identity\nsymbol = 1\nsizes = {sizes}\n", encoding="utf-8")
+    cfg.write_text(f"[global]\nseed = 1\n\n[small]\n{SV_CHECK}sizes = 8, 16\n\n"
+                   f"[later]\n{later}\n", encoding="utf-8")
     out = run_python(f"""
         import json, sys
         from glt_lab.cli import load_config
