@@ -27,17 +27,15 @@ __all__ = [
 ]
 
 
-def _phase_canonical(A: np.ndarray) -> np.ndarray:
-    """Rotate A by a global phase making its largest entry real positive.
+def _phase(A: np.ndarray) -> complex:
+    """The global phase abs(v)/v that makes A's largest entry v real positive
+    (1 when A = 0).
 
-    Singular values are phase invariant; canonicalizing makes p(A) and p(-A)
+    Singular values are phase invariant; rotating by it makes p(A) and p(-A)
     bitwise identical, so the induced pseudometric is exactly symmetric.
     """
-    idx = np.argmax(np.abs(A))
-    v = A.flat[idx]
-    if v == 0:
-        return A
-    return A * (abs(v) / v)
+    v = A.flat[np.argmax(np.abs(A))]
+    return 1 + 0j if v == 0 else abs(v) / v
 
 
 def _operand(A) -> np.ndarray:
@@ -108,7 +106,15 @@ def p_metric(A: np.ndarray) -> float:
     """
     A = _operand(A)
     n = A.shape[0]
-    s, core = _svd_reduce(_phase_canonical(A))
+    phase = _phase(A)
+    if A.imag.any():
+        # rotate first: a rotation can leave a complex operand real (i*R)
+        s, core = _svd_reduce(A * phase)
+    else:
+        # the phase of a real v has an imaginary part of exactly 0, so the
+        # rotated operand is phase.real * A bit for bit: scale the reduced
+        # core or band by it instead of copying A
+        s, core = _svd_reduce(A, phase.real)
     if core is not None:
         s = _gram_svdvals(core, n)
         if s is None:

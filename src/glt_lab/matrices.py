@@ -163,10 +163,10 @@ def _preload_band_solver(n: int) -> None:
         _band_solver()
 
 
-def _banded_svdvals(A: np.ndarray, nonzero: np.ndarray):
-    """The singular values of a square A through its Jordan-Wielandt matrix,
-    or None when A is too small or too wide for that to beat a dense SVD.
-    `nonzero` is the mask A != 0.
+def _banded_svdvals(A: np.ndarray, nonzero: np.ndarray, scale: float = 1.0):
+    """The singular values of scale * A, for a square A and a real scale,
+    through its Jordan-Wielandt matrix, or None when A is too small or too
+    wide for that to beat a dense SVD.  `nonzero` is the mask A != 0.
 
     The eigenvalues of [[0, A], [A^H, 0]] are +-sigma_i.  Interleaving the
     two halves (row i of A -> 2i, column j -> 2j+1) makes it a Hermitian band
@@ -197,6 +197,8 @@ def _banded_svdvals(A: np.ndarray, nonzero: np.ndarray):
         band[2 * k + 1, 0 : 2 * (n - k) : 2] = np.diagonal(M, k).conj()
         if k:
             band[2 * k - 1, 1 : 2 * (n - k) : 2] = np.diagonal(M, -k)
+    if scale != 1:
+        band *= scale
     if not np.isfinite(band).all():
         raise NumericalError("SVD failed: matrix has non-finite entries")
     try:
@@ -207,20 +209,23 @@ def _banded_svdvals(A: np.ndarray, nonzero: np.ndarray):
     return np.maximum(w[: n - 1 : -1], 0.0)
 
 
-def _svd_reduce(A: np.ndarray):
-    """The exact reductions `svdvals` applies before any dense work: either
-    (values, None) from the banded path, or (None, core) with core the rows
-    and columns of A that hold a nonzero entry, real when its imaginary part
-    is exactly zero.  The singular values of A are those of core padded with
-    zeros to n."""
+def _svd_reduce(A: np.ndarray, scale: float = 1.0):
+    """The exact reductions `svdvals` applies before any dense work, to
+    scale * A for a real scale: either (values, None) from the banded path,
+    or (None, core) with core the rows and columns of A that hold a nonzero
+    entry, real when its imaginary part is exactly zero, times scale.  The
+    singular values of scale * A are those of core padded with zeros to n.
+    A scale other than 1 costs one copy of the reduced core or band, not of
+    A."""
     nonzero = A != 0
-    s = _banded_svdvals(A, nonzero)
+    s = _banded_svdvals(A, nonzero, scale)
     if s is not None:
         return s, None
     rows = np.flatnonzero(nonzero.any(axis=1))
     cols = np.flatnonzero(nonzero.any(axis=0))
     core = A if rows.size == cols.size == A.shape[0] else A[np.ix_(rows, cols)]
-    return None, core if core.imag.any() else core.real
+    core = core if core.imag.any() else core.real
+    return None, core if scale == 1 else core * scale
 
 
 def _pad(s: np.ndarray, n: int) -> np.ndarray:

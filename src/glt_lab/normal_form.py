@@ -19,8 +19,7 @@ from .errors import DomainError, HermitianError, NumericalError
 from .matrices import (
     MatrixSeq,
     _check_ladder,
-    _grid_values,
-    block_layout,
+    _lc_parts,
     circulant,
     d_af,
     glt_product_seq,
@@ -59,10 +58,11 @@ NORMALITY_TOL = 1e-10
 @dataclass(frozen=True)
 class NormalForm:
     """Unitary Q and diagonal D with Q^H D Q normal and acs-close to the
-    generating diagonal-times-Toeplitz sum."""
+    generating diagonal-times-Toeplitz sum.  `matrix()` reads only `source`
+    and `n`, so `normal_form_seq` leaves q and d as None."""
 
-    q: np.ndarray
-    d: np.ndarray
+    q: np.ndarray | None
+    d: np.ndarray | None
     source: GltExpr
     n: int
 
@@ -71,12 +71,13 @@ class NormalForm:
         times, then I_t) and F^H diag(f(2 pi k/block)) F = C_block(f), so
         block j is sum_i a_i(j/m) C_block(f_i) and the trailing t x t block
         is zero.  Exactly real when every a_i is real on the grid and every
-        f_i has real Fourier coefficients."""
-        lay = block_layout(self.n)
+        f_i has real Fourier coefficients.  Each term is checked as d_af
+        checks it, so this raises d_af's errors, term by term."""
         M = np.zeros((self.n, self.n), dtype=complex)
         for a, f in self.source.terms:
+            lay, vals = _lc_parts(a, f, self.n)
             C = circulant(f, lay.block)
-            for j, v in enumerate(_grid_values(a, lay.m)):
+            for j, v in enumerate(vals):
                 lo = j * lay.block
                 M[lo : lo + lay.block, lo : lo + lay.block] += v * C
         return M
@@ -85,19 +86,30 @@ class NormalForm:
         return np.diag(self.d)
 
 
-def normal_form(expr: GltExpr, n: int) -> NormalForm:
-    """Build Q = block Fourier and D = sum_i d_af(a_i, f_i, n)."""
+def _check_normal_form_size(n: int) -> None:
     if n < 4:
         raise DomainError("normal form needs n >= 4")
+
+
+def normal_form(expr: GltExpr, n: int) -> NormalForm:
+    """Build Q = block Fourier and D = sum_i d_af(a_i, f_i, n)."""
+    _check_normal_form_size(n)
     D = np.zeros((n, n), dtype=complex)
     for a, f in expr.terms:
         D += d_af(a, f, n)
     return NormalForm(q_block(n), D, expr, n)
 
 
+def _normal_form_matrix(expr: GltExpr, n: int) -> np.ndarray:
+    """normal_form(expr, n).matrix(), with its errors in the same order,
+    without the dense Q and D that matrix() does not read."""
+    _check_normal_form_size(n)
+    return NormalForm(None, None, expr, n).matrix()
+
+
 def normal_form_seq(expr: GltExpr) -> MatrixSeq:
     """The normal sequence n -> Q^H D Q for a separable symbol."""
-    return MatrixSeq("normal-form", lambda n: normal_form(expr, n).matrix(), symbol=expr)
+    return MatrixSeq("normal-form", lambda n: _normal_form_matrix(expr, n), symbol=expr)
 
 
 def diagonal_factor_seq(expr: GltExpr) -> MatrixSeq:

@@ -22,9 +22,9 @@ from glt_lab import (
     toeplitz_seq,
     zero_seq,
 )
-from glt_lab import acs
-from glt_lab.acs import _phase_canonical
-from glt_lab.matrices import svdvals
+from glt_lab import acs, matrices
+from glt_lab.cli import build_sequence
+from glt_lab.matrices import _svd_reduce, svdvals
 from glt_lab.normal_form import normal_form
 from glt_lab.symbols import GltExpr
 
@@ -56,9 +56,29 @@ def p_svd(A):
     return float((np.arange(n + 1) / n + np.append(s, 0.0)).min())
 
 
+def phase_canonical(A):
+    """A rotated by abs(v)/v, v its largest entry: a complex copy of the whole
+    operand, real-valued or not."""
+    v = A.flat[np.argmax(np.abs(A))]
+    return A if v == 0 else A * (abs(v) / v)
+
+
+def p_rotated_copy(A):
+    """p_metric's reductions and routes applied to a rotated copy of A: the
+    oracle of the real-valued route, which scales the reduced core instead."""
+    A = np.asarray(A, dtype=complex)
+    n = A.shape[0]
+    s, core = _svd_reduce(phase_canonical(A))
+    if core is not None:
+        s = acs._gram_svdvals(core, n)
+        if s is None:
+            s = acs._dense_svdvals(core, n)
+    return float(acs._objective(s).min())
+
+
 def p_svdvals(A):
     """p from `svdvals`, the route p_metric falls back to."""
-    s = svdvals(_phase_canonical(np.asarray(A, dtype=complex)))
+    s = svdvals(phase_canonical(np.asarray(A, dtype=complex)))
     n = s.size
     return float((np.arange(n + 1) / n + np.append(s, 0.0)).min())
 
@@ -169,6 +189,62 @@ class TestGramRoute:
         A = scale * with_spectrum(np.linspace(1.0, 0.5, 20))
         assert p_metric(A) == p_svdvals(A)
         assert route == ["dense"]
+
+
+# the seed-0 small-sweep acs operand: real-valued, and the phase of its
+# largest entry is abs(v)/v = -(1 - 2^-53), one ulp off -1
+GLT_LC_0 = "1.0576 + 1.2063*x^2 | 0.8537 + 1.2049*cos(theta) + 0.3518*i*sin(2*theta)"
+
+
+class TestRealValuedRoute:
+    """A real-valued operand is scaled by phase.real after its reduction;
+    the values must equal those of a rotated complex copy bit for bit."""
+
+    @staticmethod
+    def operand(kind, n):
+        rng = np.random.default_rng(n)
+        if kind == "negative-max":
+            A = rng.standard_normal((n, n))
+            return A * -np.sign(A.flat[np.argmax(np.abs(A))])
+        if kind == "glt-lc":
+            return build_sequence(f"glt({GLT_LC_0})")(n) - build_sequence(f"lc({GLT_LC_0})")(n)
+        if kind == "banded":
+            # the largest entry -0.47 has the phase -(1 - 2^-53), and p = sigma_1
+            # moves by an ulp if the band is not scaled by it
+            return toeplitz(TrigPoly.from_coeff_map({-1: 0.003, 0: -0.47, 1: 0.007}), n)
+        return 1j * rng.standard_normal((n, n))  # i*R: made real by its rotation
+
+    CASES = [("negative-max", 64), ("glt-lc", 36), ("glt-lc", 64), ("glt-lc", 121),
+             ("banded", 512), ("i-real", 64)]
+
+    @pytest.mark.parametrize("kind, n", CASES)
+    def test_bitwise_equal_to_a_rotated_copy(self, kind, n, monkeypatch):
+        A = self.operand(kind, n)
+        banded = []
+        solver = matrices._band_solver
+        monkeypatch.setattr(matrices, "_band_solver", lambda: banded.append(n) or solver())
+        p = p_metric(A)
+        assert p == p_rotated_copy(A)
+        assert p_metric(-A) == p
+        assert p == pytest.approx(p_svd(A), rel=1e-12, abs=1e-14)
+        assert bool(banded) == (kind == "banded")
+
+    @pytest.mark.parametrize("kind, n", [("glt-lc", 36), ("glt-lc", 64), ("glt-lc", 121),
+                                         ("banded", 512)])
+    def test_phase_is_one_ulp_off(self, kind, n):
+        A = np.asarray(self.operand(kind, n), dtype=complex)
+        v = A.flat[np.argmax(np.abs(A))]
+        phase = abs(v) / v
+        assert not A.imag.any() and phase.imag == 0
+        assert abs(phase.real) == 1 - 2.0**-53
+
+    @pytest.mark.parametrize("n", [256, 400])
+    def test_no_copy_of_a_real_valued_operand(self, n, traced_peak):
+        # a rotated complex copy alone is 16 n^2 bytes; the route keeps one
+        # real copy of the core and its Gram matrix, 8 n^2 bytes each
+        A = self.operand("glt-lc", n)
+        assert not A.imag.any() and A.real.flat[np.argmax(np.abs(A))] < 0
+        assert traced_peak(p_metric, A) < 24 * n * n
 
 
 class TestPMetric:

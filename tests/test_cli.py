@@ -472,6 +472,24 @@ class TestNumericalFailureRows:
         assert rows[1][5] == "FAIL"
 
 
+    @pytest.mark.parametrize("terms, sizes, message", [
+        ("x | 2*cos(theta)", "3, 16", "normal form needs n >= 4"),
+        ("x | 2*cos(5*theta)", "16, 36", "block size 4 must exceed 2*degree=10 at n=16"),
+        ("x | 2*cos(theta) ; 1/(x-0.25) | 2*cos(theta)", "16, 36",
+         "'1/(x-0.25)' is non-finite at x=0.25"),
+    ])
+    def test_invalid_normal_form_becomes_fail_row(self, tmp_path, terms, sizes, message):
+        cfg = write_config(
+            tmp_path,
+            f"[global]\nseed = 1\n\n[nf]\nkind = normal-form\nterms = {terms}\n"
+            f"sizes = {sizes}\n",
+        )
+        code, out, _ = run_cli(["run", cfg])
+        assert code == 1
+        assert list(csv.reader(io.StringIO(out)))[1] == ["nf", "0", f"error[{message}]", "0", "",
+                                                         "FAIL"]
+
+
 class TestToleranceOverride:
     def test_override_can_force_failure(self, tmp_path):
         cfg = write_config(

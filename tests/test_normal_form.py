@@ -4,6 +4,7 @@ from scipy.optimize import linear_sum_assignment
 
 from glt_lab import (
     DomainError,
+    EvalError,
     GltExpr,
     HermitianError,
     TrigPoly,
@@ -26,7 +27,7 @@ from glt_lab import (
     verify_normal_form,
 )
 from glt_lab.matrices import MatrixSeq, d_af, diag_sampling, toeplitz
-from glt_lab.normal_form import _canonical_svd, _pushed_seq
+from glt_lab.normal_form import _canonical_svd, _pushed_seq, normal_form_seq
 from glt_lab.spectra import singular_values
 
 TWO_COS = TrigPoly.from_coeff_map({1: 1, -1: 1})
@@ -101,6 +102,57 @@ class TestNormalForm:
         nf2 = normal_form(GltExpr(((X, TWO_COS),)), 16)
         np.testing.assert_array_equal(nf1.q, nf2.q)
         np.testing.assert_array_equal(nf1.q, q_block(16))
+
+
+# one and two terms; real and complex f; real and complex a
+NF_TERMS = {
+    "real": ((X, TWO_COS),),
+    "complex-f": ((X, TrigPoly.from_coeff_map({-1: 0.5, 0: 1, 1: 0.5 + 0.25j})),),
+    "two-real": ((X, TWO_COS), (parse_expr("exp(0.4*x)", "a"), TrigPoly.from_coeff_map({0: 1, 1: -0.4}))),
+    "two-complex": ((parse_expr("1+0.9*x^2", "a"), TWO_COS), (parse_expr("x+2*i", "a"), SHIFT)),
+}
+WIDE = TrigPoly.from_coeff_map({5: 1, -5: 1})  # 2*cos(5*theta)
+POLE = parse_expr("1/(x-0.5)", "a")
+
+
+class TestNormalFormSeq:
+    """normal_form_seq builds Q^H D Q from the symbol alone, without the
+    dense Q and D that normal_form holds."""
+
+    # t = n - m*block is 0 at 16, 20 and 36, and 4 at 40
+    @pytest.mark.parametrize("n", [16, 20, 36, 40])
+    @pytest.mark.parametrize("terms", NF_TERMS.values(), ids=NF_TERMS.keys())
+    def test_matches_normal_form_and_the_dense_conjugation(self, terms, n):
+        expr = GltExpr(terms)
+        nf = normal_form(expr, n)
+        M = normal_form_seq(expr)(n)
+        assert np.array_equal(M, nf.matrix())
+        np.testing.assert_allclose(M, nf.q.conj().T @ nf.d @ nf.q, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("terms, n, error, message", [
+        (((X, TWO_COS),), 3, DomainError, "normal form needs n >= 4"),
+        (((X, WIDE),), 16, DomainError, "block size 4 must exceed 2*degree=10 at n=16"),
+        (((POLE, TWO_COS),), 16, EvalError, "'1/(x-0.5)' is non-finite at x=0.5"),
+        # term by term, and within a term the block size before the grid
+        (((X, WIDE), (POLE, TWO_COS)), 16, DomainError,
+         "block size 4 must exceed 2*degree=10 at n=16"),
+        (((POLE, TWO_COS), (X, WIDE)), 16, EvalError, "'1/(x-0.5)' is non-finite at x=0.5"),
+        (((X, TWO_COS), (POLE, WIDE)), 16, DomainError,
+         "block size 4 must exceed 2*degree=10 at n=16"),
+    ], ids=["n<4", "block<=2deg", "pole", "block-then-pole", "pole-then-block",
+            "block-before-pole"])
+    def test_errors_match_normal_form(self, terms, n, error, message):
+        expr = GltExpr(terms)
+        for build in (lambda: normal_form(expr, n), lambda: normal_form_seq(expr)(n)):
+            with pytest.raises(error) as info:
+                build()
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("n", [256, 400])
+    def test_builds_no_dense_q_or_d(self, n, traced_peak):
+        # the matrix alone is 16 n^2 bytes; Q and D would add 16 n^2 each
+        seq = normal_form_seq(GltExpr(NF_TERMS["two-real"]))
+        assert traced_peak(seq, n) < 24 * n * n
 
 
 class TestVerifyNormalForm:
