@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .matrices import (MatrixSeq, _check_ladder, _dense_svdvals, _pad, _square_finite,
-                       _svd_reduce)
+from .matrices import (MatrixSeq, _check_ladder, _complex_valued, _dense_svdvals, _pad,
+                       _square_finite, _svd_reduce)
 
 __all__ = [
     "SplitResult",
@@ -34,14 +34,17 @@ def _phase(A: np.ndarray) -> complex:
     Singular values are phase invariant; rotating by it makes p(A) and p(-A)
     bitwise identical, so the induced pseudometric is exactly symmetric.
     """
-    v = A.flat[np.argmax(np.abs(A))]
+    # complex even for a real dtype: abs(v)/v in complex arithmetic can land
+    # one ulp off +-1, and the two dtypes must agree bit for bit
+    v = np.complex128(A.flat[np.argmax(np.abs(A))])
     return 1 + 0j if v == 0 else abs(v) / v
 
 
 def _operand(A) -> np.ndarray:
-    """A as a complex array, once it is known to be square, non-empty and
-    finite."""
-    A = _square_finite(A)
+    """A as a float64 array when its dtype is real and a complex one
+    otherwise, once it is known to be square, non-empty and finite."""
+    A = np.asarray(A)
+    A = _square_finite(A, float if A.dtype.kind in "biuf" else complex)
     if A.size == 0:
         raise DomainError("matrix must be non-empty")
     return A
@@ -107,7 +110,7 @@ def p_metric(A: np.ndarray) -> float:
     A = _operand(A)
     n = A.shape[0]
     phase = _phase(A)
-    if A.imag.any():
+    if _complex_valued(A):
         # rotate first: a rotation can leave a complex operand real (i*R)
         s, core = _svd_reduce(A * phase)
     else:
@@ -138,7 +141,7 @@ class SplitResult:
 
 def optimal_split(A: np.ndarray) -> SplitResult:
     """Split at the argmin of the p objective via truncated SVD."""
-    A = _operand(A)
+    A = _operand(A).astype(complex, copy=False)
     try:
         U, s, Vh = np.linalg.svd(A)
     except np.linalg.LinAlgError as exc:
@@ -180,10 +183,17 @@ def acs_equivalent(seqA: MatrixSeq, seqB: MatrixSeq, sizes, tol: float):
     Returns (verdict, estimate).
     """
     est = _p_ladder(seqA, seqB, _check_ladder(sizes, 2))
-    ps = np.asarray(est.p_values)
     # the 1e-12 slack keeps roundoff from breaking ties on all-zero ladders
-    verdict = bool(est.rho_estimate < tol and ps[-1] <= np.median(ps) + 1e-12)
-    return verdict, est
+    verdict = est.rho_estimate < tol and est.p_values[-1] <= _median(est.p_values) + 1e-12
+    return bool(verdict), est
+
+
+def _median(values) -> float:
+    """The median of a few finite floats, equal bit for bit to np.median,
+    without the import of numpy.ma that np.median's first call makes."""
+    s = sorted(values)
+    mid = len(s) // 2
+    return s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2
 
 
 def diagonal_select(family, sizes):

@@ -3,9 +3,13 @@
 All generators return dense complex n x n arrays and are pure: the same size
 always yields the same matrix.  The locally-structured operators split n into
 m = floor(sqrt(n)) blocks of size floor(n/m) plus a trailing zero block.
-numpy builds every family; scipy is imported only by `_band_solver`, the
-first time a matrix takes the banded SVD path of `svdvals`, or earlier through
-`_preload_band_solver` when `glt-lab run` reads a config that may take it.
+numpy builds every family.  The banded SVD path of `svdvals` reduces a narrow
+band to a bidiagonal with LAPACK's ?gbbrd and takes its singular values by
+dqds (dlasq1), in O(n^2 b) and within eps*sigma_1 of the dense SVD.  Those
+routines are scipy's only use: `_band_solver` reaches them through the
+PyCapsules of scipy.linalg.cython_lapack and imports scipy the first time a
+matrix takes that path, or earlier through `_preload_band_solver` when
+`glt-lab run` reads a config that may take it.
 """
 
 from __future__ import annotations
@@ -128,9 +132,9 @@ def _check_ladder(sizes, minimum: int) -> tuple:
     return sizes
 
 
-def _square_finite(A) -> np.ndarray:
-    """A as a complex array, once it is known to be square and finite."""
-    A = np.asarray(A, dtype=complex)
+def _square_finite(A, dtype=complex) -> np.ndarray:
+    """A as an array of `dtype`, once it is known to be square and finite."""
+    A = np.asarray(A, dtype=dtype)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DomainError("matrix must be square")
     if not np.isfinite(A).all():
@@ -138,23 +142,89 @@ def _square_finite(A) -> np.ndarray:
     return A
 
 
+def _complex_valued(A: np.ndarray) -> bool:
+    """Whether A has a nonzero imaginary part (a real dtype has none, and its
+    `imag` would allocate a zero array)."""
+    return np.iscomplexobj(A) and bool(A.imag.any())
+
+
 # Crossover of the banded path, measured against a dense SVD of random band
-# matrices on a 2-vCPU VM (OpenBLAS 0.3.31).  It breaks even at n = 512 for
-# b = 3 real and b = 1-2 complex, and at n = 1024 for b ~ 16 real and b ~ 5
-# complex; it loses at n <= 256 whatever b.  The rule keeps a margin: n >= 512
-# and b <= n/160 real or n/320 complex (real b = 2: n = 512 0.046 -> 0.041 s,
-# 1024 0.35 -> 0.16 s, 2048 2.46 -> 0.63 s).
+# matrices on a 2-vCPU VM (OpenBLAS 0.3.31).  A complex band costs 1.2-3x a
+# real one and so does its dense SVD, so one rule serves both: n >= 512 and
+# b <= n/160.  The band wins 2-3x even at n = 256 (b = 2: 0.004 against
+# 0.010 s real), but saves less there than the 0.25 s import of scipy that
+# `_band_solver` costs once, so runs of small matrices never load it.  At the
+# widest accepted b it wins 4-5x: n = 512, b = 3 takes 0.015 against 0.055 s
+# real and 0.023 against 0.105 s complex; n = 1600, b = 10 takes 0.23 against
+# 1.09 s real and 0.49 against 2.30 s complex.  Wider bands keep a dense
+# route: at n = 1600, b = 40 (an acs difference's block width) the band takes
+# 0.84 s, the dense SVD 1.16 s and p_metric's Gram route 0.40 s.
 _BAND_MIN_N = 512
-_BAND_N_PER_B = {"real": 160, "complex": 320}
+_BAND_N_PER_B = 160
 
 
 def _band_solver():
-    """scipy's Hermitian band eigensolver.  Importing scipy.linalg costs about
-    0.25 s, so it happens here, on the first call: runs whose sizes stay below
-    _BAND_MIN_N never pay it."""
-    import scipy.linalg
+    """The singular values of an n x n band, as a function of its LAPACK
+    general-band storage ab (n x (2b+1), row j holding column j of A) and
+    its half-bandwidth b.
 
-    return scipy.linalg.eigvals_banded
+    LAPACK's ?gbbrd (dgbbrd real, zgbbrd complex; Kaufman's band
+    bidiagonalisation) reduces the band to a real bidiagonal in O(n^2 b), and
+    dlasq1 (dqds, Fernando and Parlett 1994) returns its singular values,
+    non-increasing, to high relative accuracy.  scipy.linalg.cython_lapack
+    exports the three routines as PyCapsules holding their C addresses, which
+    ctypes calls directly; scipy.linalg.lapack exposes none of them.
+    Importing scipy.linalg costs about 0.25 s, so it happens here, on the
+    first call: runs whose sizes stay below _BAND_MIN_N never pay it.
+    """
+    import ctypes
+
+    from scipy.linalg import cython_lapack
+
+    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+    def routine(name, *argtypes):
+        capsule = cython_lapack.__pyx_capi__[name]
+        address = capsule_pointer(capsule, capsule_name(capsule))
+        return ctypes.CFUNCTYPE(None, *argtypes)(address)
+
+    ch, i = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int)
+    d = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    z = np.ctypeslib.ndpointer(np.complex128, flags="C_CONTIGUOUS")
+    dgbbrd = routine("dgbbrd", ch, i, i, i, i, i, d, i, d, d, d, i, d, i, d, i, d, i)
+    zgbbrd = routine("zgbbrd", ch, i, i, i, i, i, z, i, d, d, z, i, z, i, z, i, z, d, i)
+    dlasq1 = routine("dlasq1", i, d, d, d, i)
+
+    def ref(v):
+        return ctypes.byref(ctypes.c_int(v))
+
+    def check(name, info):
+        if info.value:
+            raise NumericalError(f"SVD failed: {name} returned info = {info.value}")
+
+    def band_svdvals(ab: np.ndarray, b: int) -> np.ndarray:
+        n = ab.shape[0]
+        if ab.shape != (n, 2 * b + 1):
+            raise ValueError(f"band storage of shape {ab.shape} for n = {n}, b = {b}")
+        diag, off = np.empty(n), np.zeros(n)  # dlasq1 takes n entries of off
+        unused = np.zeros(1, ab.dtype)  # Q, P^H and C: not referenced for vect = 'N', ncc = 0
+        info = ctypes.c_int()
+        args = (b"N", ref(n), ref(n), ref(0), ref(b), ref(b), ab, ref(2 * b + 1), diag, off,
+                unused, ref(1), unused, ref(1), unused, ref(1))
+        if ab.dtype == np.complex128:
+            zgbbrd(*args, np.empty(n, complex), np.empty(n), ctypes.byref(info))
+            check("zgbbrd", info)
+        else:
+            dgbbrd(*args, np.empty(2 * n), ctypes.byref(info))
+            check("dgbbrd", info)
+        dlasq1(ref(n), diag, off, np.empty(4 * n), ctypes.byref(info))
+        check("dlasq1", info)
+        return diag
+
+    return band_svdvals
 
 
 def _preload_band_solver(n: int) -> None:
@@ -165,18 +235,19 @@ def _preload_band_solver(n: int) -> None:
 
 def _banded_svdvals(A: np.ndarray, nonzero: np.ndarray, scale: float = 1.0):
     """The singular values of scale * A, for a square A and a real scale,
-    through its Jordan-Wielandt matrix, or None when A is too small or too
-    wide for that to beat a dense SVD.  `nonzero` is the mask A != 0.
+    non-increasing, from a band bidiagonalisation and dqds (`_band_solver`),
+    or None when A is too small or too wide for that to beat a dense SVD.
+    `nonzero` is the mask A != 0.
 
-    The eigenvalues of [[0, A], [A^H, 0]] are +-sigma_i.  Interleaving the
-    two halves (row i of A -> 2i, column j -> 2j+1) makes it a Hermitian band
-    of half-bandwidth 2b+1, whose 2n eigenvalues LAPACK's band solver finds in
-    O(n^2 b) with the dense SVD's absolute accuracy eps*sigma_1.
+    The reduction is backward stable, so the values agree with the dense SVD
+    to an absolute eps*sigma_1, in O(n^2 b) work: they differed from
+    np.linalg.svd by at most 8e-15 * sigma_1 on random real and complex
+    bands and two-term `glt` matrices with n = 256-1600 and b = 1-40.
     """
     n = A.shape[0]
     if n < _BAND_MIN_N:
         return None
-    b_max = n // _BAND_N_PER_B["real"]
+    b_max = n // _BAND_N_PER_B
     nnz = np.count_nonzero(nonzero)
     if nnz > n * (2 * b_max + 1):
         return None
@@ -187,26 +258,16 @@ def _banded_svdvals(A: np.ndarray, nonzero: np.ndarray, scale: float = 1.0):
     if counts.sum() < nnz:
         return None
     b = int(np.abs(offsets[counts > 0]).max(initial=0))
-    real = not A.imag.any()
-    if b > n // _BAND_N_PER_B["real" if real else "complex"]:
-        return None
-    M = A.real if real else A
-    # lower band storage: band[r - c, c] holds entry (r, c) of the interleaved matrix
-    band = np.zeros((2 * b + 2, 2 * n), dtype=M.dtype)
-    for k in range(b + 1):
-        band[2 * k + 1, 0 : 2 * (n - k) : 2] = np.diagonal(M, k).conj()
-        if k:
-            band[2 * k - 1, 1 : 2 * (n - k) : 2] = np.diagonal(M, -k)
+    M = A if _complex_valued(A) else A.real
+    # general band storage: ab[j, b + i - j] holds entry (i, j)
+    ab = np.zeros((n, 2 * b + 1), dtype=M.dtype)
+    for k in range(-b, b + 1):
+        ab[max(k, 0) : n + min(k, 0), b - k] = np.diagonal(M, k)
     if scale != 1:
-        band *= scale
-    if not np.isfinite(band).all():
+        ab *= scale
+    if not np.isfinite(ab).all():
         raise NumericalError("SVD failed: matrix has non-finite entries")
-    try:
-        w = _band_solver()(band, lower=True, overwrite_a_band=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD failed: {exc}") from exc
-    # the n largest are sigma_1..sigma_n; zero singular values may come out -eps
-    return np.maximum(w[: n - 1 : -1], 0.0)
+    return _band_solver()(ab, b)
 
 
 def _svd_reduce(A: np.ndarray, scale: float = 1.0):
@@ -224,7 +285,7 @@ def _svd_reduce(A: np.ndarray, scale: float = 1.0):
     rows = np.flatnonzero(nonzero.any(axis=1))
     cols = np.flatnonzero(nonzero.any(axis=0))
     core = A if rows.size == cols.size == A.shape[0] else A[np.ix_(rows, cols)]
-    core = core if core.imag.any() else core.real
+    core = core if _complex_valued(core) else core.real
     return None, core if scale == 1 else core * scale
 
 

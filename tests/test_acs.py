@@ -238,6 +238,21 @@ class TestRealValuedRoute:
         assert not A.imag.any() and phase.imag == 0
         assert abs(phase.real) == 1 - 2.0**-53
 
+    @pytest.mark.parametrize("kind, n", [case for case in CASES if case[0] != "i-real"])
+    def test_real_dtype_equal_to_complex_dtype(self, kind, n):
+        # the phase of a real-dtype operand is taken in complex arithmetic, so
+        # it lands one ulp off -1 where the complex dtype's does
+        A = np.asarray(self.operand(kind, n), dtype=complex)
+        R = np.ascontiguousarray(A.real)
+        assert p_metric(R) == p_metric(A)
+        assert p_metric(-R) == p_metric(A)
+
+    def test_real_dtype_makes_no_complex_copy(self, traced_peak):
+        A = np.asarray(self.operand("glt-lc", 256), dtype=complex)
+        R = np.ascontiguousarray(A.real)
+        p_metric(R)  # the first call leaves a few kB of one-off caches
+        assert traced_peak(p_metric, R) <= traced_peak(p_metric, A)
+
     @pytest.mark.parametrize("n", [256, 400])
     def test_no_copy_of_a_real_valued_operand(self, n, traced_peak):
         # a rotated complex copy alone is 16 n^2 bytes; the route keeps one
@@ -346,6 +361,14 @@ class TestOptimalSplit:
         assert res.p_value == 0.0
         assert np.abs(res.rank_part).max() == 0
         assert np.abs(res.norm_part).max() == 0
+
+    def test_real_dtype_gives_the_complex_split(self):
+        A = np.random.default_rng(5).standard_normal((9, 9))
+        res, ref = optimal_split(A), optimal_split(A.astype(complex))
+        assert res.rank_part.dtype == res.norm_part.dtype == complex
+        assert np.array_equal(res.rank_part, ref.rank_part)
+        assert np.array_equal(res.norm_part, ref.norm_part)
+        assert (res.split_index, res.p_value) == (ref.split_index, ref.p_value)
 
     def test_scaled_cycle_split(self):
         # sigma = (9, 1/3, 1/3): objectives are 9, 1/3+1/3, 2/3+1/3, 1;
@@ -485,6 +508,14 @@ class TestAcsEquivalent:
         verdict, est = acs_equivalent(identity_seq(), zero_seq(), (8, 16, 32, 64), tol=0.5)
         assert not verdict
         assert est.rho_estimate == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("count", [2, 3, 4, 5])
+    def test_median_equals_numpy_median(self, count):
+        rng = np.random.default_rng(count)
+        for _ in range(200):
+            ps = tuple(rng.random(count) * 10.0 ** rng.integers(-16, 1, count))
+            assert acs._median(ps) == np.median(ps)
+        assert acs._median((0.5,) * count) == 0.5
 
     def test_shift_toeplitz_vs_circulant(self):
         # the difference is a single corner entry: rank 1, p <= 1/n

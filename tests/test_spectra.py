@@ -659,7 +659,7 @@ def assert_svdvals_match_complex_svd(A):
 
 
 # the banded path: n = 256 is below its crossover and n = 640 above it, where
-# the rule accepts a half-bandwidth up to 640 // 160 = 4 real, 640 // 320 = 2 complex
+# the rule accepts a half-bandwidth up to 640 // 160 = 4, real or complex
 BAND_SIZES = [256, 640]
 
 
@@ -757,12 +757,24 @@ class TestSvdvals:
         assert_svdvals_match_complex_svd(glt_product_seq(expr)(n))
         assert took_band(banded_results) == [n >= 512]
 
-    @pytest.mark.parametrize("complex_coeffs, b", [(False, 4), (True, 2)], ids=["real", "complex"])
-    def test_banded_largest_accepted_band(self, banded_results, complex_coeffs, b):
+    @pytest.mark.parametrize("complex_coeffs", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", [640, 1024])
+    def test_banded_largest_accepted_band(self, banded_results, n, complex_coeffs):
+        b = n // 160
         f = random_trig_poly(b, complex_coeffs, 3)
-        assert_svdvals_match_complex_svd(toeplitz(f, 640))
-        svdvals(toeplitz(random_trig_poly(b + 1, complex_coeffs, 3), 640))
+        assert_svdvals_match_complex_svd(toeplitz(f, n))
+        svdvals(toeplitz(random_trig_poly(b + 1, complex_coeffs, 3), n))
         assert took_band(banded_results) == [True, False]
+
+    @pytest.mark.parametrize("A", [
+        # exact zero singular value, zero main diagonal, one-sided band
+        counterexample("jordan_shift", 512),
+        # b = 0: a complex diagonal, one entry of it zero
+        np.diag(np.exp(1j * np.arange(600)) * np.linspace(0.0, 3.0, 600)),
+    ], ids=["jordan-shift-512", "complex-diagonal-600"])
+    def test_banded_edge_cases(self, banded_results, A):
+        assert_svdvals_match_complex_svd(A)
+        assert took_band(banded_results) == [True]
 
     def test_banded_zero_rows(self, banded_results):
         A = toeplitz(F_REAL, 640)

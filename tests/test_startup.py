@@ -1,5 +1,6 @@
 """scipy stays off the import path: it loads with a config whose sv ladders
 reach the banded SVD path, or on the first banded call, and nowhere else.
+numpy.ma, which np.median imports on its first call, never loads.
 
 Each check runs in a fresh interpreter, since this one already holds scipy.
 """
@@ -64,7 +65,7 @@ def test_load_config_loads_the_band_solver_for_sv_ladders_from_512(tmp_path, lat
 @pytest.mark.parametrize("coeffs", ["{-1: 0.5, 0: 2.0, 2: -1.0}", "{-1: 0.5j, 0: 2.0, 1: 1 - 1j}"],
                          ids=["real", "complex"])
 def test_cold_banded_svdvals_loads_the_solver(coeffs):
-    # at n = 512 the banded path takes half-bandwidths up to 3 real, 1 complex
+    # at n = 512 the banded path takes half-bandwidths up to 512 // 160 = 3
     out = run_python(f"""
         import json, sys
         import numpy as np
@@ -79,3 +80,15 @@ def test_cold_banded_svdvals_loads_the_solver(coeffs):
     """)
     assert (out["before"], out["after"]) == (False, True)
     assert out["error"] <= 1e-12
+
+
+def test_acs_equivalent_leaves_numpy_ma_out():
+    out = run_python("""
+        import json, sys
+        from glt_lab import TrigPoly, acs_equivalent, circulant_seq, toeplitz_seq
+        f = TrigPoly.from_coeff_map({-1: 1.0, 1: 1.0})
+        for sizes in [(8, 16), (8, 16, 32), (8, 16, 32, 64)]:
+            acs_equivalent(toeplitz_seq(f), circulant_seq(f), sizes, tol=0.5)
+        print(json.dumps({"numpy.ma": "numpy.ma" in sys.modules}))
+    """)
+    assert out == {"numpy.ma": False}
