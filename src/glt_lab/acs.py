@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .matrices import (MatrixSeq, _check_ladder, _complex_valued, _dense_svdvals, _pad,
-                       _square_finite, _svd_reduce)
+from .matrices import MatrixSeq, _check_ladder, _dense_svdvals, _pad, _square_finite, _svd_reduce
 
 __all__ = [
     "SplitResult",
@@ -25,19 +24,6 @@ __all__ = [
     "acs_equivalent",
     "diagonal_select",
 ]
-
-
-def _phase(A: np.ndarray) -> complex:
-    """The global phase abs(v)/v that makes A's largest entry v real positive
-    (1 when A = 0).
-
-    Singular values are phase invariant; rotating by it makes p(A) and p(-A)
-    bitwise identical, so the induced pseudometric is exactly symmetric.
-    """
-    # complex even for a real dtype: abs(v)/v in complex arithmetic can land
-    # one ulp off +-1, and the two dtypes must agree bit for bit
-    v = np.complex128(A.flat[np.argmax(np.abs(A))])
-    return 1 + 0j if v == 0 else abs(v) / v
 
 
 def _operand(A) -> np.ndarray:
@@ -100,28 +86,34 @@ def _gram_svdvals(core: np.ndarray, n: int):
     return s if loss <= _GRAM_RTOL * p * setting.min() else None
 
 
+def _canonical_sign(core: np.ndarray) -> np.ndarray:
+    """core, or -core when its largest-magnitude entry (the first, for ties)
+    lies in the left half-plane or on the negative imaginary axis; an empty
+    core stays as it is.  core and -core map to the same bits."""
+    if core.size == 0:
+        return core
+    v = core.flat[np.argmax(np.abs(core))]
+    return -core if v.real < 0 or (v.real == 0 and v.imag < 0) else core
+
+
 def p_metric(A: np.ndarray) -> float:
     """min_{i=1..n+1} {(i-1)/n + sigma_i(A)} with sigma_{n+1} = 0.
 
     After the exact reductions of `svdvals`, the singular values of the
     nonzero core come from its Gram matrix when the gate of `_gram_svdvals`
-    certifies them, and from a dense SVD otherwise.
+    certifies them, and from a dense SVD otherwise.  p(A) = p(-A) bit for
+    bit: the Gram route is exact in sign by arithmetic ((-C)^H (-C) is
+    C^H C product by product), and so was the band route on every band
+    tested, but the dense SVD can round -C differently, so that route alone
+    decomposes the core in one canonical sign.
     """
     A = _operand(A)
     n = A.shape[0]
-    phase = _phase(A)
-    if _complex_valued(A):
-        # rotate first: a rotation can leave a complex operand real (i*R)
-        s, core = _svd_reduce(A * phase)
-    else:
-        # the phase of a real v has an imaginary part of exactly 0, so the
-        # rotated operand is phase.real * A bit for bit: scale the reduced
-        # core or band by it instead of copying A
-        s, core = _svd_reduce(A, phase.real)
+    s, core = _svd_reduce(A)
     if core is not None:
         s = _gram_svdvals(core, n)
         if s is None:
-            s = _dense_svdvals(core, n)
+            s = _dense_svdvals(_canonical_sign(core), n)
     return float(_objective(s).min())
 
 

@@ -5,10 +5,11 @@ Usage:
     glt-lab demo <name>
     glt-lab parse <expr>
 
-Config files are flat INI: one section per experiment, a mandatory `seed`
-key, and an optional global `output` path for the CSV report (stdout when
-absent).  Exit code 0 when every verdict is PASS or N/A, 1 when any row
-FAILs, 2 on configuration errors.
+Config files are flat INI: one section per experiment and an optional
+global `output` path for the CSV report (stdout when absent).  A `seed` is
+optional: nothing in the package is random, so it is ignored like any other
+global key the runner does not read.  Exit code 0 when every verdict is
+PASS or N/A, 1 when any row FAILs, 2 on configuration errors.
 """
 
 from __future__ import annotations
@@ -56,17 +57,6 @@ from .symbols import (
 )
 
 CSV_HEADER = ("experiment", "n", "metric", "value", "bound", "verdict")
-
-KINDS = (
-    "symbol-check",
-    "acs",
-    "normal-form",
-    "embed",
-    "counterexample",
-    "hermitian-fn",
-    "shift-test",
-)
-
 
 @dataclass(frozen=True)
 class ReportRow:
@@ -224,7 +214,6 @@ class Experiment:
 
 @dataclass
 class RunConfig:
-    seed: int
     output: str | None
     experiments: list
 
@@ -241,34 +230,24 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"cannot parse config {path!r}: {exc}") from exc
     defaults = parser.defaults()
     experiments = []
-    seed = None
     output = defaults.get("output")
-    if "seed" in defaults:
-        seed = defaults["seed"]
     for section in parser.sections():
         opts = dict(parser.items(section))
         if section.lower() == "global":
-            seed = opts.get("seed", seed)
             output = opts.get("output", output)
             continue
         kind = opts.pop("kind", None)
         if kind is None:
             raise ConfigError(f"experiment [{section}] is missing a kind")
-        if kind not in KINDS:
+        if kind not in RUNNERS:
             raise ConfigError(f"experiment [{section}] has unknown kind {kind!r}")
         experiments.append(Experiment(section, kind, opts))
-    if seed is None:
-        raise ConfigError("config must define a seed key (global section)")
-    try:
-        seed = int(seed)
-    except ValueError as exc:
-        raise ConfigError(f"seed must be an integer, got {seed!r}") from exc
     if not experiments:
         raise ConfigError("config defines no experiments")
     # a run whose sv ladders may take the banded SVD path loads its solver
     # with the config, not inside its first decomposition
     matrices._preload_band_solver(max(map(_largest_sv_size, experiments)))
-    return RunConfig(seed, output, experiments)
+    return RunConfig(output, experiments)
 
 
 def _largest_sv_size(exp: Experiment) -> int:
@@ -278,12 +257,17 @@ def _largest_sv_size(exp: Experiment) -> int:
     far from the diagonal; an acs of two banded sequences loads the solver on
     its first banded call.  Sizes the runner will reject count as 0, so it
     still reports them."""
-    if exp.kind != "symbol-check" or exp.options.get("mode", "sv") != "sv":
+    if exp.kind != "symbol-check" or _mode(exp) != "sv":
         return 0
     try:
         return max(_parse_sizes(exp.options.get("sizes", "")))
     except ConfigError:
         return 0
+
+
+def _mode(exp: Experiment) -> str:
+    """A `symbol-check`'s mode, `sv` when the key is absent."""
+    return exp.options.get("mode", "sv")
 
 
 def _require(opts: dict, key: str, section: str) -> str:
@@ -388,7 +372,7 @@ def _residual_rows(name, table):
 def run_symbol_check(exp: Experiment) -> list:
     seq = _seq(exp, "sequence")
     symbol = _parse_expr_cfg(_require(exp.options, "symbol", exp.name), "k")
-    mode = exp.options.get("mode", "sv")
+    mode = _mode(exp)
     if mode not in ("sv", "eig"):
         raise ConfigError(f"mode must be sv or eig, got {mode!r}")
     sizes = _sizes(exp)

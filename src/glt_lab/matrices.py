@@ -233,11 +233,10 @@ def _preload_band_solver(n: int) -> None:
         _band_solver()
 
 
-def _banded_svdvals(A: np.ndarray, nonzero: np.ndarray, scale: float = 1.0):
-    """The singular values of scale * A, for a square A and a real scale,
-    non-increasing, from a band bidiagonalisation and dqds (`_band_solver`),
-    or None when A is too small or too wide for that to beat a dense SVD.
-    `nonzero` is the mask A != 0.
+def _banded_svdvals(A: np.ndarray, nonzero: np.ndarray):
+    """The singular values of a square A, non-increasing, from a band
+    bidiagonalisation and dqds (`_band_solver`), or None when A is too small
+    or too wide for that to beat a dense SVD.  `nonzero` is the mask A != 0.
 
     The reduction is backward stable, so the values agree with the dense SVD
     to an absolute eps*sigma_1, in O(n^2 b) work: they differed from
@@ -263,30 +262,25 @@ def _banded_svdvals(A: np.ndarray, nonzero: np.ndarray, scale: float = 1.0):
     ab = np.zeros((n, 2 * b + 1), dtype=M.dtype)
     for k in range(-b, b + 1):
         ab[max(k, 0) : n + min(k, 0), b - k] = np.diagonal(M, k)
-    if scale != 1:
-        ab *= scale
     if not np.isfinite(ab).all():
         raise NumericalError("SVD failed: matrix has non-finite entries")
     return _band_solver()(ab, b)
 
 
-def _svd_reduce(A: np.ndarray, scale: float = 1.0):
-    """The exact reductions `svdvals` applies before any dense work, to
-    scale * A for a real scale: either (values, None) from the banded path,
-    or (None, core) with core the rows and columns of A that hold a nonzero
-    entry, real when its imaginary part is exactly zero, times scale.  The
-    singular values of scale * A are those of core padded with zeros to n.
-    A scale other than 1 costs one copy of the reduced core or band, not of
-    A."""
+def _svd_reduce(A: np.ndarray):
+    """The exact reductions `svdvals` applies before any dense work: either
+    (values, None) from the banded path, or (None, core) with core the rows
+    and columns of A that hold a nonzero entry, real when its imaginary part
+    is exactly zero.  The singular values of A are those of core padded with
+    zeros to n."""
     nonzero = A != 0
-    s = _banded_svdvals(A, nonzero, scale)
+    s = _banded_svdvals(A, nonzero)
     if s is not None:
         return s, None
     rows = np.flatnonzero(nonzero.any(axis=1))
     cols = np.flatnonzero(nonzero.any(axis=0))
     core = A if rows.size == cols.size == A.shape[0] else A[np.ix_(rows, cols)]
-    core = core if _complex_valued(core) else core.real
-    return None, core if scale == 1 else core * scale
+    return None, core if _complex_valued(core) else core.real
 
 
 def _pad(s: np.ndarray, n: int) -> np.ndarray:

@@ -297,10 +297,6 @@ class TrigPoly:
 
     __rmul__ = __mul__
 
-    def has_real_values(self, tol: float = 1e-12) -> bool:
-        """True when f_{-k} = conj(f_k) for all k, so evaluation is real."""
-        return bool(np.abs(self.coeffs - np.conj(self.coeffs[::-1])).max() <= tol)
-
 
 def _theta_samples(f, quad_points: int):
     """Nodes theta_j = -pi + (j + 1/2) 2pi/quad_points and f at them."""
@@ -391,9 +387,6 @@ class GltExpr:
         return symbol_scale(self, other)
 
     __rmul__ = __mul__
-
-    def max_degree(self) -> int:
-        return max(f.degree for _, f in self.terms)
 
 
 def symbol_add(p: GltExpr, q: GltExpr) -> GltExpr:

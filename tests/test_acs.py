@@ -24,7 +24,7 @@ from glt_lab import (
 )
 from glt_lab import acs, matrices
 from glt_lab.cli import build_sequence
-from glt_lab.matrices import _svd_reduce, svdvals
+from glt_lab.matrices import svdvals
 from glt_lab.normal_form import normal_form
 from glt_lab.symbols import GltExpr
 
@@ -56,29 +56,17 @@ def p_svd(A):
     return float((np.arange(n + 1) / n + np.append(s, 0.0)).min())
 
 
-def phase_canonical(A):
-    """A rotated by abs(v)/v, v its largest entry: a complex copy of the whole
-    operand, real-valued or not."""
-    v = A.flat[np.argmax(np.abs(A))]
-    return A if v == 0 else A * (abs(v) / v)
-
-
-def p_rotated_copy(A):
-    """p_metric's reductions and routes applied to a rotated copy of A: the
-    oracle of the real-valued route, which scales the reduced core instead."""
-    A = np.asarray(A, dtype=complex)
-    n = A.shape[0]
-    s, core = _svd_reduce(phase_canonical(A))
-    if core is not None:
-        s = acs._gram_svdvals(core, n)
-        if s is None:
-            s = acs._dense_svdvals(core, n)
-    return float(acs._objective(s).min())
+def canonical_sign(A):
+    """A, or -A when its largest entry v lies in the left half-plane or on
+    the negative imaginary axis: A and -A give the same array bit for bit."""
+    v = A.flat[np.argmax(np.abs(A))] if A.size else 0
+    return -A if v.real < 0 or (v.real == 0 and v.imag < 0) else A
 
 
 def p_svdvals(A):
-    """p from `svdvals`, the route p_metric falls back to."""
-    s = svdvals(phase_canonical(np.asarray(A, dtype=complex)))
+    """p from `svdvals` of A in its canonical sign, the route p_metric falls
+    back to."""
+    s = svdvals(canonical_sign(np.asarray(A)))
     n = s.size
     return float((np.arange(n + 1) / n + np.append(s, 0.0)).min())
 
@@ -197,8 +185,8 @@ GLT_LC_0 = "1.0576 + 1.2063*x^2 | 0.8537 + 1.2049*cos(theta) + 0.3518*i*sin(2*th
 
 
 class TestRealValuedRoute:
-    """A real-valued operand is scaled by phase.real after its reduction;
-    the values must equal those of a rotated complex copy bit for bit."""
+    """A real-valued operand is decomposed in real arithmetic, with no
+    complex copy, whatever its dtype; p(A) = p(-A) bit for bit on it."""
 
     @staticmethod
     def operand(kind, n):
@@ -209,22 +197,20 @@ class TestRealValuedRoute:
         if kind == "glt-lc":
             return build_sequence(f"glt({GLT_LC_0})")(n) - build_sequence(f"lc({GLT_LC_0})")(n)
         if kind == "banded":
-            # the largest entry -0.47 has the phase -(1 - 2^-53), and p = sigma_1
-            # moves by an ulp if the band is not scaled by it
+            # the largest entry is -0.47, and p = sigma_1
             return toeplitz(TrigPoly.from_coeff_map({-1: 0.003, 0: -0.47, 1: 0.007}), n)
-        return 1j * rng.standard_normal((n, n))  # i*R: made real by its rotation
+        return 1j * rng.standard_normal((n, n))  # i*R: takes the complex route
 
     CASES = [("negative-max", 64), ("glt-lc", 36), ("glt-lc", 64), ("glt-lc", 121),
              ("banded", 512), ("i-real", 64)]
 
     @pytest.mark.parametrize("kind, n", CASES)
-    def test_bitwise_equal_to_a_rotated_copy(self, kind, n, monkeypatch):
+    def test_sign_symmetric_and_close_to_the_svd(self, kind, n, monkeypatch):
         A = self.operand(kind, n)
         banded = []
         solver = matrices._band_solver
         monkeypatch.setattr(matrices, "_band_solver", lambda: banded.append(n) or solver())
         p = p_metric(A)
-        assert p == p_rotated_copy(A)
         assert p_metric(-A) == p
         assert p == pytest.approx(p_svd(A), rel=1e-12, abs=1e-14)
         assert bool(banded) == (kind == "banded")
@@ -232,6 +218,8 @@ class TestRealValuedRoute:
     @pytest.mark.parametrize("kind, n", [("glt-lc", 36), ("glt-lc", 64), ("glt-lc", 121),
                                          ("banded", 512)])
     def test_phase_is_one_ulp_off(self, kind, n):
+        # why these operands are in CASES: a phase abs(v)/v lands one ulp off
+        # -1 on them, so rotating one by it would not leave it exact
         A = np.asarray(self.operand(kind, n), dtype=complex)
         v = A.flat[np.argmax(np.abs(A))]
         phase = abs(v) / v
@@ -240,8 +228,7 @@ class TestRealValuedRoute:
 
     @pytest.mark.parametrize("kind, n", [case for case in CASES if case[0] != "i-real"])
     def test_real_dtype_equal_to_complex_dtype(self, kind, n):
-        # the phase of a real-dtype operand is taken in complex arithmetic, so
-        # it lands one ulp off -1 where the complex dtype's does
+        # a complex dtype with a zero imaginary part reduces to the same real core
         A = np.asarray(self.operand(kind, n), dtype=complex)
         R = np.ascontiguousarray(A.real)
         assert p_metric(R) == p_metric(A)
@@ -255,11 +242,98 @@ class TestRealValuedRoute:
 
     @pytest.mark.parametrize("n", [256, 400])
     def test_no_copy_of_a_real_valued_operand(self, n, traced_peak):
-        # a rotated complex copy alone is 16 n^2 bytes; the route keeps one
-        # real copy of the core and its Gram matrix, 8 n^2 bytes each
+        # a complex copy alone would be 16 n^2 bytes; the route keeps one real
+        # copy of the core and its Gram matrix, 8 n^2 bytes each
         A = self.operand("glt-lc", n)
         assert not A.imag.any() and A.real.flat[np.argmax(np.abs(A))] < 0
         assert traced_peak(p_metric, A) < 24 * n * n
+
+
+def half_integer_band(n, b, dtype, rng):
+    """An n x n band of half-bandwidth exactly b whose entries are multiples
+    of 1/2 in [-2, 2]: a fifth of them are zero, and sums of their products
+    cancel exactly, which is where signed zeros could break p(A) = p(-A)."""
+    A = np.zeros((n, n), dtype)
+    for k in range(-b, b + 1):
+        d = rng.integers(-4, 5, n - abs(k)) / 2
+        if dtype is complex:
+            d = d + 1j * rng.integers(-4, 5, n - abs(k)) / 2
+        d[0] = 1.5  # the outermost diagonals are nonzero
+        A += np.diag(d, k)
+    return A
+
+
+class TestSignSymmetry:
+    """p(A) = p(-A) bit for bit on every route: the band and Gram routes by
+    arithmetic, the dense fallback by its canonical sign."""
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("n, b", [(n, b) for n in (512, 1024) for b in range(n // 160 + 1)])
+    def test_band_route(self, n, b, dtype, monkeypatch):
+        A = half_integer_band(n, b, dtype, np.random.default_rng(1000 * n + b))
+        banded = []
+        solver = matrices._band_solver
+        monkeypatch.setattr(matrices, "_band_solver", lambda: banded.append(n) or solver())
+        assert p_metric(A) == p_metric(-A)
+        assert banded == [n, n]
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("shape", ["tall", "wide", "strided"])
+    def test_gram_of_the_negated_core(self, shape, dtype):
+        rng = np.random.default_rng(5)
+        M = rng.standard_normal((120, 90)).astype(dtype)
+        if dtype is complex:
+            M += 1j * rng.standard_normal((120, 90))
+        C = {"tall": M, "wide": M.T, "strided": M[::2, ::3]}[shape]
+        assert acs._gram(C).tobytes() == acs._gram(-C).tobytes()
+
+    @staticmethod
+    def rank_one(scale=1.0):
+        """A rank-1 300 x 300 operand with every third column zero: sigma_2
+        is roundoff, which the Gram gate cannot certify, so the dense SVD
+        runs; unless its sign is fixed first, -A gives another sigma_2."""
+        rng = np.random.default_rng(9)
+        A = np.outer(rng.uniform(-1, 1, 300), rng.uniform(-1, 1, 300)) * scale
+        A[:, ::3] = 0
+        return A
+
+    @pytest.mark.parametrize("scale", [1.0, 1j, -1j], ids=["real", "imag", "neg-imag"])
+    def test_dense_fallback(self, scale, route):
+        # a purely imaginary largest entry is flipped onto the positive
+        # imaginary axis
+        A = self.rank_one(scale)
+        p = p_metric(A)
+        assert p_metric(-A) == p
+        assert route == ["dense", "dense"]
+        assert p == p_svdvals(A)
+        assert p == pytest.approx(1 / 300, rel=1e-10)
+
+    def test_canonical_sign(self):
+        # the first largest entry, -2j, is flipped; a real part of -0 is not
+        # in the left half-plane
+        A = np.array([[0.5, -2j], [1.0, 2j]])
+        assert acs._canonical_sign(A).tobytes() == acs._canonical_sign(-A).tobytes()
+        assert acs._canonical_sign(-A).tobytes() == (-A).tobytes()
+        B = np.array([[complex(-0.0, 2.0)]])
+        assert acs._canonical_sign(B) is B
+        empty = np.zeros((0, 0))
+        assert acs._canonical_sign(empty) is empty
+
+    def test_zero_matrix(self, route):
+        # the empty core of A = 0 falls back with no sign to read
+        Z = np.zeros((6, 6))
+        assert p_metric(Z) == p_metric(-Z) == 0.0
+        assert route == ["dense", "dense"]
+
+    def test_complex_operand_makes_no_rotated_copy(self, traced_peak):
+        # the Gram route holds the conjugate transpose of the core and the
+        # Gram matrix, 16 n^2 bytes each; a rotated copy of the operand
+        # would add 16 n^2 more
+        n = 256
+        A = glt_product_seq(GltExpr(((A_QUAD, F_CPLX),)))(n) - lc_seq(A_QUAD, F_CPLX)(n)
+        assert A.imag.any()
+        p_metric(A)  # the first call leaves a few kB of one-off caches
+        assert traced_peak(p_metric, A) < 40 * n * n
 
 
 class TestPMetric:

@@ -101,7 +101,7 @@ class TestTrigPoly:
             half = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             c = np.concatenate([np.conj(half[::-1]), rng.standard_normal(1), half])
             f = TrigPoly(c)
-            assert f.has_real_values()
+            assert np.array_equal(f.coeffs, np.conj(f.coeffs[::-1]))
             vals = f(np.linspace(-np.pi, np.pi, 64))
             assert np.abs(vals.imag).max() < 1e-12
 
@@ -178,7 +178,7 @@ class TestSymbolAlgebra:
     def test_mul_squares_separable_term(self):
         p = GltExpr(((X, SHIFT),))
         sq = symbol_mul(p, p)
-        assert sq.max_degree() == 2
+        assert [f.degree for _, f in sq.terms] == [2]
         x = np.linspace(0.1, 1, 9)
         theta = np.linspace(-3, 3, 9)
         np.testing.assert_allclose(sq(x, theta), x**2 * np.exp(2j * theta), atol=1e-12)
