@@ -51,6 +51,7 @@ from .symbols import (
     GltExpr,
     SymbolGrid,
     TrigPoly,
+    _ast_to_sexpr,
     _parse_any,
     parse_expr,
     trig_poly_from_expr,
@@ -74,19 +75,38 @@ class ReportRow:
             raise ValueError("row values must be finite")
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+def _fmt(v: float | None) -> str:
+    return "" if v is None else format(float(v), ".17g")
+
+
+def _csv_records(rows):
+    yield CSV_HEADER
+    for r in rows:
+        yield [r.experiment, r.n, r.metric, _fmt(r.value), _fmt(r.bound), r.verdict]
 
 
 def rows_to_csv(rows) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for r in rows:
-        writer.writerow(
-            [r.experiment, r.n, r.metric, _fmt(r.value), "" if r.bound is None else _fmt(r.bound), r.verdict]
-        )
+    csv.writer(buf, lineterminator="\n").writerows(_csv_records(rows))
     return buf.getvalue()
+
+
+def _write_csv(path, records) -> None:
+    """Write CSV records to `path`; an OSError becomes a ConfigError (exit 2)."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(records)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {str(path)!r}: {exc.strerror or exc}") from exc
+
+
+def _emit(rows, output=None) -> int:
+    """Write the report to `output` (stdout when None); return the exit code."""
+    if output:
+        _write_csv(output, _csv_records(rows))
+    else:
+        sys.stdout.write(rows_to_csv(rows))
+    return 1 if any(r.verdict == "FAIL" for r in rows) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +208,7 @@ def build_sequence(spec: str, max_degree: int = 8) -> MatrixSeq:
         if not f_expr.free_vars <= {"theta"}:
             raise ConfigError(f"{head} symbol may only use theta")
         f = trig_poly_from_expr(f_expr, max_degree)
-        seq = matrices.toeplitz_seq(f, inner) if head == "toeplitz" else matrices.circulant_seq(f, inner)
-        return seq
+        return (matrices.toeplitz_seq if head == "toeplitz" else matrices.circulant_seq)(f, inner)
     if head == "diag":
         return matrices.diag_seq(_parse_expr_cfg(inner, "a"))
     if head in ("lt", "lc"):
@@ -226,11 +245,10 @@ def load_config(path: str) -> RunConfig:
             parser.read_file(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse config {path!r}: {exc}") from exc
-    defaults = parser.defaults()
     experiments = []
-    output = defaults.get("output")
+    output = parser.defaults().get("output")
     for section in parser.sections():
         opts = dict(parser.items(section))
         if section.lower() == "global":
@@ -307,6 +325,10 @@ def _max_degree(exp: Experiment) -> int:
 
 def _seq(exp: Experiment, key: str) -> MatrixSeq:
     return build_sequence(_require(exp.options, key, exp.name), _max_degree(exp))
+
+
+def _terms(exp: Experiment) -> GltExpr:
+    return _parse_terms(_require(exp.options, "terms", exp.name), _max_degree(exp))
 
 
 def _sizes(exp: Experiment):
@@ -396,7 +418,7 @@ def run_acs(exp: Experiment) -> list:
 
 
 def run_normal_form(exp: Experiment) -> list:
-    expr = _parse_terms(_require(exp.options, "terms", exp.name), _max_degree(exp))
+    expr = _terms(exp)
     sizes = _sizes(exp)
     resolution = _grid(exp)
     acs_tol = _number(exp, "acs_tolerance", 0.5)
@@ -527,77 +549,50 @@ RUNNERS = {
 
 
 def _dump_matrices(exp: Experiment, out_dir: Path) -> None:
-    opts = exp.options
-    spec = opts.get("sequence") or opts.get("sequence_a")
-    if spec is None and exp.kind == "counterexample":
-        spec = f"counterexample({opts.get('name', '')})"
-    if spec is None and exp.kind == "normal-form" and "terms" in opts:
-        spec = f"normal-form({opts['terms']})"
-    if spec is None or "sizes" not in opts:
+    """Write the sequence `exp` tested, one file per size: `sequence` for
+    single-sequence kinds, `sequence_a` for acs and embed, the normal form
+    Q^H D Q for normal-form, and nothing for counterexample."""
+    if exp.kind == "counterexample":
         return
-    seq = build_sequence(spec, _max_degree(exp))
+    if exp.kind == "normal-form":
+        seq = normal_form_seq(_terms(exp))
+    else:
+        seq = _seq(exp, "sequence_a" if exp.kind in ("acs", "embed") else "sequence")
     for n in _sizes(exp):
         A = seq(n)
-        path = out_dir / f"{exp.name}_{n}.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            for i, j in zip(*np.nonzero(A)):
-                z = A[i, j]
-                writer.writerow([i + 1, j + 1, _fmt(z.real), _fmt(z.imag)])
+        i, j = np.nonzero(A)
+        z = A[i, j]
+        entries = zip(i + 1, j + 1, map(_fmt, z.real), map(_fmt, z.imag))
+        _write_csv(out_dir / f"{exp.name}_{n}.csv", entries)
 
 
 def run_config(path: str, dump_matrices: bool = False) -> int:
     """Run every experiment in a config file; returns the process exit code."""
     try:
         config = load_config(path)
+        out_dir = Path(config.output).parent if config.output else Path(".")
         rows = []
         for exp in config.experiments:
             try:
                 rows.extend(RUNNERS[exp.kind](exp))
                 if dump_matrices:
-                    out_dir = Path(config.output).parent if config.output else Path.cwd()
                     _dump_matrices(exp, out_dir)
             except ConfigError:
                 raise
             except GltLabError as exc:
                 # numerical failures become FAIL rows, not crashes
                 rows.append(ReportRow(exp.name, 0, f"error[{exc}]", 0.0, None, "FAIL"))
+        return _emit(rows, config.output)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    text = rows_to_csv(rows)
-    if config.output:
-        with open(config.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 1 if any(r.verdict == "FAIL" for r in rows) else 0
 
 
 def run_demo(name: str) -> int:
     if name not in DEMOS:
-        print(
-            f"unknown demo {name!r}; available: {', '.join(sorted(DEMOS))}",
-            file=sys.stderr,
-        )
+        print(f"unknown demo {name!r}; available: {', '.join(sorted(DEMOS))}", file=sys.stderr)
         return 2
-    rows = DEMOS[name]()
-    sys.stdout.write(rows_to_csv(rows))
-    return 1 if any(r.verdict == "FAIL" for r in rows) else 0
-
-
-def _ast_to_sexpr(node) -> str:
-    tag = node[0]
-    if tag == "const":
-        z = node[1]
-        return format(z.real, "g") if z.imag == 0 else f"{z:g}"
-    if tag == "var":
-        return node[1]
-    if tag == "bin":
-        return f"({node[1]} {_ast_to_sexpr(node[2])} {_ast_to_sexpr(node[3])})"
-    if tag == "pow":
-        return f"(^ {_ast_to_sexpr(node[1])} {node[2]})"
-    return f"({node[1]} {_ast_to_sexpr(node[2])})"
+    return _emit(DEMOS[name]())
 
 
 def run_parse(source: str) -> int:

@@ -157,7 +157,7 @@ def sort_perm(D: np.ndarray) -> np.ndarray:
     d = np.diag(D)
     if np.abs(d.imag).max(initial=0.0) > 1e-12 * max(1.0, np.abs(d).max(initial=0.0)):
         raise DomainError("diagonal entries must be real; pass their absolute values")
-    return _ascending_perm(d.real)
+    return np.eye(d.size)[np.argsort(d.real, kind="stable")]
 
 
 @dataclass(frozen=True)
@@ -302,14 +302,6 @@ def _canonical_svd(A: np.ndarray):
     return U, s, Vh
 
 
-def _ascending_perm(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    n = values.size
-    P = np.zeros((n, n))
-    P[np.arange(n), order] = 1.0
-    return P
-
-
 def group_embed(seqA: MatrixSeq, seqB: MatrixSeq, n: int) -> EmbeddingPair:
     """Unitaries U, V with B_n ~ U A_n V built from sorted SVDs.
 
@@ -324,8 +316,10 @@ def group_embed(seqA: MatrixSeq, seqB: MatrixSeq, n: int) -> EmbeddingPair:
         raise DomainError("sequences must produce matrices of the same size")
     Q, S, W = _canonical_svd(B)
     Qp, Sp, Wp = _canonical_svd(A)
-    P = _ascending_perm(S)
-    Pp = _ascending_perm(Sp)
-    U = Q @ P.T @ Pp @ Qp.conj().T
-    V = Wp.conj().T @ Pp.T @ P @ W
+    # P = I[order] and P' = I[order_p], so the permutation products are
+    # column gathers: X P^T = X[:, order] and X P' = X[:, argsort(order_p)]
+    order = np.argsort(S, kind="stable")
+    order_p = np.argsort(Sp, kind="stable")
+    U = Q[:, order][:, np.argsort(order_p)] @ Qp.conj().T
+    V = Wp.conj().T[:, order_p][:, np.argsort(order)] @ W
     return EmbeddingPair(U, V, p_metric(B - U @ A @ V))

@@ -38,32 +38,21 @@ ROLE_VARS = {"a": ("x",), "F": ("t",), "k": ("x", "theta")}
 
 _FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "abs": np.abs}
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+\.\d+|\d+)|([a-zA-Z]+)|([()+\-*/^]))")
+# one match per token; the empty `end` match closes every source, and `bad`
+# catches the first character that starts no token
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<num>\d+\.\d+|\d+)|(?P<name>[a-zA-Z]+)|(?P<op>[()+\-*/^])|(?P<bad>\S)|(?P<end>\Z))"
+)
 
 
 def _tokenize(source):
-    """Yield (kind, text, position) tokens; kinds: num, name, op, end."""
-    pos = 0
+    """List the (kind, text, position) tokens; kinds: num, name, op, end."""
     tokens = []
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            # nothing matched: skip whitespace manually, then report
-            stripped = source[pos:].lstrip()
-            at = len(source) - len(stripped)
-            if not stripped:
-                break
-            raise ExprSyntaxError(f"unexpected character {stripped[0]!r}", at)
-        num, name, op = m.groups()
-        start = m.end() - len(num or name or op)
-        if num is not None:
-            tokens.append(("num", num, start))
-        elif name is not None:
-            tokens.append(("name", name, start))
-        else:
-            tokens.append(("op", op, start))
-        pos = m.end()
-    tokens.append(("end", "", len(source)))
+    for m in _TOKEN_RE.finditer(source):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ExprSyntaxError(f"unexpected character {m[kind]!r}", m.start(kind))
+        tokens.append((kind, m[kind], m.start(kind)))
     return tokens
 
 
@@ -97,32 +86,28 @@ class _Parser:
             raise ExprSyntaxError(f"expected {op!r}", pos)
         return self.advance()
 
-    def parse(self):
+    def parse(self, role):
         ast = self.expr()
         kind, text, pos = self.peek()
         if kind != "end":
             raise ExprSyntaxError(f"unexpected {text!r}", pos)
-        return ast
+        return FuncExpr(self.source, ast, role, frozenset(self.free_vars))
+
+    def _chain(self, ops, operand):
+        """operand ((op in `ops`) operand)*, folded to the left."""
+        node = operand()
+        while True:
+            kind, text, _ = self.peek()
+            if kind != "op" or text not in ops:
+                return node
+            self.advance()
+            node = ("bin", text, node, operand())
 
     def expr(self):
-        node = self.term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                node = ("bin", text, node, self.term())
-            else:
-                return node
+        return self._chain("+-", self.term)
 
     def term(self):
-        node = self.factor()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                node = ("bin", text, node, self.factor())
-            else:
-                return node
+        return self._chain("*/", self.factor)
 
     def factor(self):
         node = self.base()
@@ -186,6 +171,21 @@ def _eval_ast(node, env):
     return _FUNCS[fname](_eval_ast(arg, env))
 
 
+def _ast_to_sexpr(node) -> str:
+    """The ast as an s-expression, e.g. `(+ (^ x 2) (sin theta))`."""
+    tag = node[0]
+    if tag == "const":
+        z = node[1]
+        return format(z.real, "g") if z.imag == 0 else f"{z:g}"
+    if tag == "var":
+        return node[1]
+    if tag == "bin":
+        return f"({node[1]} {_ast_to_sexpr(node[2])} {_ast_to_sexpr(node[3])})"
+    if tag == "pow":
+        return f"(^ {_ast_to_sexpr(node[1])} {node[2]})"
+    return f"({node[1]} {_ast_to_sexpr(node[2])})"
+
+
 @dataclass(frozen=True)
 class FuncExpr:
     """A parsed scalar expression, evaluable pointwise over numpy arrays."""
@@ -219,16 +219,12 @@ def parse_expr(source: str, role: str) -> FuncExpr:
         raise ValueError(f"role must be one of {sorted(ROLE_VARS)}, got {role!r}")
     if not source or not source.strip():
         raise ExprSyntaxError("empty expression", 0)
-    parser = _Parser(source, ROLE_VARS[role])
-    ast = parser.parse()
-    return FuncExpr(source, ast, role, frozenset(parser.free_vars))
+    return _Parser(source, ROLE_VARS[role]).parse(role)
 
 
 def _parse_any(source: str) -> FuncExpr:
     """Parse with every variable allowed (used by the CLI ast printer)."""
-    parser = _Parser(source, ("x", "theta", "t"))
-    ast = parser.parse()
-    return FuncExpr(source, ast, "k", frozenset(parser.free_vars))
+    return _Parser(source, ("x", "theta", "t")).parse("k")
 
 
 def _expr_product(e1: FuncExpr, e2: FuncExpr) -> FuncExpr:

@@ -1,5 +1,8 @@
 import csv
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -62,6 +65,11 @@ class TestParseCommand:
         code, _, err = run_cli(["parse", "y + 1"])
         assert code == 2
         assert "y" in err
+
+    def test_prints_nested_ast(self):
+        code, out, _ = run_cli(["parse", "2 - exp(i*(x - theta))^2/abs(t - 1.5) * cos(x)"])
+        assert code == 0
+        assert out == "(- 2 (* (/ (^ (exp (* 0+1j (- x theta))) 2) (abs (- t 1.5))) (cos x)))\n"
 
 
 class TestSequenceSpecs:
@@ -324,6 +332,37 @@ class TestRunCommand:
             dumped = np.array([complex(float(r[2]), float(r[3])) for r in rows])
             assert np.array_equal(dumped, A[i, j])
 
+    def test_dump_matrices_normal_form_ignores_a_stray_sequence(self, tmp_path):
+        # the dump follows the kind: a normal-form section dumps the normal
+        # form it verified, whatever other keys it carries
+        terms = "x | 2*cos(theta)"
+        cfg = write_config(
+            tmp_path,
+            f"[global]\noutput = {tmp_path / 'report.csv'}\n\n[nf]\nkind = normal-form\n"
+            f"terms = {terms}\nsequence = identity\nsizes = 16, 36, 64\n",
+        )
+        code, _, _ = run_cli(["run", cfg, "--dump-matrices"])
+        assert code == 0
+        for n in (16, 36, 64):
+            A = normal_form(_parse_terms(terms, 8), n).matrix()
+            text = (tmp_path / f"nf_{n}.csv").read_text(encoding="utf-8")
+            rows = list(csv.reader(text.splitlines()))
+            assert len(rows) == np.count_nonzero(A) != n
+            assert all(complex(float(r[2]), float(r[3])) == A[int(r[0]) - 1, int(r[1]) - 1]
+                       for r in rows)
+
+    def test_dump_matrices_counterexample_writes_nothing(self, tmp_path):
+        # a counterexample section runs a demo with its own sizes, so a stray
+        # `sizes` key names no matrix the run built
+        cfg = write_config(
+            tmp_path,
+            f"[global]\noutput = {tmp_path / 'report.csv'}\n\n[hs]\nkind = counterexample\n"
+            "name = half_shift\nsizes = 8\n",
+        )
+        code, _, _ = run_cli(["run", cfg, "--dump-matrices"])
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini", "report.csv"]
+
     def test_shift_test_kind(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -535,3 +574,51 @@ class TestReportRows:
         assert "0.66666666666666663" in text
         assert text.endswith("\n")
         assert "\r" not in text
+
+
+def run_installed_cli(*args):
+    """`python -m glt_lab.cli` in a fresh interpreter, so stderr holds any
+    traceback that escapes `main`."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "glt_lab.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+SMALL_CHECK = (
+    "[tiny]\nkind = symbol-check\nsequence = toeplitz(2*cos(theta))\n"
+    "symbol = 2*cos(theta)\nsizes = 8, 16\n"
+)
+
+
+class TestIOErrorsExit2:
+    """A config that cannot be read and a report or dump that cannot be
+    written end as `config error:` and exit 2, never a traceback (exit 1
+    would read as a FAIL verdict)."""
+
+    def assert_config_error(self, proc, *fragments):
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("config error: ")
+        for fragment in fragments:
+            assert fragment in proc.stderr
+
+    def test_report_in_a_missing_directory(self, tmp_path):
+        out = tmp_path / "missing" / "report.csv"
+        cfg = write_config(tmp_path, f"[global]\noutput = {out}\n\n{SMALL_CHECK}")
+        proc = run_installed_cli("run", cfg)
+        self.assert_config_error(proc, f"cannot write {str(out)!r}: ")
+        assert proc.stdout == ""
+
+    def test_dump_into_a_missing_directory(self, tmp_path):
+        out = tmp_path / "missing" / "report.csv"
+        cfg = write_config(tmp_path, f"[global]\noutput = {out}\n\n{SMALL_CHECK}")
+        proc = run_installed_cli("run", cfg, "--dump-matrices")
+        self.assert_config_error(proc, f"cannot write {str(out.parent / 'tiny_8.csv')!r}: ")
+
+    def test_config_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.ini"
+        path.write_bytes(f"# caf\xe9\n{SMALL_CHECK}".encode("latin-1"))
+        proc = run_installed_cli("run", str(path))
+        self.assert_config_error(proc, f"cannot parse config {str(path)!r}: ")

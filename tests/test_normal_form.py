@@ -35,6 +35,16 @@ SHIFT = TrigPoly.from_coeff_map({1: 1})
 X = parse_expr("x", "a")
 ONE = parse_expr("1", "a")
 CONST1 = TrigPoly.constant(1)
+DEGREE_TWO = TrigPoly.from_coeff_map({-2: 0.5, -1: 1, 0: 2, 1: 1, 2: 0.5})
+COS_TWO = TrigPoly.from_coeff_map({-2: 1, 2: 1})
+
+
+def dense_perm(values):
+    """The permutation matrix P = I[argsort(values)], built entry by entry."""
+    n = values.size
+    P = np.zeros((n, n))
+    P[np.arange(n), np.argsort(values, kind="stable")] = 1.0
+    return P
 
 
 def multiset_close(a, b, tol):
@@ -238,6 +248,10 @@ class TestSortPerm:
         assert sorted(np.diag(P @ np.diag(d) @ P.T)) == sorted(d)
         assert np.all(np.diff(np.diag(P @ np.diag(d) @ P.T)) >= 0)
 
+    def test_equal_to_the_dense_oracle_with_ties(self):
+        d = np.array([2.0, -1.0, 2.0, 0.5, -1.0, 2.0, 0.0])
+        assert sort_perm(np.diag(d)).tobytes() == dense_perm(d).tobytes()
+
     def test_rejects_nondiagonal(self):
         with pytest.raises(DomainError):
             sort_perm(np.array([[1.0, 0.5], [0.0, 2.0]]))
@@ -376,6 +390,23 @@ class TestGroupEmbed:
             A = A + 1j * rng.standard_normal(shape)
         for got, want in zip(_canonical_svd(A), canonical_svd_loop(A)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("symbol, n, ties", [
+        (DEGREE_TWO, 16, True), (DEGREE_TWO, 64, False), (DEGREE_TWO, 128, True),
+        (COS_TWO, 16, True),
+    ])
+    def test_u_v_equal_the_dense_permutation_products(self, symbol, n, ties):
+        # U = Q P^T P' Q'^H and V = W'^H P'^T P W with dense permutation
+        # matrices, bit for bit; `ties` says whether a singular value repeats
+        # exactly, where only the stable sort fixes the order
+        seq_a, seq_b = circulant_seq(symbol), toeplitz_seq(symbol)
+        Q, S, W = _canonical_svd(seq_b(n))
+        Qp, Sp, Wp = _canonical_svd(seq_a(n))
+        assert (np.unique(S).size < n or np.unique(Sp).size < n) == ties
+        P, Pp = dense_perm(S), dense_perm(Sp)
+        pair = group_embed(seq_a, seq_b, n)
+        assert pair.u.tobytes() == (Q @ P.T @ Pp @ Qp.conj().T).tobytes()
+        assert pair.v.tobytes() == (Wp.conj().T @ Pp.T @ P @ W).tobytes()
 
     def test_equal_sequences_cancel(self):
         seq = toeplitz_seq(TWO_COS)

@@ -18,6 +18,7 @@ from glt_lab import (
     symbols_equal_in_distribution,
     trig_poly_from_expr,
 )
+from glt_lab.symbols import ROLE_VARS
 
 TWO_COS = TrigPoly.from_coeff_map({1: 1, -1: 1})
 SHIFT = TrigPoly.from_coeff_map({1: 1})
@@ -81,6 +82,62 @@ class TestParser:
         e = parse_expr("sin(x)^3 + x/7", "a")
         pts = np.linspace(0, 1, 101)
         assert e(x=pts).tobytes() == e(x=pts).tobytes()
+
+
+# (source, role, error type, message, position): one case per raise site of
+# the tokenizer, the parser and parse_expr; a VariableError has no position
+ERROR_TABLE = [
+    ("x #", "a", ExprSyntaxError, "unexpected character '#' (at position 2)", 2),
+    ("x\t$", "a", ExprSyntaxError, "unexpected character '$' (at position 2)", 2),
+    ("x 2", "a", ExprSyntaxError, "unexpected '2' (at position 2)", 2),
+    ("sin(x) )", "a", ExprSyntaxError, "unexpected ')' (at position 7)", 7),
+    ("x +", "a", ExprSyntaxError, "unexpected end of input (at position 3)", 3),
+    ("sin(x", "a", ExprSyntaxError, "expected ')' (at position 5)", 5),
+    ("(x", "a", ExprSyntaxError, "expected ')' (at position 2)", 2),
+    ("x^1.5", "a", ExprSyntaxError, "exponent must be an integer (at position 2)", 2),
+    ("y + 1", "a", ExprSyntaxError, "unknown name 'y' (at position 0)", 0),
+    ("theta", "a", VariableError, "variable 'theta' not allowed here (allowed: x)", None),
+    ("x^t", "F", VariableError, "variable 'x' not allowed here (allowed: t)", None),
+    ("x*t", "k", VariableError, "variable 't' not allowed here (allowed: x, theta)", None),
+    ("", "a", ExprSyntaxError, "empty expression (at position 0)", 0),
+    ("  \t", "a", ExprSyntaxError, "empty expression (at position 0)", 0),
+]
+
+# the grammar's alphabet plus whitespace, unknown names and stray characters
+PIECES = ["x", "theta", "t", "i", "sin", "cos", "exp", "abs", "y", "1", "2", "0.5", "10",
+          "1.", "+", "-", "*", "/", "^", "(", ")", " ", "\t", "\n", "#", ",", "²"]
+
+
+class TestParserContract:
+    @pytest.mark.parametrize("source, role, error, message, position", ERROR_TABLE)
+    def test_error_message_and_position(self, source, role, error, message, position):
+        with pytest.raises(error) as exc:
+            parse_expr(source, role)
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+        assert getattr(exc.value, "position", None) == position
+
+    @pytest.mark.parametrize("source, role", [("x^2 \t\n", "a"), ("2*cos(theta)  ", "k")])
+    def test_trailing_whitespace_accepted(self, source, role):
+        assert parse_expr(source, role).ast == parse_expr(source.rstrip(), role).ast
+
+    def test_random_sources_raise_only_positioned_parse_errors(self):
+        rng = np.random.default_rng(0)
+        parsed = 0
+        for _ in range(20_000):
+            source = "".join(rng.choice(PIECES, size=rng.integers(0, 9)))
+            for role in ("a", "F", "k"):
+                try:
+                    expr = parse_expr(source, role)
+                except ExprSyntaxError as exc:
+                    assert 0 <= exc.position <= len(source), source
+                except VariableError:
+                    pass
+                else:
+                    assert expr.free_vars <= set(ROLE_VARS[role])
+                    parsed += 1
+        # the draw reaches the success path too, not only the error paths
+        assert parsed > 100
 
 
 class TestTrigPoly:
