@@ -8,7 +8,7 @@ pseudometric, and realizes normal forms, sorting permutations and SVD
 embeddings with explicit, testable bounds.
 """
 
-from .acs import AcsEstimate, SplitResult, acs_distance, acs_equivalent, diagonal_select, optimal_split, p_metric
+from .acs import AcsEstimate, SplitResult, acs_distance, acs_equivalent, optimal_split, p_metric
 from .errors import (
     ConfigError,
     DomainError,
@@ -30,7 +30,6 @@ from .matrices import (
     counterexample,
     counterexample_seq,
     d_af,
-    d_grid,
     diag_sampling,
     diag_seq,
     fourier_matrix,
@@ -64,11 +63,8 @@ from .spectra import (
     default_family,
     eig_symbol_residual,
     eigenvalues,
-    empirical_functional,
-    hat_function,
     singular_values,
     sv_symbol_residual,
-    symbol_functional,
     zero_distributed_test,
 )
 from .symbols import (
@@ -76,7 +72,6 @@ from .symbols import (
     GltExpr,
     SymbolGrid,
     TrigPoly,
-    fourier_coeff,
     monotone_rearrangement,
     parse_expr,
     rearrangement_distance,

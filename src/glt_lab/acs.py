@@ -22,7 +22,6 @@ __all__ = [
     "optimal_split",
     "acs_distance",
     "acs_equivalent",
-    "diagonal_select",
 ]
 
 
@@ -186,56 +185,3 @@ def _median(values) -> float:
     s = sorted(values)
     mid = len(s) // 2
     return s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2
-
-
-def diagonal_select(family, sizes):
-    """Extract a diagonal sequence from a Cauchy family of sequences.
-
-    For each approximation level m, the tail spread at size n is
-    sup { p(B_{n,m'} - B_{n,m''}) : m <= m', m'' <= M } and its budget
-    eps(m) is twice the trailing-half maximum of that spread.  m(n) is the
-    largest level whose spreads at size n all stay within budget down the
-    levels (enforced nondecreasing in n).  Returns ({n: m}, extracted seq).
-
-    This selection rule is one admissible realization of the diagonal
-    extraction, chosen for determinism; reports should flag it as such.
-    """
-    family = list(family)
-    if len(family) < 2:
-        raise DomainError("family needs at least 2 levels")
-    sizes = _check_ladder(sizes, 2)
-    M = len(family)
-
-    def spreads_at(n):
-        mats = [seq(n) for seq in family]
-        P = np.zeros((M, M))
-        for i in range(M):
-            for j in range(i + 1, M):
-                P[i, j] = P[j, i] = p_metric(mats[i] - mats[j])
-        # tail spread for level m (1-based): max over the trailing submatrix
-        return np.array([P[m - 1 :, m - 1 :].max() for m in range(1, M + 1)])
-
-    spread = np.vstack([spreads_at(n) for n in sizes])  # (len(sizes), M)
-    half = len(sizes) // 2
-    eps = 2.0 * spread[half:].max(axis=0)
-
-    selection = {}
-    prev = 1
-    for row, n in zip(spread, sizes):
-        ok = row <= eps
-        m_n = 1
-        for m in range(M, 0, -1):
-            if ok[:m].all():
-                m_n = m
-                break
-        m_n = max(m_n, prev)
-        prev = m_n
-        selection[n] = m_n
-
-    def extract(n):
-        chosen = [m for sz, m in selection.items() if sz <= n]
-        m_n = chosen[-1] if chosen else selection[sizes[0]]
-        return family[m_n - 1](n)
-
-    extracted = MatrixSeq("diagonal-extract", extract, info={"selection": dict(selection)})
-    return selection, extracted

@@ -36,7 +36,6 @@ __all__ = [
     "lc_op",
     "q_block",
     "d_af",
-    "d_grid",
     "counterexample",
     "COUNTEREXAMPLES",
     "toeplitz_seq",
@@ -473,37 +472,6 @@ def d_af(a: FuncExpr, f: TrigPoly, n: int) -> np.ndarray:
     if n < 4:
         raise DomainError("needs n >= 4")
     return np.diag(_lc_eigs(a, f, n))
-
-
-def _theta_grid(block: int) -> np.ndarray:
-    """Per-block theta nodes: uniform on [-pi,pi) for even block size, and
-    0, +h, -h, +2h, -2h, ... for odd block size (h = 2pi/block)."""
-    if block % 2 == 0:
-        return -np.pi + 2 * np.pi * np.arange(block) / block
-    half = block // 2
-    js = [0]
-    for j in range(1, half + 1):
-        js.extend([j, -j])
-    return 2 * np.pi * np.asarray(js, dtype=float) / block
-
-
-def d_grid(k: FuncExpr, n: int) -> np.ndarray:
-    """Diagonal sampling of k(x, theta) over the regular block grid.
-
-    Block i holds k(i/m, theta_j) for the per-block theta nodes, followed by
-    t trailing zeros.
-    """
-    if n < 4:
-        raise DomainError("needs n >= 4")
-    lay = block_layout(n)
-    theta = _theta_grid(lay.block)
-    xs = np.arange(1, lay.m + 1) / lay.m
-    vals = k(x=xs[:, None], theta=theta[None, :])
-    vals = np.broadcast_to(vals, (lay.m, lay.block))
-    if not np.isfinite(vals).all():
-        raise EvalError(f"{k.source!r} is non-finite on the sampling grid")
-    diag = np.concatenate([vals.ravel(), np.zeros(lay.t, dtype=complex)])
-    return np.diag(diag)
 
 
 def _half_shift(n: int) -> np.ndarray:

@@ -249,8 +249,8 @@ def affine_shift_test(seq: MatrixSeq, k, sizes, shifts=DEFAULT_SHIFTS,
     tables = []
     verdicts = []
     for c in shifts:
-        shifted_grid = SymbolGrid(grid.domain, grid.resolution, grid.samples - complex(c))
-        table = sv_symbol_residual(seq.shifted(c), shifted_grid, sizes)
+        grid_c = SymbolGrid(grid.domain, grid.resolution, grid.samples - complex(c))
+        table = sv_symbol_residual(seq.shifted(c), grid_c, sizes)
         verdicts.append(bool(table.passes()[-1]))
         tables.append(table)
     all_pass = bool(all(verdicts))

@@ -30,13 +30,10 @@ __all__ = [
     "ResidualTable",
     "singular_values",
     "eigenvalues",
-    "empirical_functional",
-    "symbol_functional",
     "sv_symbol_residual",
     "eig_symbol_residual",
     "zero_distributed_test",
     "default_family",
-    "hat_function",
     "as_symbol_grid",
     "convergence_tolerance",
 ]
@@ -87,23 +84,6 @@ def eigenvalues(A: np.ndarray) -> EmpiricalDist:
     return EmpiricalDist(lam, "eig")
 
 
-def hat_function(center: complex, width: float):
-    """Radial hat max(0, 1 - |t - c|/w), compactly supported on |t-c| <= w.
-
-    Called as F(t=samples); returns a complex array like a parsed FuncExpr.
-    """
-    c = complex(center)
-    # scale by 1/w rather than divide: numpy's complex division by a real w
-    # does exactly this, so the values equal the parsed expression bit for bit
-    inv_w = 1.0 / float(width)
-
-    def hat(t):
-        g = 1.0 - np.abs(np.asarray(t, dtype=complex) - c) * inv_w
-        return np.maximum(g, 0.0).astype(complex)
-
-    return hat
-
-
 @dataclass(frozen=True, eq=False)
 class TestFamily:
     """Finite family of compactly supported test functions.
@@ -128,11 +108,6 @@ class TestFamily:
         return self.centers.size
 
     @property
-    def funcs(self) -> tuple:
-        """The members as `hat_function` closures, one F per hat."""
-        return tuple(hat_function(c, w) for c, w in zip(self.centers, self.radii))
-
-    @property
     def labels(self):
         def cfmt(c):
             return format(c.real, "g") if c.imag == 0 else format(c, "g")
@@ -140,8 +115,9 @@ class TestFamily:
         return tuple(f"hat(c={cfmt(c)},w={w:g})" for c, w in zip(self.centers, self.radii))
 
     def means(self, t) -> np.ndarray:
-        """Mean of every member over the samples t: [mean(F(t)) for F in
-        funcs], with each hat value computed as `hat_function` computes it.
+        """Mean of every member over the samples t: mean(max(0, 1 - |t - c|/w))
+        per hat, with |t - c| scaled by 1/w as numpy's complex division by a
+        real w does, so each value equals the parsed expression's.
 
         One hat at a time through two reused buffers, so memory stays at a
         few copies of t whatever the family size.  When t and the centers are
@@ -181,29 +157,17 @@ def family_with_extra_centers(base: TestFamily, centers, width: float) -> TestFa
     )
 
 
-def empirical_functional(dist: EmpiricalDist, F: FuncExpr) -> complex:
-    """(1/n) sum_i F(s_i) over the distribution samples."""
-    return complex(np.mean(F(t=dist.samples)))
-
-
-def _grid_samples(k: SymbolGrid, mode: str) -> np.ndarray:
-    """The values a symbol-side mean averages: |k| (mode 'abs') or k (mode
-    'plain') at every grid sample, once the grid is known to be non-empty
+def _grid_samples(k: SymbolGrid, kind: str) -> np.ndarray:
+    """The values a symbol-side mean averages: |k| for kind 'sv' and k for
+    kind 'eig' at every grid sample, once the grid is known to be non-empty
     and finite."""
-    if mode not in ("abs", "plain"):
-        raise ValueError("mode must be 'abs' or 'plain'")
     if len(k.samples) == 0:
         raise DomainError("empty symbol grid")
     if k.nonfinite_count:
         raise EvalError(
             f"symbol is non-finite at {k.nonfinite_count} of {k.samples.size} grid samples"
         )
-    return np.abs(k.samples) if mode == "abs" else k.samples
-
-
-def symbol_functional(k: SymbolGrid, F: FuncExpr, mode: str = "abs") -> complex:
-    """Grid mean of F(|k|) (mode 'abs') or F(k) (mode 'plain')."""
-    return complex(np.mean(F(t=_grid_samples(k, mode))))
+    return np.abs(k.samples) if kind == "sv" else k.samples
 
 
 def as_symbol_grid(k, resolution=None) -> SymbolGrid:
@@ -213,7 +177,7 @@ def as_symbol_grid(k, resolution=None) -> SymbolGrid:
     if isinstance(k, (GltExpr, TrigPoly)):
         return sample_symbol(k, "RECT", resolution or DEFAULT_RECT_RESOLUTION)
     if isinstance(k, FuncExpr):
-        if k.free_vars <= {"x"} and "theta" not in k.free_vars:
+        if k.free_vars <= {"x"}:
             return sample_symbol(k, "UNIT", resolution or DEFAULT_UNIT_RESOLUTION)
         return sample_symbol(k, "RECT", resolution or DEFAULT_RECT_RESOLUTION)
     raise TypeError(f"cannot interpret {type(k).__name__} as a symbol")
@@ -257,13 +221,13 @@ def _spectrum(seq: MatrixSeq, n: int, kind: str) -> EmpiricalDist:
     return EmpiricalDist(samples, kind)
 
 
-def _residual_table(seq, grid, family, sizes, kind, mode):
+def _residual_table(seq, grid, family, sizes, kind):
     """The residual ladder, bounded by `convergence_tolerance` at each size.
     Without a family, `default_family` is placed by the grid's largest |k|."""
     if family is None:
         family = default_family(grid.max_abs())
     sizes = _check_ladder(sizes, 1)
-    sym_means = family.means(_grid_samples(grid, mode))
+    sym_means = family.means(_grid_samples(grid, kind))
     rows = [np.abs(family.means(_spectrum(seq, n, kind).samples) - sym_means) for n in sizes]
     bounds = np.array([convergence_tolerance(n, grid) for n in sizes])
     return ResidualTable(kind, sizes, family.labels, np.vstack(rows), bounds)
@@ -273,14 +237,14 @@ def sv_symbol_residual(seq: MatrixSeq, k, sizes, family: TestFamily | None = Non
                        resolution=None) -> ResidualTable:
     """Residuals |(1/n) sum F(sigma_i(A_n)) - mean F(|k|)| per size and F."""
     grid = as_symbol_grid(k, resolution)
-    return _residual_table(seq, grid, family, sizes, "sv", "abs")
+    return _residual_table(seq, grid, family, sizes, "sv")
 
 
 def eig_symbol_residual(seq: MatrixSeq, k, sizes, family: TestFamily | None = None,
                         resolution=None) -> ResidualTable:
     """Residuals |(1/n) sum F(lambda_i(A_n)) - mean F(k)| per size and F."""
     grid = as_symbol_grid(k, resolution)
-    return _residual_table(seq, grid, family, sizes, "eig", "plain")
+    return _residual_table(seq, grid, family, sizes, "eig")
 
 
 def zero_distributed_test(seq: MatrixSeq, sizes):

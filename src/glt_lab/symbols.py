@@ -23,7 +23,6 @@ __all__ = [
     "GltExpr",
     "SymbolGrid",
     "parse_expr",
-    "fourier_coeff",
     "trig_poly_from_expr",
     "symbol_add",
     "symbol_mul",
@@ -176,7 +175,8 @@ def _ast_to_sexpr(node) -> str:
     tag = node[0]
     if tag == "const":
         z = node[1]
-        return format(z.real, "g") if z.imag == 0 else f"{z:g}"
+        # i is the only non-real constant the parser makes
+        return format(z.real, "g") if z.imag == 0 else "i"
     if tag == "var":
         return node[1]
     if tag == "bin":
@@ -294,29 +294,14 @@ class TrigPoly:
     __rmul__ = __mul__
 
 
-def _theta_samples(f, quad_points: int):
-    """Nodes theta_j = -pi + (j + 1/2) 2pi/quad_points and f at them."""
+def _theta_samples(f, quad_points: int) -> np.ndarray:
+    """f at the nodes theta_j = -pi + (j + 1/2) 2pi/quad_points."""
     theta = -np.pi + (np.arange(quad_points) + 0.5) * (2 * np.pi / quad_points)
     if isinstance(f, TrigPoly):
-        return theta, f(theta)
+        return f(theta)
     if not f.free_vars <= {"theta"}:
         raise VariableError("Fourier coefficients need an expression in theta only")
-    return theta, np.broadcast_to(f(theta=theta), theta.shape)
-
-
-def fourier_coeff(f, k: int, quad_points: int) -> complex:
-    """Fourier coefficient (1/2pi) int_{-pi}^{pi} f(theta) e^{-ik theta} dtheta.
-
-    Uses the midpoint rule on `quad_points` uniform nodes, which by discrete
-    orthogonality is exact (to roundoff) for trig polynomials of degree
-    < quad_points/2.
-    """
-    if quad_points < 4 * (abs(k) + 1):
-        raise DomainError(
-            f"quad_points={quad_points} below minimum {4 * (abs(k) + 1)} for k={k}"
-        )
-    theta, vals = _theta_samples(f, quad_points)
-    return complex(np.mean(vals * np.exp(-1j * k * theta)))
+    return np.broadcast_to(f(theta=theta), theta.shape)
 
 
 # coefficient parts at or below this magnitude are quadrature roundoff
@@ -326,13 +311,14 @@ COEFF_TOL = 1e-12
 def trig_poly_from_expr(f: FuncExpr, max_degree: int = 8) -> TrigPoly:
     """Extract the coefficient table of a trig-polynomial expression.
 
-    Computes k = -max_degree..max_degree from one sampling and one FFT (the
-    midpoint rule of `fourier_coeff` for every k at once), zeroes real and
+    Computes k = -max_degree..max_degree from one sampling and one FFT: the
+    midpoint rule (1/quad) sum_j f(theta_j) e^{-ik theta_j} for every k at
+    once, exact to roundoff for degrees below quad/2.  Zeroes real and
     imaginary parts at or below `COEFF_TOL` and trims the outermost
     coefficients that vanish.
     """
     quad = max(4 * (max_degree + 1), 64)
-    _, vals = _theta_samples(f, quad)
+    vals = _theta_samples(f, quad)
     k = np.arange(-max_degree, max_degree + 1)
     # theta_j = -pi + (j + 1/2) h, so mean(vals e^{-ik theta_j}) is the DFT
     # at k times e^{ik pi} e^{-ik h/2}; e^{ik pi} = (-1)^k is taken exactly

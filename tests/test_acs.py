@@ -10,7 +10,6 @@ from glt_lab import (
     circulant_seq,
     counterexample,
     diag_seq,
-    diagonal_select,
     glt_product_seq,
     identity_seq,
     lc_seq,
@@ -599,42 +598,3 @@ class TestAcsEquivalent:
         assert verdict
         for n, p in zip(est.sizes, est.p_values):
             assert p <= 1 / n + 1e-12
-
-
-class TestDiagonalSelect:
-    def test_constant_family_selects_top(self):
-        seq = toeplitz_seq(TWO_COS)
-        family = [seq, seq, seq]
-        selection, extracted = diagonal_select(family, (8, 16, 32, 64))
-        assert all(m == 3 for m in selection.values())
-        np.testing.assert_array_equal(extracted(16), seq(16))
-
-    def test_partial_sums_converge_to_top_level(self):
-        # partial sums of x * 1 + (1/level)-weighted tail terms
-        def level_seq(levels):
-            terms = [(X, TrigPoly.constant(1))]
-            for j in range(2, levels + 1):
-                terms.append(
-                    (parse_expr(f"x/{j * j}", "a"), TWO_COS)
-                )
-            return glt_product_seq(GltExpr(tuple(terms)))
-
-        family = [level_seq(m) for m in range(1, 5)]
-        sizes = (16, 36, 64, 144)
-        selection, extracted = diagonal_select(family, sizes)
-        ms = [selection[n] for n in sizes]
-        assert all(b >= a for a, b in zip(ms, ms[1:]))  # nondecreasing
-        assert ms[-1] == 4
-        np.testing.assert_array_equal(extracted(144), family[ms[-1] - 1](144))
-
-    def test_two_cluster_family_never_mixes(self):
-        family = [zero_seq()] + [identity_seq() for _ in range(3)]
-        sizes = (8, 16, 32, 64)
-        selection, extracted = diagonal_select(family, sizes)
-        for n in sizes:
-            assert selection[n] >= 2
-            np.testing.assert_array_equal(extracted(n), np.eye(n))
-
-    def test_needs_two_levels(self):
-        with pytest.raises(DomainError):
-            diagonal_select([identity_seq()], (8, 16))

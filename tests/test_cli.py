@@ -69,7 +69,14 @@ class TestParseCommand:
     def test_prints_nested_ast(self):
         code, out, _ = run_cli(["parse", "2 - exp(i*(x - theta))^2/abs(t - 1.5) * cos(x)"])
         assert code == 0
-        assert out == "(- 2 (* (/ (^ (exp (* 0+1j (- x theta))) 2) (abs (- t 1.5))) (cos x)))\n"
+        assert out == "(- 2 (* (/ (^ (exp (* i (- x theta))) 2) (abs (- t 1.5))) (cos x)))\n"
+
+    @pytest.mark.parametrize("source, tree", [("i*x", "(* i x)"), ("2*i", "(* 2 i)")])
+    def test_prints_imaginary_unit_as_i(self, source, tree):
+        # the printed tree names i as the grammar does, not as Python's 1j
+        code, out, _ = run_cli(["parse", source])
+        assert code == 0
+        assert out == tree + "\n"
 
 
 class TestSequenceSpecs:

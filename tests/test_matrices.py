@@ -16,7 +16,6 @@ from glt_lab import (
     counterexample_seq,
     d_af,
     GltExpr,
-    d_grid,
     diag_sampling,
     fourier_matrix,
     glt_product_seq,
@@ -372,42 +371,6 @@ class TestQBlockAndDiagFactors:
     def test_d_af_roots_of_unity(self):
         D = d_af(ONE, SHIFT, 16)
         np.testing.assert_allclose(np.diag(D), np.tile([1, 1j, -1, -1j], 4), atol=1e-12)
-
-
-class TestDGrid:
-    def test_constant_with_padding(self):
-        D = d_grid(parse_expr("1+x-x", "k"), 10)
-        np.testing.assert_allclose(np.diag(D), [1] * 9 + [0], atol=1e-15)
-
-    def test_multiset_matches_separable_diagonal_for_even_block(self):
-        # even block size: the theta grids agree modulo 2*pi, so the sampled
-        # multisets coincide even though the listed order differs
-        k = parse_expr("x*(2*cos(theta))", "k")
-        got = np.sort(np.diag(d_grid(k, 16)).real)
-        ref = np.sort(np.diag(d_af(X, TWO_COS, 16)).real)
-        np.testing.assert_allclose(got, ref, atol=1e-12)
-
-    def test_constant_in_theta_blocks(self):
-        D = d_grid(parse_expr("x+theta-theta", "k"), 16)
-        expect = np.repeat(np.arange(1, 5) / 4, 4)
-        np.testing.assert_allclose(np.diag(D), expect, atol=1e-15)
-
-    def test_even_block_nodes_start_at_minus_pi(self):
-        # block=4: theta nodes run -pi + j*pi/2 for j = 0..3, in that order
-        D = d_grid(parse_expr("theta+x-x", "k"), 16)
-        expect_block = np.array([-np.pi, -np.pi / 2, 0.0, np.pi / 2])
-        np.testing.assert_allclose(np.diag(D)[:4], expect_block, atol=1e-14)
-
-    def test_odd_block_alternating_order(self):
-        # block=5: theta nodes run 0, +h, -h, +2h, -2h with h = 2pi/5
-        D = d_grid(parse_expr("theta+x-x", "k"), 25)
-        h = 2 * np.pi / 5
-        expect_block = np.array([0, h, -h, 2 * h, -2 * h])
-        np.testing.assert_allclose(np.diag(D)[:5], expect_block, atol=1e-12)
-
-    def test_singularity_raises(self):
-        with pytest.raises(EvalError):
-            d_grid(parse_expr("1/(x-1)", "k"), 16)
 
 
 class TestCounterexamples:

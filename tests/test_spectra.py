@@ -19,9 +19,7 @@ from glt_lab import (
     diag_seq,
     eig_symbol_residual,
     eigenvalues,
-    empirical_functional,
     glt_product_seq,
-    hat_function,
     identity_seq,
     lc_op,
     lc_seq,
@@ -30,7 +28,6 @@ from glt_lab import (
     sample_symbol,
     singular_values,
     sv_symbol_residual,
-    symbol_functional,
     toeplitz,
     toeplitz_seq,
     verify_normal_form,
@@ -40,7 +37,7 @@ from glt_lab import (
 from glt_lab import matrices
 from glt_lab.errors import NumericalError
 from glt_lab.matrices import counterexample, lt_op, svdvals
-from glt_lab.spectra import TestFamily as Family
+from glt_lab.spectra import EmpiricalDist, TestFamily as Family
 from glt_lab.spectra import (
     _grid_samples,
     as_symbol_grid,
@@ -65,6 +62,26 @@ def _num_literal(v: float) -> str:
         if text.endswith("."):
             text += "0"
     return text
+
+
+def _hat(center, width):
+    """The test oracle for one family member: the radial hat
+    max(0, 1 - |t - c|/w) as a closure, called as F(t=samples)."""
+    c = complex(center)
+    # scale by 1/w rather than divide: numpy's complex division by a real w
+    # does exactly this, so the values equal the parsed expression bit for bit
+    inv_w = 1.0 / float(width)
+
+    def hat(t):
+        g = 1.0 - np.abs(np.asarray(t, dtype=complex) - c) * inv_w
+        return np.maximum(g, 0.0).astype(complex)
+
+    return hat
+
+
+def _hats(family):
+    """One `_hat` closure per member of the family."""
+    return [_hat(c, w) for c, w in zip(family.centers, family.radii)]
 
 
 def multiset_close(a, b, tol):
@@ -124,57 +141,50 @@ class TestDecompositions:
 
 class TestFunctionals:
     def test_all_zero_samples(self):
-        from glt_lab.spectra import EmpiricalDist
-
-        F = hat_function(0.5, 1.0)
+        fam = Family([0.5], [1.0])
         dist = EmpiricalDist(np.zeros(7), "sv")
-        expected = complex(F(t=np.array([0.0]))[0])
-        assert empirical_functional(dist, F) == pytest.approx(expected)
+        assert fam.means(dist.samples)[0] == pytest.approx(0.5)
 
     def test_identity_singular_values(self):
-        F = hat_function(1.0, 0.5)
-        dist = singular_values(np.eye(4))
-        assert empirical_functional(dist, F) == pytest.approx(1.0)
+        fam = Family([1.0], [0.5])
+        assert fam.means(singular_values(np.eye(4)).samples)[0] == pytest.approx(1.0)
 
     def test_quarter_weight_on_roots_of_unity(self):
-        # F = hat at 1 with width 1: of {1, i, -1, -i} only 1 lands in the
+        # the hat at 1 with width 1: of {1, i, -1, -i} only 1 lands in the
         # support, so the mean is F(1)/4 = 1/4
-        F = hat_function(1.0, 1.0)
+        fam = Family([1.0], [1.0])
         dist = eigenvalues(circulant(SHIFT, 4))
-        assert empirical_functional(dist, F) == pytest.approx(0.25, abs=1e-12)
+        assert fam.means(dist.samples)[0] == pytest.approx(0.25, abs=1e-12)
 
-    def test_symbol_functional_constant(self):
-        F = hat_function(1.0, 0.5)
+    def test_symbol_means_constant(self):
+        fam = Family([1.0], [0.5])
         grid = sample_symbol(parse_expr("1", "a"), "UNIT", (16,))
-        assert symbol_functional(grid, F, "abs") == pytest.approx(1.0)
+        assert fam.means(_grid_samples(grid, "sv"))[0] == pytest.approx(1.0)
         zero = sample_symbol(parse_expr("x-x", "a"), "UNIT", (16,))
-        F0 = hat_function(0.0, 0.5)
-        assert symbol_functional(zero, F0, "plain") == pytest.approx(1.0)
+        assert Family([0.0], [0.5]).means(_grid_samples(zero, "eig"))[0] == pytest.approx(1.0)
 
     def test_second_moment_of_two_cos(self):
         # (1/2pi) int (2cos)^2 = 2; the clipping region [-3,3] never binds
         grid = sample_symbol(TWO_COS, "RECT", (1, 256))
         F = parse_expr("t^2", "F")
-        val = symbol_functional(grid, F, "plain")
-        assert val == pytest.approx(2.0, abs=1e-3)
+        assert np.mean(F(t=_grid_samples(grid, "eig"))) == pytest.approx(2.0, abs=1e-3)
 
 
 class TestHatFamily:
     def test_compact_support_spot_check(self):
         fam = default_family(2.0)
         rng = np.random.default_rng(9)
-        for F, c, w in zip(fam.funcs, fam.centers, fam.radii):
+        for c, w in zip(fam.centers, fam.radii):
             angles = rng.uniform(0, 2 * np.pi, 100)
             radii = w * (1 + rng.uniform(0, 3, 100))
             pts = c + radii * np.exp(1j * angles)
-            vals = F(t=pts)
-            assert np.abs(vals).max() <= 1e-14
+            assert Family([c], [w]).means(pts)[0] <= 1e-14
 
     def test_hat_peak_and_slope(self):
-        F = hat_function(0.5, 0.25)
-        assert F(t=np.array([0.5]))[0] == pytest.approx(1.0)
-        assert F(t=np.array([0.625]))[0] == pytest.approx(0.5)
-        assert F(t=np.array([0.75]))[0] == pytest.approx(0.0)
+        fam = Family([0.5], [0.25])
+        assert fam.means([0.5])[0] == pytest.approx(1.0)
+        assert fam.means([0.625])[0] == pytest.approx(0.5)
+        assert fam.means([0.75])[0] == pytest.approx(0.0)
 
     @staticmethod
     def parsed_hat(center, width):
@@ -199,7 +209,7 @@ class TestHatFamily:
                 real_t = np.concatenate([rng.uniform(-1.5 * R, 1.5 * R, 300), near, [c_re]])
                 complex_t = real_t + 1j * rng.uniform(-R, R, real_t.size)
                 for t in (real_t, complex_t, np.abs(complex_t)):
-                    got = hat_function(c, w)(t=t)
+                    got = _hat(c, w)(t=t)
                     want = self.parsed_hat(c, w)(t=t)
                     assert got.dtype == want.dtype == complex
                     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -270,7 +280,7 @@ class TestEigSymbolResidual:
         table = eig_symbol_residual(diag_seq(X), grid, sizes, fam)
         for i, n in enumerate(sizes):
             nodes = np.arange(1, n + 1) / n
-            for j, F in enumerate(fam.funcs):
+            for j, F in enumerate(_hats(fam)):
                 right_sum = np.mean(F(t=nodes.astype(complex)))
                 mid_mean = np.mean(F(t=grid.samples))
                 oracle = abs(right_sum - mid_mean)
@@ -570,8 +580,8 @@ class TestStructuredHooks:
 
 
 def closure_means(family, t):
-    """The test oracle: one hat_function closure per member."""
-    return np.array([np.mean(F(t=t)) for F in family.funcs])
+    """The test oracle: one `_hat` closure per member."""
+    return np.array([np.mean(F(t=t)) for F in _hats(family)])
 
 
 class TestFamilyMeans:
@@ -604,22 +614,22 @@ class TestFamilyMeans:
         t = np.concatenate([np.ones(128), -np.ones(129)]).astype(complex)
         assert np.abs(fam.means(t) - closure_means(fam, t)).max() <= 1e-15
 
-    @pytest.mark.parametrize("mode", ["abs", "plain"])
-    def test_grid_means_match_symbol_functional(self, mode):
+    @pytest.mark.parametrize("kind", ["sv", "eig"])
+    def test_grid_means_match_closure_oracle(self, kind):
+        # the sv table averages the hats over |k|, the eig table over k
         k = GltExpr(((A_HOOK, F_HOOK),))
         grid = as_symbol_grid(k, (16, 64))
         fam = default_family(grid.max_abs())
-        want = [symbol_functional(grid, F, mode) for F in fam.funcs]
-        assert np.abs(fam.means(_grid_samples(grid, mode)) - want).max() <= 1e-15
+        t = np.abs(grid.samples) if kind == "sv" else grid.samples
+        assert np.abs(fam.means(_grid_samples(grid, kind)) - closure_means(fam, t)).max() <= 1e-15
 
-    def test_bad_grids_raise_like_symbol_functional(self):
+    @pytest.mark.parametrize("fn", [sv_symbol_residual, eig_symbol_residual])
+    def test_empty_grid_raises(self, fn):
         empty = SymbolGrid("UNIT", (0,), np.zeros(0))
-        nonfinite = sample_symbol(parse_expr("1/(x-0.5)", "a"), "UNIT", (3,))
-        for grid in (empty, nonfinite):
-            for fn, mode in ((sv_symbol_residual, "abs"), (eig_symbol_residual, "plain")):
-                want = raised(lambda: symbol_functional(grid, hat_function(0.0, 1.0), mode))
-                assert want[0] in (DomainError, EvalError)
-                assert raised(lambda: fn(identity_seq(), grid, (4, 8))) == want
+        with pytest.raises(DomainError) as info:
+            fn(identity_seq(), empty, (4, 8))
+        assert type(info.value) is DomainError
+        assert str(info.value) == "empty symbol grid"
 
     def test_means_allocate_no_hats_by_samples_array(self):
         t = np.random.default_rng(3).uniform(-2, 2, 100_000) * np.exp(0.3j)
@@ -635,11 +645,14 @@ class TestFamilyMeans:
 
 
 class TestNonFiniteSymbol:
-    def test_symbol_functional_rejects_nonfinite_grid(self):
+    @pytest.mark.parametrize("fn", [sv_symbol_residual, eig_symbol_residual])
+    def test_residual_ladders_reject_nonfinite_grid(self, fn):
         grid = sample_symbol(parse_expr("1/(x-0.5)", "a"), "UNIT", (3,))
         assert grid.nonfinite_count == 1
-        with pytest.raises(EvalError, match="non-finite at 1 of 3"):
-            symbol_functional(grid, hat_function(0.0, 1.0))
+        with pytest.raises(EvalError) as info:
+            fn(identity_seq(), grid, (4, 8))
+        assert type(info.value) is EvalError
+        assert str(info.value) == "symbol is non-finite at 1 of 3 grid samples"
 
     def test_residual_ladder_raises_before_decomposing(self):
         grid = sample_symbol(parse_expr("1/(x-0.5)", "a"), "UNIT", (3,))

@@ -7,7 +7,6 @@ from glt_lab import (
     GltExpr,
     TrigPoly,
     VariableError,
-    fourier_coeff,
     monotone_rearrangement,
     parse_expr,
     rearrangement_distance,
@@ -169,21 +168,24 @@ class TestTrigPoly:
         np.testing.assert_allclose(prod(theta), TWO_COS(theta) * SHIFT(theta), atol=1e-12)
 
 
+def _fourier_coeff(f: TrigPoly, k: int, quad_points: int) -> complex:
+    """The test oracle for one coefficient: (1/2pi) int f(theta) e^{-ik theta}
+    by the midpoint rule on `quad_points` nodes theta_j = -pi + (j + 1/2) h,
+    h = 2pi/quad_points, exact to roundoff for degrees below quad_points/2."""
+    theta = -np.pi + (np.arange(quad_points) + 0.5) * (2 * np.pi / quad_points)
+    return complex(np.mean(f(theta) * np.exp(-1j * k * theta)))
+
+
 class TestFourierCoeff:
     def test_two_cos(self):
-        f = parse_expr("2*cos(theta)", "k")
-        assert fourier_coeff(f, 1, 16) == pytest.approx(1, abs=1e-12)
-        assert fourier_coeff(f, 0, 16) == pytest.approx(0, abs=1e-12)
+        f = trig_poly_from_expr(parse_expr("2*cos(theta)", "k"))
+        assert f.coeff(1) == pytest.approx(1, abs=1e-12)
+        assert f.coeff(0) == pytest.approx(0, abs=1e-12)
 
     def test_complex_exponential(self):
-        f = parse_expr("exp(i*theta)", "k")
-        assert fourier_coeff(f, 1, 16) == pytest.approx(1, abs=1e-12)
-        assert fourier_coeff(f, -1, 16) == pytest.approx(0, abs=1e-12)
-
-    def test_quad_points_precondition(self):
-        f = parse_expr("cos(theta)", "k")
-        with pytest.raises(DomainError):
-            fourier_coeff(f, 2, 8)
+        f = trig_poly_from_expr(parse_expr("exp(i*theta)", "k"))
+        assert f.coeff(1) == pytest.approx(1, abs=1e-12)
+        assert f.coeff(-1) == pytest.approx(0, abs=1e-12)
 
     def test_recovers_stored_coefficients(self):
         # discrete orthogonality: exact recovery once quad_points >= 2d+2
@@ -193,7 +195,7 @@ class TestFourierCoeff:
             f = TrigPoly(rng.standard_normal(2 * d + 1) + 1j * rng.standard_normal(2 * d + 1))
             for k in range(-d, d + 1):
                 quad = max(2 * d + 2, 4 * (abs(k) + 1))
-                got = fourier_coeff(f, k, quad)
+                got = _fourier_coeff(f, k, quad)
                 assert abs(got - f.coeff(k)) < 1e-12
 
     @pytest.mark.parametrize("kind", ["real", "complex", "trimmed"])
@@ -208,7 +210,7 @@ class TestFourierCoeff:
         f = TrigPoly(c / np.abs(c).sum())
         got = trig_poly_from_expr(f, max_degree)
         quad = max(4 * (max_degree + 1), 64)
-        oracle = [fourier_coeff(f, k, quad) for k in range(-d, d + 1)]
+        oracle = [_fourier_coeff(f, k, quad) for k in range(-d, d + 1)]
         assert got.degree == d
         np.testing.assert_allclose(got.coeffs, oracle, rtol=0, atol=1e-14)
 
