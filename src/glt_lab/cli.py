@@ -53,6 +53,7 @@ from .symbols import (
     TrigPoly,
     _ast_to_sexpr,
     _parse_any,
+    _unit_axis,
     parse_expr,
     trig_poly_from_expr,
 )
@@ -481,8 +482,8 @@ def demo_alt_identity(name="alt_identity") -> list:
 def demo_half_shift(name="half_shift") -> list:
     sizes = (32, 64, 128, 256)
     seq = counterexample_seq("half_shift")
-    x = (np.arange(4096) + 0.5) / 4096
-    step = SymbolGrid("UNIT", (4096,), (x < 0.5).astype(complex))
+    res = spectra.DEFAULT_UNIT_RESOLUTION
+    step = SymbolGrid("UNIT", res, (_unit_axis(*res) < 0.5).astype(complex))
     rows = _residual_rows(name, sv_symbol_residual(seq, step, sizes))
     squares = [np.abs(A @ A).max() for A in map(seq, sizes)]
     return rows + _ladder(name, sizes, "square_norm", squares, [0.0] * len(sizes))

@@ -66,8 +66,9 @@ class BlockLayout:
 
 
 def block_layout(n: int) -> BlockLayout:
-    if n < 1:
-        raise DomainError("size must be positive")
+    """The partition of n: the one size check of the locally structured operators."""
+    if n < 4:
+        raise DomainError("locally structured operators need n >= 4")
     m = math.isqrt(n)
     return BlockLayout(n, m, n // m, n - m * (n // m))
 
@@ -375,10 +376,7 @@ def _circulant_eigs(f: TrigPoly, n: int) -> np.ndarray:
 
 def circulant_spectrum(f: TrigPoly, n: int) -> np.ndarray:
     """Diagonal of circulant eigenvalues: diag(f(2*pi*k/n)), k = 0..n-1."""
-    if n < 1:
-        raise DomainError("size must be positive")
-    theta = 2 * np.pi * np.arange(n) / n
-    return np.diag(f(theta))
+    return np.diag(_circulant_eigs(f, n))
 
 
 def fourier_matrix(n: int) -> np.ndarray:
@@ -404,9 +402,13 @@ def _block_diag(lay: BlockLayout, blocks, tail=0.0) -> np.ndarray:
     return out
 
 
+def _blockwise(lay: BlockLayout, scales: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+    """scales[i] * spectrum[j] for each block i, then t zeros: the spectrum of
+    a block diagonal operator whose block i is scales[i] times one block."""
+    return np.concatenate([np.outer(scales, spectrum).ravel(), np.zeros(lay.t)])
+
+
 def _lt_parts(a: FuncExpr, f: TrigPoly, n: int):
-    if n < 4:
-        raise DomainError("locally Toeplitz operator needs n >= 4")
     lay = block_layout(n)
     return lay, toeplitz(f, lay.block), _grid_values(a, lay.m)
 
@@ -421,19 +423,26 @@ def _lt_svals(a: FuncExpr, f: TrigPoly, n: int) -> np.ndarray:
     """Singular values of lt_op(a, f, n): |a(i/m)| sigma(T_block(f)) for each
     block, then t zeros.  One block-sized SVD."""
     lay, T, vals = _lt_parts(a, f, n)
-    return np.concatenate([np.outer(np.abs(vals), svdvals(_square_finite(T))).ravel(),
-                           np.zeros(lay.t)])
+    return _blockwise(lay, np.abs(vals), svdvals(_square_finite(T)))
 
 
-def _lc_parts(a: FuncExpr, f: TrigPoly, n: int):
-    if n < 4:
-        raise DomainError("locally circulant operator needs n >= 4")
-    lay = block_layout(n)
+def _lc_values(lay: BlockLayout, a: FuncExpr, f: TrigPoly) -> np.ndarray:
+    """a(1/m), ..., a(1), once C_block(f) is known to fit in a block."""
     if lay.block <= 2 * f.degree:
         raise DomainError(
-            f"block size {lay.block} must exceed 2*degree={2 * f.degree} at n={n}"
+            f"block size {lay.block} must exceed 2*degree={2 * f.degree} at n={lay.n}"
         )
-    return lay, _grid_values(a, lay.m)
+    return _grid_values(a, lay.m)
+
+
+def _lc_sum(terms, n: int) -> np.ndarray:
+    """sum_i LC_n(a_i, f_i): block j is sum_i a_i(j/m) C_block(f_i), then a
+    t x t zero block.  The terms are checked and sampled in order, so the
+    first bad term raises.  Each block sum starts from zero, as a block
+    accumulated in place does, so a zero entry is +0.0."""
+    lay = block_layout(n)
+    parts = [(_lc_values(lay, a, f), circulant(f, lay.block)) for a, f in terms]
+    return _block_diag(lay, (sum(vals[j] * C for vals, C in parts) for j in range(lay.m)))
 
 
 def lc_op(a: FuncExpr, f: TrigPoly, n: int) -> np.ndarray:
@@ -441,23 +450,18 @@ def lc_op(a: FuncExpr, f: TrigPoly, n: int) -> np.ndarray:
 
     Normal by construction (each block is circulant).
     """
-    lay, vals = _lc_parts(a, f, n)
-    C = circulant(f, lay.block)
-    return _block_diag(lay, (v * C for v in vals))
+    return _lc_sum(((a, f),), n)
 
 
 def _lc_eigs(a: FuncExpr, f: TrigPoly, n: int) -> np.ndarray:
     """Eigenvalues of lc_op(a, f, n) in block order: a(i/m) f(2*pi*j/block),
     then t zeros."""
-    lay, vals = _lc_parts(a, f, n)
-    spectrum = f(2 * np.pi * np.arange(lay.block) / lay.block)
-    return np.concatenate([np.outer(vals, spectrum).ravel(), np.zeros(lay.t, dtype=complex)])
+    lay = block_layout(n)
+    return _blockwise(lay, _lc_values(lay, a, f), _circulant_eigs(f, lay.block))
 
 
 def q_block(n: int) -> np.ndarray:
     """Block unitary diag(F_block, ..., F_block, I_t): independent of a and f."""
-    if n < 4:
-        raise DomainError("block Fourier matrix needs n >= 4")
     lay = block_layout(n)
     F = fourier_matrix(lay.block)
     return _block_diag(lay, [F] * lay.m, np.eye(lay.t))
@@ -469,8 +473,6 @@ def d_af(a: FuncExpr, f: TrigPoly, n: int) -> np.ndarray:
     Entries are a(i/m) * f(j*2pi/block) in block order, then t zeros: a
     uniform sampling of a(x) f(theta) over the rectangle domain.
     """
-    if n < 4:
-        raise DomainError("needs n >= 4")
     return np.diag(_lc_eigs(a, f, n))
 
 

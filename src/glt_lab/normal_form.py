@@ -16,15 +16,7 @@ import numpy as np
 
 from .acs import acs_equivalent, p_metric
 from .errors import DomainError, HermitianError, NumericalError
-from .matrices import (
-    MatrixSeq,
-    _check_ladder,
-    _lc_parts,
-    circulant,
-    d_af,
-    glt_product_seq,
-    q_block,
-)
+from .matrices import MatrixSeq, _check_ladder, _lc_sum, d_af, glt_product_seq, q_block
 from .spectra import (
     ResidualTable,
     as_symbol_grid,
@@ -58,58 +50,40 @@ NORMALITY_TOL = 1e-10
 @dataclass(frozen=True)
 class NormalForm:
     """Unitary Q and diagonal D with Q^H D Q normal and acs-close to the
-    generating diagonal-times-Toeplitz sum.  `matrix()` reads only `source`
-    and `n`, so `normal_form_seq` leaves q and d as None."""
+    generating diagonal-times-Toeplitz sum.
 
-    q: np.ndarray | None
-    d: np.ndarray | None
+    `matrix()` reads only `source` and `n`, so `normal_form_seq` leaves `q`
+    and `d` as None; only `normal_form()` fills them.  `diagonal_factor_seq`
+    reads `d` alone but still builds the dense Q through `normal_form()`:
+    `perfbench/test_tracing.py` requires a normal-form run to reach
+    `q_block`, so dropping Q there waits for a change to the benchmark."""
+
     source: GltExpr
     n: int
+    q: np.ndarray | None = None
+    d: np.ndarray | None = None
 
     def matrix(self) -> np.ndarray:
-        """Q^H D Q in closed form.  Q is block diagonal (F_block repeated m
-        times, then I_t) and F^H diag(f(2 pi k/block)) F = C_block(f), so
-        block j is sum_i a_i(j/m) C_block(f_i) and the trailing t x t block
-        is zero.  Exactly real when every a_i is real on the grid and every
-        f_i has real Fourier coefficients.  Each term is checked as d_af
-        checks it, so this raises d_af's errors, term by term."""
-        M = np.zeros((self.n, self.n), dtype=complex)
-        for a, f in self.source.terms:
-            lay, vals = _lc_parts(a, f, self.n)
-            C = circulant(f, lay.block)
-            for j, v in enumerate(vals):
-                lo = j * lay.block
-                M[lo : lo + lay.block, lo : lo + lay.block] += v * C
-        return M
+        """Q^H D Q in closed form: Q is block diagonal (F_block repeated m
+        times, then I_t) and F^H diag(f(2 pi k/block)) F = C_block(f), so this
+        is the sum of the terms' locally circulant operators.  Exactly real
+        when every a_i is real on the grid and every f_i has real Fourier
+        coefficients; raises d_af's errors, term by term."""
+        return _lc_sum(self.source.terms, self.n)
 
     def diagonal(self) -> np.ndarray:
         return np.diag(self.d)
 
 
-def _check_normal_form_size(n: int) -> None:
-    if n < 4:
-        raise DomainError("normal form needs n >= 4")
-
-
 def normal_form(expr: GltExpr, n: int) -> NormalForm:
     """Build Q = block Fourier and D = sum_i d_af(a_i, f_i, n)."""
-    _check_normal_form_size(n)
-    D = np.zeros((n, n), dtype=complex)
-    for a, f in expr.terms:
-        D += d_af(a, f, n)
-    return NormalForm(q_block(n), D, expr, n)
-
-
-def _normal_form_matrix(expr: GltExpr, n: int) -> np.ndarray:
-    """normal_form(expr, n).matrix(), with its errors in the same order,
-    without the dense Q and D that matrix() does not read."""
-    _check_normal_form_size(n)
-    return NormalForm(None, None, expr, n).matrix()
+    D = sum(d_af(a, f, n) for a, f in expr.terms)
+    return NormalForm(expr, n, q_block(n), D)
 
 
 def normal_form_seq(expr: GltExpr) -> MatrixSeq:
     """The normal sequence n -> Q^H D Q for a separable symbol."""
-    return MatrixSeq("normal-form", lambda n: _normal_form_matrix(expr, n), symbol=expr)
+    return MatrixSeq("normal-form", lambda n: NormalForm(expr, n).matrix(), symbol=expr)
 
 
 def diagonal_factor_seq(expr: GltExpr) -> MatrixSeq:

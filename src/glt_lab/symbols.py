@@ -296,7 +296,7 @@ class TrigPoly:
 
 def _theta_samples(f, quad_points: int) -> np.ndarray:
     """f at the nodes theta_j = -pi + (j + 1/2) 2pi/quad_points."""
-    theta = -np.pi + (np.arange(quad_points) + 0.5) * (2 * np.pi / quad_points)
+    theta = _theta_axis(quad_points)
     if isinstance(f, TrigPoly):
         return f(theta)
     if not f.free_vars <= {"theta"}:

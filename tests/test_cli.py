@@ -519,7 +519,7 @@ class TestNumericalFailureRows:
 
 
     @pytest.mark.parametrize("terms, sizes, message", [
-        ("x | 2*cos(theta)", "3, 16", "normal form needs n >= 4"),
+        ("x | 2*cos(theta)", "3, 16", "locally structured operators need n >= 4"),
         ("x | 2*cos(5*theta)", "16, 36", "block size 4 must exceed 2*degree=10 at n=16"),
         ("x | 2*cos(theta) ; 1/(x-0.25) | 2*cos(theta)", "16, 36",
          "'1/(x-0.25)' is non-finite at x=0.25"),

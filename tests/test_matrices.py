@@ -20,7 +20,11 @@ from glt_lab import (
     fourier_matrix,
     glt_product_seq,
     lc_op,
+    lc_seq,
     lt_op,
+    lt_seq,
+    normal_form,
+    normal_form_seq,
     parse_expr,
     q_block,
     toeplitz,
@@ -40,6 +44,32 @@ class TestBlockLayout:
         assert lay.m**2 <= n < (lay.m + 1) ** 2
         assert lay.t == n % lay.m
         assert lay.m * lay.block + lay.t == n
+
+
+SIZE_RULE = "locally structured operators need n >= 4"
+LOCAL_BUILDERS = {
+    "block_layout": block_layout,
+    "lt_op": lambda n: lt_op(X, TWO_COS, n),
+    "lc_op": lambda n: lc_op(X, TWO_COS, n),
+    "q_block": q_block,
+    "d_af": lambda n: d_af(X, TWO_COS, n),
+    "normal_form": lambda n: normal_form(GltExpr(((X, TWO_COS),)), n),
+    "normal_form_seq": lambda n: normal_form_seq(GltExpr(((X, TWO_COS),)))(n),
+    "lt_seq.svals": lambda n: lt_seq(X, TWO_COS).svals(n),
+    "lc_seq.eigs": lambda n: lc_seq(X, TWO_COS).eigs(n),
+}
+
+
+class TestSizeRule:
+    """block_layout holds the one size check of the locally structured
+    operators, their factors and their closed-form spectra."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("build", LOCAL_BUILDERS.values(), ids=LOCAL_BUILDERS.keys())
+    def test_small_sizes_raise_one_error(self, build, n):
+        with pytest.raises(DomainError) as info:
+            build(n)
+        assert str(info.value) == SIZE_RULE
 
 
 class TestToeplitz:
@@ -259,6 +289,14 @@ class TestCirculantSpectrum:
     def test_two_cos_values(self):
         D = circulant_spectrum(TWO_COS, 4)
         np.testing.assert_allclose(np.diag(D), [2, 0, -2, 0], atol=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_rejects_the_sizes_circulant_rejects(self, n):
+        f = TrigPoly.from_coeff_map({-2: 1, 2: 1})
+        for build in (circulant, circulant_spectrum):
+            with pytest.raises(DomainError) as info:
+                build(f, n)
+            assert str(info.value) == f"circulant needs n > 2*degree, got n={n}, degree=2"
 
 
 class TestFourierMatrix:

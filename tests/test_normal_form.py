@@ -26,8 +26,8 @@ from glt_lab import (
     toeplitz_seq,
     verify_normal_form,
 )
-from glt_lab.matrices import MatrixSeq, d_af, diag_sampling, toeplitz
-from glt_lab.normal_form import _canonical_svd, _pushed_seq, normal_form_seq
+from glt_lab.matrices import MatrixSeq, block_layout, circulant, d_af, diag_sampling, toeplitz
+from glt_lab.normal_form import NormalForm, _canonical_svd, _pushed_seq, normal_form_seq
 from glt_lab.spectra import singular_values
 
 TWO_COS = TrigPoly.from_coeff_map({1: 1, -1: 1})
@@ -120,6 +120,9 @@ NF_TERMS = {
     "complex-f": ((X, TrigPoly.from_coeff_map({-1: 0.5, 0: 1, 1: 0.5 + 0.25j})),),
     "two-real": ((X, TWO_COS), (parse_expr("exp(0.4*x)", "a"), TrigPoly.from_coeff_map({0: 1, 1: -0.4}))),
     "two-complex": ((parse_expr("1+0.9*x^2", "a"), TWO_COS), (parse_expr("x+2*i", "a"), SHIFT)),
+    # a negative a_i times a zero entry of C_block(f_i) is -0.0
+    "two-negative": ((parse_expr("0-1-x", "a"), TrigPoly.from_coeff_map({-1: -0.5, 0: -2})),
+                     (parse_expr("0.5-x", "a"), SHIFT)),
 }
 WIDE = TrigPoly.from_coeff_map({5: 1, -5: 1})  # 2*cos(5*theta)
 POLE = parse_expr("1/(x-0.5)", "a")
@@ -139,8 +142,27 @@ class TestNormalFormSeq:
         assert np.array_equal(M, nf.matrix())
         np.testing.assert_allclose(M, nf.q.conj().T @ nf.d @ nf.q, rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("n", [16, 20, 36, 40])
+    @pytest.mark.parametrize("terms", NF_TERMS.values(), ids=NF_TERMS.keys())
+    def test_matrix_is_the_in_place_block_sum_bitwise(self, terms, n):
+        # oracle: a zero matrix gains each term's a_i(j/m) C_block(f_i),
+        # block by block, in place; bytes compare the signs of zeros too
+        expr = GltExpr(terms)
+        lay = block_layout(n)
+        want = np.zeros((n, n), dtype=complex)
+        nodes = np.arange(1, lay.m + 1) / lay.m
+        for a, f in terms:
+            C = circulant(f, lay.block)
+            for j, v in enumerate(np.broadcast_to(a(x=nodes), nodes.shape).astype(complex)):
+                span = slice(j * lay.block, (j + 1) * lay.block)
+                want[span, span] += v * C
+        got = NormalForm(expr, n).matrix()
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        if len(terms) == 1:
+            assert lc_op(*terms[0], n).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("terms, n, error, message", [
-        (((X, TWO_COS),), 3, DomainError, "normal form needs n >= 4"),
+        (((X, TWO_COS),), 3, DomainError, "locally structured operators need n >= 4"),
         (((X, WIDE),), 16, DomainError, "block size 4 must exceed 2*degree=10 at n=16"),
         (((POLE, TWO_COS),), 16, EvalError, "'1/(x-0.5)' is non-finite at x=0.5"),
         # term by term, and within a term the block size before the grid
