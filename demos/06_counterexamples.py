@@ -23,12 +23,12 @@ from glt_lab import (
 alt = counterexample_seq("alt_identity")
 print("alternating identity: eigenvalue means flip with the parity of n")
 for n in (64, 65):
-    lam = eigenvalues(alt(n)).samples
+    lam = eigenvalues(alt(n))
     print(f"  n={n:3d}: mean eigenvalue = {lam.mean().real:+.1f}")
 
 hs = counterexample_seq("half_shift")
 A = hs(64)
-sv = singular_values(A).samples
+sv = singular_values(A)
 print("\nhalf shift at n=64: half the singular values are 1, half are 0")
 print(f"  ones: {int(np.sum(sv > 0.5))}, zeros: {int(np.sum(sv < 0.5))}, "
       f"|A^2| = {np.abs(A @ A).max()}")
@@ -46,8 +46,8 @@ print("  f(t) = t + 1 - |t|^2 fixes the matrix:",
       "yet f(0) = 1, so the functional limit jumps")
 
 j = counterexample_seq("jordan_shift")
-lam = eigenvalues(j(64)).samples
-sv = singular_values(j(64)).samples
+lam = eigenvalues(j(64))
+sv = singular_values(j(64))
 print("\nJordan-type shift at n=64:")
 print(f"  max |eigenvalue| = {np.abs(lam).max()}, singular values in [{sv.min()}, {sv.max()}]")
 print("  the singular value data mimics exp(i theta); the spectrum is identically 0")

@@ -56,7 +56,6 @@ from .normal_form import (
     verify_normal_form,
 )
 from .spectra import (
-    EmpiricalDist,
     ResidualTable,
     TestFamily,
     convergence_tolerance,
@@ -76,9 +75,6 @@ from .symbols import (
     parse_expr,
     rearrangement_distance,
     sample_symbol,
-    symbol_add,
-    symbol_mul,
-    symbol_scale,
     symbols_equal_in_distribution,
     trig_poly_from_expr,
 )

@@ -161,6 +161,14 @@ def _parse_expr_cfg(text: str, role: str):
         raise ConfigError(f"bad expression {text!r}: {exc}") from exc
 
 
+def _parse_trig_poly(text: str, max_degree: int) -> TrigPoly:
+    """Parse a trig factor, an expression in theta only, into its polynomial."""
+    try:
+        return trig_poly_from_expr(_parse_expr_cfg(text, "k"), max_degree)
+    except VariableError as exc:
+        raise ConfigError(f"bad trig factor {text!r}: {exc}") from exc
+
+
 def _parse_terms(text: str, max_degree: int) -> GltExpr:
     """Parse 'a1 | f1 ; a2 | f2' into a separable symbol expression."""
     terms = []
@@ -171,10 +179,7 @@ def _parse_terms(text: str, max_degree: int) -> GltExpr:
         if len(parts) != 2:
             raise ConfigError(f"term {chunk.strip()!r} must look like 'a-expr | f-expr'")
         a = _parse_expr_cfg(parts[0].strip(), "a")
-        f_expr = _parse_expr_cfg(parts[1].strip(), "k")
-        if not f_expr.free_vars <= {"theta"}:
-            raise ConfigError(f"trig factor {parts[1].strip()!r} may only use theta")
-        terms.append((a, trig_poly_from_expr(f_expr, max_degree)))
+        terms.append((a, _parse_trig_poly(parts[1].strip(), max_degree)))
     if not terms:
         raise ConfigError("term list is empty")
     return GltExpr(tuple(terms))
@@ -205,10 +210,7 @@ def build_sequence(spec: str, max_degree: int = 8) -> MatrixSeq:
             )
         return counterexample_seq(inner)
     if head in ("toeplitz", "circulant"):
-        f_expr = _parse_expr_cfg(inner, "k")
-        if not f_expr.free_vars <= {"theta"}:
-            raise ConfigError(f"{head} symbol may only use theta")
-        f = trig_poly_from_expr(f_expr, max_degree)
+        f = _parse_trig_poly(inner, max_degree)
         return (matrices.toeplitz_seq if head == "toeplitz" else matrices.circulant_seq)(f, inner)
     if head == "diag":
         return matrices.diag_seq(_parse_expr_cfg(inner, "a"))
@@ -472,8 +474,8 @@ def demo_alt_identity(name="alt_identity") -> list:
     one = _constant_unit_grid(1.0)
     family = family_with_extra_centers(default_family(1.0), (1.0, -1.0), 0.5)
     rows = _residual_rows(name, eig_symbol_residual(seq, one, sizes, family))
-    even_emp = family.means(eigenvalues(seq(256)).samples)
-    odd_emp = family.means(eigenvalues(seq(257)).samples)
+    even_emp = family.means(eigenvalues(seq(256)))
+    odd_emp = family.means(eigenvalues(seq(257)))
     gap = np.abs(even_emp - odd_emp).max()
     rows.append(_row(name, 257, "even_odd_gap", gap, 0.9, ok=gap < 0.9))
     return rows
@@ -508,7 +510,7 @@ def demo_scaled_cycle(name="scaled_cycle") -> list:
     fE = S @ np.diag(f_lam) @ np.linalg.inv(S)
     rows.append(_row(name, n_fn, "fn_fixed_point_error", np.abs(fE - E).max()))
     family = default_family(1.0)
-    gap = np.abs(family.means(singular_values(fE).samples) - family.means([1.0])).max()
+    gap = np.abs(family.means(singular_values(fE)) - family.means([1.0])).max()
     rows.append(_row(name, n_fn, "fn_pathology_gap", gap))
     return rows
 

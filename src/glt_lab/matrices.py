@@ -534,13 +534,15 @@ def circulant_seq(f: TrigPoly, label: str = "f") -> MatrixSeq:
 
 def lt_seq(a: FuncExpr, f: TrigPoly, label: str = "f") -> MatrixSeq:
     return MatrixSeq(
-        f"LT({a.source},{label})", lambda n: lt_op(a, f, n), svals=lambda n: _lt_svals(a, f, n)
+        f"LT({a.source},{label})", lambda n: lt_op(a, f, n), symbol=GltExpr(((a, f),)),
+        svals=lambda n: _lt_svals(a, f, n),
     )
 
 
 def lc_seq(a: FuncExpr, f: TrigPoly, label: str = "f") -> MatrixSeq:
     return MatrixSeq(
-        f"LC({a.source},{label})", lambda n: lc_op(a, f, n), eigs=lambda n: _lc_eigs(a, f, n)
+        f"LC({a.source},{label})", lambda n: lc_op(a, f, n), symbol=GltExpr(((a, f),)),
+        eigs=lambda n: _lc_eigs(a, f, n),
     )
 
 

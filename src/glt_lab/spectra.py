@@ -25,7 +25,6 @@ from .symbols import (
 )
 
 __all__ = [
-    "EmpiricalDist",
     "TestFamily",
     "ResidualTable",
     "singular_values",
@@ -42,46 +41,25 @@ DEFAULT_RECT_RESOLUTION = (64, 256)
 DEFAULT_UNIT_RESOLUTION = (4096,)
 
 
-@dataclass(frozen=True)
-class EmpiricalDist:
-    """Multiset of spectral samples; kind 'sv' keeps them sorted descending."""
-
-    samples: np.ndarray
-    kind: str
-
-    def __post_init__(self):
-        s = np.asarray(self.samples)
-        if self.kind == "sv":
-            s = np.sort(np.abs(s.real))[::-1]
-        elif self.kind != "eig":
-            raise ValueError("kind must be 'sv' or 'eig'")
-        s = s.copy()
-        s.setflags(write=False)
-        object.__setattr__(self, "samples", s)
-
-    def __len__(self):
-        return self.samples.size
-
-
-def singular_values(A: np.ndarray) -> EmpiricalDist:
+def singular_values(A: np.ndarray) -> np.ndarray:
     """Full singular value spectrum, sorted non-increasing."""
-    return EmpiricalDist(svdvals(_square_finite(A)), "sv")
+    return svdvals(_square_finite(A))
 
 
-def eigenvalues(A: np.ndarray) -> EmpiricalDist:
+def eigenvalues(A: np.ndarray) -> np.ndarray:
     """Full eigenvalue spectrum (dense solver, no symmetry assumptions).
 
-    A diagonal matrix is its own spectrum: its diagonal is returned as is,
-    which is what the dense solver returns for it, in the same order."""
+    A diagonal matrix is its own spectrum: a copy of its diagonal is
+    returned, which is what the dense solver returns for it, in the same
+    order."""
     A = _square_finite(A)
     d = np.diagonal(A)
     if np.count_nonzero(A) == np.count_nonzero(d):
-        return EmpiricalDist(d, "eig")
+        return d.copy()
     try:
-        lam = np.linalg.eigvals(A)
+        return np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-    return EmpiricalDist(lam, "eig")
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,9 +185,10 @@ class ResidualTable:
         return self.max_per_size() <= self.bounds
 
 
-def _spectrum(seq: MatrixSeq, n: int, kind: str) -> EmpiricalDist:
+def _spectrum(seq: MatrixSeq, n: int, kind: str) -> np.ndarray:
     """Spectrum of A_n: the sequence's closed form when it has one for this
-    kind, otherwise a dense decomposition."""
+    kind, otherwise a dense decomposition.  A closed-form `svals` is put in
+    the order `svdvals` returns, non-increasing, so the means sum alike."""
     hook = seq.svals if kind == "sv" else seq.eigs
     if hook is None:
         return singular_values(seq(n)) if kind == "sv" else eigenvalues(seq(n))
@@ -218,7 +197,7 @@ def _spectrum(seq: MatrixSeq, n: int, kind: str) -> EmpiricalDist:
         raise ValueError(f"{seq.name}: {kind} hook returned shape {samples.shape} for n={n}")
     if not np.isfinite(samples).all():
         raise DomainError("matrix has non-finite entries")
-    return EmpiricalDist(samples, kind)
+    return np.sort(np.abs(samples.real))[::-1] if kind == "sv" else samples
 
 
 def _residual_table(seq, grid, family, sizes, kind):
@@ -228,7 +207,7 @@ def _residual_table(seq, grid, family, sizes, kind):
         family = default_family(grid.max_abs())
     sizes = _check_ladder(sizes, 1)
     sym_means = family.means(_grid_samples(grid, kind))
-    rows = [np.abs(family.means(_spectrum(seq, n, kind).samples) - sym_means) for n in sizes]
+    rows = [np.abs(family.means(_spectrum(seq, n, kind)) - sym_means) for n in sizes]
     bounds = np.array([convergence_tolerance(n, grid) for n in sizes])
     return ResidualTable(kind, sizes, family.labels, np.vstack(rows), bounds)
 

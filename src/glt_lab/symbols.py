@@ -24,9 +24,6 @@ __all__ = [
     "SymbolGrid",
     "parse_expr",
     "trig_poly_from_expr",
-    "symbol_add",
-    "symbol_mul",
-    "symbol_scale",
     "sample_symbol",
     "rearrangement_distance",
     "monotone_rearrangement",
@@ -267,10 +264,6 @@ class TrigPoly:
             c[k + d] = v
         return cls(c)
 
-    @classmethod
-    def constant(cls, value) -> "TrigPoly":
-        return cls(np.array([value], dtype=complex))
-
     def __call__(self, theta):
         theta = np.asarray(theta, dtype=float)
         d = self.degree
@@ -294,11 +287,9 @@ class TrigPoly:
     __rmul__ = __mul__
 
 
-def _theta_samples(f, quad_points: int) -> np.ndarray:
+def _theta_samples(f: FuncExpr, quad_points: int) -> np.ndarray:
     """f at the nodes theta_j = -pi + (j + 1/2) 2pi/quad_points."""
     theta = _theta_axis(quad_points)
-    if isinstance(f, TrigPoly):
-        return f(theta)
     if not f.free_vars <= {"theta"}:
         raise VariableError("Fourier coefficients need an expression in theta only")
     return np.broadcast_to(f(theta=theta), theta.shape)
@@ -360,35 +351,24 @@ class GltExpr:
             out = out + a(x=x) * f(theta)
         return out
 
-    def __add__(self, other):
-        return symbol_add(self, other)
+    def __add__(self, other: "GltExpr") -> "GltExpr":
+        """Sum of two separable-term symbols: term lists concatenate."""
+        return GltExpr(self.terms + other.terms)
 
-    def __mul__(self, other):
+    def __mul__(self, other) -> "GltExpr":
+        """Product with a GltExpr: all pairwise products, trig parts
+        convolved so degrees add.  Product with a scalar: each term's trig
+        polynomial is scaled, so the coefficient expressions stay as they
+        were written."""
         if isinstance(other, GltExpr):
-            return symbol_mul(self, other)
-        return symbol_scale(self, other)
+            terms = []
+            for a1, f1 in self.terms:
+                for a2, f2 in other.terms:
+                    terms.append((_expr_product(a1, a2), f1 * f2))
+            return GltExpr(tuple(terms))
+        return GltExpr(tuple((a, f * other) for a, f in self.terms))
 
     __rmul__ = __mul__
-
-
-def symbol_add(p: GltExpr, q: GltExpr) -> GltExpr:
-    """Sum of two separable-term symbols: term lists concatenate."""
-    return GltExpr(p.terms + q.terms)
-
-
-def symbol_mul(p: GltExpr, q: GltExpr) -> GltExpr:
-    """Product: all pairwise products, trig parts convolved so degrees add."""
-    terms = []
-    for a1, f1 in p.terms:
-        for a2, f2 in q.terms:
-            terms.append((_expr_product(a1, a2), f1 * f2))
-    return GltExpr(tuple(terms))
-
-
-def symbol_scale(p: GltExpr, lam: complex) -> GltExpr:
-    """Scalar multiple: each term's trig polynomial is scaled by lam, so the
-    coefficient expressions stay as they were written."""
-    return GltExpr(tuple((a, f * lam) for a, f in p.terms))
 
 
 @dataclass(frozen=True)

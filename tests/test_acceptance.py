@@ -59,14 +59,16 @@ def matching_distance(a, b):
 
 
 def test_criterion_1_circulant_exactness():
-    start = time.monotonic()
+    # the time limits here count this process's CPU time (BLAS threads
+    # included), so load from other processes cannot fail a criterion
+    start = time.process_time()
     worst = 0.0
     for f in random_trig_corpus():
         for n in (16, 64, 256):
             lam = np.linalg.eigvals(circulant(f, n))
             expect = np.diag(circulant_spectrum(f, n))
             worst = max(worst, matching_distance(lam, expect))
-    elapsed = time.monotonic() - start
+    elapsed = time.process_time() - start
     report(1, "circulant-exactness", worst <= 1e-9 and elapsed < 10.0)
 
 
@@ -94,7 +96,7 @@ def test_criterion_3_lt_approximation_bound():
 
 
 def test_criterion_4_normal_form_fidelity():
-    start = time.monotonic()
+    start = time.process_time()
     expr = GltExpr(((X, TWO_COS),))
     sizes = (64, 256, 1024)
     rep = verify_normal_form(expr, sizes)
@@ -104,7 +106,7 @@ def test_criterion_4_normal_form_fidelity():
     eig_ok = all(
         rep.eig_table.max_per_size()[i] <= 10.0 / np.sqrt(n) for i, n in enumerate(sizes)
     )
-    elapsed = time.monotonic() - start
+    elapsed = time.process_time() - start
     report(
         4,
         "normal-form-fidelity",

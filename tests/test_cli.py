@@ -125,6 +125,24 @@ class TestSequenceSpecs:
         with pytest.raises(ConfigError):
             build_sequence("toeplitz(x)")  # x not allowed in a theta symbol
 
+    @pytest.mark.parametrize("spec", [
+        "toeplitz(2*cos(theta))", "circulant(2*cos(theta))", "diag(1+x)",
+        "lt(1+x | 2*cos(theta))", "lc(1+x | 2*cos(theta))", "glt(x | 2*cos(theta) ; 1 | 1)",
+        "normal-form(x | 2*cos(theta))",
+    ])
+    def test_every_structured_head_carries_a_symbol(self, spec):
+        assert build_sequence(spec).symbol is not None
+
+    @pytest.mark.parametrize("spec", ["identity", "zero", "counterexample(alt_identity)"])
+    def test_symbol_free_heads(self, spec):
+        assert build_sequence(spec).symbol is None
+
+    @pytest.mark.parametrize("head", ["lt", "lc"])
+    def test_locally_structured_symbol_is_a_times_f(self, head):
+        k = build_sequence(f"{head}(1+x | 2*cos(theta))").symbol
+        x, theta = np.linspace(0, 1, 7), np.linspace(-3, 3, 7)
+        np.testing.assert_allclose(k(x, theta), (1 + x) * 2 * np.cos(theta), atol=1e-12)
+
 
 class TestConfigValidation:
     def test_missing_seed(self, tmp_path):
@@ -255,6 +273,22 @@ class TestConfigValidation:
         assert code == 2
         assert out == ""
         assert f"complex literal {shift!r} is not finite" in err
+
+    @pytest.mark.parametrize("section", [
+        "kind = symbol-check\nsequence = toeplitz(x)\nsymbol = x\n",
+        "kind = symbol-check\nsequence = circulant(x*cos(theta))\nsymbol = x\n",
+        "kind = symbol-check\nsequence = lt(1 | x)\nsymbol = x\n",
+        "kind = symbol-check\nsequence = glt(1 | x*cos(theta))\nsymbol = x\n",
+        "kind = normal-form\nterms = 1 | x\n",
+    ], ids=["toeplitz", "circulant", "lt", "glt", "normal-form"])
+    def test_trig_factor_in_x_exits_2(self, tmp_path, section):
+        cfg = write_config(tmp_path, f"[exp]\n{section}sizes = 16, 36\n")
+        code, out, err = run_cli(["run", cfg])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: bad trig factor ")
+        assert "expression in theta only" in err
+        assert "Traceback" not in err
 
     def test_load_config_roundtrip(self, tmp_path):
         cfg = write_config(tmp_path, GOOD_CONFIG)
@@ -388,6 +422,20 @@ class TestRunCommand:
             "sequence = toeplitz(2*cos(theta))\nfunction = t^2\nsizes = 16, 32, 64\n",
         )
         code, out, _ = run_cli(["run", cfg])
+        assert code == 0
+
+    @pytest.mark.parametrize("head", ["lt", "lc"])
+    def test_hermitian_fn_on_locally_structured_sequence(self, tmp_path, head):
+        # the a(x) f(theta) symbol of lt and lc is attached, so the Hermitian
+        # sequence is tested rather than reported as an error row
+        cfg = write_config(
+            tmp_path,
+            f"[sq]\nkind = hermitian-fn\nsequence = {head}(1+x | 2*cos(theta))\n"
+            "function = t^2\nsizes = 16, 64\n",
+        )
+        code, out, _ = run_cli(["run", cfg])
+        metrics = [row.split(",")[2] for row in out.splitlines()[1:]]
+        assert metrics == ["sv_residual_max"] * 2 + ["eig_residual_max"] * 2
         assert code == 0
 
     def test_normal_form_kind(self, tmp_path):

@@ -32,7 +32,7 @@ from glt_lab import (
 
 ONE = parse_expr("1", "a")
 X = parse_expr("x", "a")
-CONST1 = TrigPoly.constant(1)
+CONST1 = TrigPoly.from_coeff_map({0: 1})
 TWO_COS = TrigPoly.from_coeff_map({1: 1, -1: 1})
 SHIFT = TrigPoly.from_coeff_map({1: 1})
 

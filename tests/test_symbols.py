@@ -1,3 +1,5 @@
+from decimal import Decimal
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,6 @@ from glt_lab import (
     parse_expr,
     rearrangement_distance,
     sample_symbol,
-    symbol_add,
-    symbol_mul,
-    symbol_scale,
     symbols_equal_in_distribution,
     trig_poly_from_expr,
 )
@@ -176,6 +175,22 @@ def _fourier_coeff(f: TrigPoly, k: int, quad_points: int) -> complex:
     return complex(np.mean(f(theta) * np.exp(-1j * k * theta)))
 
 
+def _literal(v: float) -> str:
+    """v as the exact decimal literal of its binary value, which the grammar
+    reads back bit for bit (no sign, no exponent)."""
+    text = format(Decimal(abs(v)), "f")
+    text = text if "." in text else text + ".0"
+    return f"(0-{text})" if v < 0 else text
+
+
+def _as_expr(f: TrigPoly):
+    """f as a parsed theta expression: sum_k (re f_k + im f_k i) exp(i k theta)."""
+    return parse_expr(" + ".join(
+        f"({_literal(c.real)}+{_literal(c.imag)}*i)*exp(i*{_literal(k)}*theta)"
+        for k, c in zip(range(-f.degree, f.degree + 1), f.coeffs)
+    ), "k")
+
+
 class TestFourierCoeff:
     def test_two_cos(self):
         f = trig_poly_from_expr(parse_expr("2*cos(theta)", "k"))
@@ -208,7 +223,7 @@ class TestFourierCoeff:
             c = c + 1j * rng.standard_normal(2 * d + 1)
         # scaled so that |f| <= 1: the roundoff of both methods grows with |f|
         f = TrigPoly(c / np.abs(c).sum())
-        got = trig_poly_from_expr(f, max_degree)
+        got = trig_poly_from_expr(_as_expr(f), max_degree)
         quad = max(4 * (max_degree + 1), 64)
         oracle = [_fourier_coeff(f, k, quad) for k in range(-d, d + 1)]
         assert got.degree == d
@@ -228,15 +243,15 @@ X = parse_expr("x", "a")
 
 class TestSymbolAlgebra:
     def test_add_constants(self):
-        p = GltExpr(((ONE, TrigPoly.constant(1)),))
-        s = symbol_add(p, p)
+        p = GltExpr(((ONE, TrigPoly.from_coeff_map({0: 1})),))
+        s = p + p
         vals = s(np.linspace(0, 1, 7), np.linspace(-3, 3, 7))
         np.testing.assert_allclose(vals, 2, atol=1e-15)
         assert len(s.terms) == 2
 
     def test_mul_squares_separable_term(self):
         p = GltExpr(((X, SHIFT),))
-        sq = symbol_mul(p, p)
+        sq = p * p
         assert [f.degree for _, f in sq.terms] == [2]
         x = np.linspace(0.1, 1, 9)
         theta = np.linspace(-3, 3, 9)
@@ -244,13 +259,13 @@ class TestSymbolAlgebra:
 
     def test_scale_by_zero(self):
         p = GltExpr(((ONE, TWO_COS),))
-        z = symbol_scale(p, 0)
+        z = p * 0
         np.testing.assert_allclose(z(np.linspace(0, 1, 5), np.linspace(-3, 3, 5)), 0, atol=1e-15)
 
     def test_scale_by_complex_keeps_coefficient_sources(self):
         p = GltExpr(((X, TWO_COS), (parse_expr("exp(x)", "a"), SHIFT)))
         lam = 0.75 - 1.25j
-        scaled = symbol_scale(p, lam)
+        scaled = p * lam
         rng = np.random.default_rng(5)
         x = rng.uniform(0, 1, 200)
         theta = rng.uniform(-np.pi, np.pi, 200)
@@ -262,7 +277,7 @@ class TestSymbolAlgebra:
         rng = np.random.default_rng(3)
         p = GltExpr(((X, TWO_COS), (ONE, SHIFT)))
         q = GltExpr(((parse_expr("sin(x)", "a"), TrigPoly.from_coeff_map({-1: 0.5, 2: 1j})),))
-        prod = symbol_mul(p, q)
+        prod = p * q
         x = rng.uniform(0, 1, 1000)
         theta = rng.uniform(-np.pi, np.pi, 1000)
         lhs = prod(x, theta)
@@ -277,7 +292,7 @@ class TestSymbolAlgebra:
 
 class TestSampleSymbol:
     def test_constant_grid(self):
-        k = GltExpr(((ONE, TrigPoly.constant(1)),))
+        k = GltExpr(((ONE, TrigPoly.from_coeff_map({0: 1})),))
         grid = sample_symbol(k, "RECT", (4, 4))
         assert grid.samples.size == 16
         np.testing.assert_allclose(grid.samples, 1, atol=1e-15)
@@ -309,7 +324,7 @@ class TestSampleSymbol:
         sep = GltExpr(((X, TWO_COS),))
         grid_sep = sample_symbol(sep, "RECT", (32, 128))
         assert abs(grid_sep.samples.mean()) < 1e-12  # cos integrates to 0
-        sq = GltExpr(((parse_expr("x^2", "a"), TrigPoly.constant(1)),))
+        sq = GltExpr(((parse_expr("x^2", "a"), TrigPoly.from_coeff_map({0: 1})),))
         grid_sq = sample_symbol(sq, "RECT", (256, 2))
         assert abs(grid_sq.samples.mean() - 1 / 3) < 1e-5
 
