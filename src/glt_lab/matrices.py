@@ -5,16 +5,22 @@ always yields the same matrix.  The locally-structured operators split n into
 m = floor(sqrt(n)) blocks of size floor(n/m) plus a trailing zero block.
 numpy builds every family.  The banded SVD path of `svdvals` reduces a narrow
 band to a bidiagonal with LAPACK's ?gbbrd and takes its singular values by
-dqds (dlasq1), in O(n^2 b) and within eps*sigma_1 of the dense SVD.  Those
-routines are scipy's only use: `_band_solver` reaches them through the
-PyCapsules of scipy.linalg.cython_lapack and imports scipy the first time a
-matrix takes that path, or earlier through `_preload_band_solver` when
-`glt-lab run` reads a config that may take it.
+dqds (dlasq1), in O(n^2 b) and within eps*sigma_1 of the dense SVD, and
+p_metric's band Gram route takes a Hermitian band's eigenvalues with dsbev or
+zhbev (`_band_eigvalsh`).  These LAPACK routines are scipy's only use: one
+cached table (`_lapack`) reaches them through the PyCapsules of
+scipy.linalg.cython_lapack, which it loads alone, without scipy.linalg, the
+first time a matrix takes a band route.  `_preload_band_solver` imports
+scipy.linalg whole earlier, when `glt-lab run` reads a config whose sv
+ladders may take the banded SVD path.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,58 +158,99 @@ def _complex_valued(A: np.ndarray) -> bool:
 # matrices on a 2-vCPU VM (OpenBLAS 0.3.31).  A complex band costs 1.2-3x a
 # real one and so does its dense SVD, so one rule serves both: n >= 512 and
 # b <= n/160.  The band wins 2-3x even at n = 256 (b = 2: 0.004 against
-# 0.010 s real), but saves less there than the 0.25 s import of scipy that
-# `_band_solver` costs once, so runs of small matrices never load it.  At the
-# widest accepted b it wins 4-5x: n = 512, b = 3 takes 0.015 against 0.055 s
-# real and 0.023 against 0.105 s complex; n = 1600, b = 10 takes 0.23 against
+# 0.010 s real), but saves less there than the one-off load of the LAPACK
+# routines, so runs of small matrices never load them.  At the widest
+# accepted b it wins 4-5x: n = 512, b = 3 takes 0.015 against 0.055 s real
+# and 0.023 against 0.105 s complex; n = 1600, b = 10 takes 0.23 against
 # 1.09 s real and 0.49 against 2.30 s complex.  Wider bands keep a dense
 # route: at n = 1600, b = 40 (an acs difference's block width) the band takes
 # 0.84 s, the dense SVD 1.16 s and p_metric's Gram route 0.40 s.
 _BAND_MIN_N = 512
 _BAND_N_PER_B = 160
 
+_CAPSULE_MODULE = "scipy.linalg.cython_lapack"
 
-def _band_solver():
-    """The singular values of an n x n band, as a function of its LAPACK
-    general-band storage ab (n x (2b+1), row j holding column j of A) and
-    its half-bandwidth b.
 
-    LAPACK's ?gbbrd (dgbbrd real, zgbbrd complex; Kaufman's band
-    bidiagonalisation) reduces the band to a real bidiagonal in O(n^2 b), and
-    dlasq1 (dqds, Fernando and Parlett 1994) returns its singular values,
-    non-increasing, to high relative accuracy.  scipy.linalg.cython_lapack
-    exports the three routines as PyCapsules holding their C addresses, which
-    ctypes calls directly; scipy.linalg.lapack exposes none of them.
-    Importing scipy.linalg costs about 0.25 s, so it happens here, on the
-    first call: runs whose sizes stay below _BAND_MIN_N never pay it.
+def _cython_lapack():
+    """scipy.linalg.cython_lapack, which exports LAPACK as PyCapsules holding
+    the routines' C addresses.
+
+    When scipy.linalg is not imported, the extension module is loaded alone,
+    from its file in scipy's package directory, and registered under its
+    name; scipy.linalg/__init__ never runs.  That takes about 0.03 s and
+    3 MB of peak RSS, against 0.29-0.30 s and 26 MB for `import
+    scipy.linalg`.  A later `import scipy.linalg` reuses the registered
+    module but does not set it as an attribute of scipy.linalg;
+    `from scipy.linalg import cython_lapack` still finds it.
     """
+    if _CAPSULE_MODULE not in sys.modules:
+        import importlib.machinery
+        import importlib.util
+
+        linalg = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0],
+                              "linalg")
+        spec = importlib.machinery.PathFinder.find_spec(_CAPSULE_MODULE, [linalg])
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)  # an ExtensionFileLoader
+        sys.modules[_CAPSULE_MODULE] = module
+    return sys.modules[_CAPSULE_MODULE]
+
+
+@functools.cache
+def _lapack() -> dict:
+    """The LAPACK routines of the band paths as ctypes functions, by name,
+    built once from the capsules of `_cython_lapack`.  scipy.linalg.lapack
+    exposes none of them.  Every integer argument is a one-element np.intc
+    array, so `info` is read back as info[0]."""
     import ctypes
 
-    from scipy.linalg import cython_lapack
-
+    capi = _cython_lapack().__pyx_capi__
     capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
         ("PyCapsule_GetName", ctypes.pythonapi))
     capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", ctypes.pythonapi))
+    ch = ctypes.c_char_p
+    i, d, z = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS")
+               for t in (np.intc, np.float64, np.complex128))
+    signatures = {
+        "dgbbrd": (ch, i, i, i, i, i, d, i, d, d, d, i, d, i, d, i, d, i),
+        "zgbbrd": (ch, i, i, i, i, i, z, i, d, d, z, i, z, i, z, i, z, d, i),
+        "dlasq1": (i, d, d, d, i),
+        "dsbev": (ch, ch, i, i, d, i, d, d, i, d, i),
+        "zhbev": (ch, ch, i, i, z, i, d, z, i, z, d, i),
+    }
+    return {name: ctypes.CFUNCTYPE(None, *argtypes)(
+                capsule_pointer(capi[name], capsule_name(capi[name])))
+            for name, argtypes in signatures.items()}
 
-    def routine(name, *argtypes):
-        capsule = cython_lapack.__pyx_capi__[name]
-        address = capsule_pointer(capsule, capsule_name(capsule))
-        return ctypes.CFUNCTYPE(None, *argtypes)(address)
 
-    ch, i = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int)
-    d = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    z = np.ctypeslib.ndpointer(np.complex128, flags="C_CONTIGUOUS")
-    dgbbrd = routine("dgbbrd", ch, i, i, i, i, i, d, i, d, d, d, i, d, i, d, i, d, i)
-    zgbbrd = routine("zgbbrd", ch, i, i, i, i, i, z, i, d, d, z, i, z, i, z, i, z, d, i)
-    dlasq1 = routine("dlasq1", i, d, d, d, i)
+def _int(v: int) -> np.ndarray:
+    """A LAPACK integer argument."""
+    return np.full(1, v, np.intc)
 
-    def ref(v):
-        return ctypes.byref(ctypes.c_int(v))
 
-    def check(name, info):
-        if info.value:
-            raise NumericalError(f"SVD failed: {name} returned info = {info.value}")
+def _call(name: str, *args, task: str) -> None:
+    """Call the LAPACK routine `name` with `args` and a trailing info; a
+    nonzero info raises NumericalError("<task> failed: ...")."""
+    info = _int(0)
+    _lapack()[name](*args, info)
+    if info[0]:
+        raise NumericalError(f"{task} failed: {name} returned info = {info[0]}")
+
+
+def _band_solver():
+    """The singular values of an n x n band, as a function of its LAPACK
+    general-band storage ab (n x (2b+1), row j holding column j of A; see
+    `_band_storage`) and its half-bandwidth b.
+
+    LAPACK's ?gbbrd (dgbbrd real, zgbbrd complex; Kaufman's band
+    bidiagonalisation) reduces the band to a real bidiagonal in O(n^2 b), and
+    dlasq1 (dqds, Fernando and Parlett 1994) returns its singular values,
+    non-increasing, to high relative accuracy.  The routines load on the
+    first call (`_lapack`): runs whose sizes stay below _BAND_MIN_N never
+    load them.
+    """
+    _lapack()
 
     def band_svdvals(ab: np.ndarray, b: int) -> np.ndarray:
         n = ab.shape[0]
@@ -211,26 +258,80 @@ def _band_solver():
             raise ValueError(f"band storage of shape {ab.shape} for n = {n}, b = {b}")
         diag, off = np.empty(n), np.zeros(n)  # dlasq1 takes n entries of off
         unused = np.zeros(1, ab.dtype)  # Q, P^H and C: not referenced for vect = 'N', ncc = 0
-        info = ctypes.c_int()
-        args = (b"N", ref(n), ref(n), ref(0), ref(b), ref(b), ab, ref(2 * b + 1), diag, off,
-                unused, ref(1), unused, ref(1), unused, ref(1))
+        args = (b"N", _int(n), _int(n), _int(0), _int(b), _int(b), ab, _int(2 * b + 1), diag, off,
+                unused, _int(1), unused, _int(1), unused, _int(1))
         if ab.dtype == np.complex128:
-            zgbbrd(*args, np.empty(n, complex), np.empty(n), ctypes.byref(info))
-            check("zgbbrd", info)
+            _call("zgbbrd", *args, np.empty(n, complex), np.empty(n), task="SVD")
         else:
-            dgbbrd(*args, np.empty(2 * n), ctypes.byref(info))
-            check("dgbbrd", info)
-        dlasq1(ref(n), diag, off, np.empty(4 * n), ctypes.byref(info))
-        check("dlasq1", info)
+            _call("dgbbrd", *args, np.empty(2 * n), task="SVD")
+        _call("dlasq1", _int(n), diag, off, np.empty(4 * n), task="SVD")
         return diag
 
     return band_svdvals
 
 
+def _band_eigvalsh(gb: np.ndarray) -> np.ndarray:
+    """The eigenvalues, ascending, of an n x n Hermitian band held in LAPACK
+    lower band storage gb (n x (kd+1), gb[j, d] holding entry (j+d, j)),
+    which is overwritten.
+
+    dsbev (real) or zhbev (complex) with jobz = 'N' reduces the band to a
+    real tridiagonal in O(n^2 kd) (?sbtrd/?hbtrd: Schwarz, Numer. Math. 12,
+    1968) and takes its eigenvalues by dsterf.  The reduction is backward
+    stable.  A nonzero info raises NumericalError.
+    """
+    n, width = gb.shape
+    w = np.empty(n)
+    args = (b"N", b"L", _int(n), _int(width - 1), gb, _int(width), w)
+    if gb.dtype == np.complex128:
+        _call("zhbev", *args, np.zeros(1, complex), _int(1), np.empty(n, complex),
+              np.empty(max(1, 3 * n - 2)), task="eigensolver")
+    else:
+        _call("dsbev", *args, np.zeros(1), _int(1), np.empty(max(1, 3 * n - 2)),
+              task="eigensolver")
+    return w
+
+
 def _preload_band_solver(n: int) -> None:
-    """Import the band solver now if an n x n matrix may take the banded path."""
+    """Load the band solver now if an n x n matrix may take the banded path.
+
+    This imports scipy.linalg whole, not `_cython_lapack` alone.  The lighter
+    load took `spectral-ladder`'s setup_s from 0.46-0.61 to 0.27-0.30 s and
+    its peak RSS from 77 to 54 MB, but its run_s from 0.15-0.18 to
+    0.19-0.20 s and its cpu_s from 0.28-0.33 to 0.36-0.39 s (4 of 4 pairs),
+    with the same code run after the config; the cause is not traced.
+    """
     if n >= _BAND_MIN_N:
-        _band_solver()
+        import scipy.linalg  # noqa: F401
+
+        _lapack()
+
+
+def _half_bandwidth(A: np.ndarray, b_max: int):
+    """The outermost diagonal of a square A that holds a nonzero entry, or
+    None when one lies beyond b_max; A may be a mask.  Read in O(n b_max)
+    beyond one count of A's nonzeros: an entry off the diagonals
+    -b_max..b_max leaves their count short of that total."""
+    n = A.shape[0]
+    nnz = np.count_nonzero(A)
+    if nnz > n * (2 * b_max + 1):
+        return None
+    offsets = np.arange(-b_max, b_max + 1)
+    counts = np.array([np.count_nonzero(np.diagonal(A, k)) for k in offsets])
+    if counts.sum() < nnz:
+        return None
+    return int(np.abs(offsets[counts > 0]).max(initial=0))
+
+
+def _band_storage(M: np.ndarray, b: int) -> np.ndarray:
+    """LAPACK general band storage of a square M of half-bandwidth b:
+    ab[j, b + i - j] holds entry (i, j), so row j holds column j, and the
+    corners outside M are zero."""
+    n = M.shape[0]
+    ab = np.zeros((n, 2 * b + 1), dtype=M.dtype)
+    for k in range(-b, b + 1):
+        ab[max(k, 0) : n + min(k, 0), b - k] = np.diagonal(M, k)
+    return ab
 
 
 def _banded_svdvals(A: np.ndarray, nonzero: np.ndarray):
@@ -246,22 +347,10 @@ def _banded_svdvals(A: np.ndarray, nonzero: np.ndarray):
     n = A.shape[0]
     if n < _BAND_MIN_N:
         return None
-    b_max = n // _BAND_N_PER_B
-    nnz = np.count_nonzero(nonzero)
-    if nnz > n * (2 * b_max + 1):
+    b = _half_bandwidth(nonzero, n // _BAND_N_PER_B)
+    if b is None:
         return None
-    # b is the outermost nonzero diagonal, read in O(n b_max); an entry off
-    # the diagonals -b_max..b_max leaves their count short of nnz
-    offsets = np.arange(-b_max, b_max + 1)
-    counts = np.array([np.count_nonzero(np.diagonal(nonzero, k)) for k in offsets])
-    if counts.sum() < nnz:
-        return None
-    b = int(np.abs(offsets[counts > 0]).max(initial=0))
-    M = A if _complex_valued(A) else A.real
-    # general band storage: ab[j, b + i - j] holds entry (i, j)
-    ab = np.zeros((n, 2 * b + 1), dtype=M.dtype)
-    for k in range(-b, b + 1):
-        ab[max(k, 0) : n + min(k, 0), b - k] = np.diagonal(M, k)
+    ab = _band_storage(A if _complex_valued(A) else A.real, b)
     if not np.isfinite(ab).all():
         raise NumericalError("SVD failed: matrix has non-finite entries")
     return _band_solver()(ab, b)

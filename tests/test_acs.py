@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from glt_lab import (
     DomainError,
+    NumericalError,
     TrigPoly,
     acs_distance,
     acs_equivalent,
@@ -92,6 +95,25 @@ def route(monkeypatch):
     return taken
 
 
+@pytest.fixture
+def band_route(monkeypatch):
+    """Records (n, kd) of every Gram band that p_metric hands the band
+    eigensolver."""
+    bands = []
+    solver = acs._band_eigvalsh
+
+    def spy(gb):
+        bands.append((gb.shape[0], gb.shape[1] - 1))
+        return solver(gb)
+
+    monkeypatch.setattr(acs, "_band_eigvalsh", spy)
+    return bands
+
+
+def glt_minus_lc(f, n):
+    return glt_product_seq(GltExpr(((A_QUAD, f),)))(n) - lc_seq(A_QUAD, f)(n)
+
+
 def with_spectrum(sigma, seed=0):
     """U diag(sigma) V^T for random orthogonal U and V."""
     n = len(sigma)
@@ -110,17 +132,21 @@ A_EXP = parse_expr("exp(0.4*x)", "a")
 
 class TestGramRoute:
     @pytest.mark.parametrize("f", [F_REAL, F_CPLX], ids=["real", "complex"])
-    def test_glt_minus_lc(self, f, route):
-        A = glt_product_seq(GltExpr(((A_QUAD, f),)))(576) - lc_seq(A_QUAD, f)(576)
-        assert abs(p_metric(A) - p_svd(A)) <= 1e-10 * p_svd(A)
-        assert route == ["gram"]
+    @pytest.mark.parametrize("n", [576, 1024])
+    def test_glt_minus_lc(self, f, n, route, band_route):
+        # the Gram band reaches two diagonals past the block corners, b = sqrt(n) - 1
+        A = glt_minus_lc(f, n)
+        p = p_metric(A)
+        assert abs(p - p_svd(A)) <= 1e-12 * p_svd(A)
+        assert route == ["gram"] and band_route == [(n, math.isqrt(n) + 1)]
+        assert p_metric(-A) == p
 
     @pytest.mark.parametrize("f", [F_REAL, F_CPLX], ids=["real", "complex"])
-    def test_glt_minus_normal_form(self, f, route):
+    def test_glt_minus_normal_form(self, f, route, band_route):
         expr = GltExpr(((A_QUAD, f), (A_EXP, F_REAL)))
         A = glt_product_seq(expr)(576) - normal_form(expr, 576).matrix()
         assert abs(p_metric(A) - p_svd(A)) <= 1e-10 * p_svd(A)
-        assert route == ["gram"]
+        assert route == ["gram"] and band_route == [(576, 25)]
 
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("drop", ["rows", "cols"])
@@ -333,6 +359,134 @@ class TestSignSymmetry:
         assert A.imag.any()
         p_metric(A)  # the first call leaves a few kB of one-off caches
         assert traced_peak(p_metric, A) < 40 * n * n
+
+
+def p_real_svd(A):
+    """The dense-SVD oracle of p for a real-valued A, in real arithmetic."""
+    assert not np.asarray(A).imag.any()
+    s = np.linalg.svd(np.asarray(A).real, compute_uv=False)
+    return float((np.arange(s.size + 1) / s.size + np.append(s, 0.0)).min())
+
+
+# the two-term normal forms of seeds 0-2 of perfbench's `acs-normal-form`
+# workload; their n = 1600 differences from the glt product are real
+BENCH_NF_TERMS = [
+    "0.9551 + 1.0377*x^2 | 1.1080 + 0.7665*cos(theta) + 0.4578*i*sin(2*theta) ; "
+    "exp(0.4047*x) | 1.0230 + 0.7981*cos(theta) + 0.4695*i*sin(2*theta)",
+    "1.0251 + 0.8100*x^2 | 1.0657 + 1.0853*cos(theta) + 0.4674*i*sin(2*theta) ; "
+    "exp(0.3045*x) | 0.8646 + 0.8659*cos(theta) + 0.3076*i*sin(2*theta)",
+    "1.1775 + 1.2414*x^2 | 0.9029 + 0.9891*cos(theta) + 0.5903*i*sin(2*theta) ; "
+    "exp(0.5700*x) | 1.1935 + 0.8648*cos(theta) + 0.5443*i*sin(2*theta)",
+]
+
+
+class TestBandGramRoute:
+    """A square core of size n >= 512 whose half-bandwidth b and Gram
+    half-width kd stay within n/16 takes its Gram eigenvalues from the band."""
+
+    @pytest.mark.parametrize("f", [F_REAL, F_CPLX], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", [576, 1024])
+    def test_gram_band_matches_the_dense_gram(self, f, n):
+        core = matrices._svd_reduce(glt_minus_lc(f, n))[1]
+        assert np.iscomplexobj(core) == (f is F_CPLX)
+        gb, G = acs._gram_band(core), acs._gram(core)
+        kd = gb.shape[1] - 1
+        # the block corners set b; the Gram band reaches two diagonals further
+        assert kd == matrices._half_bandwidth(core, n) + 2
+        tol = 1e-14 * np.abs(G).max()
+        for d in range(kd + 1):
+            np.testing.assert_allclose(gb[: n - d, d], np.diagonal(G, -d), rtol=0, atol=tol)
+            assert not gb[n - d :, d].any()
+        assert not np.tril(G, -kd - 1).any()
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_gram_band_of_a_half_integer_band_is_exact(self, dtype):
+        # every product and sum is exact, so both Gram matrices are too
+        core = half_integer_band(512, 8, dtype, np.random.default_rng(3))
+        gb, G = acs._gram_band(core), acs._gram(core)
+        assert gb.shape == (512, 17)
+        for d in range(17):
+            assert np.array_equal(gb[: 512 - d, d], np.diagonal(G, -d))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_gram_band_of_the_negated_core(self, dtype):
+        # each product pairs two entries of one row of C or two zeros of the
+        # padding, so no zero changes sign with C
+        for A in (half_integer_band(1024, 32, dtype, np.random.default_rng(7)),
+                  glt_minus_lc(F_CPLX if dtype is complex else F_REAL, 1024)):
+            C = matrices._svd_reduce(A)[1]
+            assert acs._gram_band(-C).tobytes() == acs._gram_band(C).tobytes()
+
+    @staticmethod
+    def refused(case):
+        rng = np.random.default_rng(4)
+        if case == "toeplitz-circulant":
+            return toeplitz(F_REAL, 1024) - circulant(F_REAL, 1024)  # a 4 x 4 core
+        if case == "small":
+            return glt_minus_lc(F_REAL, 484)
+        if case == "b-above-the-gate":
+            return half_integer_band(512, 33, float, rng)  # b > 512/16
+        if case == "kd-above-the-gate":
+            return half_integer_band(512, 17, float, rng)  # b <= 32 < kd = 34
+        A = glt_minus_lc(F_REAL, 576)
+        A[::7] = 0  # a 493 x 576 core
+        return A
+
+    @pytest.mark.parametrize("case", ["toeplitz-circulant", "small", "b-above-the-gate",
+                                      "kd-above-the-gate", "rectangular"])
+    def test_cores_the_gate_refuses(self, case, band_route):
+        A = self.refused(case)
+        core = matrices._svd_reduce(A)[1]
+        assert acs._gram_band(core) is None
+        assert p_metric(A) == pytest.approx(p_svd(A), rel=1e-10, abs=1e-14)
+        assert band_route == []
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("n, b", [(512, 4), (512, 16), (1024, 7), (1024, 32)])
+    def test_sign_symmetry_on_half_integer_bands(self, n, b, dtype, band_route):
+        # b from just above the SVD band path's n/160 to n/32, where a full
+        # band's Gram half-width 2b reaches the gate
+        A = half_integer_band(n, b, dtype, np.random.default_rng(1000 * n + b))
+        assert p_metric(A) == p_metric(-A)
+        assert band_route == [(n, 2 * b)] * 2
+
+    @pytest.mark.parametrize("f, routine", [(F_REAL, "dsbev"), (F_CPLX, "zhbev")],
+                             ids=["real", "complex"])
+    def test_nonzero_info_falls_back(self, f, routine, route, monkeypatch):
+        calls = []
+
+        def failing(*args):
+            calls.append(routine)
+            args[-1][0] = 1  # info
+
+        table = {**matrices._lapack(), routine: failing}
+        monkeypatch.setattr(matrices, "_lapack", lambda: table)
+        A = glt_minus_lc(f, 576)
+        assert p_metric(A) == p_svdvals(A)
+        assert calls == [routine] and route == ["dense"]
+        gb = acs._gram_band(matrices._svd_reduce(A)[1])
+        message = f"eigensolver failed: {routine} returned info = 1"
+        with pytest.raises(NumericalError, match=message):
+            matrices._band_eigvalsh(gb)
+
+    def test_dense_eigensolver_failure_falls_back(self, route, monkeypatch):
+        def failing(G):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        A = glt_minus_lc(F_REAL, 484)
+        assert p_metric(A) == p_svdvals(A)
+        assert route == ["dense"]
+
+    @pytest.mark.parametrize("terms", BENCH_NF_TERMS, ids=["seed0", "seed1", "seed2"])
+    def test_benchmark_normal_form_at_1600_is_certified(self, terms, route, band_route):
+        # the gate's bound reached half its limit on these operands; the band
+        # route must keep them off the dense SVD, which is three times slower
+        A = build_sequence(f"glt({terms})")(1600) - build_sequence(f"normal-form({terms})")(1600)
+        p = p_metric(A)
+        assert band_route == [(1600, 41)]
+        assert route == ["gram"]
+        assert abs(p - p_real_svd(A)) <= 1e-12 * p
 
 
 class TestPMetric:

@@ -1,5 +1,6 @@
-"""scipy stays off the import path: it loads with a config whose sv ladders
-reach the banded SVD path, or on the first banded call, and nowhere else.
+"""scipy stays off the import path: scipy.linalg loads with a config whose sv
+ladders reach the banded SVD path, and its LAPACK capsule module loads alone
+on the first call that takes a band route; nothing else loads them.
 numpy.ma, which np.median imports on its first call, never loads.
 
 Each check runs in a fresh interpreter, since this one already holds scipy.
@@ -76,10 +77,37 @@ def test_cold_banded_svdvals_loads_the_solver(coeffs):
         s = svdvals(A)
         dense = np.linalg.svd(A, compute_uv=False)
         print(json.dumps({{"before": before, "after": "scipy" in sys.modules,
+                           "scipy.linalg": "scipy.linalg" in sys.modules,
                            "error": float(np.abs(s - dense).max() / max(1.0, dense[0]))}}))
     """)
-    assert (out["before"], out["after"]) == (False, True)
+    assert (out["before"], out["after"], out["scipy.linalg"]) == (False, True, False)
     assert out["error"] <= 1e-12
+
+
+def test_p_metric_loads_the_capsule_module_alone():
+    # the n = 1024 glt - lc difference takes the band Gram route; a later
+    # import of scipy.linalg reuses the module the route loaded
+    out = run_python("""
+        import json, sys
+        import numpy as np
+        from glt_lab import p_metric
+        from glt_lab.cli import build_sequence
+        f = "1 + x^2 | 2 + cos(theta) + 0.5*i*sin(2*theta)"
+        A = build_sequence(f"glt({f})")(1024) - build_sequence(f"lc({f})")(1024)
+        name = "scipy.linalg.cython_lapack"
+        before = name in sys.modules
+        p = p_metric(A)
+        loaded = {"before": before, "capsules": name in sys.modules,
+                  "scipy.linalg": "scipy.linalg" in sys.modules}
+        module = sys.modules[name]
+        from scipy.linalg import cython_lapack, svdvals
+        s = svdvals(A)
+        dense = float((np.arange(1025) / 1024 + np.append(s, 0.0)).min())
+        print(json.dumps({**loaded, "same module": cython_lapack is module,
+                          "error": abs(p - dense) / dense}))
+    """)
+    assert out.pop("error") <= 1e-12
+    assert out == {"before": False, "capsules": True, "scipy.linalg": False, "same module": True}
 
 
 def test_acs_equivalent_leaves_numpy_ma_out():
