@@ -14,13 +14,13 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 from .matrices import (
-    _BAND_MIN_N,
+    _GRAM_BAND_N_PER_KD,
     MatrixSeq,
     _band_eigvalsh,
     _band_storage,
     _check_ladder,
     _dense_svdvals,
-    _half_bandwidth,
+    _lapack,
     _pad,
     _square_finite,
     _svd_reduce,
@@ -66,27 +66,25 @@ _GRAM_RTOL = 1e-10
 _GRAM_SCALE = (2.0**-400, 2.0**400)
 
 
+def _in_scale(M: np.ndarray) -> bool:
+    """Whether M's largest modulus lies strictly inside _GRAM_SCALE (that of
+    an empty or zero M does not)."""
+    return _GRAM_SCALE[0] < np.abs(M).max(initial=0.0) < _GRAM_SCALE[1]
+
+
 def _gram(C: np.ndarray) -> np.ndarray:
     """C^H C, or C C^H when C has fewer rows, in one BLAS-3 product."""
     C = np.ascontiguousarray(C)  # a strided view (a real part) costs a copy per operand
     return C.conj().T @ C if C.shape[0] >= C.shape[1] else C @ C.conj().T
 
 
-# The band route of the Gram matrix: a square core of size n >= _BAND_MIN_N
-# whose half-bandwidth b and Gram half-width kd are both at most
-# n/_GRAM_BAND_N_PER_KD.  Its eigensolver costs O(n^2 kd) against the dense
-# route's O(n^3), and the two met near kd = n/16 on random bands (Gram
-# kd = 2b) on a 2-vCPU VM (OpenBLAS 0.3.31): at kd = n/16 the band route took
-# 0.78-1.01x the dense route's time real and 0.91-1.01x complex, n = 512-1600.
-# The acs differences of glt against lc or a normal form have kd = b + 2
-# with b about sqrt(n): at n = 1600 (kd = 41) the route takes 0.21 against
-# 0.37 s real.
-_GRAM_BAND_N_PER_KD = 16
-
-
-def _gram_band(C: np.ndarray):
+def _gram_band(C: np.ndarray, b):
     """C^H C of a square core C in LAPACK lower band storage (`_band_eigvalsh`),
-    or None when C is off the band route's gate, in O(n b kd) work.
+    or None when C is off the band route's gate, in O(n b kd) work.  b is
+    C's half-bandwidth as `_svd_reduce` returns it: None for a core that is
+    too small, not square or too wide.  C is off the gate too when kd is
+    above n/_GRAM_BAND_N_PER_KD, when its entries lie outside _GRAM_SCALE,
+    and when numpy's BLAS lacks the band routines.
 
     C's band storage puts column j in row j, so entry (j + d, j) of the Gram
     matrix is the sum over t of conj(ab[j + d, t - d]) * ab[j, t]: both
@@ -96,39 +94,40 @@ def _gram_band(C: np.ndarray):
     the Gram diagonals beyond the widest such span are exact zeros and are
     not formed.
     """
+    if b is None or _lapack() is None:
+        return None
     n = C.shape[0]
-    if C.shape[1] != n or n < _BAND_MIN_N:
-        return None
-    limit = n // _GRAM_BAND_N_PER_KD
-    b = _half_bandwidth(C, limit)
-    if b is None:
-        return None
     rows = _band_storage(C.T, b) != 0  # row i holds row i of C, columns i-b..i+b
     last, first = 2 * b - rows[:, ::-1].argmax(axis=1), rows.argmax(axis=1)
     kd = int((last - first).max())
-    if kd > limit:
+    if kd > n // _GRAM_BAND_N_PER_KD:
         return None
     ab = _band_storage(C, b)
+    if not _in_scale(ab):
+        return None
     gb = np.zeros((n, kd + 1), C.dtype)
     for d in range(kd + 1):
         gb[: n - d, d] = (ab[d:, : 2 * b + 1 - d].conj() * ab[: n - d, d:]).sum(axis=1)
     return gb
 
 
-def _gram_svdvals(core: np.ndarray, n: int):
+def _gram_svdvals(core: np.ndarray, n: int, b):
     """The singular values of a reduced core from the eigenvalues of its Gram
-    matrix, padded to n, or None when the gate cannot certify that their
-    error stays below _GRAM_RTOL * p at every index that can set p.
+    matrix, padded to n, or None when the core's entries lie outside
+    _GRAM_SCALE or the gate cannot certify that their error stays below
+    _GRAM_RTOL * p at every index that can set p.  b is the core's
+    half-bandwidth from `_svd_reduce`.
 
     The Gram matrix and a Hermitian eigensolver cost about a third of the
     dense SVD, and less again when the core passes the gate of `_gram_band`.
     A value sigma_i from the Gram matrix can set the minimum only when
     (i-1)/n <= p; the padded zeros are exact.
     """
-    amax = np.abs(core).max(initial=0.0)
-    if not _GRAM_SCALE[0] < amax < _GRAM_SCALE[1]:  # also the empty core of A = 0
-        return None
-    gb = _gram_band(core)
+    gb = _gram_band(core, b)
+    if gb is None:
+        core = np.ascontiguousarray(core)  # a strided real part, copied once for both passes
+        if not _in_scale(core):  # also the empty core of A = 0
+            return None
     try:
         lam = np.linalg.eigvalsh(_gram(core)) if gb is None else _band_eigvalsh(gb)
     except (np.linalg.LinAlgError, NumericalError):
@@ -164,9 +163,9 @@ def p_metric(A: np.ndarray) -> float:
     """
     A = _operand(A)
     n = A.shape[0]
-    s, core = _svd_reduce(A)
+    s, core, b = _svd_reduce(A)
     if core is not None:
-        s = _gram_svdvals(core, n)
+        s = _gram_svdvals(core, n, b)
         if s is None:
             s = _dense_svdvals(_canonical_sign(core), n)
     return float(_objective(s).min())

@@ -265,30 +265,7 @@ def load_config(path: str) -> RunConfig:
         experiments.append(Experiment(section, kind, opts))
     if not experiments:
         raise ConfigError("config defines no experiments")
-    # a run whose sv ladders may take the banded SVD path loads its solver
-    # with the config, not inside its first decomposition
-    matrices._preload_band_solver(max(map(_largest_sv_size, experiments)))
     return RunConfig(output, experiments)
-
-
-def _largest_sv_size(exp: Experiment) -> int:
-    """The largest size of an sv `symbol-check`, else 0.  Those ladders are
-    where the banded SVD path runs.  Other kinds take eigenvalues or the
-    p-metric of differences such as T_n - C_n and glt - lc, whose entries lie
-    far from the diagonal; an acs of two banded sequences loads the solver on
-    its first banded call.  Sizes the runner will reject count as 0, so it
-    still reports them."""
-    if exp.kind != "symbol-check" or _mode(exp) != "sv":
-        return 0
-    try:
-        return max(_parse_sizes(exp.options.get("sizes", "")))
-    except ConfigError:
-        return 0
-
-
-def _mode(exp: Experiment) -> str:
-    """A `symbol-check`'s mode, `sv` when the key is absent."""
-    return exp.options.get("mode", "sv")
 
 
 def _require(opts: dict, key: str, section: str) -> str:
@@ -397,7 +374,7 @@ def _residual_rows(name, table):
 def run_symbol_check(exp: Experiment) -> list:
     seq = _seq(exp, "sequence")
     symbol = _parse_expr_cfg(_require(exp.options, "symbol", exp.name), "k")
-    mode = _mode(exp)
+    mode = exp.options.get("mode", "sv")
     if mode not in ("sv", "eig"):
         raise ConfigError(f"mode must be sv or eig, got {mode!r}")
     sizes = _sizes(exp)

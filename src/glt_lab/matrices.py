@@ -7,20 +7,16 @@ numpy builds every family.  The banded SVD path of `svdvals` reduces a narrow
 band to a bidiagonal with LAPACK's ?gbbrd and takes its singular values by
 dqds (dlasq1), in O(n^2 b) and within eps*sigma_1 of the dense SVD, and
 p_metric's band Gram route takes a Hermitian band's eigenvalues with dsbev or
-zhbev (`_band_eigvalsh`).  These LAPACK routines are scipy's only use: one
-cached table (`_lapack`) reaches them through the PyCapsules of
-scipy.linalg.cython_lapack, which it loads alone, without scipy.linalg, the
-first time a matrix takes a band route.  `_preload_band_solver` imports
-scipy.linalg whole earlier, when `glt-lab run` reads a config whose sv
-ladders may take the banded SVD path.
+zhbev (`_band_eigvalsh`).  numpy's linalg API exposes none of these routines,
+so one cached ctypes table (`_lapack`) takes them from the BLAS that numpy
+itself links, the first time a matrix takes a band route; when that library
+does not export them, the band routes decline and the dense routes run.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import os
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -158,8 +154,9 @@ def _complex_valued(A: np.ndarray) -> bool:
 # matrices on a 2-vCPU VM (OpenBLAS 0.3.31).  A complex band costs 1.2-3x a
 # real one and so does its dense SVD, so one rule serves both: n >= 512 and
 # b <= n/160.  The band wins 2-3x even at n = 256 (b = 2: 0.004 against
-# 0.010 s real), but saves less there than the one-off load of the LAPACK
-# routines, so runs of small matrices never load them.  At the widest
+# 0.010 s real).  n >= 512 is kept from when the first band call imported
+# scipy: lowering it would move sizes below 512 onto the band route and
+# change the last bits of their reports.  At the widest
 # accepted b it wins 4-5x: n = 512, b = 3 takes 0.015 against 0.055 s real
 # and 0.023 against 0.105 s complex; n = 1600, b = 10 takes 0.23 against
 # 1.09 s real and 0.49 against 2.30 s complex.  Wider bands keep a dense
@@ -168,65 +165,65 @@ def _complex_valued(A: np.ndarray) -> bool:
 _BAND_MIN_N = 512
 _BAND_N_PER_B = 160
 
-_CAPSULE_MODULE = "scipy.linalg.cython_lapack"
+# The band route of p_metric's Gram matrix (acs): a square core of size
+# n >= _BAND_MIN_N whose half-bandwidth b and Gram half-width kd are both at
+# most n/_GRAM_BAND_N_PER_KD, the widest band any route takes, so
+# `_svd_reduce` reads b that far.  Its eigensolver costs O(n^2 kd) against
+# the dense route's O(n^3), and the two met near kd = n/16 on random bands
+# (Gram kd = 2b) on a 2-vCPU VM (OpenBLAS 0.3.31): at kd = n/16 the band
+# route took 0.78-1.01x the dense route's time real and 0.91-1.01x complex,
+# n = 512-1600.  The acs differences of glt against lc or a normal form have
+# kd = b + 2 with b about sqrt(n): at n = 1600 (kd = 41) the route takes
+# 0.21 against 0.37 s real.
+_GRAM_BAND_N_PER_KD = 16
 
-
-def _cython_lapack():
-    """scipy.linalg.cython_lapack, which exports LAPACK as PyCapsules holding
-    the routines' C addresses.
-
-    When scipy.linalg is not imported, the extension module is loaded alone,
-    from its file in scipy's package directory, and registered under its
-    name; scipy.linalg/__init__ never runs.  That takes about 0.03 s and
-    3 MB of peak RSS, against 0.29-0.30 s and 26 MB for `import
-    scipy.linalg`.  A later `import scipy.linalg` reuses the registered
-    module but does not set it as an attribute of scipy.linalg;
-    `from scipy.linalg import cython_lapack` still finds it.
-    """
-    if _CAPSULE_MODULE not in sys.modules:
-        import importlib.machinery
-        import importlib.util
-
-        linalg = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0],
-                              "linalg")
-        spec = importlib.machinery.PathFinder.find_spec(_CAPSULE_MODULE, [linalg])
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)  # an ExtensionFileLoader
-        sys.modules[_CAPSULE_MODULE] = module
-    return sys.modules[_CAPSULE_MODULE]
+# The names under which numpy's BLAS may export LAPACK, in the order tried,
+# with the width of their integer arguments: scipy-openblas (numpy >= 2
+# wheels), openblas64_ (numpy 1.x wheels), and the plain Fortran name.
+_MANGLINGS = (("scipy_{}_64_", np.int64), ("{}_64_", np.int64), ("{}_", np.intc))
 
 
 @functools.cache
-def _lapack() -> dict:
-    """The LAPACK routines of the band paths as ctypes functions, by name,
-    built once from the capsules of `_cython_lapack`.  scipy.linalg.lapack
-    exposes none of them.  Every integer argument is a one-element np.intc
-    array, so `info` is read back as info[0]."""
+def _lapack():
+    """The LAPACK routines of the band paths as ctypes functions by name,
+    with the numpy integer type of their arguments under "int"; None when
+    numpy's BLAS exports them under none of _MANGLINGS, and then both band
+    routes decline.
+
+    numpy's linalg extension links its BLAS, and a symbol lookup on the
+    extension's handle also searches that library, so the band routines run
+    in the same OpenBLAS, and thread pool, as every dense decomposition.
+    They are called as numpy's umath_linalg calls LAPACK, with no hidden
+    string lengths.  Every integer argument is a one-element array (`_int`),
+    so `info` is read back as info[0].
+    """
     import ctypes
 
-    capi = _cython_lapack().__pyx_capi__
-    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi))
-    capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     ch = ctypes.c_char_p
-    i, d, z = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS")
-               for t in (np.intc, np.float64, np.complex128))
-    signatures = {
-        "dgbbrd": (ch, i, i, i, i, i, d, i, d, d, d, i, d, i, d, i, d, i),
-        "zgbbrd": (ch, i, i, i, i, i, z, i, d, d, z, i, z, i, z, i, z, d, i),
-        "dlasq1": (i, d, d, d, i),
-        "dsbev": (ch, ch, i, i, d, i, d, d, i, d, i),
-        "zhbev": (ch, ch, i, i, z, i, d, z, i, z, d, i),
-    }
-    return {name: ctypes.CFUNCTYPE(None, *argtypes)(
-                capsule_pointer(capi[name], capsule_name(capi[name])))
-            for name, argtypes in signatures.items()}
+    for mangling, integer in _MANGLINGS:
+        i, d, z = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS")
+                   for t in (integer, np.float64, np.complex128))
+        signatures = {
+            "dgbbrd": (ch, i, i, i, i, i, d, i, d, d, d, i, d, i, d, i, d, i),
+            "zgbbrd": (ch, i, i, i, i, i, z, i, d, d, z, i, z, i, z, i, z, d, i),
+            "dlasq1": (i, d, d, d, i),
+            "dsbev": (ch, ch, i, i, d, i, d, d, i, d, i),
+            "zhbev": (ch, ch, i, i, z, i, d, z, i, z, d, i),
+        }
+        try:
+            routines = {name: lib[mangling.format(name)] for name in signatures}
+        except AttributeError:  # an undefined symbol
+            continue
+        for name, routine in routines.items():
+            routine.argtypes, routine.restype = signatures[name], None
+        return {**routines, "int": integer}
+    return None
 
 
 def _int(v: int) -> np.ndarray:
     """A LAPACK integer argument."""
-    return np.full(1, v, np.intc)
+    return np.full(1, v, _lapack()["int"])
 
 
 def _call(name: str, *args, task: str) -> None:
@@ -238,36 +235,27 @@ def _call(name: str, *args, task: str) -> None:
         raise NumericalError(f"{task} failed: {name} returned info = {info[0]}")
 
 
-def _band_solver():
-    """The singular values of an n x n band, as a function of its LAPACK
+def _band_svdvals(ab: np.ndarray, b: int) -> np.ndarray:
+    """The singular values, non-increasing, of an n x n band held in LAPACK
     general-band storage ab (n x (2b+1), row j holding column j of A; see
-    `_band_storage`) and its half-bandwidth b.
+    `_band_storage`) with half-bandwidth b.
 
     LAPACK's ?gbbrd (dgbbrd real, zgbbrd complex; Kaufman's band
     bidiagonalisation) reduces the band to a real bidiagonal in O(n^2 b), and
-    dlasq1 (dqds, Fernando and Parlett 1994) returns its singular values,
-    non-increasing, to high relative accuracy.  The routines load on the
-    first call (`_lapack`): runs whose sizes stay below _BAND_MIN_N never
-    load them.
+    dlasq1 (dqds, Fernando and Parlett 1994) returns its singular values to
+    high relative accuracy.
     """
-    _lapack()
-
-    def band_svdvals(ab: np.ndarray, b: int) -> np.ndarray:
-        n = ab.shape[0]
-        if ab.shape != (n, 2 * b + 1):
-            raise ValueError(f"band storage of shape {ab.shape} for n = {n}, b = {b}")
-        diag, off = np.empty(n), np.zeros(n)  # dlasq1 takes n entries of off
-        unused = np.zeros(1, ab.dtype)  # Q, P^H and C: not referenced for vect = 'N', ncc = 0
-        args = (b"N", _int(n), _int(n), _int(0), _int(b), _int(b), ab, _int(2 * b + 1), diag, off,
-                unused, _int(1), unused, _int(1), unused, _int(1))
-        if ab.dtype == np.complex128:
-            _call("zgbbrd", *args, np.empty(n, complex), np.empty(n), task="SVD")
-        else:
-            _call("dgbbrd", *args, np.empty(2 * n), task="SVD")
-        _call("dlasq1", _int(n), diag, off, np.empty(4 * n), task="SVD")
-        return diag
-
-    return band_svdvals
+    n = ab.shape[0]
+    diag, off = np.empty(n), np.zeros(n)  # dlasq1 takes n entries of off
+    unused = np.zeros(1, ab.dtype)  # Q, P^H and C: not referenced for vect = 'N', ncc = 0
+    args = (b"N", _int(n), _int(n), _int(0), _int(b), _int(b), ab, _int(2 * b + 1), diag, off,
+            unused, _int(1), unused, _int(1), unused, _int(1))
+    if ab.dtype == np.complex128:
+        _call("zgbbrd", *args, np.empty(n, complex), np.empty(n), task="SVD")
+    else:
+        _call("dgbbrd", *args, np.empty(2 * n), task="SVD")
+    _call("dlasq1", _int(n), diag, off, np.empty(4 * n), task="SVD")
+    return diag
 
 
 def _band_eigvalsh(gb: np.ndarray) -> np.ndarray:
@@ -292,35 +280,22 @@ def _band_eigvalsh(gb: np.ndarray) -> np.ndarray:
     return w
 
 
-def _preload_band_solver(n: int) -> None:
-    """Load the band solver now if an n x n matrix may take the banded path.
-
-    This imports scipy.linalg whole, not `_cython_lapack` alone.  The lighter
-    load took `spectral-ladder`'s setup_s from 0.46-0.61 to 0.27-0.30 s and
-    its peak RSS from 77 to 54 MB, but its run_s from 0.15-0.18 to
-    0.19-0.20 s and its cpu_s from 0.28-0.33 to 0.36-0.39 s (4 of 4 pairs),
-    with the same code run after the config; the cause is not traced.
-    """
-    if n >= _BAND_MIN_N:
-        import scipy.linalg  # noqa: F401
-
-        _lapack()
-
-
 def _half_bandwidth(A: np.ndarray, b_max: int):
     """The outermost diagonal of a square A that holds a nonzero entry, or
-    None when one lies beyond b_max; A may be a mask.  Read in O(n b_max)
-    beyond one count of A's nonzeros: an entry off the diagonals
-    -b_max..b_max leaves their count short of that total."""
+    None when one lies beyond b_max; A may be a mask.  Beyond one count of
+    A's nonzeros, the diagonals are counted outwards from the main one until
+    they hold all of them, so a band of half-bandwidth b costs O(n b)."""
     n = A.shape[0]
-    nnz = np.count_nonzero(A)
-    if nnz > n * (2 * b_max + 1):
+    left = np.count_nonzero(A)
+    if left > n * (2 * b_max + 1):
         return None
-    offsets = np.arange(-b_max, b_max + 1)
-    counts = np.array([np.count_nonzero(np.diagonal(A, k)) for k in offsets])
-    if counts.sum() < nnz:
-        return None
-    return int(np.abs(offsets[counts > 0]).max(initial=0))
+    for k in range(b_max + 1):
+        left -= np.count_nonzero(np.diagonal(A, k))
+        if k:
+            left -= np.count_nonzero(np.diagonal(A, -k))
+        if not left:
+            return k
+    return None
 
 
 def _band_storage(M: np.ndarray, b: int) -> np.ndarray:
@@ -334,42 +309,56 @@ def _band_storage(M: np.ndarray, b: int) -> np.ndarray:
     return ab
 
 
-def _banded_svdvals(A: np.ndarray, nonzero: np.ndarray):
+def _band_gate(nonzero: np.ndarray):
+    """The half-bandwidth of a square mask of size n >= _BAND_MIN_N, read up
+    to the widest band route's n // _GRAM_BAND_N_PER_KD; None beyond that,
+    and for a smaller or rectangular mask."""
+    n = nonzero.shape[0]
+    if nonzero.shape[1] != n or n < _BAND_MIN_N:
+        return None
+    return _half_bandwidth(nonzero, n // _GRAM_BAND_N_PER_KD)
+
+
+def _banded_svdvals(A: np.ndarray, b):
     """The singular values of a square A, non-increasing, from a band
-    bidiagonalisation and dqds (`_band_solver`), or None when A is too small
-    or too wide for that to beat a dense SVD.  `nonzero` is the mask A != 0.
+    bidiagonalisation and dqds (`_band_svdvals`), or None when A is too small
+    or too wide for that to beat a dense SVD (b, A's half-bandwidth from
+    `_band_gate`, is None or above n // _BAND_N_PER_B), or when numpy's BLAS
+    lacks the band routines.
 
     The reduction is backward stable, so the values agree with the dense SVD
     to an absolute eps*sigma_1, in O(n^2 b) work: they differed from
     np.linalg.svd by at most 8e-15 * sigma_1 on random real and complex
     bands and two-term `glt` matrices with n = 256-1600 and b = 1-40.
     """
-    n = A.shape[0]
-    if n < _BAND_MIN_N:
-        return None
-    b = _half_bandwidth(nonzero, n // _BAND_N_PER_B)
-    if b is None:
+    if b is None or b > A.shape[0] // _BAND_N_PER_B or _lapack() is None:
         return None
     ab = _band_storage(A if _complex_valued(A) else A.real, b)
     if not np.isfinite(ab).all():
         raise NumericalError("SVD failed: matrix has non-finite entries")
-    return _band_solver()(ab, b)
+    return _band_svdvals(ab, b)
 
 
 def _svd_reduce(A: np.ndarray):
     """The exact reductions `svdvals` applies before any dense work: either
-    (values, None) from the banded path, or (None, core) with core the rows
-    and columns of A that hold a nonzero entry, real when its imaginary part
-    is exactly zero.  The singular values of A are those of core padded with
-    zeros to n."""
+    (values, None, None) from the banded path, or (None, core, b) with core
+    the rows and columns of A that hold a nonzero entry, real when its
+    imaginary part is exactly zero, and b the core's half-bandwidth as
+    `_band_gate` reads it from the mask A != 0.  The singular values of A are
+    those of core padded with zeros to n."""
     nonzero = A != 0
-    s = _banded_svdvals(A, nonzero)
+    b = _band_gate(nonzero)
+    s = _banded_svdvals(A, b)
     if s is not None:
-        return s, None
+        return s, None, None
     rows = np.flatnonzero(nonzero.any(axis=1))
     cols = np.flatnonzero(nonzero.any(axis=0))
-    core = A if rows.size == cols.size == A.shape[0] else A[np.ix_(rows, cols)]
-    return None, core if _complex_valued(core) else core.real
+    if rows.size == cols.size == A.shape[0]:
+        core = A
+    else:
+        keep = np.ix_(rows, cols)
+        core, b = A[keep], _band_gate(nonzero[keep])
+    return None, core if _complex_valued(core) else core.real, b
 
 
 def _pad(s: np.ndarray, n: int) -> np.ndarray:
@@ -393,7 +382,7 @@ def svdvals(A: np.ndarray) -> np.ndarray:
     decomposed alone and zeros pad the result back to n.  That block is
     decomposed in real arithmetic when its imaginary part is exactly zero.
     """
-    s, core = _svd_reduce(A)
+    s, core, _ = _svd_reduce(A)
     return s if core is None else _dense_svdvals(core, A.shape[0])
 
 

@@ -80,8 +80,8 @@ def route(monkeypatch):
     taken = []
     gram, dense = acs._gram_svdvals, acs._dense_svdvals
 
-    def gram_spy(core, n):
-        s = gram(core, n)
+    def gram_spy(core, n, b):
+        s = gram(core, n, b)
         if s is not None:
             taken.append("gram")
         return s
@@ -233,8 +233,9 @@ class TestRealValuedRoute:
     def test_sign_symmetric_and_close_to_the_svd(self, kind, n, monkeypatch):
         A = self.operand(kind, n)
         banded = []
-        solver = matrices._band_solver
-        monkeypatch.setattr(matrices, "_band_solver", lambda: banded.append(n) or solver())
+        solver = matrices._band_svdvals
+        monkeypatch.setattr(matrices, "_band_svdvals",
+                            lambda ab, b: banded.append(n) or solver(ab, b))
         p = p_metric(A)
         assert p_metric(-A) == p
         assert p == pytest.approx(p_svd(A), rel=1e-12, abs=1e-14)
@@ -297,8 +298,9 @@ class TestSignSymmetry:
     def test_band_route(self, n, b, dtype, monkeypatch):
         A = half_integer_band(n, b, dtype, np.random.default_rng(1000 * n + b))
         banded = []
-        solver = matrices._band_solver
-        monkeypatch.setattr(matrices, "_band_solver", lambda: banded.append(n) or solver())
+        solver = matrices._band_svdvals
+        monkeypatch.setattr(matrices, "_band_svdvals",
+                            lambda ab, b: banded.append(n) or solver(ab, b))
         assert p_metric(A) == p_metric(-A)
         assert banded == [n, n]
 
@@ -387,9 +389,9 @@ class TestBandGramRoute:
     @pytest.mark.parametrize("f", [F_REAL, F_CPLX], ids=["real", "complex"])
     @pytest.mark.parametrize("n", [576, 1024])
     def test_gram_band_matches_the_dense_gram(self, f, n):
-        core = matrices._svd_reduce(glt_minus_lc(f, n))[1]
+        _, core, b = matrices._svd_reduce(glt_minus_lc(f, n))
         assert np.iscomplexobj(core) == (f is F_CPLX)
-        gb, G = acs._gram_band(core), acs._gram(core)
+        gb, G = acs._gram_band(core, b), acs._gram(core)
         kd = gb.shape[1] - 1
         # the block corners set b; the Gram band reaches two diagonals further
         assert kd == matrices._half_bandwidth(core, n) + 2
@@ -403,7 +405,7 @@ class TestBandGramRoute:
     def test_gram_band_of_a_half_integer_band_is_exact(self, dtype):
         # every product and sum is exact, so both Gram matrices are too
         core = half_integer_band(512, 8, dtype, np.random.default_rng(3))
-        gb, G = acs._gram_band(core), acs._gram(core)
+        gb, G = acs._gram_band(core, 8), acs._gram(core)
         assert gb.shape == (512, 17)
         for d in range(17):
             assert np.array_equal(gb[: 512 - d, d], np.diagonal(G, -d))
@@ -414,8 +416,8 @@ class TestBandGramRoute:
         # padding, so no zero changes sign with C
         for A in (half_integer_band(1024, 32, dtype, np.random.default_rng(7)),
                   glt_minus_lc(F_CPLX if dtype is complex else F_REAL, 1024)):
-            C = matrices._svd_reduce(A)[1]
-            assert acs._gram_band(-C).tobytes() == acs._gram_band(C).tobytes()
+            _, C, b = matrices._svd_reduce(A)
+            assert acs._gram_band(-C, b).tobytes() == acs._gram_band(C, b).tobytes()
 
     @staticmethod
     def refused(case):
@@ -436,8 +438,7 @@ class TestBandGramRoute:
                                       "kd-above-the-gate", "rectangular"])
     def test_cores_the_gate_refuses(self, case, band_route):
         A = self.refused(case)
-        core = matrices._svd_reduce(A)[1]
-        assert acs._gram_band(core) is None
+        assert acs._gram_band(*matrices._svd_reduce(A)[1:]) is None
         assert p_metric(A) == pytest.approx(p_svd(A), rel=1e-10, abs=1e-14)
         assert band_route == []
 
@@ -464,7 +465,7 @@ class TestBandGramRoute:
         A = glt_minus_lc(f, 576)
         assert p_metric(A) == p_svdvals(A)
         assert calls == [routine] and route == ["dense"]
-        gb = acs._gram_band(matrices._svd_reduce(A)[1])
+        gb = acs._gram_band(*matrices._svd_reduce(A)[1:])
         message = f"eigensolver failed: {routine} returned info = 1"
         with pytest.raises(NumericalError, match=message):
             matrices._band_eigvalsh(gb)
@@ -487,6 +488,59 @@ class TestBandGramRoute:
         assert band_route == [(1600, 41)]
         assert route == ["gram"]
         assert abs(p - p_real_svd(A)) <= 1e-12 * p
+
+    @pytest.mark.parametrize("scale", [2.0**-520, 2.0**520], ids=["tiny", "huge"])
+    def test_extreme_scales_fall_back(self, scale, route, band_route):
+        # the scale gate reads the band storage before any Gram product, so
+        # squaring neither underflows nor overflows
+        A = scale * half_integer_band(512, 8, float, np.random.default_rng(6))
+        assert p_metric(A) == p_svdvals(A)
+        assert route == ["dense"] and band_route == []
+
+
+@pytest.fixture
+def without_band_routines(monkeypatch):
+    """A call that makes `matrices._lapack` find the band routines under
+    none of its manglings, as with a BLAS that does not export them."""
+
+    def disable():
+        monkeypatch.setattr(matrices, "_MANGLINGS", (("glt_lab_missing_{}_", np.intc),))
+        matrices._lapack.cache_clear()
+
+    yield disable
+    matrices._lapack.cache_clear()
+
+
+class TestWithoutBandRoutines:
+    """Without the LAPACK band routines both band routes decline, and the
+    dense routes give the same values and verdicts."""
+
+    def test_the_resolver_declines(self, without_band_routines):
+        without_band_routines()
+        assert matrices._lapack() is None
+
+    def test_dense_routes_give_the_same_verdicts(self, without_band_routines, band_route,
+                                                 monkeypatch):
+        banded = []
+        solver = matrices._band_svdvals
+        monkeypatch.setattr(matrices, "_band_svdvals",
+                            lambda ab, b: banded.append(ab.shape[0]) or solver(ab, b))
+        T, A = toeplitz(F_CPLX, 512), glt_minus_lc(F_CPLX, 1024)
+        glt = glt_product_seq(GltExpr(((A_QUAD, F_REAL),)))
+
+        def run():
+            ladder = acs_equivalent(glt, lc_seq(A_QUAD, F_REAL), (256, 576, 1024), tol=0.5)
+            return svdvals(T), p_metric(A), ladder
+
+        s, p, (verdict, est) = run()
+        assert banded == [512] and band_route == [(576, 25), (1024, 33), (1024, 33)]
+        without_band_routines()
+        s_dense, p_dense, (verdict_dense, est_dense) = run()
+        assert banded == [512] and len(band_route) == 3
+        np.testing.assert_allclose(s_dense, s, rtol=0, atol=1e-12 * s[0])
+        assert p_dense == pytest.approx(p, rel=1e-12)
+        assert verdict_dense == verdict is True
+        np.testing.assert_allclose(est_dense.p_values, est.p_values, rtol=1e-12)
 
 
 class TestPMetric:
