@@ -9,7 +9,8 @@ Config files are flat INI: one section per experiment and an optional
 global `output` path for the CSV report (stdout when absent).  A `seed` is
 optional: nothing in the package is random, so it is ignored like any other
 global key the runner does not read.  Exit code 0 when every verdict is
-PASS or N/A, 1 when any row FAILs, 2 on configuration errors.
+PASS or N/A, 1 when any row FAILs, 2 on configuration errors.  `run` and
+`demo` use one BLAS thread and give the caller's count back when they end.
 """
 
 from __future__ import annotations
@@ -596,11 +597,13 @@ def main(argv=None) -> int:
     p_parse = sub.add_parser("parse", help="print the ast of an expression")
     p_parse.add_argument("expr")
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return run_config(args.config, args.dump_matrices)
-    if args.command == "demo":
+    if args.command == "parse":
+        return run_parse(args.expr)
+    # one BLAS thread, so that no report depends on OPENBLAS_NUM_THREADS
+    with matrices._one_blas_thread():
+        if args.command == "run":
+            return run_config(args.config, args.dump_matrices)
         return run_demo(args.name)
-    return run_parse(args.expr)
 
 
 def console_main() -> None:

@@ -10,11 +10,15 @@ p_metric's band Gram route takes a Hermitian band's eigenvalues with dsbev or
 zhbev (`_band_eigvalsh`).  numpy's linalg API exposes none of these routines,
 so one cached ctypes table (`_lapack`) takes them from the BLAS that numpy
 itself links, the first time a matrix takes a band route; when that library
-does not export them, the band routes decline and the dense routes run.
+does not export them, the band routes decline and the dense routes run.  The
+same table holds OpenBLAS's `openblas_get_num_threads` and
+`openblas_set_num_threads` when the library exports them; they are optional,
+and `_one_blas_thread` uses them to run the CLI's commands on one BLAS thread.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass, field
@@ -151,12 +155,11 @@ def _complex_valued(A: np.ndarray) -> bool:
 
 
 # Crossover of the banded path, measured against a dense SVD of random band
-# matrices on a 2-vCPU VM (OpenBLAS 0.3.31).  A complex band costs 1.2-3x a
-# real one and so does its dense SVD, so one rule serves both: n >= 512 and
-# b <= n/160.  The band wins 2-3x even at n = 256 (b = 2: 0.004 against
-# 0.010 s real).  n >= 512 is kept from when the first band call imported
-# scipy: lowering it would move sizes below 512 onto the band route and
-# change the last bits of their reports.  At the widest
+# matrices on a 2-vCPU VM (OpenBLAS 0.3.31) with two BLAS threads; the CLI
+# runs on one (`_one_blas_thread`), and ROADMAP item 5 re-derives both gates
+# for that.  A complex band costs 1.2-3x a real one and so does its dense
+# SVD, so one rule serves both: n >= 512 and b <= n/160.  The band wins 2-3x
+# even at n = 256 (b = 2: 0.004 against 0.010 s real).  At the widest
 # accepted b it wins 4-5x: n = 512, b = 3 takes 0.015 against 0.055 s real
 # and 0.023 against 0.105 s complex; n = 1600, b = 10 takes 0.23 against
 # 1.09 s real and 0.49 against 2.30 s complex.  Wider bands keep a dense
@@ -170,11 +173,11 @@ _BAND_N_PER_B = 160
 # most n/_GRAM_BAND_N_PER_KD, the widest band any route takes, so
 # `_svd_reduce` reads b that far.  Its eigensolver costs O(n^2 kd) against
 # the dense route's O(n^3), and the two met near kd = n/16 on random bands
-# (Gram kd = 2b) on a 2-vCPU VM (OpenBLAS 0.3.31): at kd = n/16 the band
-# route took 0.78-1.01x the dense route's time real and 0.91-1.01x complex,
-# n = 512-1600.  The acs differences of glt against lc or a normal form have
-# kd = b + 2 with b about sqrt(n): at n = 1600 (kd = 41) the route takes
-# 0.21 against 0.37 s real.
+# (Gram kd = 2b) on a 2-vCPU VM (OpenBLAS 0.3.31, two BLAS threads): at
+# kd = n/16 the band route took 0.78-1.01x the dense route's time real and
+# 0.91-1.01x complex, n = 512-1600.  The acs differences of glt against lc
+# or a normal form have kd = b + 2 with b about sqrt(n): at n = 1600
+# (kd = 41) the route takes 0.21 against 0.37 s real.
 _GRAM_BAND_N_PER_KD = 16
 
 # The names under which numpy's BLAS may export LAPACK, in the order tried,
@@ -196,6 +199,12 @@ def _lapack():
     They are called as numpy's umath_linalg calls LAPACK, with no hidden
     string lengths.  Every integer argument is a one-element array (`_int`),
     so `info` is read back as info[0].
+
+    The table also holds OpenBLAS's thread routines, when they resolve under
+    the band routines' mangling: "openblas_get_num_threads" returns the
+    count and "openblas_set_num_threads" takes it as a one-element C int
+    array (the Fortran entry points, whatever the LAPACK integer width).
+    They are optional: a BLAS without them keeps its band routes.
     """
     import ctypes
 
@@ -217,8 +226,35 @@ def _lapack():
             continue
         for name, routine in routines.items():
             routine.argtypes, routine.restype = signatures[name], None
-        return {**routines, "int": integer}
+        table = {**routines, "int": integer}
+        try:
+            get, put = (lib[mangling.format(f"openblas_{verb}_num_threads")]
+                        for verb in ("get", "set"))
+        except AttributeError:  # not OpenBLAS: the thread count is left alone
+            return table
+        get.argtypes, get.restype = (), ctypes.c_int
+        put.argtypes, put.restype = (np.ctypeslib.ndpointer(np.intc),), None
+        return {**table, "openblas_get_num_threads": get, "openblas_set_num_threads": put}
     return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body on one BLAS thread, and give the caller's thread count
+    back however the body ends.  With more threads, OpenBLAS blocks an eig
+    reduction differently, which moves the eigenvalues of a non-normal
+    matrix by far more than roundoff.  A BLAS without the thread routines
+    (see `_lapack`) is left as it is."""
+    table = _lapack() or {}
+    if "openblas_set_num_threads" not in table:
+        yield
+        return
+    count = table["openblas_get_num_threads"]()
+    table["openblas_set_num_threads"](np.ones(1, np.intc))
+    try:
+        yield
+    finally:
+        table["openblas_set_num_threads"](np.full(1, count, np.intc))
 
 
 def _int(v: int) -> np.ndarray:

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from glt_lab import acs, cli, matrices
 from glt_lab.cli import (
     CSV_HEADER,
     MAX_DEGREE_CAP,
@@ -631,10 +632,10 @@ class TestReportRows:
         assert "\r" not in text
 
 
-def run_installed_cli(*args):
+def run_installed_cli(*args, **environ):
     """`python -m glt_lab.cli` in a fresh interpreter, so stderr holds any
-    traceback that escapes `main`."""
-    env = dict(os.environ)
+    traceback that escapes `main`; `environ` adds environment variables."""
+    env = dict(os.environ, **environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "glt_lab.cli", *args], env=env,
@@ -677,3 +678,117 @@ class TestIOErrorsExit2:
         path.write_bytes(f"# caf\xe9\n{SMALL_CHECK}".encode("latin-1"))
         proc = run_installed_cli("run", str(path))
         self.assert_config_error(proc, f"cannot parse config {str(path)!r}: ")
+
+
+@pytest.fixture
+def threads():
+    """The reader of the BLAS thread count, with two threads set in the
+    caller of `main`; the count from before the test is given back after it."""
+    table = matrices._lapack() or {}
+    if "openblas_set_num_threads" not in table:
+        pytest.skip("numpy's BLAS exports no thread routines")
+    get, put = table["openblas_get_num_threads"], table["openblas_set_num_threads"]
+    before = get()
+    put(np.full(1, 2, np.intc))
+    yield get
+    put(np.full(1, before, np.intc))
+
+
+def spy_threads(monkeypatch, registry, key, threads, outcome=None):
+    """Replace registry[key] with a runner that records the BLAS thread count
+    it runs on, then raises `outcome` if it is an exception, returns one row
+    with verdict `outcome` if it is a string, and otherwise runs the real
+    runner; returns the recorded counts."""
+    real, seen = registry[key], []
+
+    def runner(*args, **kwargs):
+        seen.append(threads())
+        if isinstance(outcome, Exception):
+            raise outcome
+        if outcome:
+            return [ReportRow("t", 8, "m", 0.0, None, outcome)]
+        return real(*args, **kwargs)
+
+    monkeypatch.setitem(registry, key, runner)
+    return seen
+
+
+# every size takes a band route (`_banded_svdvals` at 512, the band Gram
+# route of p_metric at 576 and 1024), and those give the same bits on one
+# and on two BLAS threads
+BAND_CONFIG = """
+[sv]
+kind = symbol-check
+sequence = toeplitz(2 + cos(theta))
+symbol = 2 + cos(theta)
+sizes = 512
+
+[acs]
+kind = acs
+sequence_a = glt(1 + x^2 | 2 + cos(theta))
+sequence_b = lc(1 + x^2 | 2 + cos(theta))
+sizes = 576, 1024
+"""
+
+
+class TestOneBlasThread:
+    """`run` and `demo` use one BLAS thread and give the caller's count back
+    on every way out."""
+
+    @pytest.mark.parametrize("outcome, code", [
+        ("PASS", 0), ("FAIL", 1), (ConfigError("bad key"), 2), (RuntimeError("bug"), None),
+    ], ids=["exit-0", "exit-1", "exit-2", "raises"])
+    def test_run_restores_the_callers_count(self, tmp_path, monkeypatch, threads, outcome,
+                                           code):
+        seen = spy_threads(monkeypatch, cli.RUNNERS, "symbol-check", threads, outcome)
+        cfg = write_config(tmp_path, SMALL_CHECK)
+        if code is None:
+            with pytest.raises(RuntimeError, match="bug"):
+                run_cli(["run", cfg])
+        else:
+            assert run_cli(["run", cfg])[0] == code
+        assert seen == [1] and threads() == 2
+
+    def test_unreadable_config_restores_the_callers_count(self, tmp_path, threads):
+        assert run_cli(["run", str(tmp_path / "missing.ini")])[0] == 2
+        assert threads() == 2
+
+    @pytest.mark.parametrize("name, code", [("half_shift", 0), ("alt_identity", 1)])
+    def test_demo_restores_the_callers_count(self, monkeypatch, threads, name, code):
+        seen = spy_threads(monkeypatch, cli.DEMOS, name, threads)
+        assert run_cli(["demo", name])[0] == code
+        assert seen == [1] and threads() == 2
+        assert run_cli(["demo", "nope"])[0] == 2
+        assert threads() == 2
+
+    def test_without_thread_routines_nothing_is_set(self, tmp_path, monkeypatch, threads):
+        out = tmp_path / "report.csv"
+        cfg = write_config(tmp_path, f"[global]\noutput = {out}\n{BAND_CONFIG}")
+        assert run_cli(["run", cfg])[0] == 0
+        pinned = out.read_bytes()
+        for name in ("openblas_get_num_threads", "openblas_set_num_threads"):
+            monkeypatch.delitem(matrices._lapack(), name)
+        seen = [spy_threads(monkeypatch, cli.RUNNERS, kind, threads)
+                for kind in ("symbol-check", "acs")]
+        band = []
+        for module, name in ((matrices, "_band_svdvals"), (acs, "_band_eigvalsh")):
+            routine = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, name=name, routine=routine:
+                                band.append(name) or routine(*a))
+        assert run_cli(["run", cfg])[0] == 0
+        assert out.read_bytes() == pinned
+        assert seen == [[2], [2]] and threads() == 2
+        assert band == ["_band_svdvals", "_band_eigvalsh", "_band_eigvalsh"]
+
+
+def test_reports_do_not_depend_on_openblas_num_threads(tmp_path):
+    # the eigenvalues of this non-normal sequence move by far more than
+    # roundoff between one and two BLAS threads, so only a run that fixes
+    # its own count writes the same bytes under both
+    cfg = write_config(tmp_path, (
+        "[nonnormal]\nkind = symbol-check\n"
+        "sequence = glt(1+x | 2*cos(theta) + i*sin(2*theta))\n"
+        "symbol = (1+x)*(2*cos(theta) + i*sin(2*theta))\nmode = eig\nsizes = 64, 256, 512\n"))
+    one, two = (run_installed_cli("run", cfg, OPENBLAS_NUM_THREADS=count) for count in "12")
+    assert one.returncode == two.returncode == 0, one.stderr + two.stderr
+    assert one.stdout == two.stdout
