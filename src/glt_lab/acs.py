@@ -14,10 +14,12 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 from .matrices import (
+    _GRAM_BAND_MIN_N,
     _GRAM_BAND_N_PER_KD,
     MatrixSeq,
     _band_eigvalsh,
     _band_storage,
+    _banded_svdvals,
     _check_ladder,
     _dense_svdvals,
     _lapack,
@@ -82,9 +84,10 @@ def _gram_band(C: np.ndarray, b):
     """C^H C of a square core C in LAPACK lower band storage (`_band_eigvalsh`),
     or None when C is off the band route's gate, in O(n b kd) work.  b is
     C's half-bandwidth as `_svd_reduce` returns it: None for a core that is
-    too small, not square or too wide.  C is off the gate too when kd is
-    above n/_GRAM_BAND_N_PER_KD, when its entries lie outside _GRAM_SCALE,
-    and when numpy's BLAS lacks the band routines.
+    not square or too wide.  C is off the gate too when n is below
+    _GRAM_BAND_MIN_N, when kd is above n/_GRAM_BAND_N_PER_KD, when its
+    entries lie outside _GRAM_SCALE, and when numpy's BLAS lacks the band
+    routines.
 
     C's band storage puts column j in row j, so entry (j + d, j) of the Gram
     matrix is the sum over t of conj(ab[j + d, t - d]) * ab[j, t]: both
@@ -94,9 +97,9 @@ def _gram_band(C: np.ndarray, b):
     the Gram diagonals beyond the widest such span are exact zeros and are
     not formed.
     """
-    if b is None or _lapack() is None:
-        return None
     n = C.shape[0]
+    if b is None or n < _GRAM_BAND_MIN_N or _lapack() is None:
+        return None
     rows = _band_storage(C.T, b) != 0  # row i holds row i of C, columns i-b..i+b
     last, first = 2 * b - rows[:, ::-1].argmax(axis=1), rows.argmax(axis=1)
     kd = int((last - first).max())
@@ -153,21 +156,25 @@ def _canonical_sign(core: np.ndarray) -> np.ndarray:
 def p_metric(A: np.ndarray) -> float:
     """min_{i=1..n+1} {(i-1)/n + sigma_i(A)} with sigma_{n+1} = 0.
 
-    After the exact reductions of `svdvals`, the singular values of the
-    nonzero core come from its Gram matrix when the gate of `_gram_svdvals`
-    certifies them, and from a dense SVD otherwise.  p(A) = p(-A) bit for
-    bit: the Gram route is exact in sign by arithmetic ((-C)^H (-C) is
-    C^H C product by product), and so was the band route on every band
-    tested, but the dense SVD can round -C differently, so that route alone
-    decomposes the core in one canonical sign.
+    Below _GRAM_BAND_MIN_N, A takes the reductions of `svdvals`, banded path
+    first.  From there the Gram band route is the faster where both band
+    gates pass, so the banded path waits: the singular values of the nonzero
+    core come from its Gram matrix (band or dense) when the gate of
+    `_gram_svdvals` certifies them, else from the banded path, else from a
+    dense SVD.  p(A) = p(-A) bit for bit: the Gram route is exact in sign by
+    arithmetic ((-C)^H (-C) is C^H C product by product), and so was the
+    band route on every band tested, but the dense SVD can round -C
+    differently, so that route alone decomposes the core in one canonical
+    sign.
     """
     A = _operand(A)
     n = A.shape[0]
-    s, core, b = _svd_reduce(A)
+    s, core, b = _svd_reduce(A, band=n < _GRAM_BAND_MIN_N)
     if core is not None:
         s = _gram_svdvals(core, n, b)
-        if s is None:
-            s = _dense_svdvals(_canonical_sign(core), n)
+    if s is None:
+        s = _banded_svdvals(core, b)
+        s = _dense_svdvals(_canonical_sign(core), n) if s is None else _pad(s, n)
     return float(_objective(s).min())
 
 

@@ -154,30 +154,43 @@ def _complex_valued(A: np.ndarray) -> bool:
     return np.iscomplexobj(A) and bool(A.imag.any())
 
 
-# Crossover of the banded path, measured against a dense SVD of random band
-# matrices on a 2-vCPU VM (OpenBLAS 0.3.31) with two BLAS threads; the CLI
-# runs on one (`_one_blas_thread`), and ROADMAP item 5 re-derives both gates
-# for that.  A complex band costs 1.2-3x a real one and so does its dense
-# SVD, so one rule serves both: n >= 512 and b <= n/160.  The band wins 2-3x
-# even at n = 256 (b = 2: 0.004 against 0.010 s real).  At the widest
-# accepted b it wins 4-5x: n = 512, b = 3 takes 0.015 against 0.055 s real
-# and 0.023 against 0.105 s complex; n = 1600, b = 10 takes 0.23 against
-# 1.09 s real and 0.49 against 2.30 s complex.  Wider bands keep a dense
-# route: at n = 1600, b = 40 (an acs difference's block width) the band takes
-# 0.84 s, the dense SVD 1.16 s and p_metric's Gram route 0.40 s.
-_BAND_MIN_N = 512
-_BAND_N_PER_B = 160
+# Crossover of the banded path on one BLAS thread, as the CLI runs
+# (`_one_blas_thread`): dense SVD against `_band_svdvals` of random band
+# matrices, band storage included, best of a few calls, ms, on a 2-vCPU VM
+# (OpenBLAS 0.3.31):
+#
+#     n      b    real dense / band    complex dense / band
+#     64     1       0.36 / 0.39           0.39 / 0.33
+#     80     2       0.58 / 0.58           0.72 / 0.53
+#     96     3       0.86 / 0.80           1.46 / 0.98
+#     128    4       1.35 / 1.22           2.13 / 1.56
+#     192    6       4.29 / 3.44           6.21 / 6.68
+#     256    8       8.60 / 4.80           17.4 / 15.3
+#     384    12      22.2 / 19.0           46.9 / 25.3
+#     512    16      46.8 / 27.5            118 / 57.4
+#     1024   32       508 / 257            1202 / 571
+#
+# Below n = 96 the band wins only at b <= 2, by at most a quarter, and loses
+# beyond.  From n = 96 it wins up to b = n/32 (at n = 192 complex, within
+# noise) and loses at twice that: n = 128, b = 8 took 1.41 / 1.53 real and
+# n = 256, b = 16 16.5 / 23.3 complex.  Hence n >= 96 and b <= n/32, real or
+# complex.  Timings on that VM drift about 20% over minutes.
+_BAND_MIN_N = 96
+_BAND_N_PER_B = 32
 
 # The band route of p_metric's Gram matrix (acs): a square core of size
-# n >= _BAND_MIN_N whose half-bandwidth b and Gram half-width kd are both at
-# most n/_GRAM_BAND_N_PER_KD, the widest band any route takes, so
+# n >= _GRAM_BAND_MIN_N whose half-bandwidth b and Gram half-width kd are
+# both at most n/_GRAM_BAND_N_PER_KD, the widest band any route takes, so
 # `_svd_reduce` reads b that far.  Its eigensolver costs O(n^2 kd) against
 # the dense route's O(n^3), and the two met near kd = n/16 on random bands
 # (Gram kd = 2b) on a 2-vCPU VM (OpenBLAS 0.3.31, two BLAS threads): at
 # kd = n/16 the band route took 0.78-1.01x the dense route's time real and
 # 0.91-1.01x complex, n = 512-1600.  The acs differences of glt against lc
 # or a normal form have kd = b + 2 with b about sqrt(n): at n = 1600
-# (kd = 41) the route takes 0.21 against 0.37 s real.
+# (kd = 41) the route takes 0.21 against 0.37 s real.  On one BLAS thread it
+# took 0.19 s against 0.51 s for the band SVD of a real glt - lc core
+# (b = 39), so p_metric tries it first.
+_GRAM_BAND_MIN_N = 512
 _GRAM_BAND_N_PER_KD = 16
 
 # The names under which numpy's BLAS may export LAPACK, in the order tried,
@@ -375,16 +388,17 @@ def _banded_svdvals(A: np.ndarray, b):
     return _band_svdvals(ab, b)
 
 
-def _svd_reduce(A: np.ndarray):
+def _svd_reduce(A: np.ndarray, band: bool = True):
     """The exact reductions `svdvals` applies before any dense work: either
     (values, None, None) from the banded path, or (None, core, b) with core
     the rows and columns of A that hold a nonzero entry, real when its
     imaginary part is exactly zero, and b the core's half-bandwidth as
     `_band_gate` reads it from the mask A != 0.  The singular values of A are
-    those of core padded with zeros to n."""
+    those of core padded with zeros to n.  With `band` false the banded path
+    is left to the caller (p_metric tries its Gram band route first)."""
     nonzero = A != 0
     b = _band_gate(nonzero)
-    s = _banded_svdvals(A, b)
+    s = _banded_svdvals(A, b) if band else None
     if s is not None:
         return s, None, None
     rows = np.flatnonzero(nonzero.any(axis=1))

@@ -211,14 +211,21 @@ class AffineShiftReport:
 
 def affine_shift_test(seq: MatrixSeq, k, sizes, shifts=DEFAULT_SHIFTS,
                       resolution=None) -> AffineShiftReport:
-    """Test {A_n - cI} ~sigma k - c for each shift c."""
+    """Test {A_n - cI} ~sigma k - c for each shift c.
+
+    The sequence counts as normal when, at every size,
+    ||A^H A - A A^H||_F <= NORMALITY_TOL * ||A||_F^2, a test that does not
+    change when A is scaled; the reported residuals are the left-hand sides.
+    """
     sizes = _check_ladder(sizes, 1)
     grid = as_symbol_grid(k, resolution)
-    normality = []
+    normality, normal = [], []
     for n in sizes:
         A = seq(n)
         normality.append(float(np.linalg.norm(A.conj().T @ A - A @ A.conj().T, "fro")))
-    is_normal = bool(max(normality) <= NORMALITY_TOL)
+        # relative to ||A||_F^2, so that scaling A leaves the licence alone
+        normal.append(normality[-1] <= NORMALITY_TOL * np.linalg.norm(A, "fro") ** 2)
+    is_normal = bool(all(normal))
 
     tables = []
     verdicts = []

@@ -138,13 +138,11 @@ def family_with_extra_centers(base: TestFamily, centers, width: float) -> TestFa
 def _grid_samples(k: SymbolGrid, kind: str) -> np.ndarray:
     """The values a symbol-side mean averages: |k| for kind 'sv' and k for
     kind 'eig' at every grid sample, once the grid is known to be non-empty
-    and finite."""
+    and finite.  The message counts grid cells, whatever the grid stores."""
     if len(k.samples) == 0:
         raise DomainError("empty symbol grid")
     if k.nonfinite_count:
-        raise EvalError(
-            f"symbol is non-finite at {k.nonfinite_count} of {k.samples.size} grid samples"
-        )
+        raise EvalError(f"symbol is non-finite at {k.nonfinite_count} of {k.cells} grid samples")
     return np.abs(k.samples) if kind == "sv" else k.samples
 
 

@@ -377,6 +377,13 @@ class SymbolGrid:
 
     domain 'UNIT' is [0,1]; 'RECT' is [0,1] x [-pi,pi].  The mean of the
     samples approximates the normalized integral over the domain.
+
+    A grid holds one sample per cell, x-major, or, on a RECT grid of
+    resolution (nx, nt), nt samples: the values at the theta midpoints of a
+    symbol that does not depend on x, each standing for its nx cells.  Every
+    sample then stands for the same number of cells, so sample means and
+    sample fractions are those of the full grid; `cells` and
+    `nonfinite_count` count cells either way.
     """
 
     domain: str
@@ -395,15 +402,22 @@ class SymbolGrid:
         object.__setattr__(self, "resolution", tuple(int(r) for r in self.resolution))
         if self.domain not in ("UNIT", "RECT"):
             raise DomainError(f"unknown domain tag {self.domain!r}")
-        if int(np.prod(self.resolution)) != s.size:
-            raise ValueError("sample count must equal the product of resolutions")
+        theta_only = self.domain == "RECT" and self.resolution[-1:] == (s.size,)
+        if self.cells != s.size and not theta_only:
+            raise ValueError("sample count must equal the product of resolutions "
+                             "(or, on a RECT grid, the theta resolution)")
         finite = np.isfinite(s)
         nonfinite = s.size - int(np.count_nonzero(finite))
         # index out the non-finite samples only when there are any: a copy
         # of a fine grid costs megabytes of peak memory
         absolute = np.abs(s[finite] if nonfinite else s)
-        object.__setattr__(self, "nonfinite_count", nonfinite)
+        object.__setattr__(self, "nonfinite_count", nonfinite * (self.cells // max(s.size, 1)))
         object.__setattr__(self, "_max_abs", float(absolute.max(initial=0.0)))
+
+    @property
+    def cells(self) -> int:
+        """The number of grid cells, the product of the resolution."""
+        return math.prod(self.resolution)
 
     def max_abs(self) -> float:
         """The largest |k| over the finite samples; 0 when there are none."""
@@ -425,8 +439,10 @@ def sample_symbol(k, domain: str, resolution) -> SymbolGrid:
     """Sample a symbol at the cell midpoints of the uniform tensor grid.
 
     `k` may be a FuncExpr (role 'a' for UNIT, role 'k' for RECT), a TrigPoly
-    (theta only) or a GltExpr.  Singular points propagate as non-finite
-    samples rather than raising.
+    (theta only) or a GltExpr.  On a RECT grid, a TrigPoly or a FuncExpr
+    without x is evaluated at the nt theta midpoints alone, and the grid
+    keeps those nt samples (see `SymbolGrid`).  Singular points propagate as
+    non-finite samples rather than raising.
     """
     if isinstance(resolution, int):
         resolution = (resolution,)
@@ -455,18 +471,17 @@ def sample_symbol(k, domain: str, resolution) -> SymbolGrid:
         raise DomainError("resolution must be at least 2 per axis")
     nx, nt = resolution
     x = _unit_axis(nx)[:, None]
-    theta = _theta_axis(nt)[None, :]
+    theta = _theta_axis(nt)
     if isinstance(k, TrigPoly):
-        vals = np.broadcast_to(k(theta), (nx, nt))
+        vals = k(theta)
     elif isinstance(k, GltExpr):
         vals = k(x, theta)
     elif isinstance(k, FuncExpr):
-        kwargs = {}
+        kwargs = {"theta": theta} if "theta" in k.free_vars else {}
+        shape = theta.shape
         if "x" in k.free_vars:
-            kwargs["x"] = x
-        if "theta" in k.free_vars:
-            kwargs["theta"] = theta
-        vals = np.broadcast_to(k(**kwargs) if kwargs else k(), (nx, nt))
+            kwargs["x"], shape = x, (nx, nt)
+        vals = np.broadcast_to(k(**kwargs), shape)
     else:
         raise TypeError(f"cannot sample object of type {type(k).__name__}")
     return SymbolGrid("RECT", resolution, np.asarray(vals, dtype=complex))
@@ -519,9 +534,15 @@ def rearrangement_distance(h, k) -> float:
     return worst
 
 
+def _cell_count(obj) -> int:
+    """The cells a grid covers, or the size of a sample vector."""
+    return obj.cells if isinstance(obj, SymbolGrid) else _grid_samples(obj).size
+
+
 def symbols_equal_in_distribution(h, k) -> bool:
-    """Statistical-noise-floor test: distance below 0.5/sqrt(min sample count)."""
-    n = min(_grid_samples(h).size, _grid_samples(k).size)
+    """Statistical-noise-floor test: distance below 0.5/sqrt(n), n the
+    smaller of the two cell counts (a sample vector counts its samples)."""
+    n = min(_cell_count(h), _cell_count(k))
     return rearrangement_distance(h, k) < 0.5 / math.sqrt(n)
 
 
@@ -529,9 +550,10 @@ def monotone_rearrangement(k) -> np.ndarray:
     """Sorted (ascending) sample vector: the discrete quantile function.
 
     Input samples must be real; pass abs(samples) for complex data.  The
-    result has the same empirical distribution as the input.
+    result has the same empirical distribution as the input, one entry per
+    grid cell.
     """
     s = _grid_samples(k)
     if np.abs(s.imag).max(initial=0.0) > 1e-12 * max(1.0, np.abs(s).max(initial=0.0)):
         raise DomainError("samples must be real; pass their absolute values")
-    return np.sort(s.real)
+    return np.repeat(np.sort(s.real), _cell_count(k) // max(s.size, 1))

@@ -110,6 +110,15 @@ def band_route(monkeypatch):
     return bands
 
 
+@pytest.fixture
+def band_svd(monkeypatch):
+    """Records the half-bandwidth of every band the band SVD takes."""
+    bands = []
+    solver = matrices._band_svdvals
+    monkeypatch.setattr(matrices, "_band_svdvals", lambda ab, b: bands.append(b) or solver(ab, b))
+    return bands
+
+
 def glt_minus_lc(f, n):
     return glt_product_seq(GltExpr(((A_QUAD, f),)))(n) - lc_seq(A_QUAD, f)(n)
 
@@ -227,7 +236,7 @@ class TestRealValuedRoute:
         return 1j * rng.standard_normal((n, n))  # i*R: takes the complex route
 
     CASES = [("negative-max", 64), ("glt-lc", 36), ("glt-lc", 64), ("glt-lc", 121),
-             ("banded", 512), ("i-real", 64)]
+             ("banded", 256), ("i-real", 64)]
 
     @pytest.mark.parametrize("kind, n", CASES)
     def test_sign_symmetric_and_close_to_the_svd(self, kind, n, monkeypatch):
@@ -242,7 +251,7 @@ class TestRealValuedRoute:
         assert bool(banded) == (kind == "banded")
 
     @pytest.mark.parametrize("kind, n", [("glt-lc", 36), ("glt-lc", 64), ("glt-lc", 121),
-                                         ("banded", 512)])
+                                         ("banded", 256)])
     def test_phase_is_one_ulp_off(self, kind, n):
         # why these operands are in CASES: a phase abs(v)/v lands one ulp off
         # -1 on them, so rotating one by it would not leave it exact
@@ -293,8 +302,9 @@ class TestSignSymmetry:
     """p(A) = p(-A) bit for bit on every route: the band and Gram routes by
     arithmetic, the dense fallback by its canonical sign."""
 
+    # below the Gram band route's n = 512 the band SVD takes every b <= n/32
     @pytest.mark.parametrize("dtype", [float, complex])
-    @pytest.mark.parametrize("n, b", [(n, b) for n in (512, 1024) for b in range(n // 160 + 1)])
+    @pytest.mark.parametrize("n, b", [(n, b) for n in (128, 256) for b in range(n // 32 + 1)])
     def test_band_route(self, n, b, dtype, monkeypatch):
         A = half_integer_band(n, b, dtype, np.random.default_rng(1000 * n + b))
         banded = []
@@ -389,7 +399,7 @@ class TestBandGramRoute:
     @pytest.mark.parametrize("f", [F_REAL, F_CPLX], ids=["real", "complex"])
     @pytest.mark.parametrize("n", [576, 1024])
     def test_gram_band_matches_the_dense_gram(self, f, n):
-        _, core, b = matrices._svd_reduce(glt_minus_lc(f, n))
+        _, core, b = matrices._svd_reduce(glt_minus_lc(f, n), band=False)
         assert np.iscomplexobj(core) == (f is F_CPLX)
         gb, G = acs._gram_band(core, b), acs._gram(core)
         kd = gb.shape[1] - 1
@@ -416,7 +426,7 @@ class TestBandGramRoute:
         # padding, so no zero changes sign with C
         for A in (half_integer_band(1024, 32, dtype, np.random.default_rng(7)),
                   glt_minus_lc(F_CPLX if dtype is complex else F_REAL, 1024)):
-            _, C, b = matrices._svd_reduce(A)
+            _, C, b = matrices._svd_reduce(A, band=False)
             assert acs._gram_band(-C, b).tobytes() == acs._gram_band(C, b).tobytes()
 
     @staticmethod
@@ -438,15 +448,15 @@ class TestBandGramRoute:
                                       "kd-above-the-gate", "rectangular"])
     def test_cores_the_gate_refuses(self, case, band_route):
         A = self.refused(case)
-        assert acs._gram_band(*matrices._svd_reduce(A)[1:]) is None
+        assert acs._gram_band(*matrices._svd_reduce(A, band=False)[1:]) is None
         assert p_metric(A) == pytest.approx(p_svd(A), rel=1e-10, abs=1e-14)
         assert band_route == []
 
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("n, b", [(512, 4), (512, 16), (1024, 7), (1024, 32)])
     def test_sign_symmetry_on_half_integer_bands(self, n, b, dtype, band_route):
-        # b from just above the SVD band path's n/160 to n/32, where a full
-        # band's Gram half-width 2b reaches the gate
+        # b up to n/32, within both band gates, where the Gram band route
+        # goes first; a full band's Gram half-width 2b then reaches n/16
         A = half_integer_band(n, b, dtype, np.random.default_rng(1000 * n + b))
         assert p_metric(A) == p_metric(-A)
         assert band_route == [(n, 2 * b)] * 2
@@ -465,7 +475,7 @@ class TestBandGramRoute:
         A = glt_minus_lc(f, 576)
         assert p_metric(A) == p_svdvals(A)
         assert calls == [routine] and route == ["dense"]
-        gb = acs._gram_band(*matrices._svd_reduce(A)[1:])
+        gb = acs._gram_band(*matrices._svd_reduce(A, band=False)[1:])
         message = f"eigensolver failed: {routine} returned info = 1"
         with pytest.raises(NumericalError, match=message):
             matrices._band_eigvalsh(gb)
@@ -490,12 +500,23 @@ class TestBandGramRoute:
         assert abs(p - p_real_svd(A)) <= 1e-12 * p
 
     @pytest.mark.parametrize("scale", [2.0**-520, 2.0**520], ids=["tiny", "huge"])
-    def test_extreme_scales_fall_back(self, scale, route, band_route):
+    def test_extreme_scales_fall_back(self, scale, route, band_route, band_svd):
         # the scale gate reads the band storage before any Gram product, so
-        # squaring neither underflows nor overflows
+        # squaring neither underflows nor overflows; b = 8 <= 512/32, so the
+        # band SVD takes the core, as it takes svdvals' operand
         A = scale * half_integer_band(512, 8, float, np.random.default_rng(6))
         assert p_metric(A) == p_svdvals(A)
-        assert route == ["dense"] and band_route == []
+        assert route == [] and band_route == [] and band_svd == [8, 8]
+
+    @pytest.mark.parametrize("n", [1024, 1600])
+    def test_gram_band_goes_before_the_band_svd(self, n, band_route, band_svd):
+        # b = sqrt(n) - 1 is within both band gates, n/32 and n/16; the Gram
+        # band route is the faster of the two on these acs differences
+        A = glt_minus_lc(F_REAL, n)
+        assert matrices._svd_reduce(A, band=False)[2] <= n // matrices._BAND_N_PER_B
+        p = p_metric(A)
+        assert band_route == [(n, math.isqrt(n) + 1)] and band_svd == []
+        assert abs(p - p_real_svd(A)) <= 1e-12 * p
 
 
 @pytest.fixture

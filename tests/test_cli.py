@@ -585,6 +585,30 @@ class TestNumericalFailureRows:
                                                          "FAIL"]
 
 
+class TestThetaOnlySymbols:
+    """A symbol without x is sampled once per theta midpoint; its report is
+    byte for byte that of the same symbol written with x."""
+
+    @pytest.mark.parametrize("section", [
+        "kind = symbol-check\nsequence = toeplitz({f})\nsymbol = {k}\nmode = sv\nsizes = 16, 32",
+        "kind = symbol-check\nsequence = circulant({f})\nsymbol = {k}\nmode = eig\n"
+        "sizes = 16, 32",
+        "kind = shift-test\nsequence = toeplitz({f})\nsymbol = {k}\nsizes = 16, 32",
+        "kind = symbol-check\nsequence = toeplitz({f})\nsymbol = {k}\nsizes = 16\ngrid = 3x8",
+    ], ids=["sv", "eig", "shift-test", "non-finite"])
+    def test_same_report_with_and_without_x(self, tmp_path, section):
+        f = "2*cos(theta) + 0.5*i*sin(2*theta)"
+        # the non-finite case overflows at 2 of its 8 theta midpoints
+        k = "exp(1000*cos(theta))" if "grid" in section else f
+        reports = []
+        for symbol in (k, f"{k} + 0*x"):
+            cfg = write_config(tmp_path, "[t]\n" + section.format(f=f, k=symbol))
+            reports.append(run_cli(["run", cfg])[1])
+        assert reports[0] == reports[1]
+        if "grid" in section:
+            assert "error[symbol is non-finite at 6 of 24 grid samples]" in reports[0]
+
+
 class TestToleranceOverride:
     def test_override_can_force_failure(self, tmp_path):
         cfg = write_config(

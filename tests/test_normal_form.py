@@ -27,7 +27,13 @@ from glt_lab import (
     verify_normal_form,
 )
 from glt_lab.matrices import MatrixSeq, block_layout, circulant, d_af, diag_sampling, toeplitz
-from glt_lab.normal_form import NormalForm, _canonical_svd, _pushed_seq, normal_form_seq
+from glt_lab.normal_form import (
+    NORMALITY_TOL,
+    NormalForm,
+    _canonical_svd,
+    _pushed_seq,
+    normal_form_seq,
+)
 from glt_lab.spectra import singular_values
 
 TWO_COS = TrigPoly.from_coeff_map({1: 1, -1: 1})
@@ -374,6 +380,25 @@ class TestAffineShiftTest:
         assert not report.is_normal
         assert "not licensed" in report.conclusion
         assert min(report.normality_residuals) > 1e-10
+
+    def test_scaled_jordan_shift_not_licensed(self):
+        # ||A^H A - A A^H||_F = 1.4e-12 is below NORMALITY_TOL, but relative
+        # to ||A||_F^2 = (n - 1) 1e-12 this is the Jordan shift's defect
+        f = TrigPoly.from_coeff_map({1: 1e-6})
+        report = affine_shift_test(toeplitz_seq(f), f, (64, 128), shifts=(0, 1))
+        assert report.all_pass and not report.is_normal
+        assert max(report.normality_residuals) < NORMALITY_TOL
+        assert "not licensed" in report.conclusion
+
+    def test_large_normal_sequence_licensed(self):
+        # locally circulant, so normal; at scale 1e4 its commutator's
+        # roundoff is above NORMALITY_TOL in absolute terms
+        f = TrigPoly.from_coeff_map({-2: -0.5, -1: 1, 1: 1, 2: 0.5})  # 2 cos + i sin(2 theta)
+        seq = lc_seq(parse_expr("10000*exp(0.37*x)", "a"), f)
+        report = affine_shift_test(seq, seq.symbol, (64, 128), shifts=(0, 1))
+        assert report.all_pass and report.is_normal
+        assert min(report.normality_residuals) > NORMALITY_TOL
+        assert "confirmed" in report.conclusion
 
     @pytest.mark.parametrize("sizes", [(), (32, 16)])
     def test_bad_ladder_is_a_domain_error(self, sizes):

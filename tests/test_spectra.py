@@ -12,6 +12,7 @@ from glt_lab import (
     GltExpr,
     GltLabError,
     TrigPoly,
+    affine_shift_test,
     circulant,
     circulant_seq,
     counterexample_seq,
@@ -20,6 +21,7 @@ from glt_lab import (
     eig_symbol_residual,
     eigenvalues,
     glt_product_seq,
+    hermitian_function,
     identity_seq,
     lc_op,
     lc_seq,
@@ -662,6 +664,59 @@ class TestFamilyMeans:
         assert peak <= 2 * t.nbytes
 
 
+def full_grid(grid):
+    """The oracle of a theta-only grid: one sample per cell, its theta
+    samples tiled nx times."""
+    nx, _ = grid.resolution
+    return SymbolGrid("RECT", grid.resolution, np.tile(grid.samples, nx))
+
+
+# power-of-two grids give the full grid's means bit for bit: numpy's pairwise
+# sum of nx aligned copies of a block is nx times the block's sum
+THETA_GRIDS = pytest.mark.parametrize("resolution, tol", [((64, 1024), 0.0),
+                                                          ((48, 1000), 1e-15)],
+                                      ids=["64x1024", "48x1000"])
+
+
+def assert_tables_match(table, oracle, tol):
+    assert table.sizes == oracle.sizes and table.labels == oracle.labels
+    assert np.array_equal(table.bounds, oracle.bounds)
+    assert np.abs(table.residuals - oracle.residuals).max() <= tol
+
+
+class TestThetaOnlyGrids:
+    """Residual tables over a theta-only grid equal those over the full grid."""
+
+    @THETA_GRIDS
+    @pytest.mark.parametrize("fn", [sv_symbol_residual, eig_symbol_residual])
+    def test_residual_tables(self, fn, resolution, tol):
+        seq = toeplitz_seq(F_HOOK)
+        grid = as_symbol_grid(F_HOOK, resolution)
+        assert grid.samples.size == resolution[1]
+        assert_tables_match(fn(seq, grid, (16, 32)), fn(seq, full_grid(grid), (16, 32)), tol)
+
+    @THETA_GRIDS
+    def test_shift_test_tables(self, resolution, tol):
+        seq = toeplitz_seq(F_HOOK)
+        grid = as_symbol_grid(F_HOOK, resolution)
+        report = affine_shift_test(seq, grid, (16, 32), shifts=(0, 1, 0.5j))
+        oracle = affine_shift_test(seq, full_grid(grid), (16, 32), shifts=(0, 1, 0.5j))
+        for table, expected in zip(report.tables, oracle.tables):
+            assert_tables_match(table, expected, tol)
+        assert report.normality_residuals == oracle.normality_residuals
+
+    @THETA_GRIDS
+    def test_hermitian_function_tables(self, resolution, tol):
+        f = TrigPoly.from_coeff_map({-2: 0.25, -1: 1, 0: 0.5, 1: 1, 2: 0.25})
+        seq = toeplitz_seq(f)
+        oracle_seq = dataclasses.replace(seq, symbol=full_grid(as_symbol_grid(f, resolution)))
+        g = parse_expr("t^2 - t", "F")
+        report = hermitian_function(seq, g, (16, 32), resolution=resolution)
+        oracle = hermitian_function(oracle_seq, g, (16, 32))
+        assert_tables_match(report.sv_table, oracle.sv_table, tol)
+        assert_tables_match(report.eig_table, oracle.eig_table, tol)
+
+
 class TestNonFiniteSymbol:
     @pytest.mark.parametrize("fn", [sv_symbol_residual, eig_symbol_residual])
     def test_residual_ladders_reject_nonfinite_grid(self, fn):
@@ -671,6 +726,15 @@ class TestNonFiniteSymbol:
             fn(identity_seq(), grid, (4, 8))
         assert type(info.value) is EvalError
         assert str(info.value) == "symbol is non-finite at 1 of 3 grid samples"
+
+    @pytest.mark.parametrize("fn", [sv_symbol_residual, eig_symbol_residual])
+    def test_theta_only_grid_counts_cells(self, fn):
+        # 2 of the 8 theta samples overflow, each standing for 3 cells
+        grid = sample_symbol(parse_expr("exp(1000*cos(theta))", "k"), "RECT", (3, 8))
+        assert grid.samples.size == 8
+        with pytest.raises(EvalError) as info:
+            fn(identity_seq(), grid, (4, 8))
+        assert str(info.value) == "symbol is non-finite at 6 of 24 grid samples"
 
     def test_residual_ladder_raises_before_decomposing(self):
         grid = sample_symbol(parse_expr("1/(x-0.5)", "a"), "UNIT", (3,))
@@ -689,9 +753,9 @@ def assert_svdvals_match_complex_svd(A):
     assert np.abs(s - dense).max() <= 1e-12 * max(1.0, dense[0])
 
 
-# the banded path: n = 256 is below its crossover and n = 640 above it, where
-# the rule accepts a half-bandwidth up to 640 // 160 = 4, real or complex
-BAND_SIZES = [256, 640]
+# the banded path: n = 64 is below its crossover and n = 256 above it, where
+# the rule accepts a half-bandwidth up to 256 // 32 = 8, real or complex
+BAND_SIZES = [64, 256]
 
 
 def random_trig_poly(degree, complex_coeffs, seed):
@@ -779,19 +843,19 @@ class TestSvdvals:
     @pytest.mark.parametrize("n", BAND_SIZES)
     def test_banded_toeplitz(self, banded_results, n, b, complex_coeffs):
         assert_svdvals_match_complex_svd(toeplitz(random_trig_poly(b, complex_coeffs, b), n))
-        assert took_band(banded_results) == [n >= 512]
+        assert took_band(banded_results) == [n >= 96]
 
     @pytest.mark.parametrize("a2", ["exp(x)", "1+i*x"], ids=["real", "complex"])
     @pytest.mark.parametrize("n", BAND_SIZES)
     def test_banded_two_term_glt(self, banded_results, n, a2):
         expr = GltExpr(((A_HOOK, F_REAL), (parse_expr(a2, "a"), TrigPoly.from_coeff_map({1: 1}))))
         assert_svdvals_match_complex_svd(glt_product_seq(expr)(n))
-        assert took_band(banded_results) == [n >= 512]
+        assert took_band(banded_results) == [n >= 96]
 
     @pytest.mark.parametrize("complex_coeffs", [False, True], ids=["real", "complex"])
-    @pytest.mark.parametrize("n", [640, 1024])
+    @pytest.mark.parametrize("n", [96, 128, 640])
     def test_banded_largest_accepted_band(self, banded_results, n, complex_coeffs):
-        b = n // 160
+        b = n // 32
         f = random_trig_poly(b, complex_coeffs, 3)
         assert_svdvals_match_complex_svd(toeplitz(f, n))
         svdvals(toeplitz(random_trig_poly(b + 1, complex_coeffs, 3), n))
@@ -829,6 +893,8 @@ class TestSvdvals:
         s = singular_values(glt(n))
         singular_values(toeplitz(F_REAL, n) - circulant(F_REAL, n))
         singular_values(glt(n) - lc_op(A_HOOK, F_REAL, n))
-        assert took_band(banded_results) == [True, False, False]
+        # the glt - lc difference has b = 31 <= 1024/32 (p_metric gives it to
+        # its Gram band route first); toeplitz - circulant fills two corners
+        assert took_band(banded_results) == [True, False, True]
         # svdvals returns the banded values rather than decomposing again
         assert np.array_equal(s, banded_results[0])

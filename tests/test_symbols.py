@@ -16,7 +16,7 @@ from glt_lab import (
     symbols_equal_in_distribution,
     trig_poly_from_expr,
 )
-from glt_lab.symbols import ROLE_VARS
+from glt_lab.symbols import ROLE_VARS, SymbolGrid
 
 TWO_COS = TrigPoly.from_coeff_map({1: 1, -1: 1})
 SHIFT = TrigPoly.from_coeff_map({1: 1})
@@ -327,6 +327,63 @@ class TestSampleSymbol:
         sq = GltExpr(((parse_expr("x^2", "a"), TrigPoly.from_coeff_map({0: 1})),))
         grid_sq = sample_symbol(sq, "RECT", (256, 2))
         assert abs(grid_sq.samples.mean() - 1 / 3) < 1e-5
+
+
+class TestThetaOnlyGrids:
+    """On a RECT grid, a symbol without x is sampled once per theta
+    midpoint, and each sample stands for its nx cells."""
+
+    @pytest.mark.parametrize("source", ["2*cos(theta)", "exp(i*theta) - 0.5", "3"])
+    def test_func_expr_without_x_is_the_full_grid_row(self, source):
+        grid = sample_symbol(parse_expr(source, "k"), "RECT", (8, 16))
+        full = sample_symbol(parse_expr(f"{source} + 0*x", "k"), "RECT", (8, 16))
+        assert grid.resolution == full.resolution == (8, 16)
+        assert grid.cells == full.cells == 128
+        assert (grid.samples.size, full.samples.size) == (16, 128)
+        assert np.array_equal(np.tile(grid.samples, 8), full.samples)
+        assert grid.max_abs() == full.max_abs() and grid.min_resolution() == 8
+
+    def test_trig_poly_is_the_full_grid_row(self):
+        grid = sample_symbol(TWO_COS, "RECT", (8, 16))
+        full = sample_symbol(GltExpr(((parse_expr("1", "a"), TWO_COS),)), "RECT", (8, 16))
+        assert grid.samples.size == 16
+        assert np.array_equal(np.tile(grid.samples, 8), full.samples)
+
+    @pytest.mark.parametrize("size", [0, 8, 15, 17, 127])
+    def test_wrong_sized_samples_raise(self, size):
+        # 8 x 16 cells take 128 samples or 16, one per theta midpoint
+        with pytest.raises(ValueError, match="sample count"):
+            SymbolGrid("RECT", (8, 16), np.zeros(size))
+
+    def test_unit_grids_take_one_sample_per_cell(self):
+        with pytest.raises(ValueError, match="sample count"):
+            SymbolGrid("UNIT", (16,), np.zeros(1))
+
+    def test_nonfinite_count_counts_cells(self):
+        # exp overflows where cos(theta) > 0.71: at the two midpoints +-pi/8
+        grid = sample_symbol(parse_expr("exp(1000*cos(theta))", "k"), "RECT", (3, 8))
+        full = sample_symbol(parse_expr("exp(1000*cos(theta)) + 0*x", "k"), "RECT", (3, 8))
+        assert np.count_nonzero(~np.isfinite(grid.samples)) == 2
+        assert grid.nonfinite_count == full.nonfinite_count == 6
+
+    def test_equal_in_distribution_counts_cells(self):
+        # 64 x 16 cells set the noise floor at 0.5/32; the 16 samples alone
+        # would set it at 0.5/4, above this distance
+        grid = sample_symbol(TWO_COS, "RECT", (64, 16))
+        full = SymbolGrid("RECT", (64, 16), np.tile(grid.samples, 64))
+        other = full.samples.copy()
+        other[:60] = 10.0
+        assert 0.5 / 32 < rearrangement_distance(grid, other) < 0.5 / 4
+        assert rearrangement_distance(grid, other) == rearrangement_distance(full, other)
+        assert not symbols_equal_in_distribution(grid, other)
+        assert not symbols_equal_in_distribution(full, other)
+        assert symbols_equal_in_distribution(grid, full)
+
+    def test_monotone_rearrangement_has_one_entry_per_cell(self):
+        grid = sample_symbol(TWO_COS, "RECT", (4, 8))
+        full = SymbolGrid("RECT", (4, 8), np.tile(grid.samples, 4))
+        assert np.array_equal(monotone_rearrangement(grid), monotone_rearrangement(full))
+        assert monotone_rearrangement(grid).size == 32
 
 
 class TestRearrangement:
