@@ -156,22 +156,20 @@ def _canonical_sign(core: np.ndarray) -> np.ndarray:
 def p_metric(A: np.ndarray) -> float:
     """min_{i=1..n+1} {(i-1)/n + sigma_i(A)} with sigma_{n+1} = 0.
 
-    Below _GRAM_BAND_MIN_N, A takes the reductions of `svdvals`, banded path
-    first.  From there the Gram band route is the faster where both band
-    gates pass, so the banded path waits: the singular values of the nonzero
-    core come from its Gram matrix (band or dense) when the gate of
-    `_gram_svdvals` certifies them, else from the banded path, else from a
-    dense SVD.  p(A) = p(-A) bit for bit: the Gram route is exact in sign by
-    arithmetic ((-C)^H (-C) is C^H C product by product), and so was the
-    band route on every band tested, but the dense SVD can round -C
-    differently, so that route alone decomposes the core in one canonical
-    sign.
+    After the exact reductions of `svdvals`, the singular values of the
+    nonzero core come from its Gram matrix (band or dense) when the gate of
+    `_gram_svdvals` certifies them, else from the banded path of `svdvals`,
+    else from a dense SVD.  The Gram band route goes first where both band
+    gates pass: it is the faster one on acs differences.  p(A) = p(-A) bit
+    for bit: the Gram route is exact in sign by arithmetic ((-C)^H (-C) is
+    C^H C product by product), and so was the band route on every band
+    tested, but the dense SVD can round -C differently, so that route alone
+    decomposes the core in one canonical sign.
     """
     A = _operand(A)
     n = A.shape[0]
-    s, core, b = _svd_reduce(A, band=n < _GRAM_BAND_MIN_N)
-    if core is not None:
-        s = _gram_svdvals(core, n, b)
+    core, b = _svd_reduce(A, A != 0)
+    s = _gram_svdvals(core, n, b)
     if s is None:
         s = _banded_svdvals(core, b)
         s = _dense_svdvals(_canonical_sign(core), n) if s is None else _pad(s, n)

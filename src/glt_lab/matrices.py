@@ -388,27 +388,20 @@ def _banded_svdvals(A: np.ndarray, b):
     return _band_svdvals(ab, b)
 
 
-def _svd_reduce(A: np.ndarray, band: bool = True):
-    """The exact reductions `svdvals` applies before any dense work: either
-    (values, None, None) from the banded path, or (None, core, b) with core
-    the rows and columns of A that hold a nonzero entry, real when its
-    imaginary part is exactly zero, and b the core's half-bandwidth as
-    `_band_gate` reads it from the mask A != 0.  The singular values of A are
-    those of core padded with zeros to n.  With `band` false the banded path
-    is left to the caller (p_metric tries its Gram band route first)."""
-    nonzero = A != 0
-    b = _band_gate(nonzero)
-    s = _banded_svdvals(A, b) if band else None
-    if s is not None:
-        return s, None, None
+def _svd_reduce(A: np.ndarray, nonzero: np.ndarray):
+    """The exact reductions `svdvals` applies before a dense SVD: (core, b)
+    with core the rows and columns of A that hold a nonzero entry of the
+    mask nonzero = (A != 0), real when its imaginary part is exactly zero,
+    and b the core's half-bandwidth as `_band_gate` reads it from its mask.
+    The singular values of A are those of core padded with zeros to n."""
     rows = np.flatnonzero(nonzero.any(axis=1))
     cols = np.flatnonzero(nonzero.any(axis=0))
     if rows.size == cols.size == A.shape[0]:
         core = A
     else:
         keep = np.ix_(rows, cols)
-        core, b = A[keep], _band_gate(nonzero[keep])
-    return None, core if _complex_valued(core) else core.real, b
+        core, nonzero = A[keep], nonzero[keep]
+    return core if _complex_valued(core) else core.real, _band_gate(nonzero)
 
 
 def _pad(s: np.ndarray, n: int) -> np.ndarray:
@@ -432,8 +425,9 @@ def svdvals(A: np.ndarray) -> np.ndarray:
     decomposed alone and zeros pad the result back to n.  That block is
     decomposed in real arithmetic when its imaginary part is exactly zero.
     """
-    s, core, _ = _svd_reduce(A)
-    return s if core is None else _dense_svdvals(core, A.shape[0])
+    nonzero = A != 0
+    s = _banded_svdvals(A, _band_gate(nonzero))
+    return _dense_svdvals(_svd_reduce(A, nonzero)[0], A.shape[0]) if s is None else s
 
 
 def _diagonal_constant(col: np.ndarray, row_tail: np.ndarray) -> np.ndarray:

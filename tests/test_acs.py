@@ -231,8 +231,12 @@ class TestRealValuedRoute:
         if kind == "glt-lc":
             return build_sequence(f"glt({GLT_LC_0})")(n) - build_sequence(f"lc({GLT_LC_0})")(n)
         if kind == "banded":
-            # the largest entry is -0.47, and p = sigma_1
-            return toeplitz(TrigPoly.from_coeff_map({-1: 0.003, 0: -0.47, 1: 0.007}), n)
+            # the largest entry is -0.47; each odd row repeats the row above,
+            # so sigma_{n/2+1} = 0 sets p = 1/2, which the Gram gate cannot
+            # certify, and the band SVD (b = 2) runs
+            A = toeplitz(TrigPoly.from_coeff_map({-1: 0.003, 0: -0.47, 1: 0.007}), n)
+            A[1::2] = A[::2]
+            return A
         return 1j * rng.standard_normal((n, n))  # i*R: takes the complex route
 
     CASES = [("negative-max", 64), ("glt-lc", 36), ("glt-lc", 64), ("glt-lc", 121),
@@ -302,17 +306,17 @@ class TestSignSymmetry:
     """p(A) = p(-A) bit for bit on every route: the band and Gram routes by
     arithmetic, the dense fallback by its canonical sign."""
 
-    # below the Gram band route's n = 512 the band SVD takes every b <= n/32
+    # the band SVD takes every b <= n/32 from n = 96, as p_metric's fallback
+    # after the Gram routes: its values for A and -A are the same bits
     @pytest.mark.parametrize("dtype", [float, complex])
-    @pytest.mark.parametrize("n, b", [(n, b) for n in (128, 256) for b in range(n // 32 + 1)])
-    def test_band_route(self, n, b, dtype, monkeypatch):
+    @pytest.mark.parametrize("n, b", [(n, b) for n in (128, 256, 512, 1024)
+                                      for b in sorted({0, 1, 2, 3, n // 64, n // 32})])
+    def test_band_route(self, n, b, dtype):
         A = half_integer_band(n, b, dtype, np.random.default_rng(1000 * n + b))
-        banded = []
-        solver = matrices._band_svdvals
-        monkeypatch.setattr(matrices, "_band_svdvals",
-                            lambda ab, b: banded.append(n) or solver(ab, b))
+        s = matrices._banded_svdvals(A, b)
+        assert s is not None
+        assert s.tobytes() == matrices._banded_svdvals(-A, b).tobytes()
         assert p_metric(A) == p_metric(-A)
-        assert banded == [n, n]
 
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("shape", ["tall", "wide", "strided"])
@@ -399,7 +403,8 @@ class TestBandGramRoute:
     @pytest.mark.parametrize("f", [F_REAL, F_CPLX], ids=["real", "complex"])
     @pytest.mark.parametrize("n", [576, 1024])
     def test_gram_band_matches_the_dense_gram(self, f, n):
-        _, core, b = matrices._svd_reduce(glt_minus_lc(f, n), band=False)
+        A = glt_minus_lc(f, n)
+        core, b = matrices._svd_reduce(A, A != 0)
         assert np.iscomplexobj(core) == (f is F_CPLX)
         gb, G = acs._gram_band(core, b), acs._gram(core)
         kd = gb.shape[1] - 1
@@ -426,7 +431,7 @@ class TestBandGramRoute:
         # padding, so no zero changes sign with C
         for A in (half_integer_band(1024, 32, dtype, np.random.default_rng(7)),
                   glt_minus_lc(F_CPLX if dtype is complex else F_REAL, 1024)):
-            _, C, b = matrices._svd_reduce(A, band=False)
+            C, b = matrices._svd_reduce(A, A != 0)
             assert acs._gram_band(-C, b).tobytes() == acs._gram_band(C, b).tobytes()
 
     @staticmethod
@@ -448,7 +453,7 @@ class TestBandGramRoute:
                                       "kd-above-the-gate", "rectangular"])
     def test_cores_the_gate_refuses(self, case, band_route):
         A = self.refused(case)
-        assert acs._gram_band(*matrices._svd_reduce(A, band=False)[1:]) is None
+        assert acs._gram_band(*matrices._svd_reduce(A, A != 0)) is None
         assert p_metric(A) == pytest.approx(p_svd(A), rel=1e-10, abs=1e-14)
         assert band_route == []
 
@@ -475,7 +480,7 @@ class TestBandGramRoute:
         A = glt_minus_lc(f, 576)
         assert p_metric(A) == p_svdvals(A)
         assert calls == [routine] and route == ["dense"]
-        gb = acs._gram_band(*matrices._svd_reduce(A, band=False)[1:])
+        gb = acs._gram_band(*matrices._svd_reduce(A, A != 0))
         message = f"eigensolver failed: {routine} returned info = 1"
         with pytest.raises(NumericalError, match=message):
             matrices._band_eigvalsh(gb)
@@ -505,15 +510,15 @@ class TestBandGramRoute:
         # squaring neither underflows nor overflows; b = 8 <= 512/32, so the
         # band SVD takes the core, as it takes svdvals' operand
         A = scale * half_integer_band(512, 8, float, np.random.default_rng(6))
-        assert p_metric(A) == p_svdvals(A)
-        assert route == [] and band_route == [] and band_svd == [8, 8]
+        assert p_metric(A) == p_svdvals(A) == p_metric(-A)
+        assert route == [] and band_route == [] and band_svd == [8] * 3
 
     @pytest.mark.parametrize("n", [1024, 1600])
     def test_gram_band_goes_before_the_band_svd(self, n, band_route, band_svd):
         # b = sqrt(n) - 1 is within both band gates, n/32 and n/16; the Gram
         # band route is the faster of the two on these acs differences
         A = glt_minus_lc(F_REAL, n)
-        assert matrices._svd_reduce(A, band=False)[2] <= n // matrices._BAND_N_PER_B
+        assert matrices._svd_reduce(A, A != 0)[1] <= n // matrices._BAND_N_PER_B
         p = p_metric(A)
         assert band_route == [(n, math.isqrt(n) + 1)] and band_svd == []
         assert abs(p - p_real_svd(A)) <= 1e-12 * p
