@@ -17,15 +17,19 @@ from .matrices import (
     _GRAM_BAND_MIN_N,
     _GRAM_BAND_N_PER_KD,
     MatrixSeq,
+    _Band,
     _band_eigvalsh,
+    _band_reduce,
     _band_storage,
     _banded_svdvals,
     _check_ladder,
+    _dense,
     _dense_svdvals,
     _lapack,
     _pad,
     _square_finite,
     _svd_reduce,
+    _transpose_band,
 )
 
 __all__ = [
@@ -38,12 +42,16 @@ __all__ = [
 ]
 
 
-def _operand(A) -> np.ndarray:
+def _operand(A):
     """A as a float64 array when its dtype is real and a complex one
-    otherwise, once it is known to be square, non-empty and finite."""
-    A = np.asarray(A)
-    A = _square_finite(A, float if A.dtype.kind in "biuf" else complex)
-    if A.size == 0:
+    otherwise, once it is known to be square, non-empty and finite; a
+    `_Band` stays a band."""
+    if isinstance(A, _Band):
+        A = _square_finite(A)
+    else:
+        A = np.asarray(A)
+        A = _square_finite(A, float if A.dtype.kind in "biuf" else complex)
+    if A.shape[0] == 0:
         raise DomainError("matrix must be non-empty")
     return A
 
@@ -80,11 +88,12 @@ def _gram(C: np.ndarray) -> np.ndarray:
     return C.conj().T @ C if C.shape[0] >= C.shape[1] else C @ C.conj().T
 
 
-def _gram_band(C: np.ndarray, b):
+def _gram_band(C, b):
     """C^H C of a square core C in LAPACK lower band storage (`_band_eigvalsh`),
     or None when C is off the band route's gate, in O(n b kd) work.  b is
-    C's half-bandwidth as `_svd_reduce` returns it: None for a core that is
-    not square or too wide.  C is off the gate too when n is below
+    C's half-bandwidth as `_svd_reduce` or `_band_reduce` returns it: None for
+    a core that is not square or too wide.  C is dense or a `_Band` of
+    half-bandwidth b.  C is off the gate too when n is below
     _GRAM_BAND_MIN_N, when kd is above n/_GRAM_BAND_N_PER_KD, when its
     entries lie outside _GRAM_SCALE, and when numpy's BLAS lacks the band
     routines.
@@ -100,35 +109,37 @@ def _gram_band(C: np.ndarray, b):
     n = C.shape[0]
     if b is None or n < _GRAM_BAND_MIN_N or _lapack() is None:
         return None
-    rows = _band_storage(C.T, b) != 0  # row i holds row i of C, columns i-b..i+b
+    ab = C.ab if isinstance(C, _Band) else _band_storage(C, b)
+    rows = _transpose_band(ab != 0, b)  # row i holds row i of C, columns i-b..i+b
     last, first = 2 * b - rows[:, ::-1].argmax(axis=1), rows.argmax(axis=1)
     kd = int((last - first).max())
-    if kd > n // _GRAM_BAND_N_PER_KD:
+    if kd > n // _GRAM_BAND_N_PER_KD or not _in_scale(ab):
         return None
-    ab = _band_storage(C, b)
-    if not _in_scale(ab):
-        return None
-    gb = np.zeros((n, kd + 1), C.dtype)
+    gb = np.zeros((n, kd + 1), ab.dtype)
     for d in range(kd + 1):
         gb[: n - d, d] = (ab[d:, : 2 * b + 1 - d].conj() * ab[: n - d, d:]).sum(axis=1)
     return gb
 
 
-def _gram_svdvals(core: np.ndarray, n: int, b):
+def _gram_svdvals(core, n: int, b):
     """The singular values of a reduced core from the eigenvalues of its Gram
     matrix, padded to n, or None when the core's entries lie outside
     _GRAM_SCALE or the gate cannot certify that their error stays below
     _GRAM_RTOL * p at every index that can set p.  b is the core's
-    half-bandwidth from `_svd_reduce`.
+    half-bandwidth from `_svd_reduce`; a `_Band` core off the band route
+    forms its dense matrix.
 
-    The Gram matrix and a Hermitian eigensolver cost about a third of the
-    dense SVD, and less again when the core passes the gate of `_gram_band`.
+    On one BLAS thread below n = 512, the dense Gram matrix and a Hermitian
+    eigensolver cost 0.6-1.0x the dense SVD: n = 256 complex 15.2 against
+    15.0 ms, n = 384 complex 48.6 against 48.2 ms, n = 256 real 5.0 against
+    7.9 ms (best of seven, 2-vCPU machine, OpenBLAS 0.3.31).  A core that
+    passes the gate of `_gram_band` costs far less (see `_GRAM_BAND_MIN_N`).
     A value sigma_i from the Gram matrix can set the minimum only when
     (i-1)/n <= p; the padded zeros are exact.
     """
     gb = _gram_band(core, b)
     if gb is None:
-        core = np.ascontiguousarray(core)  # a strided real part, copied once for both passes
+        core = np.ascontiguousarray(_dense(core))  # a strided real part, copied once for both passes
         if not _in_scale(core):  # also the empty core of A = 0
             return None
     try:
@@ -153,7 +164,7 @@ def _canonical_sign(core: np.ndarray) -> np.ndarray:
     return -core if v.real < 0 or (v.real == 0 and v.imag < 0) else core
 
 
-def p_metric(A: np.ndarray) -> float:
+def p_metric(A) -> float:
     """min_{i=1..n+1} {(i-1)/n + sigma_i(A)} with sigma_{n+1} = 0.
 
     After the exact reductions of `svdvals`, the singular values of the
@@ -165,14 +176,18 @@ def p_metric(A: np.ndarray) -> float:
     C^H C product by product), and so was the band route on every band
     tested, but the dense SVD can round -C differently, so that route alone
     decomposes the core in one canonical sign.
+
+    A may be a `matrices._Band`.  With no zero row or column and on the band
+    gate it is its own core (`_band_reduce`), and only a dense route forms
+    its dense matrix; either way p is the dense matrix's bit for bit.
     """
     A = _operand(A)
     n = A.shape[0]
-    core, b = _svd_reduce(A, A != 0)
+    core, b = _band_reduce(A) if isinstance(A, _Band) else _svd_reduce(A, A != 0)
     s = _gram_svdvals(core, n, b)
     if s is None:
         s = _banded_svdvals(core, b)
-        s = _dense_svdvals(_canonical_sign(core), n) if s is None else _pad(s, n)
+        s = _dense_svdvals(_canonical_sign(_dense(core)), n) if s is None else _pad(s, n)
     return float(_objective(s).min())
 
 
@@ -217,8 +232,20 @@ class AcsEstimate:
         return float(max(self.p_values[half:]))
 
 
+def _difference(seqA: MatrixSeq, seqB: MatrixSeq, n: int):
+    """A_n - B_n, subtracted in band storage (padded to the wider band) when
+    both sequences carry `band` and n reaches _GRAM_BAND_MIN_N, the first
+    size at which p_metric can keep its operand a band; dense otherwise.
+    Either way A_n is built first, so its errors come first."""
+    if n < _GRAM_BAND_MIN_N or seqA.band is None or seqB.band is None:
+        return seqA(n) - seqB(n)
+    A, B = seqA.band(n), seqB.band(n)
+    b = max(A.b, B.b)
+    return _Band(A.widened(b) - B.widened(b), b)
+
+
 def _p_ladder(seqA: MatrixSeq, seqB: MatrixSeq, sizes) -> AcsEstimate:
-    ps = tuple(p_metric(seqA(n) - seqB(n)) for n in sizes)
+    ps = tuple(p_metric(_difference(seqA, seqB, n)) for n in sizes)
     return AcsEstimate(tuple(sizes), ps)
 
 

@@ -1,7 +1,10 @@
 """Generators for every structured matrix family used in the laboratory.
 
 All generators return dense complex n x n arrays and are pure: the same size
-always yields the same matrix.  The locally-structured operators split n into
+always yields the same matrix.  The banded families (Toeplitz, glt, locally
+circulant and normal form) also give A_n in LAPACK band storage (`_Band`,
+the `band` hook of their `MatrixSeq`), and their dense matrices are read
+from the same entries.  The locally-structured operators split n into
 m = floor(sqrt(n)) blocks of size floor(n/m) plus a trailing zero block.
 numpy builds every family.  The banded SVD path of `svdvals` reduces a narrow
 band to a bidiagonal with LAPACK's ?gbbrd and takes its singular values by
@@ -22,6 +25,7 @@ import contextlib
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -93,6 +97,14 @@ class MatrixSeq:
     given only to normal sequences, whose singular values are the moduli of
     their eigenvalues: a sequence given `eigs` alone gets `svals = |eigs|`
     here, and `shifted` relies on it.
+
+    `band` optionally maps n to A_n as a `_Band` (ab, b): bit for bit what
+    `_band_storage(seq(n), b)` holds, signed zeros included, raising the
+    generator's errors at the same n.  `toeplitz_seq`, `glt_product_seq`,
+    `lc_seq` and `normal_form_seq` carry it, and the `sv` and `acs` ladders
+    hand `singular_values` and `p_metric` the band at sizes where a band
+    route can run, so those sizes form no dense n x n.  The dense generator
+    stays the hook's oracle.
     """
 
     name: str
@@ -101,6 +113,7 @@ class MatrixSeq:
     info: dict = field(default_factory=dict)
     svals: object = None
     eigs: object = None
+    band: object = None
 
     def __post_init__(self):
         if self.svals is None and self.eigs is not None:
@@ -138,8 +151,13 @@ def _check_ladder(sizes, minimum: int) -> tuple:
     return sizes
 
 
-def _square_finite(A, dtype=complex) -> np.ndarray:
-    """A as an array of `dtype`, once it is known to be square and finite."""
+def _square_finite(A, dtype=complex):
+    """A as an array of `dtype`, once it is known to be square and finite; a
+    `_Band` is returned as it is, once its storage is known to be finite."""
+    if isinstance(A, _Band):
+        if not np.isfinite(A.ab).all():
+            raise DomainError("matrix has non-finite entries")
+        return A
     A = np.asarray(A, dtype=dtype)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DomainError("matrix must be square")
@@ -353,9 +371,56 @@ def _band_storage(M: np.ndarray, b: int) -> np.ndarray:
     corners outside M are zero."""
     n = M.shape[0]
     ab = np.zeros((n, 2 * b + 1), dtype=M.dtype)
-    for k in range(-b, b + 1):
+    for k in range(-min(b, n - 1), min(b, n - 1) + 1):
         ab[max(k, 0) : n + min(k, 0), b - k] = np.diagonal(M, k)
     return ab
+
+
+def _band_to_dense(ab: np.ndarray, b: int) -> np.ndarray:
+    """The n x n matrix whose `_band_storage` at half-bandwidth b is ab, with
+    every entry beyond the band +0: the inverse of `_band_storage`."""
+    n = ab.shape[0]
+    M = np.zeros((n, n), dtype=ab.dtype)
+    flat = M.reshape(-1)
+    for k in range(-min(b, n - 1), min(b, n - 1) + 1):
+        start = k if k >= 0 else -k * n  # flat index of the diagonal's first entry
+        flat[start : start + (n - abs(k)) * (n + 1) : n + 1] = ab[max(k, 0) : n + min(k, 0), b - k]
+    return M
+
+
+def _transpose_band(ab: np.ndarray, b: int) -> np.ndarray:
+    """The band storage of A^T from that of A: row i holds row i of A, entry
+    (i, j) at [i, b + j - i], and the corners outside A are zero."""
+    n = ab.shape[0]
+    out = np.zeros_like(ab)
+    for d in range(-min(b, n - 1), min(b, n - 1) + 1):
+        out[max(-d, 0) : n - max(d, 0), b + d] = ab[max(d, 0) : n + min(d, 0), b - d]
+    return out
+
+
+class _Band(NamedTuple):
+    """A square n x n matrix held as its `_band_storage` ab at half-bandwidth
+    b, every entry beyond the band zero.  `singular_values` and `p_metric`
+    take one beside a dense array (its `shape` is (n, n)); where no band route
+    can run they decompose `dense()`, which is the same matrix bit for bit."""
+
+    ab: np.ndarray
+    b: int
+
+    @property
+    def shape(self) -> tuple:
+        return (self.ab.shape[0],) * 2
+
+    def dense(self) -> np.ndarray:
+        return _band_to_dense(self.ab, self.b)
+
+    def widened(self, b: int) -> np.ndarray:
+        """The storage of the same matrix at a half-bandwidth b >= self.b."""
+        if b == self.b:
+            return self.ab
+        ab = np.zeros((self.ab.shape[0], 2 * b + 1), dtype=self.ab.dtype)
+        ab[:, b - self.b : b + self.b + 1] = self.ab
+        return ab
 
 
 def _band_gate(nonzero: np.ndarray):
@@ -368,12 +433,33 @@ def _band_gate(nonzero: np.ndarray):
     return _half_bandwidth(nonzero, n // _GRAM_BAND_N_PER_KD)
 
 
-def _banded_svdvals(A: np.ndarray, b):
+def _narrow(band: _Band):
+    """(band', b): what `_band_gate` and the realness test read from a dense
+    matrix, read from its band.  b is the outermost diagonal that holds a
+    nonzero entry (the `_half_bandwidth` rule), or None off `_band_gate`;
+    band' holds diagonals -b..b, real when the imaginary part is exactly
+    zero.  Off the gate band' is band."""
+    ab, width = band
+    n = ab.shape[0]
+    b = int(np.abs(np.flatnonzero(ab.any(axis=0)) - width).max(initial=0))
+    if n < _BAND_MIN_N or b > n // _GRAM_BAND_N_PER_KD:
+        return band, None
+    ab = ab[:, width - b : width + b + 1]
+    return _Band(np.ascontiguousarray(ab if _complex_valued(ab) else ab.real), b), b
+
+
+def _dense(A) -> np.ndarray:
+    """A as a dense array: a `_Band`'s `dense()`, an array as it is."""
+    return A.dense() if isinstance(A, _Band) else A
+
+
+def _banded_svdvals(A, b):
     """The singular values of a square A, non-increasing, from a band
     bidiagonalisation and dqds (`_band_svdvals`), or None when A is too small
     or too wide for that to beat a dense SVD (b, A's half-bandwidth from
     `_band_gate`, is None or above n // _BAND_N_PER_B), or when numpy's BLAS
-    lacks the band routines.
+    lacks the band routines.  A is dense or a `_Band` of half-bandwidth b,
+    whose storage is copied, since ?gbbrd overwrites it.
 
     The reduction is backward stable, so the values agree with the dense SVD
     to an absolute eps*sigma_1, in O(n^2 b) work: they differed from
@@ -382,7 +468,10 @@ def _banded_svdvals(A: np.ndarray, b):
     """
     if b is None or b > A.shape[0] // _BAND_N_PER_B or _lapack() is None:
         return None
-    ab = _band_storage(A if _complex_valued(A) else A.real, b)
+    if isinstance(A, _Band):
+        ab = A.ab.copy()
+    else:
+        ab = _band_storage(A if _complex_valued(A) else A.real, b)
     if not np.isfinite(ab).all():
         raise NumericalError("SVD failed: matrix has non-finite entries")
     return _band_svdvals(ab, b)
@@ -404,6 +493,19 @@ def _svd_reduce(A: np.ndarray, nonzero: np.ndarray):
     return core if _complex_valued(core) else core.real, _band_gate(nonzero)
 
 
+def _band_reduce(band: _Band):
+    """`_svd_reduce` of band.dense(), read from the band: when every row and
+    column holds a nonzero entry and the band lies on `_band_gate`, the core
+    is the band itself (`_narrow`); otherwise the dense reduction runs."""
+    nonzero = band.ab != 0
+    if nonzero.any(axis=1).all() and _transpose_band(nonzero, band.b).any(axis=1).all():
+        core, b = _narrow(band)
+        if b is not None:
+            return core, b
+    A = band.dense()
+    return _svd_reduce(A, A != 0)
+
+
 def _pad(s: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([s, np.zeros(n - s.size)])
 
@@ -417,14 +519,22 @@ def _dense_svdvals(core: np.ndarray, n: int) -> np.ndarray:
     return _pad(s, n)
 
 
-def svdvals(A: np.ndarray) -> np.ndarray:
+def svdvals(A) -> np.ndarray:
     """The n singular values of a square matrix A, non-increasing.
 
     A narrow band takes the banded path above.  Otherwise rows and columns
     without a nonzero entry only add zero singular values, so the rest is
     decomposed alone and zeros pad the result back to n.  That block is
     decomposed in real arithmetic when its imaginary part is exactly zero.
+    A `_Band` takes the banded path from its own storage, and any other path
+    from its dense matrix.
     """
+    if isinstance(A, _Band):
+        s = _banded_svdvals(*_narrow(A))
+        if s is None:
+            A = A.dense()
+            s = _dense_svdvals(_svd_reduce(A, A != 0)[0], A.shape[0])
+        return s
     nonzero = A != 0
     s = _banded_svdvals(A, _band_gate(nonzero))
     return _dense_svdvals(_svd_reduce(A, nonzero)[0], A.shape[0]) if s is None else s
@@ -440,17 +550,20 @@ def _diagonal_constant(col: np.ndarray, row_tail: np.ndarray) -> np.ndarray:
     return as_strided(vals[n - 1 :], shape=(n, n), strides=(-step, step)).copy()
 
 
-def toeplitz(f: TrigPoly, n: int) -> np.ndarray:
-    """Toeplitz matrix [f_{i-j}]: banded with bandwidth = degree of f."""
+def _toeplitz_band(f: TrigPoly, n: int) -> _Band:
+    """T_n(f) as a `_Band` of half-bandwidth deg f: diagonal k holds f_k."""
     if n < 1:
         raise DomainError("size must be positive")
     d = f.degree
-    col = np.zeros(n, dtype=complex)
-    row = np.zeros(n, dtype=complex)
-    for s in range(min(d, n - 1) + 1):
-        col[s] = f.coeff(s)
-        row[s] = f.coeff(-s)
-    return _diagonal_constant(col, row[1:])
+    ab = np.zeros((n, 2 * d + 1), dtype=complex)
+    for k in range(-min(d, n - 1), min(d, n - 1) + 1):
+        ab[max(-k, 0) : n - max(k, 0), d + k] = f.coeff(k)
+    return _Band(ab, d)
+
+
+def toeplitz(f: TrigPoly, n: int) -> np.ndarray:
+    """Toeplitz matrix [f_{i-j}]: banded with bandwidth = degree of f."""
+    return _toeplitz_band(f, n).dense()
 
 
 def _grid_values(a: FuncExpr, m: int) -> np.ndarray:
@@ -557,14 +670,37 @@ def _lc_values(lay: BlockLayout, a: FuncExpr, f: TrigPoly) -> np.ndarray:
     return _grid_values(a, lay.m)
 
 
-def _lc_sum(terms, n: int) -> np.ndarray:
-    """sum_i LC_n(a_i, f_i): block j is sum_i a_i(j/m) C_block(f_i), then a
-    t x t zero block.  The terms are checked and sampled in order, so the
-    first bad term raises.  Each block sum starts from zero, as a block
-    accumulated in place does, so a zero entry is +0.0."""
+def _lc_blocks(terms, n: int):
+    """(layout, blocks) of sum_i LC_n(a_i, f_i): block j is sum_i a_i(j/m)
+    C_block(f_i), made when the generator `blocks` reaches it; after the m
+    blocks come t zero rows and columns.  The terms are checked and sampled
+    in order, here, so the first bad term raises.  Each block sum starts from
+    zero, as a block accumulated in place does, so a zero entry is +0.0."""
     lay = block_layout(n)
     parts = [(_lc_values(lay, a, f), circulant(f, lay.block)) for a, f in terms]
-    return _block_diag(lay, (sum(vals[j] * C for vals, C in parts) for j in range(lay.m)))
+    return lay, (sum(vals[j] * C for vals, C in parts) for j in range(lay.m))
+
+
+def _lc_sum(terms, n: int) -> np.ndarray:
+    """sum_i LC_n(a_i, f_i), dense (see `_lc_blocks`)."""
+    return _block_diag(*_lc_blocks(terms, n))
+
+
+def _lc_band(terms, n: int) -> _Band:
+    """sum_i LC_n(a_i, f_i) as a `_Band` of half-bandwidth block - 1, which
+    holds each whole block (see `_lc_blocks`)."""
+    lay, blocks = _lc_blocks(terms, n)
+    b = lay.block - 1
+    ab = np.zeros((n, 2 * b + 1), dtype=complex)
+    # entry (r, c) of block j lies at ab[j*block + c, b + r - c]: in a view
+    # of ab whose rows step one row down and one column back, block j is
+    # written as its transpose
+    s0, s1 = ab.strides
+    placed = as_strided(ab[:, b:], shape=(lay.m, lay.block, lay.block),
+                        strides=(lay.block * s0, s0 - s1, s1))
+    for j, block in enumerate(blocks):
+        placed[j] = block.T
+    return _Band(ab, b)
 
 
 def lc_op(a: FuncExpr, f: TrigPoly, n: int) -> np.ndarray:
@@ -641,7 +777,8 @@ def counterexample(name: str, n: int) -> np.ndarray:
 
 
 def toeplitz_seq(f: TrigPoly, label: str = "f") -> MatrixSeq:
-    return MatrixSeq(f"T({label})", lambda n: toeplitz(f, n), symbol=f)
+    return MatrixSeq(f"T({label})", lambda n: toeplitz(f, n), symbol=f,
+                     band=lambda n: _toeplitz_band(f, n))
 
 
 def diag_seq(a: FuncExpr) -> MatrixSeq:
@@ -664,8 +801,23 @@ def lt_seq(a: FuncExpr, f: TrigPoly, label: str = "f") -> MatrixSeq:
 def lc_seq(a: FuncExpr, f: TrigPoly, label: str = "f") -> MatrixSeq:
     return MatrixSeq(
         f"LC({a.source},{label})", lambda n: lc_op(a, f, n), symbol=GltExpr(((a, f),)),
-        eigs=lambda n: _lc_eigs(a, f, n),
+        eigs=lambda n: _lc_eigs(a, f, n), band=lambda n: _lc_band(((a, f),), n),
     )
+
+
+def _glt_band(expr: GltExpr, n: int) -> _Band:
+    """sum_i D_n(a_i) T_n(f_i) as a `_Band` of half-bandwidth max deg f_i."""
+    if n < 1:
+        raise DomainError("size must be positive")
+    b = max(f.degree for _, f in expr.terms)
+    ab = np.zeros((n, 2 * b + 1), dtype=complex)
+    for a, f in expr.terms:
+        vals = _grid_values(a, n)
+        d = min(f.degree, n - 1)
+        for k in range(-d, d + 1):
+            rows = np.arange(max(k, 0), n + min(k, 0))
+            ab[rows - k, b + k] += vals[rows] * f.coeff(k)  # entry (i, i - k)
+    return _Band(ab, b)
 
 
 def glt_product_seq(expr: GltExpr) -> MatrixSeq:
@@ -674,23 +826,12 @@ def glt_product_seq(expr: GltExpr) -> MatrixSeq:
     D_n(a_i) T_n(f_i) is added one diagonal of T_n(f_i) at a time: entry
     (i, i-k) gains a_i(i/n) f_k.  This equals the dense product bitwise when
     a_i or f_i is real; otherwise the two can differ by one rounding per entry
-    (the product may be fused).
+    (the product may be fused).  The sums are formed in band storage, and the
+    dense matrix is read from it.
     """
-
-    def gen(n):
-        if n < 1:
-            raise DomainError("size must be positive")
-        M = np.zeros((n, n), dtype=complex)
-        for a, f in expr.terms:
-            vals = _grid_values(a, n)
-            d = min(f.degree, n - 1)
-            for k in range(-d, d + 1):
-                rows = np.arange(max(k, 0), n + min(k, 0))
-                M[rows, rows - k] += vals[rows] * f.coeff(k)
-        return M
-
     label = " + ".join(f"D({a.source})T(deg{f.degree})" for a, f in expr.terms)
-    return MatrixSeq(label, gen, symbol=expr)
+    return MatrixSeq(label, lambda n: _glt_band(expr, n).dense(), symbol=expr,
+                     band=lambda n: _glt_band(expr, n))
 
 
 def counterexample_seq(name: str) -> MatrixSeq:

@@ -16,7 +16,15 @@ import numpy as np
 
 from .acs import acs_equivalent, p_metric
 from .errors import DomainError, HermitianError, NumericalError
-from .matrices import MatrixSeq, _check_ladder, _lc_sum, d_af, glt_product_seq, q_block
+from .matrices import (
+    MatrixSeq,
+    _check_ladder,
+    _lc_band,
+    _lc_sum,
+    d_af,
+    glt_product_seq,
+    q_block,
+)
 from .spectra import (
     ResidualTable,
     as_symbol_grid,
@@ -76,14 +84,19 @@ class NormalForm:
 
 
 def normal_form(expr: GltExpr, n: int) -> NormalForm:
-    """Build Q = block Fourier and D = sum_i d_af(a_i, f_i, n)."""
-    D = sum(d_af(a, f, n) for a, f in expr.terms)
+    """Build Q = block Fourier and D = sum_i d_af(a_i, f_i, n).  The terms'
+    diagonals are summed and D is built once, so no dense sum of d_af
+    matrices is held: the same D bit for bit, as every off-diagonal sum is
+    +0."""
+    D = np.diag(sum(np.diagonal(d_af(a, f, n)) for a, f in expr.terms))
     return NormalForm(expr, n, q_block(n), D)
 
 
 def normal_form_seq(expr: GltExpr) -> MatrixSeq:
-    """The normal sequence n -> Q^H D Q for a separable symbol."""
-    return MatrixSeq("normal-form", lambda n: NormalForm(expr, n).matrix(), symbol=expr)
+    """The normal sequence n -> Q^H D Q for a separable symbol, with its
+    `band` (block - 1 diagonals either side, see `matrices._lc_band`)."""
+    return MatrixSeq("normal-form", lambda n: NormalForm(expr, n).matrix(), symbol=expr,
+                     band=lambda n: _lc_band(expr.terms, n))
 
 
 def diagonal_factor_seq(expr: GltExpr) -> MatrixSeq:

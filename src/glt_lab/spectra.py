@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, EvalError, NumericalError
-from .matrices import MatrixSeq, _check_ladder, _square_finite, svdvals
+from .matrices import _BAND_MIN_N, MatrixSeq, _check_ladder, _square_finite, svdvals
 from .symbols import (
     FuncExpr,
     GltExpr,
@@ -41,8 +41,10 @@ DEFAULT_RECT_RESOLUTION = (64, 256)
 DEFAULT_UNIT_RESOLUTION = (4096,)
 
 
-def singular_values(A: np.ndarray) -> np.ndarray:
-    """Full singular value spectrum, sorted non-increasing."""
+def singular_values(A) -> np.ndarray:
+    """Full singular value spectrum, sorted non-increasing.  A may be a
+    `matrices._Band`, whose values are those of its dense matrix bit for
+    bit."""
     return svdvals(_square_finite(A))
 
 
@@ -185,11 +187,16 @@ class ResidualTable:
 
 def _spectrum(seq: MatrixSeq, n: int, kind: str) -> np.ndarray:
     """Spectrum of A_n: the sequence's closed form when it has one for this
-    kind, otherwise a dense decomposition.  A closed-form `svals` is put in
-    the order `svdvals` returns, non-increasing, so the means sum alike."""
+    kind, otherwise a decomposition of A_n.  A closed-form `svals` is put in
+    the order `svdvals` returns, non-increasing, so the means sum alike.
+    From n = _BAND_MIN_N, the first size the band SVD takes, singular values
+    are taken from the sequence's `band` when it has one."""
     hook = seq.svals if kind == "sv" else seq.eigs
     if hook is None:
-        return singular_values(seq(n)) if kind == "sv" else eigenvalues(seq(n))
+        if kind == "eig":
+            return eigenvalues(seq(n))
+        banded = seq.band is not None and n >= _BAND_MIN_N
+        return singular_values(seq.band(n) if banded else seq(n))
     samples = np.asarray(hook(n))
     if samples.shape != (n,):
         raise ValueError(f"{seq.name}: {kind} hook returned shape {samples.shape} for n={n}")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -25,9 +26,9 @@ from glt_lab import (
     zero_seq,
 )
 from glt_lab import acs, matrices
-from glt_lab.cli import build_sequence
+from glt_lab.cli import build_sequence, main
 from glt_lab.matrices import svdvals
-from glt_lab.normal_form import normal_form
+from glt_lab.normal_form import normal_form, normal_form_seq
 from glt_lab.symbols import GltExpr
 
 TWO_COS = TrigPoly.from_coeff_map({1: 1, -1: 1})
@@ -832,3 +833,123 @@ class TestAcsEquivalent:
         assert verdict
         for n, p in zip(est.sizes, est.p_values):
             assert p <= 1 / n + 1e-12
+
+
+def band_pairs(f):
+    """(A, B) sequence pairs that both carry `band`: glt - lc, glt - normal
+    form (two terms) and Toeplitz - glt."""
+    a2 = parse_expr("exp(0.5*x)", "a")
+    two = GltExpr(((A_QUAD, f), (a2, TWO_COS)))
+    return [
+        (glt_product_seq(GltExpr(((A_QUAD, f),))), lc_seq(A_QUAD, f)),
+        (glt_product_seq(two), normal_form_seq(two)),
+        (toeplitz_seq(f), glt_product_seq(GltExpr(((A_QUAD, SHIFT),)))),
+    ]
+
+
+def same_bits(x, y):
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+class TestBandOperands:
+    """p_metric of a band equals p of its dense matrix bit for bit, and the
+    acs ladder subtracts in band storage from n = 512, the Gram band floor."""
+
+    @pytest.mark.parametrize("f", [F_REAL, F_CPLX], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", [96, 512, 1024, 1600])
+    def test_p_equals_the_dense_route(self, n, f, band_route):
+        for seq_a, seq_b in band_pairs(f):
+            D = seq_a(n) - seq_b(n)
+            diff = acs._difference(seq_a, seq_b, n)
+            if n < matrices._GRAM_BAND_MIN_N:
+                assert isinstance(diff, np.ndarray) and diff.tobytes() == D.tobytes()
+                b = max(seq_a.band(n).b, seq_b.band(n).b)
+                diff = matrices._Band(matrices._band_storage(D, b), b)
+            else:
+                assert isinstance(diff, matrices._Band)
+                assert diff.ab.tobytes() == matrices._band_storage(D, diff.b).tobytes()
+            start = len(band_route)
+            p = p_metric(D)
+            middle = len(band_route)
+            assert same_bits(p_metric(diff), p)
+            # the same Gram bands reach the eigensolver
+            assert band_route[middle:] == band_route[start:middle]
+
+    @pytest.mark.parametrize("f", [F_REAL, F_CPLX], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", [576, 1024])
+    def test_zero_rows_or_columns_fall_back_to_dense(self, n, f, monkeypatch):
+        # a band with a zero row or column has a smaller core, which only
+        # the dense reduction forms
+        formed = []
+        dense = matrices._Band.dense
+        monkeypatch.setattr(matrices._Band, "dense", lambda band: formed.append(1) or dense(band))
+        seq_a, seq_b = band_pairs(f)[0]
+        diff = acs._difference(seq_a, seq_b, n)
+        D = diff.dense()
+        for zero in ((slice(None, None, 7), slice(None)), (slice(None), slice(3, 9))):
+            A = D.copy()
+            A[zero] = 0
+            band = matrices._Band(matrices._band_storage(A, diff.b), diff.b)
+            formed.clear()
+            assert same_bits(p_metric(band), p_metric(A))
+            assert formed == [1]
+        formed.clear()
+        assert same_bits(p_metric(diff), p_metric(D))
+        assert formed == []
+
+    def test_ladder_subtracts_bands_from_the_floor(self, monkeypatch):
+        seq_a, seq_b = band_pairs(F_CPLX)[1]
+        taken = []
+        metric = acs.p_metric
+        monkeypatch.setattr(acs, "p_metric",
+                            lambda A: taken.append(isinstance(A, matrices._Band)) or metric(A))
+        sizes = (256, 484, 576, 1024)
+        est = acs.acs_distance(seq_a, seq_b, sizes)
+        assert taken == [False, False, True, True]
+        taken.clear()
+        dense = acs.acs_distance(seq_a, dataclasses.replace(seq_b, band=None), sizes)
+        assert taken == [False] * 4
+        assert all(same_bits(p, q) for p, q in zip(est.p_values, dense.p_values))
+
+    def test_overflowing_glt_raises_the_dense_error(self):
+        # a(x) f_k overflows to inf near x = 1, with a and f finite
+        bad = glt_product_seq(GltExpr(((parse_expr("exp(700*x)", "a"),
+                                        TrigPoly.from_coeff_map({-1: 5e4, 1: 5e4})),)))
+        lc = lc_seq(A_QUAD, F_REAL)
+        with np.errstate(over="ignore"):
+            for seq in (bad, dataclasses.replace(bad, band=None)):
+                with pytest.raises(DomainError, match="^matrix has non-finite entries$"):
+                    acs_equivalent(seq, lc, (576, 1024), tol=0.5)
+
+    def test_overflowing_glt_row_in_the_report(self, tmp_path):
+        # the rows that dense operands give, at sizes where the sv and acs
+        # ladders take bands
+        config = tmp_path / "inf.ini"
+        report = tmp_path / "inf.csv"
+        glt = "glt(exp(700*x) | 100000*cos(theta))"
+        config.write_text(
+            f"[global]\noutput = {report}\n\n"
+            f"[sv]\nkind = symbol-check\nsequence = {glt}\nsymbol = 2 + cos(theta)\n"
+            "sizes = 128, 512\n\n"
+            f"[acs]\nkind = acs\nsequence_a = {glt}\nsequence_b = lc(1 + x | 2*cos(theta))\n"
+            "sizes = 576, 1024\n", encoding="utf-8")
+        with np.errstate(over="ignore"):
+            assert main(["run", str(config)]) == 1
+        assert report.read_text(encoding="utf-8").splitlines() == [
+            "experiment,n,metric,value,bound,verdict",
+            "sv,0,error[matrix has non-finite entries],0,,FAIL",
+            "acs,0,error[matrix has non-finite entries],0,,FAIL",
+        ]
+
+
+class TestBandMemory:
+    """One band step forms no dense n x n: its traced peak stays within four
+    band storages, 64 n (2b + 1) bytes, far below a dense complex matrix's
+    16 n^2."""
+
+    def test_glt_minus_lc_p_step(self, traced_peak):
+        n = 1024
+        seq_a, seq_b = band_pairs(F_CPLX)[0]
+        b = math.isqrt(n) - 1  # lc's blocks; glt has b = 2
+        acs._p_ladder(seq_a, seq_b, (n,))  # one-off caches
+        assert traced_peak(acs._p_ladder, seq_a, seq_b, (n,)) < 64 * n * (2 * b + 1)

@@ -11,6 +11,7 @@ from glt_lab import (
     UnknownNameError,
     block_layout,
     circulant,
+    circulant_seq,
     circulant_spectrum,
     counterexample,
     counterexample_seq,
@@ -28,7 +29,10 @@ from glt_lab import (
     parse_expr,
     q_block,
     toeplitz,
+    toeplitz_seq,
 )
+from glt_lab import matrices
+from glt_lab.errors import GltLabError
 
 ONE = parse_expr("1", "a")
 X = parse_expr("x", "a")
@@ -57,6 +61,8 @@ LOCAL_BUILDERS = {
     "normal_form_seq": lambda n: normal_form_seq(GltExpr(((X, TWO_COS),)))(n),
     "lt_seq.svals": lambda n: lt_seq(X, TWO_COS).svals(n),
     "lc_seq.eigs": lambda n: lc_seq(X, TWO_COS).eigs(n),
+    "lc_seq.band": lambda n: lc_seq(X, TWO_COS).band(n),
+    "normal_form_seq.band": lambda n: normal_form_seq(GltExpr(((X, TWO_COS),))).band(n),
 }
 
 
@@ -478,3 +484,109 @@ class TestDeterminism:
         assert seq(9).tobytes() == seq(9).tobytes()
         a = parse_expr("sin(x)", "a")
         assert lt_op(a, TWO_COS, 20).tobytes() == lt_op(a, TWO_COS, 20).tobytes()
+
+
+# f with a complex, a zero and a negative coefficient, so products and sums
+# of the band builders meet signed zeros
+F_BAND = TrigPoly.from_coeff_map({-2: 0.5 - 0.25j, -1: 0.0, 0: -1.5, 1: 2j})
+A_NEG = parse_expr("x - 0.5", "a")
+A_CPLX = parse_expr("1 - x^2 + i*x", "a")
+
+
+def band_seqs():
+    """(name, sequence, declared half-bandwidth at n) of every family that
+    carries `band`."""
+    two = GltExpr(((A_NEG, F_BAND), (A_CPLX, TWO_COS)))
+    return [
+        ("toeplitz", toeplitz_seq(F_BAND), lambda n: 2),
+        ("toeplitz-real", toeplitz_seq(TWO_COS), lambda n: 1),
+        # wider than n + 1 at n = 1 and 2
+        ("toeplitz-deg4", toeplitz_seq(TrigPoly.from_coeff_map({-4: 1, 0: 0.5, 3: -2j})),
+         lambda n: 4),
+        ("glt", glt_product_seq(two), lambda n: 2),
+        ("glt-one-term", glt_product_seq(GltExpr(((A_NEG, SHIFT),))), lambda n: 1),
+        ("lc", lc_seq(A_CPLX, F_BAND), lambda n: block_layout(n).block - 1),
+        ("normal-form", normal_form_seq(two), lambda n: block_layout(n).block - 1),
+    ]
+
+
+BAND_SEQS = band_seqs()
+BAND_IDS = [name for name, _, _ in BAND_SEQS]
+
+
+def raised(fn):
+    with pytest.raises(GltLabError) as info:
+        fn()
+    return type(info.value), str(info.value)
+
+
+class TestBandHooks:
+    """`band` is bit for bit the generator's matrix in band storage, and
+    raises the generator's errors; the dense generators are read from it."""
+
+    def test_which_families_carry_band(self):
+        assert all(seq.band is not None for _, seq, _ in BAND_SEQS)
+        for seq in (circulant_seq(F_BAND), lt_seq(X, F_BAND), toeplitz_seq(F_BAND).shifted(1.0),
+                    counterexample_seq("jordan_shift")):
+            assert seq.band is None
+
+    # n <= 2 deg, n = 1, a tail block (t > 0 at 10, 26, 50, 101) and none
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 10, 25, 26, 50, 64, 101, 144])
+    @pytest.mark.parametrize("case", BAND_SEQS, ids=BAND_IDS)
+    def test_band_is_the_band_storage_of_the_generator(self, case, n):
+        name, seq, width = case
+        try:
+            A = seq(n)
+        except GltLabError:
+            assert name in ("lc", "normal-form")  # the block size rule
+            return
+        ab, b = seq.band(n)
+        assert b == width(n)
+        want = matrices._band_storage(A, b)
+        assert ab.dtype == want.dtype and ab.shape == want.shape
+        assert ab.tobytes() == want.tobytes()
+        assert matrices._band_to_dense(ab, b).tobytes() == A.tobytes()
+
+    @pytest.mark.parametrize("n", [26, 50, 101])
+    @pytest.mark.parametrize("name", ["lc", "normal-form"])
+    def test_tail_rows_and_columns_are_zero(self, name, n):
+        seq = dict((k, s) for k, s, _ in BAND_SEQS)[name]
+        ab, b = seq.band(n)
+        t = block_layout(n).t
+        assert t > 0 and not ab[n - t :].any()
+        assert not matrices._transpose_band(ab, b)[n - t :].any()
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 9, 16, 19])
+    @pytest.mark.parametrize("case", BAND_SEQS, ids=BAND_IDS)
+    def test_errors_match_the_generator(self, case, n):
+        _, seq, _ = case
+        try:
+            seq(n)
+        except GltLabError:
+            assert raised(lambda: seq.band(n)) == raised(lambda: seq(n))
+        else:
+            seq.band(n)
+
+    @pytest.mark.parametrize("n", [4, 16, 36, 100])
+    def test_pole_errors_match_the_generator(self, n):
+        # the nodes i/m and i/n hit the pole at x = 1/2 whenever m or n is even
+        pole = parse_expr("1/(x-0.5)", "a")
+        for seq in (glt_product_seq(GltExpr(((ONE, SHIFT), (pole, CONST1)))),
+                    lc_seq(pole, CONST1), normal_form_seq(GltExpr(((ONE, CONST1), (pole, CONST1))))):
+            want = raised(lambda: seq(n))
+            assert want[0] is EvalError
+            assert raised(lambda: seq.band(n)) == want
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("n, b", [(1, 0), (1, 3), (3, 5), (7, 2), (40, 6)])
+    def test_band_to_dense_inverts_band_storage(self, n, b, dtype):
+        # entries drawn with signed zeros; the corners outside the matrix are +0
+        rng = np.random.default_rng(n + b)
+        ab = rng.choice([-1.5, -0.0, 0.0, 2.0], size=(n, 2 * b + 1)).astype(dtype)
+        if dtype is complex:
+            ab += 1j * rng.choice([-0.0, 0.0, 0.5], size=ab.shape)
+        ab[matrices._band_storage(np.ones((n, n)), b) == 0] = 0
+        A = matrices._band_to_dense(ab, b)
+        assert A.dtype == ab.dtype
+        assert matrices._band_storage(A, b).tobytes() == ab.tobytes()
+        assert matrices._transpose_band(ab, b).tobytes() == matrices._band_storage(A.T, b).tobytes()

@@ -26,6 +26,7 @@ from glt_lab import (
     lc_op,
     lc_seq,
     lt_seq,
+    normal_form_seq,
     parse_expr,
     sample_symbol,
     singular_values,
@@ -36,7 +37,7 @@ from glt_lab import (
     zero_distributed_test,
     zero_seq,
 )
-from glt_lab import matrices
+from glt_lab import matrices, spectra
 from glt_lab.errors import NumericalError
 from glt_lab.matrices import counterexample, lt_op, svdvals
 from glt_lab.spectra import TestFamily as Family
@@ -898,3 +899,80 @@ class TestSvdvals:
         assert took_band(banded_results) == [True, False, True]
         # svdvals returns the banded values rather than decomposing again
         assert np.array_equal(s, banded_results[0])
+
+
+def band_operand_seqs(kind):
+    """A two-term glt, a Toeplitz and a normal form, real or complex valued."""
+    f2 = TrigPoly.from_coeff_map({-1: 0.5, 1: 0.5} if kind == "real" else {1: 1j})
+    a2 = parse_expr("exp(x)" if kind == "real" else "1+i*x", "a")
+    expr = GltExpr(((A_HOOK, F_REAL), (a2, f2)))
+    return [glt_product_seq(expr), toeplitz_seq(F_REAL if kind == "real" else F_HOOK),
+            normal_form_seq(expr)]
+
+
+class TestBandOperands:
+    """`singular_values` of a sequence's band equals that of its dense matrix
+    bit for bit, on the band route and on the dense fallback alike; the sv
+    ladder hands the band over from n = 96, the band SVD's floor."""
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("n", [96, 512, 1024, 1600])
+    def test_values_equal_the_dense_route(self, n, kind, banded_results):
+        for seq in band_operand_seqs(kind):
+            want = singular_values(seq(n))
+            assert singular_values(seq.band(n)).tobytes() == want.tobytes()
+        # glt and Toeplitz take the band SVD at every size, from their dense
+        # matrix as from their band; the normal form (b = sqrt(n) - 1) only
+        # from n = 1024
+        took = took_band(banded_results)
+        assert took[0::2] == took[1::2]
+        assert took[0::2] == [True, True, n >= 1024]
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_zero_rows_and_a_wide_band(self, kind, banded_results):
+        # zero rows keep the band route, as in svdvals; a band wider than
+        # n/16 falls back to the dense SVD of the same matrix
+        A = toeplitz(F_REAL if kind == "real" else F_HOOK, 640)
+        A[100:110] = 0
+        A[:, -1] = 0
+        W = normal_form_seq(band_operand_seqs(kind)[0].symbol)(196)
+        for M, b in ((A, 2), (W, 13)):
+            band = matrices._Band(matrices._band_storage(M, b), b)
+            assert singular_values(band).tobytes() == singular_values(M).tobytes()
+        assert took_band(banded_results) == [True, True, False, False]
+
+    def test_ladder_takes_the_band_from_the_band_floor(self, monkeypatch):
+        seq = band_operand_seqs("complex")[0]
+        taken = []
+        spectrum = spectra.singular_values
+
+        def spy(A):
+            taken.append((A.shape[0], isinstance(A, matrices._Band)))
+            return spectrum(A)
+
+        monkeypatch.setattr(spectra, "singular_values", spy)
+        sizes = (64, 95, 96, 256)
+        table = sv_symbol_residual(seq, seq.symbol, sizes)
+        assert taken == [(64, False), (95, False), (96, True), (256, True)]
+        dense = sv_symbol_residual(dataclasses.replace(seq, band=None), seq.symbol, sizes)
+        assert table.residuals.tobytes() == dense.residuals.tobytes()
+
+    def test_overflowing_glt_raises_the_dense_error(self):
+        # a(x) f_k overflows to inf near x = 1, with a and f finite
+        seq = glt_product_seq(GltExpr(((parse_expr("exp(700*x)", "a"),
+                                        TrigPoly.from_coeff_map({-1: 5e4, 1: 5e4})),)))
+        with np.errstate(over="ignore"):
+            for s in (seq, dataclasses.replace(seq, band=None)):
+                got = raised(lambda: sv_symbol_residual(s, parse_expr("2+cos(theta)", "k"),
+                                                        (128, 512)))
+                assert got == (DomainError, "matrix has non-finite entries")
+
+
+def test_glt_sv_step_forms_no_dense_matrix(traced_peak):
+    # within four band storages, 64 n (2b + 1) bytes, far below a dense
+    # complex matrix's 16 n^2
+    n = 1024
+    seq = band_operand_seqs("complex")[0]
+    b = 2  # the degree of its symbols
+    spectra._spectrum(seq, n, "sv")  # one-off caches
+    assert traced_peak(spectra._spectrum, seq, n, "sv") < 64 * n * (2 * b + 1)
