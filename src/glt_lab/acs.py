@@ -30,6 +30,7 @@ from .matrices import (
     _square_finite,
     _svd_reduce,
     _transpose_band,
+    _write_band,
 )
 
 __all__ = [
@@ -233,15 +234,28 @@ class AcsEstimate:
 
 
 def _difference(seqA: MatrixSeq, seqB: MatrixSeq, n: int):
-    """A_n - B_n, subtracted in band storage (padded to the wider band) when
-    both sequences carry `band` and n reaches _GRAM_BAND_MIN_N, the first
-    size at which p_metric can keep its operand a band; dense otherwise.
-    Either way A_n is built first, so its errors come first."""
-    if n < _GRAM_BAND_MIN_N or seqA.band is None or seqB.band is None:
-        return seqA(n) - seqB(n)
-    A, B = seqA.band(n), seqB.band(n)
-    b = max(A.b, B.b)
-    return _Band(A.widened(b) - B.widened(b), b)
+    """A_n - B_n, bit for bit, signed zeros included.  From n =
+    _GRAM_BAND_MIN_N, the first size at which p_metric can keep its operand a
+    band, each sequence that carries `band` gives its band, not its dense
+    matrix.  Two bands are subtracted in band storage, padded to the wider
+    band.  With one band (T_n - C_n, say) the difference is the other
+    operand's dense matrix, changed in place on the band's diagonals; beyond
+    them it is A_n - 0 = A_n, or 0 - B_n when the band is A's (its dense
+    matrix holds +0 there), which is -B_n with every zero +0.  Below the
+    floor, or with no band, both are dense.  A_n is built first, so its
+    errors come first."""
+    banded = n >= _GRAM_BAND_MIN_N
+    A = seqA.band(n) if banded and seqA.band is not None else seqA(n)
+    B = seqB.band(n) if banded and seqB.band is not None else seqB(n)
+    if isinstance(A, _Band) and isinstance(B, _Band):
+        b = max(A.b, B.b)
+        return _Band(A.widened(b) - B.widened(b), b)
+    if isinstance(B, _Band):
+        return _write_band(A, _band_storage(A, B.b) - B.ab, B.b)
+    if isinstance(A, _Band):
+        inside = A.ab - _band_storage(B, A.b)
+        return _write_band(np.subtract(0.0, B, out=B), inside, A.b)
+    return A - B
 
 
 def _p_ladder(seqA: MatrixSeq, seqB: MatrixSeq, sizes) -> AcsEstimate:

@@ -86,6 +86,8 @@ def block_layout(n: int) -> BlockLayout:
 @dataclass(frozen=True)
 class MatrixSeq:
     """A named matrix sequence: a pure map from size n to a dense n x n matrix.
+    Each call returns a new array the caller may overwrite (`acs._difference`
+    subtracts in place).
 
     `symbol` optionally attaches the symbol the sequence is expected to
     distribute like (a GltExpr, TrigPoly, FuncExpr or sampled grid).
@@ -100,11 +102,13 @@ class MatrixSeq:
 
     `band` optionally maps n to A_n as a `_Band` (ab, b): bit for bit what
     `_band_storage(seq(n), b)` holds, signed zeros included, raising the
-    generator's errors at the same n.  `toeplitz_seq`, `glt_product_seq`,
-    `lc_seq` and `normal_form_seq` carry it, and the `sv` and `acs` ladders
-    hand `singular_values` and `p_metric` the band at sizes where a band
-    route can run, so those sizes form no dense n x n.  The dense generator
-    stays the hook's oracle.
+    generator's errors at the same n; seq(n) holds +0 beyond the band.
+    `toeplitz_seq`, `glt_product_seq`, `lc_seq`, `normal_form_seq` and
+    `diagonal_factor_seq` (b = 0) carry it.  The residual ladders hand
+    `singular_values` and `eigenvalues` the band from n = _BAND_MIN_N, and
+    the `acs` ladder builds its difference from it from n = _GRAM_BAND_MIN_N,
+    so a band route forms no dense n x n of that sequence.  The dense
+    generator stays the hook's oracle.
     """
 
     name: str
@@ -376,16 +380,24 @@ def _band_storage(M: np.ndarray, b: int) -> np.ndarray:
     return ab
 
 
+def _write_band(M: np.ndarray, ab: np.ndarray, b: int) -> np.ndarray:
+    """M, a square array of any strides, with its diagonals -b..b overwritten
+    in place by the entries that band storage ab (`_band_storage` at
+    half-bandwidth b) holds for them; every other entry is left alone."""
+    n = M.shape[0]
+    step = sum(M.strides)
+    for k in range(-min(b, n - 1), min(b, n - 1) + 1):
+        corner = M[max(-k, 0) :, max(k, 0) :]  # starts at the diagonal's first entry
+        diagonal = as_strided(corner, shape=(n - abs(k),), strides=(step,))
+        diagonal[...] = ab[max(k, 0) : n + min(k, 0), b - k]
+    return M
+
+
 def _band_to_dense(ab: np.ndarray, b: int) -> np.ndarray:
     """The n x n matrix whose `_band_storage` at half-bandwidth b is ab, with
     every entry beyond the band +0: the inverse of `_band_storage`."""
     n = ab.shape[0]
-    M = np.zeros((n, n), dtype=ab.dtype)
-    flat = M.reshape(-1)
-    for k in range(-min(b, n - 1), min(b, n - 1) + 1):
-        start = k if k >= 0 else -k * n  # flat index of the diagonal's first entry
-        flat[start : start + (n - abs(k)) * (n + 1) : n + 1] = ab[max(k, 0) : n + min(k, 0), b - k]
-    return M
+    return _write_band(np.zeros((n, n), dtype=ab.dtype), ab, b)
 
 
 def _transpose_band(ab: np.ndarray, b: int) -> np.ndarray:

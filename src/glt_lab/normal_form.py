@@ -18,8 +18,10 @@ from .acs import acs_equivalent, p_metric
 from .errors import DomainError, HermitianError, NumericalError
 from .matrices import (
     MatrixSeq,
+    _Band,
     _check_ladder,
     _lc_band,
+    _lc_eigs,
     _lc_sum,
     d_af,
     glt_product_seq,
@@ -61,10 +63,10 @@ class NormalForm:
     generating diagonal-times-Toeplitz sum.
 
     `matrix()` reads only `source` and `n`, so `normal_form_seq` leaves `q`
-    and `d` as None; only `normal_form()` fills them.  `diagonal_factor_seq`
-    reads `d` alone but still builds the dense Q through `normal_form()`:
-    `perfbench/test_tracing.py` requires a normal-form run to reach
-    `q_block`, so dropping Q there waits for a change to the benchmark."""
+    and `d` as None; only `normal_form()` fills them.  The eig ladder of
+    `diagonal_factor_seq` calls `normal_form()` only below
+    `matrices._BAND_MIN_N`; from there it reads D's diagonal from the
+    sequence's width-0 `band`, and builds no Q or D."""
 
     source: GltExpr
     n: int
@@ -100,8 +102,16 @@ def normal_form_seq(expr: GltExpr) -> MatrixSeq:
 
 
 def diagonal_factor_seq(expr: GltExpr) -> MatrixSeq:
-    """The diagonal sequence n -> D carrying the sampled symbol."""
-    return MatrixSeq("normal-form-diagonal", lambda n: normal_form(expr, n).d, symbol=expr)
+    """The diagonal sequence n -> D carrying the sampled symbol, with its
+    `band` of half-bandwidth 0: the sum of the terms' `_lc_eigs`, which is
+    D's diagonal bit for bit, taken term by term as `normal_form()` takes it,
+    so it raises the same errors in the same order."""
+
+    def band(n):
+        return _Band(sum(_lc_eigs(a, f, n) for a, f in expr.terms)[:, None], 0)
+
+    return MatrixSeq("normal-form-diagonal", lambda n: normal_form(expr, n).d, symbol=expr,
+                     band=band)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, EvalError, NumericalError
-from .matrices import _BAND_MIN_N, MatrixSeq, _check_ladder, _square_finite, svdvals
+from .matrices import _BAND_MIN_N, MatrixSeq, _Band, _check_ladder, _dense, _square_finite, svdvals
 from .symbols import (
     FuncExpr,
     GltExpr,
@@ -48,13 +48,17 @@ def singular_values(A) -> np.ndarray:
     return svdvals(_square_finite(A))
 
 
-def eigenvalues(A: np.ndarray) -> np.ndarray:
+def eigenvalues(A) -> np.ndarray:
     """Full eigenvalue spectrum (dense solver, no symmetry assumptions).
 
     A diagonal matrix is its own spectrum: a copy of its diagonal is
     returned, which is what the dense solver returns for it, in the same
-    order."""
-    A = _square_finite(A)
+    order.  A may be a `matrices._Band`: at half-bandwidth 0 its storage is
+    that diagonal, and a wider band is decomposed as its dense matrix, so the
+    values are the dense matrix's bit for bit."""
+    if isinstance(A, _Band) and A.b == 0:
+        return _square_finite(A).ab[:, 0].astype(complex)
+    A = _square_finite(_dense(A))
     d = np.diagonal(A)
     if np.count_nonzero(A) == np.count_nonzero(d):
         return d.copy()
@@ -189,14 +193,14 @@ def _spectrum(seq: MatrixSeq, n: int, kind: str) -> np.ndarray:
     """Spectrum of A_n: the sequence's closed form when it has one for this
     kind, otherwise a decomposition of A_n.  A closed-form `svals` is put in
     the order `svdvals` returns, non-increasing, so the means sum alike.
-    From n = _BAND_MIN_N, the first size the band SVD takes, singular values
-    are taken from the sequence's `band` when it has one."""
+    From n = _BAND_MIN_N, the first size the band SVD takes, both kinds
+    decompose the sequence's `band` when it has one: the diagonal factor's
+    width-0 band is its own spectrum, and `eigenvalues` forms the dense
+    matrix of a wider one."""
     hook = seq.svals if kind == "sv" else seq.eigs
     if hook is None:
-        if kind == "eig":
-            return eigenvalues(seq(n))
-        banded = seq.band is not None and n >= _BAND_MIN_N
-        return singular_values(seq.band(n) if banded else seq(n))
+        A = seq.band(n) if seq.band is not None and n >= _BAND_MIN_N else seq(n)
+        return singular_values(A) if kind == "sv" else eigenvalues(A)
     samples = np.asarray(hook(n))
     if samples.shape != (n,):
         raise ValueError(f"{seq.name}: {kind} hook returned shape {samples.shape} for n={n}")

@@ -942,10 +942,78 @@ class TestBandOperands:
         ]
 
 
+# f with a complex, a zero and a negative coefficient, and a negative a, so
+# the differences meet signed zeros
+F_SIGNED = TrigPoly.from_coeff_map({-2: 0.5 - 0.25j, -1: 0.0, 0: -1.5, 1: 2j})
+A_NEG = parse_expr("x - 0.5", "a")
+WIDE = TrigPoly.from_coeff_map({600: 1.0})  # circulant needs n > 1200
+POLE = parse_expr("1/(x-0.5)", "a")  # glt hits it at every even n
+
+
+def one_band_pairs(f):
+    """(A, B) pairs where exactly one sequence carries `band`."""
+    glt = glt_product_seq(GltExpr(((A_NEG, f), (A_QUAD, TWO_COS))))
+    return [(toeplitz_seq(f), circulant_seq(f)), (circulant_seq(f), toeplitz_seq(f)),
+            (glt, circulant_seq(f))]
+
+
+def raised(fn):
+    with pytest.raises(Exception) as info:
+        fn()
+    return type(info.value), str(info.value)
+
+
+class TestOneBandDifference:
+    """With one band the difference is built in place in the other operand's
+    dense matrix, and is A_n - B_n bit for bit, signed zeros included."""
+
+    @pytest.mark.parametrize("f", [F_SIGNED, F_REAL], ids=["signed", "real"])
+    @pytest.mark.parametrize("n", [511, 512, 1024])
+    def test_equals_the_dense_difference(self, n, f):
+        def band_only(seq):
+            # from the floor on, the banded side is never built dense
+            if seq.band is None or n < matrices._GRAM_BAND_MIN_N:
+                return seq
+            return dataclasses.replace(seq, generator=lambda n: pytest.fail("dense band"))
+
+        for seq_a, seq_b in one_band_pairs(f):
+            want = seq_a(n) - seq_b(n)
+            got = acs._difference(band_only(seq_a), band_only(seq_b), n)
+            assert isinstance(got, np.ndarray) and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+            for part in ("real", "imag"):
+                signs = np.signbit(getattr(got, part))
+                assert np.array_equal(signs, np.signbit(getattr(want, part)))
+
+    @pytest.mark.parametrize("n", [512, 1024])
+    def test_errors_come_in_the_dense_order(self, n):
+        glt = glt_product_seq(GltExpr(((POLE, F_REAL),)))
+        for seq_a, seq_b in ((glt, circulant_seq(WIDE)), (circulant_seq(WIDE), glt),
+                             (toeplitz_seq(F_REAL), circulant_seq(WIDE)),
+                             (circulant_seq(WIDE), toeplitz_seq(F_REAL))):
+            want = raised(lambda: seq_a(n) - seq_b(n))
+            assert raised(lambda: acs._difference(seq_a, seq_b, n)) == want
+
+    def test_ladder_p_values_are_unchanged(self):
+        sizes = (256, 512, 576, 1024)
+        for seq_a, seq_b in one_band_pairs(F_SIGNED):
+            est = acs.acs_distance(seq_a, seq_b, sizes)
+            dense = [p_metric(seq_a(n) - seq_b(n)) for n in sizes]
+            assert all(same_bits(p, q) for p, q in zip(est.p_values, dense))
+
+
 class TestBandMemory:
     """One band step forms no dense n x n: its traced peak stays within four
     band storages, 64 n (2b + 1) bytes, far below a dense complex matrix's
     16 n^2."""
+
+    def test_toeplitz_minus_circulant_forms_one_dense_matrix(self, traced_peak):
+        # the circulant's 16 n^2 bytes, changed in place; a dense Toeplitz
+        # and a separate difference would add 16 n^2 each
+        n = 1024
+        seq_a, seq_b = toeplitz_seq(F_SIGNED), circulant_seq(F_SIGNED)
+        acs._difference(seq_a, seq_b, n)  # one-off caches
+        assert traced_peak(acs._difference, seq_a, seq_b, n) < 20 * n * n
 
     def test_glt_minus_lc_p_step(self, traced_peak):
         n = 1024

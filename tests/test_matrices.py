@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -33,6 +34,7 @@ from glt_lab import (
 )
 from glt_lab import matrices
 from glt_lab.errors import GltLabError
+from glt_lab.normal_form import diagonal_factor_seq
 
 ONE = parse_expr("1", "a")
 X = parse_expr("x", "a")
@@ -507,6 +509,7 @@ def band_seqs():
         ("glt-one-term", glt_product_seq(GltExpr(((A_NEG, SHIFT),))), lambda n: 1),
         ("lc", lc_seq(A_CPLX, F_BAND), lambda n: block_layout(n).block - 1),
         ("normal-form", normal_form_seq(two), lambda n: block_layout(n).block - 1),
+        ("diagonal-factor", diagonal_factor_seq(two), lambda n: 0),
     ]
 
 
@@ -538,7 +541,7 @@ class TestBandHooks:
         try:
             A = seq(n)
         except GltLabError:
-            assert name in ("lc", "normal-form")  # the block size rule
+            assert name in ("lc", "normal-form", "diagonal-factor")  # the block size rule
             return
         ab, b = seq.band(n)
         assert b == width(n)
@@ -556,7 +559,7 @@ class TestBandHooks:
         assert t > 0 and not ab[n - t :].any()
         assert not matrices._transpose_band(ab, b)[n - t :].any()
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 9, 16, 19])
+    @pytest.mark.parametrize("n", range(20))
     @pytest.mark.parametrize("case", BAND_SEQS, ids=BAND_IDS)
     def test_errors_match_the_generator(self, case, n):
         _, seq, _ = case
@@ -572,7 +575,8 @@ class TestBandHooks:
         # the nodes i/m and i/n hit the pole at x = 1/2 whenever m or n is even
         pole = parse_expr("1/(x-0.5)", "a")
         for seq in (glt_product_seq(GltExpr(((ONE, SHIFT), (pole, CONST1)))),
-                    lc_seq(pole, CONST1), normal_form_seq(GltExpr(((ONE, CONST1), (pole, CONST1))))):
+                    lc_seq(pole, CONST1), normal_form_seq(GltExpr(((ONE, CONST1), (pole, CONST1)))),
+                    diagonal_factor_seq(GltExpr(((ONE, CONST1), (pole, CONST1))))):
             want = raised(lambda: seq(n))
             assert want[0] is EvalError
             assert raised(lambda: seq.band(n)) == want
@@ -590,3 +594,37 @@ class TestBandHooks:
         assert A.dtype == ab.dtype
         assert matrices._band_storage(A, b).tobytes() == ab.tobytes()
         assert matrices._transpose_band(ab, b).tobytes() == matrices._band_storage(A.T, b).tobytes()
+
+
+def seq_builders():
+    """Every public `*_seq` builder, with the arguments each is built from."""
+    two = GltExpr(((A_NEG, F_BAND), (A_CPLX, TWO_COS)))
+    args = {
+        "toeplitz_seq": [(F_BAND,)],
+        "diag_seq": [(A_CPLX,)],
+        "circulant_seq": [(F_BAND,)],
+        "lt_seq": [(A_CPLX, F_BAND)],
+        "lc_seq": [(A_CPLX, F_BAND)],
+        "glt_product_seq": [(two,)],
+        "counterexample_seq": [(name,) for name in matrices.COUNTEREXAMPLES],
+        "identity_seq": [()],
+        "zero_seq": [()],
+        "normal_form_seq": [(two,)],
+        "diagonal_factor_seq": [(two,)],
+    }
+    builders = {}
+    for module in (matrices, importlib.import_module("glt_lab.normal_form")):
+        builders.update({name: getattr(module, name) for name in module.__all__
+                         if name.endswith("_seq")})
+    assert set(builders) == set(args)
+    return [(name, build(*a)) for name, build in builders.items() for a in args[name]]
+
+
+@pytest.mark.parametrize("n", [25, 64])
+def test_every_call_returns_a_new_array(n):
+    # `acs._difference` overwrites the dense operand it is given
+    for name, seq in seq_builders():
+        for s in (seq, seq.shifted(0.5)):
+            A, B = s(n), s(n)
+            assert not np.shares_memory(A, B), name
+            assert A.tobytes() == B.tobytes()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
@@ -32,9 +34,10 @@ from glt_lab.normal_form import (
     NormalForm,
     _canonical_svd,
     _pushed_seq,
+    diagonal_factor_seq,
     normal_form_seq,
 )
-from glt_lab.spectra import singular_values
+from glt_lab.spectra import _spectrum, eig_symbol_residual, singular_values
 
 TWO_COS = TrigPoly.from_coeff_map({1: 1, -1: 1})
 SHIFT = TrigPoly.from_coeff_map({1: 1})
@@ -181,7 +184,8 @@ class TestNormalFormSeq:
             "block-before-pole"])
     def test_errors_match_normal_form(self, terms, n, error, message):
         expr = GltExpr(terms)
-        for build in (lambda: normal_form(expr, n), lambda: normal_form_seq(expr)(n)):
+        for build in (lambda: normal_form(expr, n), lambda: normal_form_seq(expr)(n),
+                      lambda: diagonal_factor_seq(expr).band(n)):
             with pytest.raises(error) as info:
                 build()
             assert str(info.value) == message
@@ -191,6 +195,27 @@ class TestNormalFormSeq:
         # the matrix alone is 16 n^2 bytes; Q and D would add 16 n^2 each
         seq = normal_form_seq(GltExpr(NF_TERMS["two-real"]))
         assert traced_peak(seq, n) < 24 * n * n
+
+
+class TestDiagonalFactor:
+    """From n = 96 the diagonal factor's eig ladder reads D's diagonal from
+    its width-0 band, with the bits of the dense D and no Q or D built."""
+
+    @pytest.mark.parametrize("terms", NF_TERMS.values(), ids=NF_TERMS.keys())
+    def test_ladder_equals_the_dense_route(self, terms):
+        expr = GltExpr(terms)
+        sizes = (64, 96, 144, 576, 1600)
+        dense = dataclasses.replace(diagonal_factor_seq(expr), band=None)
+        want = eig_symbol_residual(dense, expr, sizes).residuals
+        report = verify_normal_form(expr, sizes)
+        assert report.eig_table.residuals.tobytes() == want.tobytes()
+
+    def test_eig_step_builds_no_dense_matrix(self, traced_peak):
+        # a dense complex Q and D are 16 n^2 bytes each
+        n = 1024
+        seq = diagonal_factor_seq(GltExpr(NF_TERMS["two-real"]))
+        _spectrum(seq, n, "eig")  # one-off caches
+        assert traced_peak(_spectrum, seq, n, "eig") < n * n
 
 
 class TestVerifyNormalForm:

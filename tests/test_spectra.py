@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib
 import tracemalloc
 
@@ -955,6 +956,52 @@ class TestBandOperands:
         table = sv_symbol_residual(seq, seq.symbol, sizes)
         assert taken == [(64, False), (95, False), (96, True), (256, True)]
         dense = sv_symbol_residual(dataclasses.replace(seq, band=None), seq.symbol, sizes)
+        assert table.residuals.tobytes() == dense.residuals.tobytes()
+
+    @pytest.mark.parametrize("b", [0, 2, 7])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_eigenvalues_of_a_band_equal_the_dense_route(self, b, dtype):
+        # entries drawn with signed zeros; at b = 0 the band is the diagonal
+        n = 40
+        rng = np.random.default_rng(b)
+        ab = rng.choice([-1.5, -0.0, 0.0, 0.25, 2.0], size=(n, 2 * b + 1)).astype(dtype)
+        if dtype is complex:
+            ab += 1j * rng.choice([-0.0, 0.0, 0.5], size=ab.shape)
+        ab[matrices._band_storage(np.ones((n, n)), b) == 0] = 0
+        band = matrices._Band(ab, b)
+        # a diagonal held at b = 3 takes the dense diagonal shortcut
+        diagonal = matrices._Band(band.widened(3), 3) if b == 0 else band
+        for A in (band, diagonal):
+            got, want = eigenvalues(A), eigenvalues(A.dense())
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert not np.shares_memory(got, ab)
+        ab[n // 2, b] = np.nan
+        assert raised(lambda: eigenvalues(band)) == raised(lambda: eigenvalues(band.dense()))
+
+    @pytest.mark.parametrize("index", [0, 1], ids=["glt", "toeplitz"])
+    def test_eig_ladder_takes_the_band_with_the_dense_bits(self, index, monkeypatch):
+        seq = band_operand_seqs("complex")[index]
+        sizes = (64, 96, 144, 576, 1600)
+        taken, solved = [], []
+        spectrum, solve = spectra.eigenvalues, np.linalg.eigvals
+
+        def spy(A):
+            taken.append((A.shape[0], isinstance(A, matrices._Band)))
+            return spectrum(A)
+
+        def solver(A):
+            # the solver is deterministic, so equal input bytes give equal
+            # values; above n = 144 the diagonal stands in for its seconds
+            solved.append(hashlib.sha256(A.tobytes()).hexdigest())
+            return solve(A) if A.shape[0] <= 144 else np.diagonal(A).copy()
+
+        monkeypatch.setattr(spectra, "eigenvalues", spy)
+        monkeypatch.setattr(np.linalg, "eigvals", solver)
+        table = eig_symbol_residual(seq, seq.symbol, sizes)
+        assert taken == [(64, False), (96, True), (144, True), (576, True), (1600, True)]
+        banded, solved[:] = solved[:], []
+        dense = eig_symbol_residual(dataclasses.replace(seq, band=None), seq.symbol, sizes)
+        assert solved == banded and len(solved) == len(sizes)
         assert table.residuals.tobytes() == dense.residuals.tobytes()
 
     def test_overflowing_glt_raises_the_dense_error(self):
