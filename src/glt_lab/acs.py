@@ -179,8 +179,8 @@ def p_metric(A) -> float:
     decomposes the core in one canonical sign.
 
     A may be a `matrices._Band`.  With no zero row or column and on the band
-    gate it is its own core (`_band_reduce`), and only a dense route forms
-    its dense matrix; either way p is the dense matrix's bit for bit.
+    gate it is its own core, and otherwise its core is scattered from its
+    slots (`_band_reduce`); either way p is the dense matrix's bit for bit.
     """
     A = _operand(A)
     n = A.shape[0]
@@ -238,18 +238,22 @@ def _difference(seqA: MatrixSeq, seqB: MatrixSeq, n: int):
     _GRAM_BAND_MIN_N, the first size at which p_metric can keep its operand a
     band, each sequence that carries `band` gives its band, not its dense
     matrix.  Two bands are subtracted in band storage, padded to the wider
-    band.  With one band (T_n - C_n, say) the difference is the other
-    operand's dense matrix, changed in place on the band's diagonals; beyond
-    them it is A_n - 0 = A_n, or 0 - B_n when the band is A's (its dense
-    matrix holds +0 there), which is -B_n with every zero +0.  Below the
-    floor, or with no band, both are dense.  A_n is built first, so its
-    errors come first."""
+    band (T_n - C_n keeps only C_n's wrapped slots), or densely when a
+    nonzero wrapped slot would alias at that width (`_Band.widened`).  With
+    one band the difference is the other operand's dense matrix, changed in
+    place on the entries the band's slots stand for; beyond them it is
+    A_n - 0 = A_n, or 0 - B_n when the band is A's (its dense matrix holds
+    +0 there), which is -B_n with every zero +0.  Below the floor, or with
+    no band, both are dense.  A_n is built first, so its errors come
+    first."""
     banded = n >= _GRAM_BAND_MIN_N
     A = seqA.band(n) if banded and seqA.band is not None else seqA(n)
     B = seqB.band(n) if banded and seqB.band is not None else seqB(n)
     if isinstance(A, _Band) and isinstance(B, _Band):
         b = max(A.b, B.b)
-        return _Band(A.widened(b) - B.widened(b), b)
+        if 2 * b < n or not (A.wraps() or B.wraps()):
+            return _Band(A.widened(b) - B.widened(b), b)
+        A, B = A.dense(), B.dense()  # a wrapped slot would alias at b
     if isinstance(B, _Band):
         return _write_band(A, _band_storage(A, B.b) - B.ab, B.b)
     if isinstance(A, _Band):

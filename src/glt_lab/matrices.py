@@ -102,13 +102,15 @@ class MatrixSeq:
 
     `band` optionally maps n to A_n as a `_Band` (ab, b): bit for bit what
     `_band_storage(seq(n), b)` holds, signed zeros included, raising the
-    generator's errors at the same n; seq(n) holds +0 beyond the band.
-    `toeplitz_seq`, `glt_product_seq`, `lc_seq`, `normal_form_seq` and
-    `diagonal_factor_seq` (b = 0) carry it.  The residual ladders hand
-    `singular_values` and `eigenvalues` the band from n = _BAND_MIN_N, and
-    the `acs` ladder builds its difference from it from n = _GRAM_BAND_MIN_N,
-    so a band route forms no dense n x n of that sequence.  The dense
-    generator stays the hook's oracle.
+    generator's errors at the same n; seq(n) holds +0 where no slot stands
+    for an entry.  When n > 2b, slot [j, b + k] with j + k off the matrix
+    stands for the corner entry ((j + k) mod n, j).  `toeplitz_seq`,
+    `circulant_seq`, `glt_product_seq`, `lc_seq`, `normal_form_seq`,
+    `diagonal_factor_seq` (b = 0) and their `shifted` sequences carry it.
+    The residual ladders hand `singular_values` and `eigenvalues` the band
+    from n = _BAND_MIN_N, and the `acs` ladder builds its difference from it
+    from n = _GRAM_BAND_MIN_N, so a band route forms no dense n x n of that
+    sequence.  The dense generator stays the hook's oracle.
     """
 
     name: str
@@ -132,15 +134,22 @@ class MatrixSeq:
 
     def shifted(self, c: complex) -> "MatrixSeq":
         """The sequence A_n - c*I_n.  A normal A_n (one with `eigs`) stays
-        normal with eigenvalues lambda_i - c, so the closed forms carry over."""
+        normal with eigenvalues lambda_i - c, so the closed forms carry over,
+        and a band becomes its storage minus c times that of I_n."""
         c = complex(c)
-        base = self.eigs
+        base, band = self.eigs, self.band
+
+        def shifted_band(n):
+            ab, b = band(n)
+            return _Band(ab - c * np.eye(1, 2 * b + 1, b, dtype=complex), b)
+
         return MatrixSeq(
             name=f"{self.name} - ({c})*I",
             generator=lambda n: self(n) - c * np.eye(n, dtype=complex),
             symbol=None,
             info=dict(self.info),
             eigs=None if base is None else lambda n: base(n) - c,
+            band=None if band is None else shifted_band,
         )
 
 
@@ -369,52 +378,60 @@ def _half_bandwidth(A: np.ndarray, b_max: int):
     return None
 
 
+def _slots(n: int, b: int):
+    """(i, off) over band storage at half-bandwidth b: slot [j, b + d] stands
+    for entry (i[j, b + d], j), i = (j + d) mod n.  Where j + d lies off the
+    matrix the slot is wrapped: it holds a corner entry when n > 2b, and is
+    `off`, standing for no entry and holding +0, otherwise."""
+    raw = np.add.outer(np.arange(n), np.arange(-b, b + 1))
+    i = raw % n
+    return i, (i != raw) & (n <= 2 * b)
+
+
 def _band_storage(M: np.ndarray, b: int) -> np.ndarray:
     """LAPACK general band storage of a square M of half-bandwidth b:
     ab[j, b + i - j] holds entry (i, j), so row j holds column j, and the
-    corners outside M are zero."""
+    wrapped slots hold M's corners when n > 2b (`_slots`), else +0."""
     n = M.shape[0]
-    ab = np.zeros((n, 2 * b + 1), dtype=M.dtype)
-    for k in range(-min(b, n - 1), min(b, n - 1) + 1):
-        ab[max(k, 0) : n + min(k, 0), b - k] = np.diagonal(M, k)
+    i, off = _slots(n, b)
+    ab = M[i, np.arange(n)[:, None]]
+    ab[off] = 0
     return ab
 
 
 def _write_band(M: np.ndarray, ab: np.ndarray, b: int) -> np.ndarray:
-    """M, a square array of any strides, with its diagonals -b..b overwritten
-    in place by the entries that band storage ab (`_band_storage` at
-    half-bandwidth b) holds for them; every other entry is left alone."""
-    n = M.shape[0]
-    step = sum(M.strides)
-    for k in range(-min(b, n - 1), min(b, n - 1) + 1):
-        corner = M[max(-k, 0) :, max(k, 0) :]  # starts at the diagonal's first entry
-        diagonal = as_strided(corner, shape=(n - abs(k),), strides=(step,))
-        diagonal[...] = ab[max(k, 0) : n + min(k, 0), b - k]
+    """M, a square array, with the entries that band storage ab
+    (`_band_storage` at half-bandwidth b) stands for overwritten in place;
+    every other entry is left alone."""
+    i, off = _slots(M.shape[0], b)
+    M[i[~off], np.nonzero(~off)[0]] = ab[~off]
     return M
 
 
 def _band_to_dense(ab: np.ndarray, b: int) -> np.ndarray:
     """The n x n matrix whose `_band_storage` at half-bandwidth b is ab, with
-    every entry beyond the band +0: the inverse of `_band_storage`."""
+    every entry no slot stands for +0: the inverse of `_band_storage`."""
     n = ab.shape[0]
     return _write_band(np.zeros((n, n), dtype=ab.dtype), ab, b)
 
 
 def _transpose_band(ab: np.ndarray, b: int) -> np.ndarray:
     """The band storage of A^T from that of A: row i holds row i of A, entry
-    (i, j) at [i, b + j - i], and the corners outside A are zero."""
+    (i, j) at [i, b + j - i], read periodically as `_band_storage` reads."""
     n = ab.shape[0]
-    out = np.zeros_like(ab)
-    for d in range(-min(b, n - 1), min(b, n - 1) + 1):
-        out[max(-d, 0) : n - max(d, 0), b + d] = ab[max(d, 0) : n + min(d, 0), b - d]
+    out = np.stack([np.roll(ab[:, 2 * b - c], b - c) for c in range(2 * b + 1)], axis=1)
+    if n <= 2 * b:
+        out[_slots(n, b)[1]] = 0
     return out
 
 
 class _Band(NamedTuple):
     """A square n x n matrix held as its `_band_storage` ab at half-bandwidth
-    b, every entry beyond the band zero.  `singular_values` and `p_metric`
-    take one beside a dense array (its `shape` is (n, n)); where no band route
-    can run they decompose `dense()`, which is the same matrix bit for bit."""
+    b, every entry no slot stands for zero; when n > 2b the wrapped slots
+    hold its corners (`_slots`), so a circulant's column b + k holds f_k
+    in every row.  `singular_values` and `p_metric` take one beside a dense
+    array (its `shape` is (n, n)); where no band route can run they
+    decompose `dense()`, which is the same matrix bit for bit."""
 
     ab: np.ndarray
     b: int
@@ -426,10 +443,19 @@ class _Band(NamedTuple):
     def dense(self) -> np.ndarray:
         return _band_to_dense(self.ab, self.b)
 
-    def widened(self, b: int) -> np.ndarray:
-        """The storage of the same matrix at a half-bandwidth b >= self.b."""
+    def wraps(self) -> bool:
+        """Whether a wrapped slot (n > 2b) holds a nonzero entry."""
+        ab, b = self
+        return 2 * b < len(ab) and any(ab[len(ab) - d :, b + d].any() or ab[:d, b - d].any()
+                                       for d in range(1, b + 1))
+
+    def widened(self, b: int):
+        """The storage of the same matrix at a half-bandwidth b >= self.b, or
+        None when a nonzero wrapped slot has no slot at b (n <= 2b)."""
         if b == self.b:
             return self.ab
+        if 2 * b >= self.ab.shape[0] and self.wraps():
+            return None
         ab = np.zeros((self.ab.shape[0], 2 * b + 1), dtype=self.ab.dtype)
         ab[:, b - self.b : b + self.b + 1] = self.ab
         return ab
@@ -448,13 +474,13 @@ def _band_gate(nonzero: np.ndarray):
 def _narrow(band: _Band):
     """(band', b): what `_band_gate` and the realness test read from a dense
     matrix, read from its band.  b is the outermost diagonal that holds a
-    nonzero entry (the `_half_bandwidth` rule), or None off `_band_gate`;
-    band' holds diagonals -b..b, real when the imaginary part is exactly
-    zero.  Off the gate band' is band."""
+    nonzero entry (the `_half_bandwidth` rule), or None off `_band_gate`,
+    as is every band with a nonzero wrapped slot; band' holds diagonals
+    -b..b, real when the imaginary part is exactly zero, or band off it."""
     ab, width = band
     n = ab.shape[0]
     b = int(np.abs(np.flatnonzero(ab.any(axis=0)) - width).max(initial=0))
-    if n < _BAND_MIN_N or b > n // _GRAM_BAND_N_PER_KD:
+    if n < _BAND_MIN_N or b > n // _GRAM_BAND_N_PER_KD or band.wraps():
         return band, None
     ab = ab[:, width - b : width + b + 1]
     return _Band(np.ascontiguousarray(ab if _complex_valued(ab) else ab.real), b), b
@@ -508,14 +534,21 @@ def _svd_reduce(A: np.ndarray, nonzero: np.ndarray):
 def _band_reduce(band: _Band):
     """`_svd_reduce` of band.dense(), read from the band: when every row and
     column holds a nonzero entry and the band lies on `_band_gate`, the core
-    is the band itself (`_narrow`); otherwise the dense reduction runs."""
-    nonzero = band.ab != 0
-    if nonzero.any(axis=1).all() and _transpose_band(nonzero, band.b).any(axis=1).all():
-        core, b = _narrow(band)
-        if b is not None:
-            return core, b
-    A = band.dense()
-    return _svd_reduce(A, A != 0)
+    is the band itself (`_narrow`); otherwise the slots of the rows and
+    columns with a nonzero entry are scattered into a core of that size,
+    its other entries +0 as in band.dense()."""
+    ab, b = band
+    nonzero = ab != 0
+    cols, rows = nonzero.any(axis=1), _transpose_band(nonzero, b).any(axis=1)
+    if cols.all() and rows.all():
+        core, width = _narrow(band)
+        if width is not None:
+            return core, width
+    i, off = _slots(ab.shape[0], b)
+    keep = ~off & rows[i] & cols[:, None]
+    core = np.zeros((rows.sum(), cols.sum()), dtype=ab.dtype)
+    core[(np.cumsum(rows) - 1)[i[keep]], (np.cumsum(cols) - 1)[np.nonzero(keep)[0]]] = ab[keep]
+    return _svd_reduce(core, core != 0)
 
 
 def _pad(s: np.ndarray, n: int) -> np.ndarray:
@@ -550,16 +583,6 @@ def svdvals(A) -> np.ndarray:
     nonzero = A != 0
     s = _banded_svdvals(A, _band_gate(nonzero))
     return _dense_svdvals(_svd_reduce(A, nonzero)[0], A.shape[0]) if s is None else s
-
-
-def _diagonal_constant(col: np.ndarray, row_tail: np.ndarray) -> np.ndarray:
-    """The n x n matrix whose first column is `col` and whose first row is
-    col[0] followed by `row_tail`, constant along each diagonal: a strided
-    view of one vector [col reversed, row_tail], copied."""
-    n = col.size
-    vals = np.concatenate((col[::-1], row_tail))
-    step = vals.strides[0]
-    return as_strided(vals[n - 1 :], shape=(n, n), strides=(-step, step)).copy()
 
 
 def _toeplitz_band(f: TrigPoly, n: int) -> _Band:
@@ -600,19 +623,22 @@ def _check_circulant_size(f: TrigPoly, n: int) -> None:
         raise DomainError(f"circulant needs n > 2*degree, got n={n}, degree={f.degree}")
 
 
+def _circulant_band(f: TrigPoly, n: int) -> _Band:
+    """C_n(f) as a `_Band` of half-bandwidth d = deg f: f_k in column d + k."""
+    _check_circulant_size(f, n)
+    d = f.degree
+    return _Band(np.tile(np.array([f.coeff(k) for k in range(-d, d + 1)], complex), (n, 1)), d)
+
+
 def circulant(f: TrigPoly, n: int) -> np.ndarray:
     """Circulant matrix sum_k f_k C^k, C the downward cyclic shift.
 
     C places f_k on the same diagonals as the Toeplitz matrix (entry (i,j)
     carries f_{i-j} whenever |i-j| <= degree), so the two differ only in the
-    wrapped corner entries.  Requires n > 2*degree so the band wraps without
-    aliasing.
+    wrapped corner entries, which its band's wrapped slots hold.  Requires
+    n > 2*degree so the band wraps without aliasing.
     """
-    _check_circulant_size(f, n)
-    col = np.zeros(n, dtype=complex)
-    for k in range(-f.degree, f.degree + 1):
-        col[k % n] = f.coeff(k)
-    return _diagonal_constant(col, col[:0:-1])
+    return _circulant_band(f, n).dense()
 
 
 def _circulant_eigs(f: TrigPoly, n: int) -> np.ndarray:
@@ -798,9 +824,8 @@ def diag_seq(a: FuncExpr) -> MatrixSeq:
 
 
 def circulant_seq(f: TrigPoly, label: str = "f") -> MatrixSeq:
-    return MatrixSeq(
-        f"C({label})", lambda n: circulant(f, n), symbol=f, eigs=lambda n: _circulant_eigs(f, n)
-    )
+    return MatrixSeq(f"C({label})", lambda n: circulant(f, n), symbol=f,
+                     eigs=lambda n: _circulant_eigs(f, n), band=lambda n: _circulant_band(f, n))
 
 
 def lt_seq(a: FuncExpr, f: TrigPoly, label: str = "f") -> MatrixSeq:

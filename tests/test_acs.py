@@ -877,9 +877,9 @@ class TestBandOperands:
 
     @pytest.mark.parametrize("f", [F_REAL, F_CPLX], ids=["real", "complex"])
     @pytest.mark.parametrize("n", [576, 1024])
-    def test_zero_rows_or_columns_fall_back_to_dense(self, n, f, monkeypatch):
-        # a band with a zero row or column has a smaller core, which only
-        # the dense reduction forms
+    def test_zero_rows_or_columns_scatter_the_core(self, n, f, monkeypatch):
+        # a band with a zero row or column has a smaller core, which is
+        # scattered from the band's slots, with no dense n x n
         formed = []
         dense = matrices._Band.dense
         monkeypatch.setattr(matrices._Band, "dense", lambda band: formed.append(1) or dense(band))
@@ -890,9 +890,12 @@ class TestBandOperands:
             A = D.copy()
             A[zero] = 0
             band = matrices._Band(matrices._band_storage(A, diff.b), diff.b)
+            want_core = matrices._svd_reduce(A, A != 0)[0]
             formed.clear()
+            core = matrices._band_reduce(band)[0]
+            assert core.dtype == want_core.dtype and core.tobytes() == want_core.tobytes()
             assert same_bits(p_metric(band), p_metric(A))
-            assert formed == [1]
+            assert formed == []
         formed.clear()
         assert same_bits(p_metric(diff), p_metric(D))
         assert formed == []
@@ -951,10 +954,20 @@ POLE = parse_expr("1/(x-0.5)", "a")  # glt hits it at every even n
 
 
 def one_band_pairs(f):
-    """(A, B) pairs where exactly one sequence carries `band`."""
+    """(A, B) pairs where exactly one sequence carries `band`, among them a
+    circulant, whose wrapped slots are written in place too."""
     glt = glt_product_seq(GltExpr(((A_NEG, f), (A_QUAD, TWO_COS))))
-    return [(toeplitz_seq(f), circulant_seq(f)), (circulant_seq(f), toeplitz_seq(f)),
-            (glt, circulant_seq(f))]
+    diag = diag_seq(A_NEG)
+    return [(toeplitz_seq(f), diag), (diag, circulant_seq(f)),
+            (circulant_seq(f), lt_seq(A_NEG, f)), (glt, diag)]
+
+
+def band_only(seq, n):
+    """seq, failing if its dense matrix is built where its band stands in
+    (from the floor on, a banded side is never built dense)."""
+    if seq.band is None or n < matrices._GRAM_BAND_MIN_N:
+        return seq
+    return dataclasses.replace(seq, generator=lambda n: pytest.fail("dense band"))
 
 
 def raised(fn):
@@ -970,15 +983,9 @@ class TestOneBandDifference:
     @pytest.mark.parametrize("f", [F_SIGNED, F_REAL], ids=["signed", "real"])
     @pytest.mark.parametrize("n", [511, 512, 1024])
     def test_equals_the_dense_difference(self, n, f):
-        def band_only(seq):
-            # from the floor on, the banded side is never built dense
-            if seq.band is None or n < matrices._GRAM_BAND_MIN_N:
-                return seq
-            return dataclasses.replace(seq, generator=lambda n: pytest.fail("dense band"))
-
         for seq_a, seq_b in one_band_pairs(f):
             want = seq_a(n) - seq_b(n)
-            got = acs._difference(band_only(seq_a), band_only(seq_b), n)
+            got = acs._difference(band_only(seq_a, n), band_only(seq_b, n), n)
             assert isinstance(got, np.ndarray) and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
             for part in ("real", "imag"):
@@ -990,7 +997,9 @@ class TestOneBandDifference:
         glt = glt_product_seq(GltExpr(((POLE, F_REAL),)))
         for seq_a, seq_b in ((glt, circulant_seq(WIDE)), (circulant_seq(WIDE), glt),
                              (toeplitz_seq(F_REAL), circulant_seq(WIDE)),
-                             (circulant_seq(WIDE), toeplitz_seq(F_REAL))):
+                             (circulant_seq(WIDE), toeplitz_seq(F_REAL)),
+                             (diag_seq(POLE), circulant_seq(WIDE)),
+                             (circulant_seq(WIDE), diag_seq(POLE))):
             want = raised(lambda: seq_a(n) - seq_b(n))
             assert raised(lambda: acs._difference(seq_a, seq_b, n)) == want
 
@@ -1002,18 +1011,60 @@ class TestOneBandDifference:
             assert all(same_bits(p, q) for p, q in zip(est.p_values, dense))
 
 
+class TestPeriodicBandDifference:
+    """The circulant is a periodic band whose wrapped slots hold its corners.
+    From n = 512 its differences with other bands are subtracted in band
+    storage, T_n - C_n leaving only the wrapped slots nonzero, and p is the
+    dense difference's bit for bit."""
+
+    @pytest.mark.parametrize("f", [F_SIGNED, F_REAL], ids=["signed", "real"])
+    @pytest.mark.parametrize("n", [511, 512, 1024])
+    def test_p_equals_the_dense_difference(self, n, f):
+        toeplitz_f, circulant_f = toeplitz_seq(f), circulant_seq(f)
+        glt = glt_product_seq(GltExpr(((A_NEG, f), (A_QUAD, TWO_COS))))
+        for seq_a, seq_b in ((toeplitz_f, circulant_f), (circulant_f, toeplitz_f),
+                             (glt, circulant_f), (lc_seq(A_QUAD, f), circulant_f)):
+            want = seq_a(n) - seq_b(n)
+            got = acs._difference(band_only(seq_a, n), band_only(seq_b, n), n)
+            assert isinstance(got, matrices._Band) == (n >= matrices._GRAM_BAND_MIN_N)
+            assert matrices._dense(got).tobytes() == want.tobytes()
+            assert same_bits(p_metric(got), p_metric(want))
+
+    @pytest.mark.parametrize("n", [512, 1024])
+    def test_toeplitz_minus_circulant_is_its_wrapped_slots(self, n):
+        diff = acs._difference(toeplitz_seq(F_REAL), circulant_seq(F_REAL), n)
+        assert diff.b == 2 and diff.wraps()
+        row = np.add.outer(np.arange(n), np.arange(-2, 3))
+        wrapped = (row < 0) | (row >= n)
+        assert not diff.ab[~wrapped].any() and diff.ab[wrapped].all()
+        assert matrices._band_reduce(diff)[0].shape == (4, 4)
+
+    def test_a_wrapped_slot_is_never_aliased(self):
+        # widened to deg 300 >= n/2, the circulant's corners would land on
+        # slots of the band itself, so the difference is formed dense
+        n = 512
+        wide = toeplitz_seq(TrigPoly.from_coeff_map({-300: 0.5, 0: 1.0, 256: -2.0}))
+        band = circulant_seq(F_SIGNED).band(n)
+        assert band.wraps() and band.widened(n // 2) is None
+        assert band.widened(n // 2 - 1) is not None
+        for seq_a, seq_b in ((circulant_seq(F_SIGNED), wide), (wide, circulant_seq(F_SIGNED))):
+            want = seq_a(n) - seq_b(n)
+            got = acs._difference(seq_a, seq_b, n)
+            assert isinstance(got, np.ndarray) and got.tobytes() == want.tobytes()
+            assert same_bits(p_metric(got), p_metric(want))
+
+
 class TestBandMemory:
     """One band step forms no dense n x n: its traced peak stays within four
     band storages, 64 n (2b + 1) bytes, far below a dense complex matrix's
     16 n^2."""
 
-    def test_toeplitz_minus_circulant_forms_one_dense_matrix(self, traced_peak):
-        # the circulant's 16 n^2 bytes, changed in place; a dense Toeplitz
-        # and a separate difference would add 16 n^2 each
+    def test_toeplitz_minus_circulant_p_step(self, traced_peak):
+        # a 1024 x 5 band whose four corner columns make a 4 x 4 core
         n = 1024
         seq_a, seq_b = toeplitz_seq(F_SIGNED), circulant_seq(F_SIGNED)
-        acs._difference(seq_a, seq_b, n)  # one-off caches
-        assert traced_peak(acs._difference, seq_a, seq_b, n) < 20 * n * n
+        acs._p_ladder(seq_a, seq_b, (n,))  # one-off caches
+        assert traced_peak(acs._p_ladder, seq_a, seq_b, (n,)) < 64 * n * (2 * 2 + 1)
 
     def test_glt_minus_lc_p_step(self, traced_peak):
         n = 1024

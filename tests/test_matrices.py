@@ -19,6 +19,7 @@ from glt_lab import (
     d_af,
     GltExpr,
     diag_sampling,
+    diag_seq,
     fourier_matrix,
     glt_product_seq,
     lc_op,
@@ -505,6 +506,11 @@ def band_seqs():
         # wider than n + 1 at n = 1 and 2
         ("toeplitz-deg4", toeplitz_seq(TrigPoly.from_coeff_map({-4: 1, 0: 0.5, 3: -2j})),
          lambda n: 4),
+        # c * 0 = -0 + 0j at c = -1, so the shift meets signed zeros
+        ("toeplitz-shifted", toeplitz_seq(F_BAND).shifted(-1.0), lambda n: 2),
+        # periodic: the corners sit in the wrapped slots
+        ("circulant", circulant_seq(F_BAND), lambda n: 2),
+        ("circulant-shifted", circulant_seq(TWO_COS).shifted(0.5 - 1j), lambda n: 1),
         ("glt", glt_product_seq(two), lambda n: 2),
         ("glt-one-term", glt_product_seq(GltExpr(((A_NEG, SHIFT),))), lambda n: 1),
         ("lc", lc_seq(A_CPLX, F_BAND), lambda n: block_layout(n).block - 1),
@@ -529,7 +535,7 @@ class TestBandHooks:
 
     def test_which_families_carry_band(self):
         assert all(seq.band is not None for _, seq, _ in BAND_SEQS)
-        for seq in (circulant_seq(F_BAND), lt_seq(X, F_BAND), toeplitz_seq(F_BAND).shifted(1.0),
+        for seq in (lt_seq(X, F_BAND), lt_seq(X, F_BAND).shifted(1.0), diag_seq(X),
                     counterexample_seq("jordan_shift")):
             assert seq.band is None
 
@@ -541,7 +547,9 @@ class TestBandHooks:
         try:
             A = seq(n)
         except GltLabError:
-            assert name in ("lc", "normal-form", "diagonal-factor")  # the block size rule
+            # the block and circulant size rules
+            assert name in ("lc", "normal-form", "diagonal-factor", "circulant",
+                            "circulant-shifted")
             return
         ab, b = seq.band(n)
         assert b == width(n)
@@ -582,14 +590,21 @@ class TestBandHooks:
             assert raised(lambda: seq.band(n)) == want
 
     @pytest.mark.parametrize("dtype", [float, complex])
-    @pytest.mark.parametrize("n, b", [(1, 0), (1, 3), (3, 5), (7, 2), (40, 6)])
+    @pytest.mark.parametrize("n, b", [(1, 0), (1, 3), (3, 5), (4, 2), (7, 2), (5, 2), (9, 4),
+                                      (40, 6)])
     def test_band_to_dense_inverts_band_storage(self, n, b, dtype):
-        # entries drawn with signed zeros; the corners outside the matrix are +0
+        # entries drawn with signed zeros; when n > 2b the wrapped slots hold
+        # corner entries, and when n <= 2b the slots off the matrix are +0
         rng = np.random.default_rng(n + b)
         ab = rng.choice([-1.5, -0.0, 0.0, 2.0], size=(n, 2 * b + 1)).astype(dtype)
         if dtype is complex:
             ab += 1j * rng.choice([-0.0, 0.0, 0.5], size=ab.shape)
         ab[matrices._band_storage(np.ones((n, n)), b) == 0] = 0
+        row = np.add.outer(np.arange(n), np.arange(-b, b + 1))  # of the entry each slot holds
+        wrapped = (row < 0) | (row >= n)
+        assert matrices._Band(ab, b).wraps() == (n > 2 * b and ab[wrapped].any())
+        if n > 2 * b >= 4:
+            assert ab[wrapped].any()
         A = matrices._band_to_dense(ab, b)
         assert A.dtype == ab.dtype
         assert matrices._band_storage(A, b).tobytes() == ab.tobytes()
