@@ -8,6 +8,7 @@ d(A, B) = limsup p(A_n - B_n), estimated here on a finite size ladder.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,9 +19,9 @@ from .matrices import (
     _GRAM_BAND_N_PER_KD,
     MatrixSeq,
     _Band,
-    _band_eigvalsh,
     _band_reduce,
     _band_storage,
+    _band_tridiagonal,
     _banded_svdvals,
     _check_ladder,
     _dense,
@@ -28,8 +29,9 @@ from .matrices import (
     _lapack,
     _pad,
     _square_finite,
+    _sturm_counter,
     _svd_reduce,
-    _transpose_band,
+    _tridiagonal_eigvalsh,
     _write_band,
 )
 
@@ -90,69 +92,167 @@ def _gram(C: np.ndarray) -> np.ndarray:
 
 
 def _gram_band(C, b):
-    """C^H C of a square core C in LAPACK lower band storage (`_band_eigvalsh`),
-    or None when C is off the band route's gate, in O(n b kd) work.  b is
-    C's half-bandwidth as `_svd_reduce` or `_band_reduce` returns it: None for
-    a core that is not square or too wide.  C is dense or a `_Band` of
-    half-bandwidth b.  C is off the gate too when n is below
-    _GRAM_BAND_MIN_N, when kd is above n/_GRAM_BAND_N_PER_KD, when its
-    entries lie outside _GRAM_SCALE, and when numpy's BLAS lacks the band
-    routines.
+    """C^H C of a square core C in LAPACK lower band storage
+    (`_band_tridiagonal`), or None when C is off the band route's gate, in
+    O(n z kd) work for z nonzero diagonals.  b is C's half-bandwidth as
+    `_svd_reduce` or `_band_reduce` returns it: None for a core that is not
+    square or too wide.  C is dense or a `_Band` of half-bandwidth b.  C is
+    off the gate too when n is below _GRAM_BAND_MIN_N, when kd is above
+    n/_GRAM_BAND_N_PER_KD, when its entries lie outside _GRAM_SCALE, and when
+    numpy's BLAS lacks the band routines.
 
     C's band storage puts column j in row j, so entry (j + d, j) of the Gram
-    matrix is the sum over t of conj(ab[j + d, t - d]) * ab[j, t]: both
-    factors come from row j - b + t of C, or both from the zero padding
-    outside it, so -C gives the same bits product by product.  Row i of
-    C holds a nonzero only between its first and last nonzero columns, so
-    the Gram diagonals beyond the widest such span are exact zeros and are
-    not formed.
+    matrix is the sum over s of conj(ab[j + d, s]) * ab[j, s + d]: both
+    factors come from row j - b + s + d of C, or both from the zero padding
+    outside it, so -C gives the same bits product by product.  Only pairs of
+    storage columns that both hold a nonzero are multiplied.  Row i of C
+    holds a nonzero only on the diagonals between its outermost two, so the
+    Gram diagonals beyond the widest such spread are exact zeros and are not
+    formed.
     """
     n = C.shape[0]
     if b is None or n < _GRAM_BAND_MIN_N or _lapack() is None:
         return None
     ab = C.ab if isinstance(C, _Band) else _band_storage(C, b)
-    rows = _transpose_band(ab != 0, b)  # row i holds row i of C, columns i-b..i+b
-    last, first = 2 * b - rows[:, ::-1].argmax(axis=1), rows.argmax(axis=1)
-    kd = int((last - first).max())
+    cols = np.flatnonzero(ab.any(axis=0))  # storage column s holds diagonal s - b
+    held = np.zeros((n, cols.size), bool)  # held[i, c]: row i has a nonzero on diagonal cols[c] - b
+    for c, s in enumerate(cols):
+        shift = s - b  # the entry of row i sits in storage row i - shift
+        held[max(shift, 0) : n + min(shift, 0), c] = ab[max(-shift, 0) : n - max(shift, 0), s] != 0
+    spread = cols[cols.size - 1 - held[:, ::-1].argmax(axis=1)] - cols[held.argmax(axis=1)]
+    kd = int(spread.max(initial=0))
     if kd > n // _GRAM_BAND_N_PER_KD or not _in_scale(ab):
         return None
+    paired = np.zeros(2 * b + 1 + kd, bool)
+    paired[cols] = True
     gb = np.zeros((n, kd + 1), ab.dtype)
     for d in range(kd + 1):
-        gb[: n - d, d] = (ab[d:, : 2 * b + 1 - d].conj() * ab[: n - d, d:]).sum(axis=1)
+        left = cols[paired[cols + d]]
+        gb[: n - d, d] = (ab[d:, left].conj() * ab[: n - d, left + d]).sum(axis=1)
     return gb
 
 
-def _gram_svdvals(core, n: int, b):
-    """The singular values of a reduced core from the eigenvalues of its Gram
-    matrix, padded to n, or None when the core's entries lie outside
-    _GRAM_SCALE or the gate cannot certify that their error stays below
-    _GRAM_RTOL * p at every index that can set p.  b is the core's
-    half-bandwidth from `_svd_reduce`; a `_Band` core off the band route
-    forms its dense matrix.
+# The count route's search (`_count_p`) refines p to _COUNT_RTOL relative and
+# sigma_1 likewise.  Each round halves every interval that can still lower p
+# or that holds sigma_1, and counts all their midpoints in one dlaebz call.
+# On the benchmark's Gram bands (n = 576-1600) it took 53-54 rounds and
+# 132-176 counts in all.  More than _COUNT_BATCH live intervals (ties in the
+# objective), _COUNT_ROUNDS rounds, or an interval that no longer splits in
+# floating point send the band to dsterf.  Rounds stay below log2(n) + 53
+# (the search starts on t <= 1, where p lies, and stops intervals at a width
+# of _COUNT_RTOL * p >= _COUNT_RTOL / n), so the cap is never reached below
+# n = 2^70.
+_COUNT_RTOL = 2 * np.finfo(float).eps
+_COUNT_ROUNDS = 128
+_COUNT_BATCH = 64
 
-    On one BLAS thread below n = 512, the dense Gram matrix and a Hermitian
-    eigensolver cost 0.6-1.0x the dense SVD: n = 256 complex 15.2 against
-    15.0 ms, n = 384 complex 48.6 against 48.2 ms, n = 256 real 5.0 against
-    7.9 ms (best of seven, 2-vCPU machine, OpenBLAS 0.3.31).  A core that
-    passes the gate of `_gram_band` costs far less (see `_GRAM_BAND_MIN_N`).
-    A value sigma_i from the Gram matrix can set the minimum only when
-    (i-1)/n <= p; the padded zeros are exact.
+
+def _count_search(below, k: int, n: int, hi: float):
+    """(p, sigma_1) of a Gram matrix of size k from Sturm counts, or None
+    when the search cannot finish (see _COUNT_ROUNDS).  below(x) counts the
+    eigenvalues below each point x (`_sturm_counter`), so
+    N(t) = k - below(t^2) is the number of singular values above t, and
+    hi > sigma_1.
+
+    p = inf over t >= 0 of N(t)/n + t, and on an interval (a, c] the infimum
+    is at least N(c)/n + a, which prunes the interval once it is within
+    _COUNT_RTOL * p of the best point value N(t)/n + t found so far; an
+    interval with N(a) = N(c) holds no singular value and is pruned too.
+    p <= N(0)/n <= 1, so the search for p starts on (0, min(1, hi)].
     """
-    gb = _gram_band(core, b)
-    if gb is None:
-        core = np.ascontiguousarray(_dense(core))  # a strided real part, copied once for both passes
-        if not _in_scale(core):  # also the empty core of A = 0
-            return None
-    try:
-        lam = np.linalg.eigvalsh(_gram(core)) if gb is None else _band_eigvalsh(gb)
-    except (np.linalg.LinAlgError, NumericalError):
+    top = min(1.0, hi)
+    points = np.array([0.0, top, hi])
+    n0, n_top, n_hi = k - below(points * points)
+    if not n0 >= n_top >= n_hi == 0:
         return None
+    p = min(n0 / n, n_top / n + top)
+    sigma1 = top if n_top == 0 else hi  # the least point t with N(t) = 0
+    live = [(0.0, top, n0, n_top), (top, hi, n_top, 0)]
+    for _ in range(_COUNT_ROUNDS):
+        live = [(a, c, na, nc) for a, c, na, nc in live
+                if na > nc and (nc / n + a < p - _COUNT_RTOL * p
+                                or nc == 0 and c - a > _COUNT_RTOL * c)]
+        if not live:
+            return p, sigma1
+        if len(live) > _COUNT_BATCH:
+            return None
+        mids = np.array([(a + c) / 2 for a, c, _, _ in live])
+        counts = k - below(mids * mids)
+        split = []
+        for (a, c, na, nc), m, nm in zip(live, mids.tolist(), counts.tolist()):
+            if not (a < m < c and na >= nm >= nc):
+                return None
+            p = min(p, nm / n + m)
+            if nm == 0:
+                sigma1 = min(sigma1, m)
+            split += [(a, m, na, nm), (m, c, nm, nc)]
+        live = split
+    return None
+
+
+def _count_p(d: np.ndarray, e: np.ndarray, n: int):
+    """p of a reduced core from the real tridiagonal (d, e) of its Gram
+    matrix, padded to n, or None when the gate declines: the search of
+    `_count_search` on Sturm counts, then the gate of `_spectrum_p` as one
+    count.  That gate needs sigma_i >= loss/(_GRAM_RTOL * p) at the last
+    index i that can set p, min(k, floor(p n) + 1), so it holds when at least
+    that many singular values lie at or above the bound.  When the search
+    cannot finish, dsterf takes the whole spectrum of (d, e) instead.
+    """
+    k = d.size
+    below = _sturm_counter(d, e, _COUNT_BATCH)
+    radius = np.abs(e)
+    radius = np.append(radius, 0.0) + np.insert(radius, 0, 0.0)
+    found = _count_search(below, k, n, math.sqrt((d + radius).max()) * (1 + 4 * _COUNT_RTOL))
+    if found is None:
+        return _spectrum_p(_tridiagonal_eigvalsh(d, e), n)
+    p, sigma1 = found
+    loss = _GRAM_SAFETY * np.finfo(float).eps * sigma1**2
+    bound = loss / (_GRAM_RTOL * p)
+    setting = np.count_nonzero(np.arange(k) / n <= p)
+    return p if k - below(np.array([bound * bound]))[0] >= setting else None
+
+
+def _spectrum_p(lam: np.ndarray, n: int):
+    """p from the eigenvalues lam, ascending, of a reduced core's Gram
+    matrix, padded to n, or None when the gate cannot certify that the error
+    of sigma_i stays below _GRAM_RTOL * p at every index i that can set p.
+    A value sigma_i from the Gram matrix can set the minimum only when
+    (i-1)/n <= p; the padded zeros are exact."""
     s = _pad(np.sqrt(np.maximum(lam[::-1], 0.0)), n)
     p = _objective(s).min()
     k = lam.size
     setting = s[:k][np.arange(k) / n <= p]
     loss = _GRAM_SAFETY * np.finfo(float).eps * s[0] ** 2
-    return s if loss <= _GRAM_RTOL * p * setting.min() else None
+    return p if loss <= _GRAM_RTOL * p * setting.min() else None
+
+
+def _gram_p(core, n: int, b):
+    """p of a reduced core from its Gram matrix, or None when the core's
+    entries lie outside _GRAM_SCALE, an eigensolver fails, or the gate
+    cannot certify the value.  b is the core's half-bandwidth from
+    `_svd_reduce`; a `_Band` core off the band route forms its dense matrix.
+
+    On the band route (`_gram_band`), ?sbtrd/?hbtrd reduce the Gram band to
+    a real tridiagonal and Sturm counts find p (`_count_p`); otherwise a
+    Hermitian eigensolver takes the dense Gram matrix's spectrum.  On one
+    BLAS thread below n = 512, the dense Gram matrix and its eigensolver cost
+    0.6-1.0x the dense SVD: n = 256 complex 15.2 against 15.0 ms, n = 384
+    complex 48.6 against 48.2 ms, n = 256 real 5.0 against 7.9 ms (best of
+    seven, 2-vCPU machine, OpenBLAS 0.3.31).  A core that passes the gate of
+    `_gram_band` costs far less (see `_GRAM_BAND_MIN_N`).
+    """
+    gb = _gram_band(core, b)
+    try:
+        if gb is not None:
+            return _count_p(*_band_tridiagonal(gb), n)
+        # a strided real part is copied once, for both passes
+        core = np.ascontiguousarray(_dense(core))
+        if not _in_scale(core):  # also the empty core of A = 0
+            return None
+        return _spectrum_p(np.linalg.eigvalsh(_gram(core)), n)
+    except (np.linalg.LinAlgError, NumericalError):
+        return None
 
 
 def _canonical_sign(core: np.ndarray) -> np.ndarray:
@@ -168,13 +268,14 @@ def _canonical_sign(core: np.ndarray) -> np.ndarray:
 def p_metric(A) -> float:
     """min_{i=1..n+1} {(i-1)/n + sigma_i(A)} with sigma_{n+1} = 0.
 
-    After the exact reductions of `svdvals`, the singular values of the
-    nonzero core come from its Gram matrix (band or dense) when the gate of
-    `_gram_svdvals` certifies them, else from the banded path of `svdvals`,
-    else from a dense SVD.  The Gram band route goes first where both band
-    gates pass: it is the faster one on acs differences.  p(A) = p(-A) bit
-    for bit: the Gram route is exact in sign by arithmetic ((-C)^H (-C) is
-    C^H C product by product), and so was the band route on every band
+    After the exact reductions of `svdvals`, p of the nonzero core comes
+    from its Gram matrix (Sturm counts on the band's tridiagonal, or a dense
+    spectrum) when the gate of `_gram_p` certifies it, else from the banded
+    path of `svdvals`, else from a dense SVD.  The Gram band route goes first
+    where both band gates pass: it is the faster one on acs differences.
+    p(A) = p(-A) bit for bit: the Gram route is exact in sign by arithmetic
+    ((-C)^H (-C) is C^H C product by product, and the rest of the route
+    reads only that), and so was the band route on every band
     tested, but the dense SVD can round -C differently, so that route alone
     decomposes the core in one canonical sign.
 
@@ -185,11 +286,12 @@ def p_metric(A) -> float:
     A = _operand(A)
     n = A.shape[0]
     core, b = _band_reduce(A) if isinstance(A, _Band) else _svd_reduce(A, A != 0)
-    s = _gram_svdvals(core, n, b)
-    if s is None:
+    p = _gram_p(core, n, b)
+    if p is None:
         s = _banded_svdvals(core, b)
         s = _dense_svdvals(_canonical_sign(_dense(core)), n) if s is None else _pad(s, n)
-    return float(_objective(s).min())
+        p = _objective(s).min()
+    return float(p)
 
 
 @dataclass(frozen=True)

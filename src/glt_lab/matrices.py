@@ -9,12 +9,14 @@ m = floor(sqrt(n)) blocks of size floor(n/m) plus a trailing zero block.
 numpy builds every family.  The banded SVD path of `svdvals` reduces a narrow
 band to a bidiagonal with LAPACK's ?gbbrd and takes its singular values by
 dqds (dlasq1), in O(n^2 b) and within eps*sigma_1 of the dense SVD, and
-p_metric's band Gram route takes a Hermitian band's eigenvalues with dsbev or
-zhbev (`_band_eigvalsh`).  numpy's linalg API exposes none of these routines,
-so one cached ctypes table (`_lapack`) takes them from the BLAS that numpy
-itself links, the first time a matrix takes a band route; when that library
-does not export them, the band routes decline and the dense routes run.  The
-same table holds OpenBLAS's `openblas_get_num_threads` and
+p_metric's band Gram route reduces a Hermitian band to a real tridiagonal
+with dsbtrd or zhbtrd (`_band_tridiagonal`), then counts its eigenvalues
+below given points with dlaebz (`_sturm_counter`), or takes them all with
+dsterf (`_tridiagonal_eigvalsh`).  numpy's linalg API exposes none of these
+routines, so one cached ctypes table (`_lapack`) takes them from the BLAS
+that numpy itself links, the first time a matrix takes a band route; when
+that library does not export them, the band routes decline and the dense
+routes run.  The same table holds OpenBLAS's `openblas_get_num_threads` and
 `openblas_set_num_threads` when the library exports them; they are optional,
 and `_one_blas_thread` uses them to run the CLI's commands on one BLAS thread.
 """
@@ -86,8 +88,8 @@ def block_layout(n: int) -> BlockLayout:
 @dataclass(frozen=True)
 class MatrixSeq:
     """A named matrix sequence: a pure map from size n to a dense n x n matrix.
-    Each call returns a new array the caller may overwrite (`acs._difference`
-    subtracts in place).
+    Each call returns a new C-contiguous array the caller may overwrite
+    (`acs._difference` subtracts and writes band entries in place).
 
     `symbol` optionally attaches the symbol the sequence is expected to
     distribute like (a GltExpr, TrigPoly, FuncExpr or sampled grid).
@@ -127,7 +129,7 @@ class MatrixSeq:
             object.__setattr__(self, "svals", lambda n: np.abs(eigs(n)))
 
     def __call__(self, n: int) -> np.ndarray:
-        A = np.asarray(self.generator(n), dtype=complex)
+        A = np.ascontiguousarray(self.generator(n), dtype=complex)
         if A.shape != (n, n):
             raise ValueError(f"{self.name}: generator returned shape {A.shape} for n={n}")
         return A
@@ -261,8 +263,12 @@ def _lapack():
             "dgbbrd": (ch, i, i, i, i, i, d, i, d, d, d, i, d, i, d, i, d, i),
             "zgbbrd": (ch, i, i, i, i, i, z, i, d, d, z, i, z, i, z, i, z, d, i),
             "dlasq1": (i, d, d, d, i),
-            "dsbev": (ch, ch, i, i, d, i, d, d, i, d, i),
-            "zhbev": (ch, ch, i, i, z, i, d, z, i, z, d, i),
+            "dsbtrd": (ch, ch, i, i, d, i, d, d, d, i, d, i),
+            "zhbtrd": (ch, ch, i, i, z, i, d, d, z, i, z, i),
+            "dsterf": (i, d, d, i),
+            # called with raw pointers from `_sturm_counter`, which allocates
+            # every argument itself
+            "dlaebz": (ctypes.c_void_p,) * 20,
         }
         try:
             routines = {name: lib[mangling.format(name)] for name in signatures}
@@ -338,26 +344,78 @@ def _band_svdvals(ab: np.ndarray, b: int) -> np.ndarray:
     return diag
 
 
-def _band_eigvalsh(gb: np.ndarray) -> np.ndarray:
-    """The eigenvalues, ascending, of an n x n Hermitian band held in LAPACK
+def _band_tridiagonal(gb: np.ndarray):
+    """(d, e): the diagonal (n) and off-diagonal (n - 1) of a real symmetric
+    tridiagonal unitarily similar to an n x n Hermitian band held in LAPACK
     lower band storage gb (n x (kd+1), gb[j, d] holding entry (j+d, j)),
     which is overwritten.
 
-    dsbev (real) or zhbev (complex) with jobz = 'N' reduces the band to a
-    real tridiagonal in O(n^2 kd) (?sbtrd/?hbtrd: Schwarz, Numer. Math. 12,
-    1968) and takes its eigenvalues by dsterf.  The reduction is backward
-    stable.  A nonzero info raises NumericalError.
+    dsbtrd (real) or zhbtrd (complex) with vect = 'N' reduces the band in
+    O(n^2 kd) (Schwarz, Numer. Math. 12, 1968), the first step of LAPACK's
+    band eigensolvers; the reduction is backward stable.  A nonzero
+    info raises NumericalError.
     """
     n, width = gb.shape
-    w = np.empty(n)
-    args = (b"N", b"L", _int(n), _int(width - 1), gb, _int(width), w)
+    d, e = np.empty(n), np.empty(n)
+    args = (b"N", b"L", _int(n), _int(width - 1), gb, _int(width), d, e)
     if gb.dtype == np.complex128:
-        _call("zhbev", *args, np.zeros(1, complex), _int(1), np.empty(n, complex),
-              np.empty(max(1, 3 * n - 2)), task="eigensolver")
-    else:
-        _call("dsbev", *args, np.zeros(1), _int(1), np.empty(max(1, 3 * n - 2)),
+        _call("zhbtrd", *args, np.zeros(1, complex), _int(1), np.empty(n, complex),
               task="eigensolver")
-    return w
+    else:
+        _call("dsbtrd", *args, np.zeros(1), _int(1), np.empty(n), task="eigensolver")
+    return d, e[: n - 1]
+
+
+def _tridiagonal_eigvalsh(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The eigenvalues, ascending, of the real symmetric tridiagonal with
+    diagonal d and off-diagonal e, both overwritten: dsterf (root-free QL/QR),
+    the last step of LAPACK's band eigensolvers.  A nonzero info raises
+    NumericalError."""
+    _call("dsterf", _int(d.size), d, e, task="eigensolver")
+    return d
+
+
+def _sturm_counter(d: np.ndarray, e: np.ndarray, size: int):
+    """A function that maps an array x of at most `size` points to the number
+    of eigenvalues below each point of the real symmetric tridiagonal T with
+    diagonal d and off-diagonal e: the Sturm count, the number of
+    nonpositive pivots of T - xI, which is exact for a matrix within a small
+    relative perturbation of T's entries (Demmel, Dhillon and Ren, 1995).
+
+    dlaebz with ijob = 1 counts both ends of each of up to (size + 1) // 2
+    intervals in O(n) per point, guarding each pivot by pivmin as dstebz
+    does.  Its arguments are allocated here once and passed as raw pointers
+    (`ctypes` pointers that keep their arrays alive): checking twenty
+    ndpointer arguments per call costs more than a count at n = 1024.
+    """
+    import ctypes
+
+    routine, integer = _lapack()["dlaebz"], _lapack()["int"]
+    d = np.ascontiguousarray(d, dtype=float)
+    e = np.append(e, 0.0)  # dlaebz reads n entries of e and e2
+    e2 = e * e
+    half = (size + 1) // 2
+    ab, nab = np.empty(2 * half), np.empty(2 * half, integer)
+    mmax, minp, info = _int(half), _int(0), _int(0)
+    args = [_int(1), _int(0), _int(d.size), mmax, minp, _int(0),
+            np.zeros(1), np.zeros(1), np.full(1, np.finfo(float).tiny * max(1.0, e2.max())),
+            d, e, e2, np.zeros(half, integer), ab, np.zeros(half), _int(0), nab,
+            np.zeros(half), np.zeros(half, integer), info]
+    pointers = [a.ctypes.data_as(ctypes.c_void_p) for a in args]
+
+    def below(x: np.ndarray) -> np.ndarray:
+        m = x.size
+        if m > 2 * half:
+            raise ValueError(f"at most {2 * half} points per count, not {m}")
+        h = (m + 1) // 2  # ab and nab as Fortran (h, 2) arrays: x[:h], then x[h:]
+        mmax[0] = minp[0] = h
+        ab[:m], ab[m : 2 * h] = x, x[-1:]
+        routine(*pointers)
+        if info[0]:
+            raise NumericalError(f"eigensolver failed: dlaebz returned info = {info[0]}")
+        return nab[:m].copy()
+
+    return below
 
 
 def _half_bandwidth(A: np.ndarray, b_max: int):
@@ -378,33 +436,45 @@ def _half_bandwidth(A: np.ndarray, b_max: int):
     return None
 
 
-def _slots(n: int, b: int):
-    """(i, off) over band storage at half-bandwidth b: slot [j, b + d] stands
-    for entry (i[j, b + d], j), i = (j + d) mod n.  Where j + d lies off the
-    matrix the slot is wrapped: it holds a corner entry when n > 2b, and is
-    `off`, standing for no entry and holding +0, otherwise."""
-    raw = np.add.outer(np.arange(n), np.arange(-b, b + 1))
-    i = raw % n
-    return i, (i != raw) & (n <= 2 * b)
+def _slot_runs(n: int, b: int):
+    """(column, rows, k) for every run of band storage at half-bandwidth b:
+    the storage rows `rows` of column `column` hold, in order, diagonal k of
+    the n x n matrix (k > 0 above the main one), so slot [j, column] holds
+    entry (j - k, j).  Slot [j, b + d] stands for entry ((j + d) mod n, j).
+    Where j + d lies off the matrix the slot is wrapped: when n > 2b it
+    holds a corner entry, and column b + d's wrapped slots run along the
+    corner diagonal n - d (d > 0) or -(n + d) (d < 0); when n <= 2b it
+    stands for no entry, holds +0, and no run covers it."""
+    for d in range(-b, b + 1):
+        if abs(d) < n:
+            yield b + d, slice(max(-d, 0), n - max(d, 0)), -d
+        if n > 2 * b and d:
+            yield b + d, (slice(n - d, n) if d > 0 else slice(0, -d)), (n - d if d > 0 else -n - d)
 
 
 def _band_storage(M: np.ndarray, b: int) -> np.ndarray:
     """LAPACK general band storage of a square M of half-bandwidth b:
     ab[j, b + i - j] holds entry (i, j), so row j holds column j, and the
-    wrapped slots hold M's corners when n > 2b (`_slots`), else +0."""
-    n = M.shape[0]
-    i, off = _slots(n, b)
-    ab = M[i, np.arange(n)[:, None]]
-    ab[off] = 0
+    wrapped slots hold M's corners when n > 2b (`_slot_runs`), else +0.
+    Each run of slots is one diagonal of M, copied as a slice."""
+    ab = np.zeros((M.shape[0], 2 * b + 1), dtype=M.dtype)
+    for column, rows, k in _slot_runs(M.shape[0], b):
+        ab[rows, column] = np.diagonal(M, k)
     return ab
 
 
 def _write_band(M: np.ndarray, ab: np.ndarray, b: int) -> np.ndarray:
-    """M, a square array, with the entries that band storage ab
+    """M, a C-contiguous square array, with the entries that band storage ab
     (`_band_storage` at half-bandwidth b) stands for overwritten in place;
-    every other entry is left alone."""
-    i, off = _slots(M.shape[0], b)
-    M[i[~off], np.nonzero(~off)[0]] = ab[~off]
+    every other entry is left alone.  Each run of slots is written as a
+    slice of M's flat view, which steps n + 1 along a diagonal."""
+    if not M.flags.c_contiguous:
+        raise ValueError("_write_band writes into a C-contiguous array")
+    n = M.shape[0]
+    flat = M.reshape(-1)
+    for column, rows, k in _slot_runs(n, b):
+        first = k if k >= 0 else -k * n  # entry (max(-k, 0), max(k, 0))
+        flat[first : first + (n + 1) * (rows.stop - rows.start) : n + 1] = ab[rows, column]
     return M
 
 
@@ -418,17 +488,16 @@ def _band_to_dense(ab: np.ndarray, b: int) -> np.ndarray:
 def _transpose_band(ab: np.ndarray, b: int) -> np.ndarray:
     """The band storage of A^T from that of A: row i holds row i of A, entry
     (i, j) at [i, b + j - i], read periodically as `_band_storage` reads."""
-    n = ab.shape[0]
-    out = np.stack([np.roll(ab[:, 2 * b - c], b - c) for c in range(2 * b + 1)], axis=1)
-    if n <= 2 * b:
-        out[_slots(n, b)[1]] = 0
+    out = np.zeros_like(ab)
+    for column, rows, k in _slot_runs(ab.shape[0], b):
+        out[rows.start - k : rows.stop - k, 2 * b - column] = ab[rows, column]
     return out
 
 
 class _Band(NamedTuple):
     """A square n x n matrix held as its `_band_storage` ab at half-bandwidth
     b, every entry no slot stands for zero; when n > 2b the wrapped slots
-    hold its corners (`_slots`), so a circulant's column b + k holds f_k
+    hold its corners (`_slot_runs`), so a circulant's column b + k holds f_k
     in every row.  `singular_values` and `p_metric` take one beside a dense
     array (its `shape` is (n, n)); where no band route can run they
     decompose `dense()`, which is the same matrix bit for bit."""
@@ -544,10 +613,12 @@ def _band_reduce(band: _Band):
         core, width = _narrow(band)
         if width is not None:
             return core, width
-    i, off = _slots(ab.shape[0], b)
-    keep = ~off & rows[i] & cols[:, None]
+    at_row, at_col = np.cumsum(rows) - 1, np.cumsum(cols) - 1
     core = np.zeros((rows.sum(), cols.sum()), dtype=ab.dtype)
-    core[(np.cumsum(rows) - 1)[i[keep]], (np.cumsum(cols) - 1)[np.nonzero(keep)[0]]] = ab[keep]
+    for column, run, k in _slot_runs(ab.shape[0], b):
+        i = slice(run.start - k, run.stop - k)  # the rows of the run's entries
+        keep = rows[i] & cols[run]
+        core[at_row[i][keep], at_col[run][keep]] = ab[run, column][keep]
     return _svd_reduce(core, core != 0)
 
 

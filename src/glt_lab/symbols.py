@@ -10,6 +10,7 @@ fractions over a fixed finite family of closed disks.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -52,6 +53,13 @@ def _tokenize(source):
     return tokens
 
 
+# The deepest an expression may nest parentheses, a function call's included.
+# The parser recurses seven frames per level and the evaluator at most three,
+# which this keeps far inside Python's recursion limit; operator chains fold
+# without recursion (`_spine`), so a sum may have any number of terms.
+MAX_NESTING = 100
+
+
 class _Parser:
     """Recursive descent parser for the expression grammar:
 
@@ -67,6 +75,7 @@ class _Parser:
         self.idx = 0
         self.allowed = allowed_vars
         self.free_vars = set()
+        self.depth = 0  # the parentheses open around the token being read
 
     def peek(self):
         return self.tokens[self.idx]
@@ -117,22 +126,27 @@ class _Parser:
             node = ("pow", node, int(text))
         return node
 
+    def group(self, pos):
+        """expr ')' after the '(' at pos, at most MAX_NESTING deep."""
+        if self.depth == MAX_NESTING:
+            raise ExprSyntaxError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+        self.depth += 1
+        node = self.expr()
+        self.expect_op(")")
+        self.depth -= 1
+        return node
+
     def base(self):
         kind, text, pos = self.advance()
         if kind == "num":
             return ("const", complex(float(text)))
         if kind == "op" and text == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
+            return self.group(pos)
         if kind == "name":
             if text == "i":
                 return ("const", 1j)
             if text in _FUNCS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return ("call", text, arg)
+                return ("call", text, self.group(self.expect_op("(")[2]))
             if text in ("x", "theta", "t"):
                 if text not in self.allowed:
                     raise VariableError(
@@ -144,6 +158,20 @@ class _Parser:
         raise ExprSyntaxError(f"unexpected {text!r}" if text else "unexpected end of input", pos)
 
 
+def _spine(node):
+    """(leaf, [(op, right), ...]) of a chain of binary nodes, folded to the
+    left as the parser folds them: leaf op1 right1 op2 right2 ..., walked in a
+    loop so that a sum of many terms costs no recursion."""
+    steps = []
+    while node[0] == "bin":
+        steps.append((node[1], node[3]))
+        node = node[2]
+    return node, steps[::-1]
+
+
+_BIN_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
 def _eval_ast(node, env):
     tag = node[0]
     if tag == "const":
@@ -151,16 +179,11 @@ def _eval_ast(node, env):
     if tag == "var":
         return env[node[1]]
     if tag == "bin":
-        _, op, left, right = node
-        a = _eval_ast(left, env)
-        b = _eval_ast(right, env)
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        return a / b
+        leaf, steps = _spine(node)
+        value = _eval_ast(leaf, env)
+        for op, right in steps:
+            value = _BIN_OPS[op](value, _eval_ast(right, env))
+        return value
     if tag == "pow":
         return _eval_ast(node[1], env) ** node[2]
     _, fname, arg = node
@@ -177,7 +200,9 @@ def _ast_to_sexpr(node) -> str:
     if tag == "var":
         return node[1]
     if tag == "bin":
-        return f"({node[1]} {_ast_to_sexpr(node[2])} {_ast_to_sexpr(node[3])})"
+        leaf, steps = _spine(node)
+        return ("".join(f"({op} " for op, _ in reversed(steps)) + _ast_to_sexpr(leaf)
+                + "".join(f" {_ast_to_sexpr(right)})" for _, right in steps))
     if tag == "pow":
         return f"(^ {_ast_to_sexpr(node[1])} {node[2]})"
     return f"({node[1]} {_ast_to_sexpr(node[2])})"
@@ -297,6 +322,12 @@ def _theta_samples(f: FuncExpr, quad_points: int) -> np.ndarray:
 
 # coefficient parts at or below this magnitude are quadrature roundoff
 COEFF_TOL = 1e-12
+# the largest relative misfit max|f - T| / max|f| of the extracted polynomial
+# T on the check nodes: a trig polynomial of degree <= max_degree fits to
+# roundoff (at most 4.2e-16 on the benchmark's factors, seeds 0-9), and
+# cos(cos(theta)), whose Fourier series decays like 1/(2^k k!), misfits
+# 5.3e-10 at degree 8 and fits from degree 10
+FIT_RTOL = 1e-10
 
 
 def trig_poly_from_expr(f: FuncExpr, max_degree: int = 8) -> TrigPoly:
@@ -307,6 +338,13 @@ def trig_poly_from_expr(f: FuncExpr, max_degree: int = 8) -> TrigPoly:
     once, exact to roundoff for degrees below quad/2.  Zeroes real and
     imaginary parts at or below `COEFF_TOL` and trims the outermost
     coefficients that vanish.
+
+    The polynomial must then match f on m = 2 quad + 1 other midpoints, to
+    within FIT_RTOL of max|f| there; otherwise f is not a trig polynomial of
+    degree max_degree (a higher degree, a degree that aliases onto the
+    extraction nodes, or no polynomial at all) and VariableError names the
+    degree.  The polynomial is evaluated there by one inverse FFT of length
+    m, in O(m log m), which holds every degree since m > 2 max_degree + 1.
     """
     quad = max(4 * (max_degree + 1), 64)
     vals = _theta_samples(f, quad)
@@ -319,6 +357,16 @@ def trig_poly_from_expr(f: FuncExpr, max_degree: int = 8) -> TrigPoly:
     im = np.where(np.abs(c.imag) <= COEFF_TOL, 0.0, c.imag)
     c = re + 1j * im
     d = int(np.abs(k[c != 0]).max(initial=0))
+    m = 2 * quad + 1
+    placed = np.zeros(m, dtype=complex)  # the same phases, at m nodes, forwards
+    placed[k % m] = c * np.where(k % 2, -1.0, 1.0) * np.exp(1j * np.pi * k / m)
+    want = _theta_samples(f, m)
+    scale = np.abs(want).max()
+    misfit = np.abs(np.fft.ifft(placed) * m - want).max()
+    if not misfit <= FIT_RTOL * scale:
+        raise VariableError(
+            f"not a trig polynomial of degree <= {max_degree}: relative misfit "
+            f"{misfit / scale:.1e} above {FIT_RTOL:g} (a higher max_degree may fit)")
     return TrigPoly(c[max_degree - d : max_degree + d + 1])
 
 

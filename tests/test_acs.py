@@ -79,19 +79,19 @@ def route(monkeypatch):
     """Records, per p_metric call, whether the Gram route certified its
     values ("gram") or the dense SVD ran ("dense")."""
     taken = []
-    gram, dense = acs._gram_svdvals, acs._dense_svdvals
+    gram, dense = acs._gram_p, acs._dense_svdvals
 
     def gram_spy(core, n, b):
-        s = gram(core, n, b)
-        if s is not None:
+        p = gram(core, n, b)
+        if p is not None:
             taken.append("gram")
-        return s
+        return p
 
     def dense_spy(core, n):
         taken.append("dense")
         return dense(core, n)
 
-    monkeypatch.setattr(acs, "_gram_svdvals", gram_spy)
+    monkeypatch.setattr(acs, "_gram_p", gram_spy)
     monkeypatch.setattr(acs, "_dense_svdvals", dense_spy)
     return taken
 
@@ -99,15 +99,15 @@ def route(monkeypatch):
 @pytest.fixture
 def band_route(monkeypatch):
     """Records (n, kd) of every Gram band that p_metric hands the band
-    eigensolver."""
+    tridiagonal reduction."""
     bands = []
-    solver = acs._band_eigvalsh
+    reduce = acs._band_tridiagonal
 
     def spy(gb):
         bands.append((gb.shape[0], gb.shape[1] - 1))
-        return solver(gb)
+        return reduce(gb)
 
-    monkeypatch.setattr(acs, "_band_eigvalsh", spy)
+    monkeypatch.setattr(acs, "_band_tridiagonal", spy)
     return bands
 
 
@@ -467,7 +467,7 @@ class TestBandGramRoute:
         assert p_metric(A) == p_metric(-A)
         assert band_route == [(n, 2 * b)] * 2
 
-    @pytest.mark.parametrize("f, routine", [(F_REAL, "dsbev"), (F_CPLX, "zhbev")],
+    @pytest.mark.parametrize("f, routine", [(F_REAL, "dsbtrd"), (F_CPLX, "zhbtrd")],
                              ids=["real", "complex"])
     def test_nonzero_info_falls_back(self, f, routine, route, monkeypatch):
         calls = []
@@ -484,7 +484,7 @@ class TestBandGramRoute:
         gb = acs._gram_band(*matrices._svd_reduce(A, A != 0))
         message = f"eigensolver failed: {routine} returned info = 1"
         with pytest.raises(NumericalError, match=message):
-            matrices._band_eigvalsh(gb)
+            matrices._band_tridiagonal(gb)
 
     def test_dense_eigensolver_failure_falls_back(self, route, monkeypatch):
         def failing(G):
@@ -504,6 +504,8 @@ class TestBandGramRoute:
         assert band_route == [(1600, 41)]
         assert route == ["gram"]
         assert abs(p - p_real_svd(A)) <= 1e-12 * p
+        counted, full = count_and_sterf(A)  # Sturm counts against dsterf on the same band
+        assert counted == p and abs(p - full) <= 1e-12 * p
 
     @pytest.mark.parametrize("scale", [2.0**-520, 2.0**520], ids=["tiny", "huge"])
     def test_extreme_scales_fall_back(self, scale, route, band_route, band_svd):
@@ -523,6 +525,219 @@ class TestBandGramRoute:
         p = p_metric(A)
         assert band_route == [(n, math.isqrt(n) + 1)] and band_svd == []
         assert abs(p - p_real_svd(A)) <= 1e-12 * p
+
+
+def rotations(n, offset, rng):
+    """An orthogonal n x n matrix of random plane rotations on the index
+    pairs (offset + 2j, offset + 2j + 1): a band of half-bandwidth 1."""
+    Q = np.eye(n)
+    for i in range(offset, n - 1, 2):
+        c, s = np.cos(t := rng.uniform(0, 2 * np.pi)), np.sin(t)
+        Q[i : i + 2, i : i + 2] = [[c, -s], [s, c]]
+    return Q
+
+
+def banded_with_spectrum(sigma, seed=0):
+    """A band of half-bandwidth 2 whose singular values are sigma, to
+    roundoff: two layers of plane rotations around a diagonal that holds
+    sigma in a random order."""
+    rng = np.random.default_rng(seed)
+    n = len(sigma)
+    return rotations(n, 0, rng) @ np.diag(rng.permutation(sigma)) @ rotations(n, 1, rng)
+
+
+def count_and_sterf(A):
+    """(p from Sturm counts, p from dsterf) of A's Gram band, each None where
+    its gate declines, from the same tridiagonal."""
+    n = A.shape[0]
+    gb = acs._gram_band(*matrices._svd_reduce(A, A != 0))
+    d, e = matrices._band_tridiagonal(gb)
+    counted = acs._count_p(d.copy(), e.copy(), n)
+    return counted, acs._spectrum_p(matrices._tridiagonal_eigvalsh(d, e), n)
+
+
+@pytest.fixture
+def sterf(monkeypatch):
+    """Records the size of every tridiagonal that the count route hands
+    dsterf."""
+    sizes = []
+    solver = acs._tridiagonal_eigvalsh
+    monkeypatch.setattr(acs, "_tridiagonal_eigvalsh",
+                        lambda d, e: sizes.append(d.size) or solver(d, e))
+    return sizes
+
+
+def random_band(n, b, dtype, seed):
+    """A random band of half-bandwidth b whose singular values lie in
+    [1/3, 1], so that none sinks below the Gram gate and p lies inside."""
+    rng = np.random.default_rng(seed)
+    A = half_integer_band(n, b, dtype, rng) + np.triu(np.tril(rng.standard_normal((n, n)), b), -b)
+    shift = 2 * np.abs(A).sum(axis=1).max()  # ||A||_2 <= shift / 2
+    return (A + shift * np.eye(n)) / (1.5 * shift)
+
+
+# ties: sigma_i = 0.5 - (i-1)/n for i <= ties, so (i-1)/n + sigma_i = 0.5
+# at each of them, and every later index lies above 0.5
+def tied(n, ties):
+    sigma = np.full(n, 0.5 - (ties - 1) / n)
+    sigma[:ties] = 0.5 - np.arange(ties) / n
+    return sigma
+
+
+class TestCountRoute:
+    """The band Gram route finds p from Sturm counts on the band's
+    tridiagonal: the same p as dsterf's full spectrum on the same band and as
+    the dense SVD, the same gate decision, and dsterf when the search cannot
+    finish."""
+
+    @staticmethod
+    def operand(case):
+        if case.startswith("random"):
+            _, kind, n, b = case.split("-")
+            dtype = float if kind == "real" else complex
+            return random_band(int(n), int(b), dtype, int(n) + int(b))
+        if case.startswith("glt-lc"):
+            return glt_minus_lc(F_CPLX if case.endswith("complex") else F_REAL, 1024)
+        return banded_with_spectrum(tied(768, 8), seed=3)
+
+    # kd = 2b reaches n/16 on the random bands at n = 512 and 1024
+    # (the captured glt - normal form operands: test_benchmark_normal_form_at_1600_is_certified)
+    @pytest.mark.parametrize("case", ["random-real-512-16", "random-complex-512-4",
+                                      "random-real-1024-32", "random-complex-1024-7",
+                                      "random-real-1600-12", "glt-lc-real", "glt-lc-complex",
+                                      "ties"])
+    def test_p_matches_dsterf_and_the_dense_svd(self, case, sterf, band_route):
+        A = self.operand(case)
+        counted, full = count_and_sterf(A)
+        assert counted is not None and full is not None
+        assert abs(counted - full) <= 1e-12 * full
+        p = p_metric(A)
+        assert p == counted and p == p_metric(-A)
+        assert abs(p - (p_svd(A) if np.iscomplexobj(A) else p_real_svd(A.real))) <= 1e-12 * p
+        assert sterf == [] and len(band_route) == 2
+
+    def test_ties_are_each_refined(self):
+        # eight indices tie at p = 1/2; p is found to roundoff
+        A = banded_with_spectrum(tied(768, 8), seed=3)
+        assert p_metric(A) == pytest.approx(0.5, rel=1e-14)
+
+    @pytest.mark.parametrize("period", [4, 8])
+    def test_rank_deficient_cores_are_declined_by_both_gates(self, period, route, band_svd):
+        # sigma_i = 0 at every index 2 mod period, so that no row or column
+        # of the band is zero, and in [0.9, 1] elsewhere: p = 1 - 1/period
+        # is set at a zero singular value, which the Gram matrix cannot
+        # resolve, so both gates decline and the band SVD takes the core
+        n = 768
+        rng = np.random.default_rng(11)
+        sigma = rng.uniform(0.9, 1.0, n)
+        sigma[2::period] = 0
+        A = rotations(n, 0, rng) @ np.diag(sigma) @ rotations(n, 1, rng)
+        assert matrices._svd_reduce(A, A != 0)[0].shape == (n, n)
+        assert count_and_sterf(A) == (None, None)
+        p = p_metric(A)
+        assert route == [] and band_svd == [2]
+        assert p == pytest.approx(1 - 1 / period, rel=1e-12)
+        assert p == pytest.approx(p_svd(A), rel=1e-12)
+
+    def test_gate_decision_equals_the_full_spectrum_gate(self):
+        # scaling the glt - lc difference moves the gate's bound with
+        # sigma_1^2 / p: it passes at 1e-3 and 1, and declines from 1e3
+        decisions = []
+        for scale in (1e-3, 1.0, 1e3, 1e5):
+            counted, full = count_and_sterf(scale * glt_minus_lc(F_REAL, 1024))
+            assert (counted is None) == (full is None)
+            if full is not None:
+                assert abs(counted - full) <= 1e-12 * full
+            decisions.append(full is not None)
+        assert decisions == [True, True, False, False]
+
+    def test_many_ties_take_dsterf(self, sterf, route):
+        # more live intervals than one count call holds
+        n = 768
+        A = banded_with_spectrum(tied(n, acs._COUNT_BATCH + 8), seed=4)
+        p = p_metric(A)
+        assert sterf == [n] and route == ["gram"]
+        assert p == pytest.approx(0.5, rel=1e-14) and p == pytest.approx(p_svd(A), rel=1e-12)
+
+    def test_round_cap_takes_dsterf(self, sterf, route, monkeypatch):
+        A = glt_minus_lc(F_REAL, 576)
+        p = p_metric(A)
+        monkeypatch.setattr(acs, "_COUNT_ROUNDS", 5)
+        assert p_metric(A) == pytest.approx(p, rel=1e-12)
+        assert sterf == [576] and route == ["gram", "gram"]
+
+    @pytest.mark.parametrize("call", [0, 1, 20])
+    def test_non_monotone_count_takes_dsterf(self, call, sterf, route, monkeypatch):
+        # one count is raised above its left neighbour's: the search stops
+        # and dsterf gives the full spectrum of the same tridiagonal
+        counter = acs._sturm_counter
+
+        def broken(d, e, size):
+            below, calls = counter(d, e, size), []
+
+            def counts(x):
+                out = below(x)
+                if len(calls) == call:
+                    out[-1] = 0  # the last point is the highest, where N(t) < k
+                calls.append(x.size)
+                return out
+
+            return counts
+
+        A = glt_minus_lc(F_CPLX, 576)
+        gb = acs._gram_band(*matrices._svd_reduce(A, A != 0))
+        full = acs._spectrum_p(matrices._tridiagonal_eigvalsh(*matrices._band_tridiagonal(gb)), 576)
+        monkeypatch.setattr(acs, "_sturm_counter", broken)
+        assert p_metric(A) == full
+        assert sterf == [576] and route == ["gram"]
+
+    def test_counter_takes_at_most_its_size(self):
+        below = matrices._sturm_counter(np.arange(4.0), np.ones(3), 5)
+        assert below(np.array([-10.0, 1.5, 10.0])).tolist() == [0, 2, 4]
+        with pytest.raises(ValueError, match="at most 6 points"):
+            below(np.zeros(7))
+
+    def test_dlaebz_failure_falls_back(self, route, monkeypatch):
+        import ctypes
+
+        def failing(*pointers):
+            ctypes.cast(pointers[-1], ctypes.POINTER(ctypes.c_int64))[0] = -1  # info
+
+        table = {**matrices._lapack(), "dlaebz": failing}
+        assert table["int"] == np.int64
+        monkeypatch.setattr(matrices, "_lapack", lambda: table)
+        A = glt_minus_lc(F_REAL, 576)
+        assert p_metric(A) == p_svdvals(A)
+        assert route == ["dense"]
+
+
+# seeds 0-4 of perfbench's `acs-normal-form` workload: its normal-form terms
+# (seeds 0-2 as BENCH_NF_TERMS) and its glt-vs-lc symbol
+BENCH_SECTIONS = [
+    (BENCH_NF_TERMS[0], "1.1044 + 1.0510*x^2 | 1.2298 + 1.2076*cos(theta) + 0.3444*i*sin(2*theta)"),
+    (BENCH_NF_TERMS[1], "1.2197 + 0.8527*x^2 | 1.0683 + 0.9402*cos(theta) + 0.3743*i*sin(2*theta)"),
+    (BENCH_NF_TERMS[2], "1.0954 + 1.0902*x^2 | 1.0156 + 0.7619*cos(theta) + 0.5184*i*sin(2*theta)"),
+    ("1.0228 + 0.7513*x^2 | 1.0084 + 0.9557*cos(theta) + 0.4449*i*sin(2*theta) ; "
+     "exp(0.5698*x) | 0.9388 + 0.8096*cos(theta) + 0.3924*i*sin(2*theta)",
+     "0.8898 + 1.1562*x^2 | 0.9779 + 0.8495*cos(theta) + 0.5899*i*sin(2*theta)"),
+    ("1.0167 + 0.8922*x^2 | 0.8597 + 1.2470*cos(theta) + 0.5576*i*sin(2*theta) ; "
+     "exp(0.3720*x) | 1.2019 + 0.8457*cos(theta) + 0.5569*i*sin(2*theta)",
+     "1.0685 + 1.2075*x^2 | 1.0396 + 0.8666*cos(theta) + 0.3895*i*sin(2*theta)"),
+]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_benchmark_band_grams_are_certified_by_counts(seed, tmp_path, route, band_route, sterf,
+                                                      band_svd):
+    terms, glt = BENCH_SECTIONS[seed]
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(f"[global]\noutput = {tmp_path / 'r.csv'}\n\n"
+                   f"[normal_form]\nkind = normal-form\nterms = {terms}\nsizes = 256, 576, 1600\n\n"
+                   f"[acs_glt_lc]\nkind = acs\nsequence_a = glt({glt})\n"
+                   f"sequence_b = lc({glt})\nsizes = 256, 576, 1024\n", encoding="utf-8")
+    assert main(["run", str(cfg)]) == 0
+    assert [n for n, _ in band_route] == [576, 1600, 576, 1024]
+    assert route == ["gram"] * 6 and sterf == [] and band_svd == []
 
 
 @pytest.fixture

@@ -672,6 +672,45 @@ SMALL_CHECK = (
 )
 
 
+class TestRefusedExpressionsExit2:
+    """Deep nesting and a trig factor that its polynomial does not fit end
+    as exit 2 with one message line, never a traceback or a report."""
+
+    def assert_one_line(self, proc, prefix, *fragments):
+        assert proc.returncode == 2
+        assert proc.stdout == "" and "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(prefix) and proc.stderr.count("\n") == 1
+        for fragment in fragments:
+            assert fragment in proc.stderr
+
+    def test_parse_of_3000_nested_parentheses(self):
+        proc = run_installed_cli("parse", "(" * 3000 + "x" + ")" * 3000)
+        self.assert_one_line(proc, "parse error: ", "parentheses nested deeper than 100",
+                             "(at position 100)")
+
+    def test_run_with_300_nested_parentheses(self, tmp_path):
+        cfg = write_config(tmp_path, "[deep]\nkind = symbol-check\n"
+                           f"sequence = diag({'(' * 300}x{')' * 300})\nsymbol = x\nsizes = 4\n")
+        self.assert_one_line(run_installed_cli("run", cfg), "config error: ",
+                             "parentheses nested deeper than 100")
+
+    @pytest.mark.parametrize("factor", ["cos(20*theta)", "cos(9*theta)", "cos(64*theta)",
+                                        "exp(theta)"])
+    def test_run_with_a_factor_beyond_max_degree(self, tmp_path, factor):
+        # at the parent, toeplitz(cos(20*theta)) built the zero matrix and
+        # this check PASSed at n = 64 and 256 with exit 0
+        cfg = write_config(tmp_path, "[z]\nkind = symbol-check\n"
+                           f"sequence = toeplitz({factor})\nsymbol = 0\nsizes = 64, 256\n")
+        self.assert_one_line(run_installed_cli("run", cfg), "config error: ",
+                             f"bad trig factor {factor!r}", "degree <= 8")
+
+    def test_a_higher_max_degree_fits(self, tmp_path):
+        cfg = write_config(tmp_path, "[z]\nkind = symbol-check\nmax_degree = 20\n"
+                           "sequence = toeplitz(cos(20*theta))\nsymbol = cos(20*theta)\n"
+                           "sizes = 64, 256\n")
+        assert run_cli(["run", cfg])[0] == 0
+
+
 class TestIOErrorsExit2:
     """A config that cannot be read and a report or dump that cannot be
     written end as `config error:` and exit 2, never a traceback (exit 1
@@ -795,14 +834,14 @@ class TestOneBlasThread:
         seen = [spy_threads(monkeypatch, cli.RUNNERS, kind, threads)
                 for kind in ("symbol-check", "acs")]
         band = []
-        for module, name in ((matrices, "_band_svdvals"), (acs, "_band_eigvalsh")):
+        for module, name in ((matrices, "_band_svdvals"), (acs, "_band_tridiagonal")):
             routine = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *a, name=name, routine=routine:
                                 band.append(name) or routine(*a))
         assert run_cli(["run", cfg])[0] == 0
         assert out.read_bytes() == pinned
         assert seen == [[2], [2]] and threads() == 2
-        assert band == ["_band_svdvals", "_band_eigvalsh", "_band_eigvalsh"]
+        assert band == ["_band_svdvals", "_band_tridiagonal", "_band_tridiagonal"]
 
 
 def test_reports_do_not_depend_on_openblas_num_threads(tmp_path):

@@ -611,6 +611,70 @@ class TestBandHooks:
         assert matrices._transpose_band(ab, b).tobytes() == matrices._band_storage(A.T, b).tobytes()
 
 
+def slot_index(n, b):
+    """The index-array form of band storage: slot [j, b + d] stands for entry
+    (i[j, b + d], j), i = (j + d) mod n, and is `off` (no entry) where j + d
+    lies off the matrix and n <= 2b."""
+    raw = np.add.outer(np.arange(n), np.arange(-b, b + 1))
+    i = raw % n
+    return i, (i != raw) & (n <= 2 * b)
+
+
+class TestSliceBandStorage:
+    """`_band_storage` and `_write_band` copy one diagonal slice per run of
+    slots; the index-array form is their bitwise oracle."""
+
+    CASES = [(1, 0), (1, 3), (2, 1), (3, 5), (4, 2), (5, 2), (7, 2), (7, 3), (9, 4), (10, 4),
+             (40, 6), (64, 0), (64, 31), (64, 32)]
+
+    @staticmethod
+    def draw(shape, dtype, rng):
+        M = rng.choice([-1.5, -0.0, 0.0, 2.0], size=shape).astype(dtype)
+        if dtype is complex:
+            M += 1j * rng.choice([-0.0, 0.0, 0.5], size=shape)
+        return M
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("n, b", CASES)
+    def test_band_storage_equals_the_index_arrays(self, n, b, dtype):
+        M = self.draw((n, n), dtype, np.random.default_rng(n + 7 * b))
+        i, off = slot_index(n, b)
+        want = M[i, np.arange(n)[:, None]]
+        want[off] = 0
+        assert matrices._band_storage(M, b).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("n, b", CASES)
+    def test_write_band_equals_the_index_arrays(self, n, b, dtype):
+        rng = np.random.default_rng(n + 7 * b)
+        M, ab = self.draw((n, n), dtype, rng), self.draw((n, 2 * b + 1), dtype, rng)
+        i, off = slot_index(n, b)
+        want = M.copy()
+        want[i[~off], np.nonzero(~off)[0]] = ab[~off]
+        got = matrices._write_band(M, ab, b)
+        assert got is M and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("M", [np.zeros((8, 8), order="F"), np.zeros((8, 16))[:, ::2]],
+                             ids=["fortran", "strided"])
+    def test_write_band_refuses_an_array_without_a_flat_view(self, M):
+        # a flat copy would take the writes and leave M as it was
+        with pytest.raises(ValueError, match="C-contiguous"):
+            matrices._write_band(M, np.ones((8, 3)), 1)
+
+    def test_sequences_return_c_contiguous_arrays(self):
+        seq = matrices.MatrixSeq("transposed", lambda n: np.arange(n * n).reshape(n, n).T)
+        A = seq(5)
+        assert A.flags.c_contiguous and A.dtype == complex
+        assert A.tobytes() == np.arange(25.0).reshape(5, 5).T.astype(complex).tobytes()
+
+    def test_no_index_arrays(self, traced_peak):
+        # the index-array form held three n x (2b+1) int64 arrays
+        M = np.ones((1024, 1024), complex)
+        ab = matrices._band_storage(M, 32)
+        assert traced_peak(matrices._band_storage, M, 32) < 1.1 * ab.nbytes
+        assert traced_peak(matrices._write_band, M, ab, 32) < 64 * 1024
+
+
 def seq_builders():
     """Every public `*_seq` builder, with the arguments each is built from."""
     two = GltExpr(((A_NEG, F_BAND), (A_CPLX, TWO_COS)))

@@ -33,7 +33,7 @@ def run_python(*parts: str) -> dict:
 # counts the calls of the two band routes' LAPACK wrappers
 SPY = """
     from glt_lab import matrices
-    calls = {"_band_svdvals": 0, "_band_eigvalsh": 0}
+    calls = {"_band_svdvals": 0, "_band_tridiagonal": 0}
     def spy(name):
         routine = getattr(matrices, name)
         def counted(*args):
@@ -42,7 +42,7 @@ SPY = """
         return counted
     matrices._band_svdvals = spy("_band_svdvals")
     import glt_lab.acs
-    glt_lab.acs._band_eigvalsh = spy("_band_eigvalsh")
+    glt_lab.acs._band_tridiagonal = spy("_band_tridiagonal")
 """
 
 GLT_LC = """
@@ -103,7 +103,7 @@ def test_cold_banded_svdvals_leaves_scipy_out(coeffs):
                            "error": float(np.abs(s - dense).max() / max(1.0, dense[0]))}}))
     """)
     assert out.pop("error") <= 1e-12
-    assert out == {"scipy": False, "calls": {"_band_svdvals": 1, "_band_eigvalsh": 0}}
+    assert out == {"scipy": False, "calls": {"_band_svdvals": 1, "_band_tridiagonal": 0}}
 
 
 def test_p_metric_leaves_scipy_out():
@@ -114,7 +114,7 @@ def test_p_metric_leaves_scipy_out():
         p_metric(A)
         print(json.dumps({"scipy": "scipy" in sys.modules, "calls": calls}))
     """)
-    assert out == {"scipy": False, "calls": {"_band_svdvals": 0, "_band_eigvalsh": 1}}
+    assert out == {"scipy": False, "calls": {"_band_svdvals": 0, "_band_tridiagonal": 1}}
 
 
 def test_band_routes_run_with_scipy_blocked():
@@ -140,7 +140,7 @@ def test_band_routes_run_with_scipy_blocked():
         print(json.dumps({"calls": calls, "ladder": float(np.abs(ladder - dense).max()),
                           "p": abs(p - p_dense) / p_dense}))
     """)
-    assert out.pop("calls") == {"_band_svdvals": 3, "_band_eigvalsh": 1}
+    assert out.pop("calls") == {"_band_svdvals": 3, "_band_tridiagonal": 1}
     assert out["ladder"] <= 1e-12 and out["p"] <= 1e-12
 
 

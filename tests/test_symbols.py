@@ -1,3 +1,4 @@
+import operator
 from decimal import Decimal
 
 import numpy as np
@@ -16,7 +17,7 @@ from glt_lab import (
     symbols_equal_in_distribution,
     trig_poly_from_expr,
 )
-from glt_lab.symbols import ROLE_VARS, SymbolGrid
+from glt_lab.symbols import FIT_RTOL, MAX_NESTING, ROLE_VARS, SymbolGrid, _ast_to_sexpr
 
 TWO_COS = TrigPoly.from_coeff_map({1: 1, -1: 1})
 SHIFT = TrigPoly.from_coeff_map({1: 1})
@@ -189,6 +190,105 @@ def _as_expr(f: TrigPoly):
         f"({_literal(c.real)}+{_literal(c.imag)}*i)*exp(i*{_literal(k)}*theta)"
         for k, c in zip(range(-f.degree, f.degree + 1), f.coeffs)
     ), "k")
+
+
+class TestNestingLimit:
+    """Parentheses nest at most MAX_NESTING deep, a function call's included;
+    past that the parser raises ExprSyntaxError at the '(' that passes the
+    limit, never RecursionError, however deep the source goes.  Operator
+    chains are not nesting: a sum may have any number of terms."""
+
+    @staticmethod
+    def nested(kind, levels):
+        if kind == "parentheses":
+            return "(" * levels + "x" + ")" * levels
+        return "cos(" * levels + "x" + ")" * levels
+
+    @pytest.mark.parametrize("kind, position", [("parentheses", MAX_NESTING),
+                                                ("calls", 4 * MAX_NESTING + 3)])
+    def test_the_limit(self, kind, position):
+        expr = parse_expr(self.nested(kind, MAX_NESTING), "a")
+        assert np.isfinite(expr(x=np.linspace(0, 1, 5))).all()
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse_expr(self.nested(kind, MAX_NESTING + 1), "a")
+        assert str(exc.value) == (f"parentheses nested deeper than {MAX_NESTING} "
+                                  f"(at position {position})")
+
+    @pytest.mark.parametrize("kind", ["parentheses", "calls"])
+    @pytest.mark.parametrize("levels", [300, 3000, 30000])
+    def test_deep_sources_raise_a_positioned_error(self, kind, levels):
+        with pytest.raises(ExprSyntaxError, match="nested deeper") as exc:
+            parse_expr(self.nested(kind, levels), "k")
+        assert exc.value.position == (MAX_NESTING if kind == "parentheses" else 4 * MAX_NESTING + 3)
+
+    @pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+    def test_long_chains_evaluate_in_order(self, op):
+        # 30000 operands fold to the left as before, evaluated without recursion
+        fn = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}[op]
+        operands = ["x", "1.25", "x", "0.8"] * 7500
+        expr = parse_expr(op.join(operands), "a")
+        x = np.linspace(0.9995, 1, 3).astype(complex)
+        want = x
+        for token in operands[1:]:
+            want = fn(want, x if token == "x" else complex(float(token)))
+        assert expr(x=x.real).tobytes() == want.tobytes()
+        printed = _ast_to_sexpr(parse_expr("x + 2*x - x/3 + 4", "a").ast)
+        assert printed == "(+ (- (+ x (* 2 x)) (/ x 3)) 4)"
+
+
+class TestTrigFactorMisfit:
+    """A trig factor must be a trig polynomial of degree <= max_degree to
+    within FIT_RTOL relative, checked on 2 quad + 1 midpoints that the
+    extraction does not use; otherwise VariableError names the degree."""
+
+    @pytest.mark.parametrize("source", [
+        "cos(20*theta)",    # dropped: the zero matrix
+        "cos(9*theta)",     # one above max_degree
+        "cos(64*theta)",    # aliases onto the constant -1 on the 64 extraction nodes
+        "cos(56*theta)",    # aliases onto -cos(8*theta)
+        "exp(theta)",       # no trig polynomial at all
+        "abs(cos(theta))",
+        "cos(cos(theta))",  # misfit 5.3e-10 at degree 8
+    ])
+    def test_misfits_are_refused(self, source):
+        with pytest.raises(VariableError, match=r"not a trig polynomial of degree <= 8: "
+                                                r"relative misfit \S+ above 1e-10"):
+            trig_poly_from_expr(parse_expr(source, "k"))
+
+    def test_a_higher_degree_fits(self):
+        assert trig_poly_from_expr(parse_expr("cos(9*theta)", "k"), 9).degree == 9
+        f = trig_poly_from_expr(parse_expr("cos(cos(theta))", "k"), 10)
+        assert f.degree == 10
+        theta = np.linspace(-np.pi, np.pi, 101)
+        np.testing.assert_allclose(f(theta), np.cos(np.cos(theta)), rtol=0, atol=FIT_RTOL)
+
+    @pytest.mark.parametrize("degree", [9, 10, 17, 55, 56, 57, 63, 64, 65, 127, 128, 129, 1000])
+    def test_degrees_above_the_limit(self, degree):
+        # every degree above 8, the aliasing ones (multiples of 64 and of
+        # 129 nearby) included, with a phase and a constant beside it
+        source = f"1 + 0.5*cos({degree}*theta + 0.3) + i*sin(theta)"
+        with pytest.raises(VariableError, match="degree <= 8"):
+            trig_poly_from_expr(parse_expr(source, "k"))
+
+    def test_the_check_at_the_largest_degree_is_one_fft(self, traced_peak):
+        # 32777 check nodes against 8193 coefficients: a dense evaluation
+        # would hold a 4.3 GB phase matrix
+        def extract(source):
+            try:
+                trig_poly_from_expr(parse_expr(source, "k"), 4096)
+            except VariableError:
+                pass
+
+        for source in ("0.5 + cos(4000*theta)", "exp(theta)"):
+            assert traced_peak(extract, source) < 8e6
+
+    def test_benchmark_factors_fit_to_roundoff(self):
+        # the degree-2 factors of perfbench's workloads: the check passes
+        # them, and the coefficients are the ones written
+        source = "1.1080 + 0.7665*cos(theta) + 0.4578*i*sin(2*theta)"
+        f = trig_poly_from_expr(parse_expr(source, "k"))
+        want = TrigPoly.from_coeff_map({0: 1.108, 1: 0.38325, -1: 0.38325, 2: 0.2289, -2: -0.2289})
+        np.testing.assert_allclose(f.coeffs, want.coeffs, rtol=0, atol=1e-15)
 
 
 class TestFourierCoeff:
