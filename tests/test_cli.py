@@ -704,6 +704,35 @@ class TestRefusedExpressionsExit2:
         self.assert_one_line(run_installed_cli("run", cfg), "config error: ",
                              f"bad trig factor {factor!r}", "degree <= 8")
 
+    def test_random_refused_configs(self, tmp_path):
+        # seeded draws: factors above max_degree, degrees that alias onto
+        # the extraction nodes (multiples of quad, plus or minus a small
+        # degree), and nesting past the limit, in every head that takes a
+        # trig factor; each run ends as exit 2 with one `config error:` line
+        # before any ladder runs, and no report
+        rng = np.random.default_rng(26)
+        heads = ["toeplitz({f})", "circulant({f})", "lt(x | {f})", "lc(1 + x | {f})",
+                 "glt(1 | 2 ; x | {f})", "normal-form(1 | 2 + cos(theta) ; x | {f})"]
+        for draw in range(40):
+            max_degree = int(rng.integers(0, 12))
+            quad = max(4 * (max_degree + 1), 64)
+            kind = draw % 3
+            if kind == 0:
+                f = f"2 + cos({int(rng.integers(max_degree + 1, 4 * quad))}*theta)"
+            elif kind == 1:
+                degree = int(rng.integers(1, 4)) * quad + int(rng.integers(-max_degree, max_degree + 1))
+                f = f"1 + 0.5*sin({degree}*theta + {rng.uniform(0, 3):.3f})"
+            else:
+                depth = int(rng.integers(101, 2000))
+                f = "(" * depth + "2 + cos(theta)" + ")" * depth
+            out = tmp_path / f"r{draw}.csv"
+            cfg = write_config(tmp_path, f"[global]\noutput = {out}\n\n[s]\nkind = acs\n"
+                               f"sequence_a = {heads[draw % len(heads)].format(f=f)}\n"
+                               f"sequence_b = zero\nmax_degree = {max_degree}\nsizes = 16, 36\n")
+            code, stdout, err = run_cli(["run", cfg])
+            assert code == 2 and stdout == "" and not out.exists(), f
+            assert err.startswith("config error: ") and err.count("\n") == 1, err
+
     def test_a_higher_max_degree_fits(self, tmp_path):
         cfg = write_config(tmp_path, "[z]\nkind = symbol-check\nmax_degree = 20\n"
                            "sequence = toeplitz(cos(20*theta))\nsymbol = cos(20*theta)\n"
