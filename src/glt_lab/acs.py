@@ -20,11 +20,9 @@ from .matrices import (
     MatrixSeq,
     _Band,
     _band_reduce,
-    _band_storage,
     _band_tridiagonal,
     _banded_svdvals,
     _check_ladder,
-    _dense,
     _dense_svdvals,
     _lapack,
     _pad,
@@ -32,7 +30,6 @@ from .matrices import (
     _sturm_counter,
     _svd_reduce,
     _tridiagonal_eigvalsh,
-    _write_band,
 )
 
 __all__ = [
@@ -91,15 +88,13 @@ def _gram(C: np.ndarray) -> np.ndarray:
     return C.conj().T @ C if C.shape[0] >= C.shape[1] else C @ C.conj().T
 
 
-def _gram_band(C, b):
-    """C^H C of a square core C in LAPACK lower band storage
-    (`_band_tridiagonal`), or None when C is off the band route's gate, in
-    O(n z kd) work for z nonzero diagonals.  b is C's half-bandwidth as
-    `_svd_reduce` or `_band_reduce` returns it: None for a core that is not
-    square or too wide.  C is dense or a `_Band` of half-bandwidth b.  C is
-    off the gate too when n is below _GRAM_BAND_MIN_N, when kd is above
-    n/_GRAM_BAND_N_PER_KD, when its entries lie outside _GRAM_SCALE, and when
-    numpy's BLAS lacks the band routines.
+def _gram_band(C: _Band):
+    """C^H C of a band core C from `_band_reduce` in LAPACK lower band
+    storage (`_band_tridiagonal`), or None when C is off the band route's
+    gate, in O(n z kd) work for z nonzero diagonals.  C is off the gate when
+    n is below _GRAM_BAND_MIN_N, when kd is above n/_GRAM_BAND_N_PER_KD,
+    when its entries lie outside _GRAM_SCALE, and when numpy's BLAS lacks
+    the band routines.
 
     C's band storage puts column j in row j, so entry (j + d, j) of the Gram
     matrix is the sum over s of conj(ab[j + d, s]) * ab[j, s + d]: both
@@ -110,10 +105,10 @@ def _gram_band(C, b):
     Gram diagonals beyond the widest such spread are exact zeros and are not
     formed.
     """
-    n = C.shape[0]
-    if b is None or n < _GRAM_BAND_MIN_N or _lapack() is None:
+    ab, b = C
+    n = ab.shape[0]
+    if n < _GRAM_BAND_MIN_N or _lapack() is None:
         return None
-    ab = C.ab if isinstance(C, _Band) else _band_storage(C, b)
     cols = np.flatnonzero(ab.any(axis=0))  # storage column s holds diagonal s - b
     held = np.zeros((n, cols.size), bool)  # held[i, c]: row i has a nonzero on diagonal cols[c] - b
     for c, s in enumerate(cols):
@@ -227,11 +222,11 @@ def _spectrum_p(lam: np.ndarray, n: int):
     return p if loss <= _GRAM_RTOL * p * setting.min() else None
 
 
-def _gram_p(core, n: int, b):
+def _gram_p(core, n: int):
     """p of a reduced core from its Gram matrix, or None when the core's
     entries lie outside _GRAM_SCALE, an eigensolver fails, or the gate
-    cannot certify the value.  b is the core's half-bandwidth from
-    `_svd_reduce`; a `_Band` core off the band route forms its dense matrix.
+    cannot certify the value.  A `_Band` core off the band route forms its
+    dense matrix; a dense core never takes the band route.
 
     On the band route (`_gram_band`), ?sbtrd/?hbtrd reduce the Gram band to
     a real tridiagonal and Sturm counts find p (`_count_p`); otherwise a
@@ -242,12 +237,14 @@ def _gram_p(core, n: int, b):
     seven, 2-vCPU machine, OpenBLAS 0.3.31).  A core that passes the gate of
     `_gram_band` costs far less (see `_GRAM_BAND_MIN_N`).
     """
-    gb = _gram_band(core, b)
     try:
-        if gb is not None:
-            return _count_p(*_band_tridiagonal(gb), n)
+        if isinstance(core, _Band):
+            gb = _gram_band(core)
+            if gb is not None:
+                return _count_p(*_band_tridiagonal(gb), n)
+            core = core.dense()
         # a strided real part is copied once, for both passes
-        core = np.ascontiguousarray(_dense(core))
+        core = np.ascontiguousarray(core)
         if not _in_scale(core):  # also the empty core of A = 0
             return None
         return _spectrum_p(np.linalg.eigvalsh(_gram(core)), n)
@@ -279,18 +276,23 @@ def p_metric(A) -> float:
     tested, but the dense SVD can round -C differently, so that route alone
     decomposes the core in one canonical sign.
 
-    A may be a `matrices._Band`.  With no zero row or column and on the band
-    gate it is its own core, and otherwise its core is scattered from its
-    slots (`_band_reduce`); either way p is the dense matrix's bit for bit.
+    A may be a `matrices._Band`, and only a band core takes the band
+    routes: its core is a band when its zero rows are its zero columns and
+    it lies on the band gate, and otherwise it is scattered from its slots
+    into a dense core (`_band_reduce`).  A dense A always takes the dense
+    routes, which are the band routes' test oracle.
     """
     A = _operand(A)
     n = A.shape[0]
-    core, b = _band_reduce(A) if isinstance(A, _Band) else _svd_reduce(A, A != 0)
-    p = _gram_p(core, n, b)
+    core = _band_reduce(A) if isinstance(A, _Band) else _svd_reduce(A)
+    p = _gram_p(core, n)
     if p is None:
-        s = _banded_svdvals(core, b)
-        s = _dense_svdvals(_canonical_sign(_dense(core)), n) if s is None else _pad(s, n)
-        p = _objective(s).min()
+        if isinstance(core, _Band):
+            s = _banded_svdvals(core)
+            if s is not None:
+                return float(_objective(_pad(s, n)).min())
+            core = core.dense()
+        p = _objective(_dense_svdvals(_canonical_sign(core), n)).min()
     return float(p)
 
 
@@ -338,30 +340,18 @@ class AcsEstimate:
 def _difference(seqA: MatrixSeq, seqB: MatrixSeq, n: int):
     """A_n - B_n, bit for bit, signed zeros included.  From n =
     _GRAM_BAND_MIN_N, the first size at which p_metric can keep its operand a
-    band, each sequence that carries `band` gives its band, not its dense
-    matrix.  Two bands are subtracted in band storage, padded to the wider
-    band (T_n - C_n keeps only C_n's wrapped slots), or densely when a
-    nonzero wrapped slot would alias at that width (`_Band.widened`).  With
-    one band the difference is the other operand's dense matrix, changed in
-    place on the entries the band's slots stand for; beyond them it is
-    A_n - 0 = A_n, or 0 - B_n when the band is A's (its dense matrix holds
-    +0 there), which is -B_n with every zero +0.  Below the floor, or with
-    no band, both are dense.  A_n is built first, so its errors come
-    first."""
-    banded = n >= _GRAM_BAND_MIN_N
-    A = seqA.band(n) if banded and seqA.band is not None else seqA(n)
-    B = seqB.band(n) if banded and seqB.band is not None else seqB(n)
-    if isinstance(A, _Band) and isinstance(B, _Band):
-        b = max(A.b, B.b)
-        if 2 * b < n or not (A.wraps() or B.wraps()):
-            return _Band(A.widened(b) - B.widened(b), b)
-        A, B = A.dense(), B.dense()  # a wrapped slot would alias at b
-    if isinstance(B, _Band):
-        return _write_band(A, _band_storage(A, B.b) - B.ab, B.b)
-    if isinstance(A, _Band):
-        inside = A.ab - _band_storage(B, A.b)
-        return _write_band(np.subtract(0.0, B, out=B), inside, A.b)
-    return A - B
+    band, two sequences that both carry `band` are subtracted in band
+    storage, padded to the wider band (T_n - C_n keeps only C_n's wrapped
+    slots), or densely when a nonzero wrapped slot would alias at that width
+    (`_Band.widened`).  Below the floor, or when either carries no band,
+    both are dense.  A_n is built first, so its errors come first."""
+    if n < _GRAM_BAND_MIN_N or seqA.band is None or seqB.band is None:
+        return seqA(n) - seqB(n)
+    A, B = seqA.band(n), seqB.band(n)
+    b = max(A.b, B.b)
+    if 2 * b < n or not (A.wraps() or B.wraps()):
+        return _Band(A.widened(b) - B.widened(b), b)
+    return A.dense() - B.dense()  # a wrapped slot would alias at b
 
 
 def _p_ladder(seqA: MatrixSeq, seqB: MatrixSeq, sizes) -> AcsEstimate:

@@ -1,11 +1,11 @@
 """Generators for every structured matrix family used in the laboratory.
 
 All generators return dense complex n x n arrays and are pure: the same size
-always yields the same matrix.  The banded families (Toeplitz, glt, locally
-circulant and normal form) also give A_n in LAPACK band storage (`_Band`,
-the `band` hook of their `MatrixSeq`), and their dense matrices are read
-from the same entries.  The locally-structured operators split n into
-m = floor(sqrt(n)) blocks of size floor(n/m) plus a trailing zero block.
+always yields the same matrix.  Every family but two counterexamples also
+gives A_n in LAPACK band storage (`_Band`, the `band` hook of its
+`MatrixSeq`), and its dense matrix is read from the same entries.  The
+locally-structured operators split n into m = floor(sqrt(n)) blocks of size
+floor(n/m) plus a trailing zero block.
 numpy builds every family.  The banded SVD path of `svdvals` reduces a narrow
 band to a bidiagonal with LAPACK's ?gbbrd and takes its singular values by
 dqds (dlasq1), in O(n^2 b) and within eps*sigma_1 of the dense SVD, and
@@ -50,6 +50,7 @@ __all__ = [
     "d_af",
     "counterexample",
     "COUNTEREXAMPLES",
+    "DENSE_ONLY",
     "toeplitz_seq",
     "diag_seq",
     "circulant_seq",
@@ -88,8 +89,6 @@ def block_layout(n: int) -> BlockLayout:
 @dataclass(frozen=True)
 class MatrixSeq:
     """A named matrix sequence: a pure map from size n to a dense n x n matrix.
-    Each call returns a new C-contiguous array the caller may overwrite
-    (`acs._difference` subtracts and writes band entries in place).
 
     `symbol` optionally attaches the symbol the sequence is expected to
     distribute like (a GltExpr, TrigPoly, FuncExpr or sampled grid).
@@ -106,13 +105,16 @@ class MatrixSeq:
     `_band_storage(seq(n), b)` holds, signed zeros included, raising the
     generator's errors at the same n; seq(n) holds +0 where no slot stands
     for an entry.  When n > 2b, slot [j, b + k] with j + k off the matrix
-    stands for the corner entry ((j + k) mod n, j).  `toeplitz_seq`,
-    `circulant_seq`, `glt_product_seq`, `lc_seq`, `normal_form_seq`,
-    `diagonal_factor_seq` (b = 0) and their `shifted` sequences carry it.
-    The residual ladders hand `singular_values` and `eigenvalues` the band
-    from n = _BAND_MIN_N, and the `acs` ladder builds its difference from it
-    from n = _GRAM_BAND_MIN_N, so a band route forms no dense n x n of that
-    sequence.  The dense generator stays the hook's oracle.
+    stands for the corner entry ((j + k) mod n, j).  Every builder and its
+    `shifted` sequences carry it but the DENSE_ONLY counterexamples: b = 0
+    for `diag_seq`, `identity_seq`, `zero_seq`, `diagonal_factor_seq` and
+    alt_identity, deg f for `toeplitz_seq`, `circulant_seq`, `lt_seq`,
+    `glt_product_seq` and jordan_shift, block - 1 for `lc_seq` and
+    `normal_form_seq`.  The residual ladders hand `singular_values` and
+    `eigenvalues` the band from n = _BAND_MIN_N, and the `acs` ladder
+    subtracts two bands from n = _GRAM_BAND_MIN_N, so a band route forms no
+    dense n x n of that sequence.  The dense generator stays the hook's
+    oracle.
     """
 
     name: str
@@ -214,7 +216,7 @@ _BAND_N_PER_B = 32
 # The band route of p_metric's Gram matrix (acs): a square core of size
 # n >= _GRAM_BAND_MIN_N whose half-bandwidth b and Gram half-width kd are
 # both at most n/_GRAM_BAND_N_PER_KD, the widest band any route takes, so
-# `_svd_reduce` reads b that far.  Its eigensolver costs O(n^2 kd) against
+# `_narrow` gates b there.  Its eigensolver costs O(n^2 kd) against
 # the dense route's O(n^3), and the two met near kd = n/16 on random bands
 # (Gram kd = 2b) on a 2-vCPU VM (OpenBLAS 0.3.31, two BLAS threads): at
 # kd = n/16 the band route took 0.78-1.01x the dense route's time real and
@@ -418,24 +420,6 @@ def _sturm_counter(d: np.ndarray, e: np.ndarray, size: int):
     return below
 
 
-def _half_bandwidth(A: np.ndarray, b_max: int):
-    """The outermost diagonal of a square A that holds a nonzero entry, or
-    None when one lies beyond b_max; A may be a mask.  Beyond one count of
-    A's nonzeros, the diagonals are counted outwards from the main one until
-    they hold all of them, so a band of half-bandwidth b costs O(n b)."""
-    n = A.shape[0]
-    left = np.count_nonzero(A)
-    if left > n * (2 * b_max + 1):
-        return None
-    for k in range(b_max + 1):
-        left -= np.count_nonzero(np.diagonal(A, k))
-        if k:
-            left -= np.count_nonzero(np.diagonal(A, -k))
-        if not left:
-            return k
-    return None
-
-
 def _slot_runs(n: int, b: int):
     """(column, rows, k) for every run of band storage at half-bandwidth b:
     the storage rows `rows` of column `column` hold, in order, diagonal k of
@@ -463,26 +447,18 @@ def _band_storage(M: np.ndarray, b: int) -> np.ndarray:
     return ab
 
 
-def _write_band(M: np.ndarray, ab: np.ndarray, b: int) -> np.ndarray:
-    """M, a C-contiguous square array, with the entries that band storage ab
-    (`_band_storage` at half-bandwidth b) stands for overwritten in place;
-    every other entry is left alone.  Each run of slots is written as a
-    slice of M's flat view, which steps n + 1 along a diagonal."""
-    if not M.flags.c_contiguous:
-        raise ValueError("_write_band writes into a C-contiguous array")
-    n = M.shape[0]
+def _band_to_dense(ab: np.ndarray, b: int) -> np.ndarray:
+    """The n x n matrix whose `_band_storage` at half-bandwidth b is ab, with
+    every entry no slot stands for +0: the inverse of `_band_storage`.  Each
+    run of slots is written as a slice of the flat view, which steps n + 1
+    along a diagonal."""
+    n = ab.shape[0]
+    M = np.zeros((n, n), dtype=ab.dtype)
     flat = M.reshape(-1)
     for column, rows, k in _slot_runs(n, b):
         first = k if k >= 0 else -k * n  # entry (max(-k, 0), max(k, 0))
         flat[first : first + (n + 1) * (rows.stop - rows.start) : n + 1] = ab[rows, column]
     return M
-
-
-def _band_to_dense(ab: np.ndarray, b: int) -> np.ndarray:
-    """The n x n matrix whose `_band_storage` at half-bandwidth b is ab, with
-    every entry no slot stands for +0: the inverse of `_band_storage`."""
-    n = ab.shape[0]
-    return _write_band(np.zeros((n, n), dtype=ab.dtype), ab, b)
 
 
 def _transpose_band(ab: np.ndarray, b: int) -> np.ndarray:
@@ -499,8 +475,9 @@ class _Band(NamedTuple):
     b, every entry no slot stands for zero; when n > 2b the wrapped slots
     hold its corners (`_slot_runs`), so a circulant's column b + k holds f_k
     in every row.  `singular_values` and `p_metric` take one beside a dense
-    array (its `shape` is (n, n)); where no band route can run they
-    decompose `dense()`, which is the same matrix bit for bit."""
+    array (its `shape` is (n, n)), and only a band takes the band routes;
+    where none can run they decompose `dense()`, which is the same matrix
+    bit for bit."""
 
     ab: np.ndarray
     b: int
@@ -530,96 +507,92 @@ class _Band(NamedTuple):
         return ab
 
 
-def _band_gate(nonzero: np.ndarray):
-    """The half-bandwidth of a square mask of size n >= _BAND_MIN_N, read up
-    to the widest band route's n // _GRAM_BAND_N_PER_KD; None beyond that,
-    and for a smaller or rectangular mask."""
-    n = nonzero.shape[0]
-    if nonzero.shape[1] != n or n < _BAND_MIN_N:
-        return None
-    return _half_bandwidth(nonzero, n // _GRAM_BAND_N_PER_KD)
-
-
 def _narrow(band: _Band):
-    """(band', b): what `_band_gate` and the realness test read from a dense
-    matrix, read from its band.  b is the outermost diagonal that holds a
-    nonzero entry (the `_half_bandwidth` rule), or None off `_band_gate`,
-    as is every band with a nonzero wrapped slot; band' holds diagonals
-    -b..b, real when the imaginary part is exactly zero, or band off it."""
+    """The operand of the band routes: band at the half-bandwidth b of its
+    outermost diagonal that holds a nonzero entry, real when its imaginary
+    part is exactly zero.  None off their common gate: below n =
+    _BAND_MIN_N, beyond the widest route's b = n // _GRAM_BAND_N_PER_KD, or
+    with a nonzero wrapped slot, whose corner lies far from the diagonal."""
     ab, width = band
     n = ab.shape[0]
     b = int(np.abs(np.flatnonzero(ab.any(axis=0)) - width).max(initial=0))
     if n < _BAND_MIN_N or b > n // _GRAM_BAND_N_PER_KD or band.wraps():
-        return band, None
+        return None
     ab = ab[:, width - b : width + b + 1]
-    return _Band(np.ascontiguousarray(ab if _complex_valued(ab) else ab.real), b), b
+    return _Band(np.ascontiguousarray(ab if _complex_valued(ab) else ab.real), b)
 
 
-def _dense(A) -> np.ndarray:
-    """A as a dense array: a `_Band`'s `dense()`, an array as it is."""
-    return A.dense() if isinstance(A, _Band) else A
-
-
-def _banded_svdvals(A, b):
-    """The singular values of a square A, non-increasing, from a band
-    bidiagonalisation and dqds (`_band_svdvals`), or None when A is too small
-    or too wide for that to beat a dense SVD (b, A's half-bandwidth from
-    `_band_gate`, is None or above n // _BAND_N_PER_B), or when numpy's BLAS
-    lacks the band routines.  A is dense or a `_Band` of half-bandwidth b,
-    whose storage is copied, since ?gbbrd overwrites it.
+def _banded_svdvals(band: _Band):
+    """The singular values, non-increasing, of a band from `_narrow`, from a
+    band bidiagonalisation and dqds (`_band_svdvals`), or None when the band
+    is too wide for that to beat a dense SVD (b above n // _BAND_N_PER_B),
+    or when numpy's BLAS lacks the band routines.  The storage is copied,
+    since ?gbbrd overwrites it.
 
     The reduction is backward stable, so the values agree with the dense SVD
     to an absolute eps*sigma_1, in O(n^2 b) work: they differed from
     np.linalg.svd by at most 8e-15 * sigma_1 on random real and complex
     bands and two-term `glt` matrices with n = 256-1600 and b = 1-40.
     """
-    if b is None or b > A.shape[0] // _BAND_N_PER_B or _lapack() is None:
+    ab, b = band
+    if b > ab.shape[0] // _BAND_N_PER_B or _lapack() is None:
         return None
-    if isinstance(A, _Band):
-        ab = A.ab.copy()
-    else:
-        ab = _band_storage(A if _complex_valued(A) else A.real, b)
+    ab = ab.copy()
     if not np.isfinite(ab).all():
         raise NumericalError("SVD failed: matrix has non-finite entries")
     return _band_svdvals(ab, b)
 
 
-def _svd_reduce(A: np.ndarray, nonzero: np.ndarray):
-    """The exact reductions `svdvals` applies before a dense SVD: (core, b)
-    with core the rows and columns of A that hold a nonzero entry of the
-    mask nonzero = (A != 0), real when its imaginary part is exactly zero,
-    and b the core's half-bandwidth as `_band_gate` reads it from its mask.
-    The singular values of A are those of core padded with zeros to n."""
+def _svd_reduce(A: np.ndarray) -> np.ndarray:
+    """The exact reduction `svdvals` applies before a dense SVD: the rows and
+    columns of A that hold a nonzero entry, real when their imaginary part
+    is exactly zero.  The singular values of A are those of this core padded
+    with zeros to n."""
+    nonzero = A != 0
     rows = np.flatnonzero(nonzero.any(axis=1))
     cols = np.flatnonzero(nonzero.any(axis=0))
-    if rows.size == cols.size == A.shape[0]:
-        core = A
-    else:
-        keep = np.ix_(rows, cols)
-        core, nonzero = A[keep], nonzero[keep]
-    return core if _complex_valued(core) else core.real, _band_gate(nonzero)
+    core = A if rows.size == cols.size == A.shape[0] else A[np.ix_(rows, cols)]
+    return core if _complex_valued(core) else core.real
+
+
+def _drop(band: _Band, keep: np.ndarray) -> _Band:
+    """The band of the matrix left when the rows and the columns outside
+    `keep` are dropped from a band with no nonzero wrapped slot, at the same
+    half-bandwidth: entry (i, j) moves to (i', j') with |i' - j'| <=
+    |i - j|.  Slots of a dropped row or column are not read."""
+    ab, b = band
+    at = np.cumsum(keep) - 1
+    out = np.zeros((int(at[-1]) + 1, 2 * b + 1), dtype=ab.dtype)
+    for d in range(-b, b + 1):  # column b + d holds entry (j + d, j)
+        j = np.arange(max(-d, 0), ab.shape[0] - max(d, 0))
+        j = j[keep[j] & keep[j + d]]
+        out[at[j], b + at[j + d] - at[j]] = ab[j, b + d]
+    return _Band(out, b)
 
 
 def _band_reduce(band: _Band):
-    """`_svd_reduce` of band.dense(), read from the band: when every row and
-    column holds a nonzero entry and the band lies on `_band_gate`, the core
-    is the band itself (`_narrow`); otherwise the slots of the rows and
-    columns with a nonzero entry are scattered into a core of that size,
-    its other entries +0 as in band.dense()."""
+    """`_svd_reduce` of band.dense(), read from the band.  When the rows
+    without a nonzero entry are the columns without one and no wrapped slot
+    holds a nonzero, as in the zero tail of `lt`, `lc` and normal-form
+    differences, dropping them leaves a band no wider (`_drop`), and the
+    core is that band from `_narrow` when it lies on the gate.  Otherwise
+    the slots of the rows and columns with a nonzero entry are scattered
+    into a dense core of that size, its other entries +0 as in
+    band.dense()."""
     ab, b = band
     nonzero = ab != 0
     cols, rows = nonzero.any(axis=1), _transpose_band(nonzero, b).any(axis=1)
-    if cols.all() and rows.all():
-        core, width = _narrow(band)
-        if width is not None:
-            return core, width
+    if (rows == cols).all() and not band.wraps():
+        core = _narrow(band if rows.all() else _drop(band, rows))
+        if core is not None:
+            return core
     at_row, at_col = np.cumsum(rows) - 1, np.cumsum(cols) - 1
     core = np.zeros((rows.sum(), cols.sum()), dtype=ab.dtype)
     for column, run, k in _slot_runs(ab.shape[0], b):
         i = slice(run.start - k, run.stop - k)  # the rows of the run's entries
         keep = rows[i] & cols[run]
         core[at_row[i][keep], at_col[run][keep]] = ab[run, column][keep]
-    return _svd_reduce(core, core != 0)
+    return _svd_reduce(core)
 
 
 def _pad(s: np.ndarray, n: int) -> np.ndarray:
@@ -638,22 +611,20 @@ def _dense_svdvals(core: np.ndarray, n: int) -> np.ndarray:
 def svdvals(A) -> np.ndarray:
     """The n singular values of a square matrix A, non-increasing.
 
-    A narrow band takes the banded path above.  Otherwise rows and columns
-    without a nonzero entry only add zero singular values, so the rest is
-    decomposed alone and zeros pad the result back to n.  That block is
-    decomposed in real arithmetic when its imaginary part is exactly zero.
-    A `_Band` takes the banded path from its own storage, and any other path
-    from its dense matrix.
+    A `_Band` on the gate of `_narrow` takes the banded path above.  A dense
+    array, or a band off it as its dense matrix, takes the dense SVD: rows
+    and columns without a nonzero entry only add zero singular values, so
+    the rest is decomposed alone and zeros pad the result back to n.  That
+    block is decomposed in real arithmetic when its imaginary part is
+    exactly zero.
     """
     if isinstance(A, _Band):
-        s = _banded_svdvals(*_narrow(A))
-        if s is None:
-            A = A.dense()
-            s = _dense_svdvals(_svd_reduce(A, A != 0)[0], A.shape[0])
-        return s
-    nonzero = A != 0
-    s = _banded_svdvals(A, _band_gate(nonzero))
-    return _dense_svdvals(_svd_reduce(A, nonzero)[0], A.shape[0]) if s is None else s
+        band = _narrow(A)
+        s = None if band is None else _banded_svdvals(band)
+        if s is not None:
+            return s
+        A = A.dense()
+    return _dense_svdvals(_svd_reduce(A), A.shape[0])
 
 
 def _toeplitz_band(f: TrigPoly, n: int) -> _Band:
@@ -682,11 +653,16 @@ def _grid_values(a: FuncExpr, m: int) -> np.ndarray:
     return vals.astype(complex)
 
 
-def diag_sampling(a: FuncExpr, n: int) -> np.ndarray:
-    """Diagonal matrix diag(a(1/n), a(2/n), ..., a(1))."""
+def _diag_band(a: FuncExpr, n: int) -> _Band:
+    """D_n(a) as a `_Band` of half-bandwidth 0."""
     if n < 1:
         raise DomainError("size must be positive")
-    return np.diag(_grid_values(a, n))
+    return _Band(_grid_values(a, n)[:, None], 0)
+
+
+def diag_sampling(a: FuncExpr, n: int) -> np.ndarray:
+    """Diagonal matrix diag(a(1/n), a(2/n), ..., a(1))."""
+    return _diag_band(a, n).dense()
 
 
 def _check_circulant_size(f: TrigPoly, n: int) -> None:
@@ -734,10 +710,9 @@ def fourier_matrix(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(j, j) / n) / math.sqrt(n)
 
 
-def _block_diag(lay: BlockLayout, blocks, tail=0.0) -> np.ndarray:
+def _block_diag(lay: BlockLayout, blocks, tail) -> np.ndarray:
     """The n x n complex matrix with the m `blocks` (block x block) down its
-    diagonal, then the t x t `tail`, zero elsewhere; each block is copied
-    into its slice as it comes."""
+    diagonal, then the t x t `tail`, zero elsewhere."""
     out = np.zeros((lay.n, lay.n), dtype=complex)
     for i, B in enumerate(blocks):
         span = slice(i * lay.block, (i + 1) * lay.block)
@@ -753,14 +728,29 @@ def _blockwise(lay: BlockLayout, scales: np.ndarray, spectrum: np.ndarray) -> np
 
 
 def _lt_parts(a: FuncExpr, f: TrigPoly, n: int):
+    """(layout, T_block(f) as a `_Band`, a(1/m), ..., a(1))."""
     lay = block_layout(n)
-    return lay, toeplitz(f, lay.block), _grid_values(a, lay.m)
+    return lay, _toeplitz_band(f, lay.block), _grid_values(a, lay.m)
+
+
+def _lt_band(a: FuncExpr, f: TrigPoly, n: int) -> _Band:
+    """lt_op(a, f, n) as a `_Band` of half-bandwidth deg f: the rows of block
+    i hold a(i/m) times T_block(f)'s storage on the slots that stand for an
+    entry of the block; a slot that crosses into another block, a wrapped
+    slot and the zero tail's hold +0."""
+    lay, T, vals = _lt_parts(a, f, n)
+    d = T.b
+    row = np.add.outer(np.arange(lay.block), np.arange(-d, d + 1))  # of each slot's entry
+    ab = np.zeros((n, 2 * d + 1), dtype=complex)
+    np.multiply(vals[:, None, None], T.ab, where=(row >= 0) & (row < lay.block),
+                out=ab[: n - lay.t].reshape(lay.m, lay.block, 2 * d + 1))
+    return _Band(ab, d)
 
 
 def lt_op(a: FuncExpr, f: TrigPoly, n: int) -> np.ndarray:
-    """Locally Toeplitz operator: blocks a(i/m) T_block(f), then a zero block."""
-    lay, T, vals = _lt_parts(a, f, n)
-    return _block_diag(lay, (v * T for v in vals))
+    """Locally Toeplitz operator: blocks a(i/m) T_block(f), then a zero block,
+    read from its band."""
+    return _lt_band(a, f, n).dense()
 
 
 def _lt_svals(a: FuncExpr, f: TrigPoly, n: int) -> np.ndarray:
@@ -779,26 +769,15 @@ def _lc_values(lay: BlockLayout, a: FuncExpr, f: TrigPoly) -> np.ndarray:
     return _grid_values(a, lay.m)
 
 
-def _lc_blocks(terms, n: int):
-    """(layout, blocks) of sum_i LC_n(a_i, f_i): block j is sum_i a_i(j/m)
-    C_block(f_i), made when the generator `blocks` reaches it; after the m
-    blocks come t zero rows and columns.  The terms are checked and sampled
-    in order, here, so the first bad term raises.  Each block sum starts from
-    zero, as a block accumulated in place does, so a zero entry is +0.0."""
-    lay = block_layout(n)
-    parts = [(_lc_values(lay, a, f), circulant(f, lay.block)) for a, f in terms]
-    return lay, (sum(vals[j] * C for vals, C in parts) for j in range(lay.m))
-
-
-def _lc_sum(terms, n: int) -> np.ndarray:
-    """sum_i LC_n(a_i, f_i), dense (see `_lc_blocks`)."""
-    return _block_diag(*_lc_blocks(terms, n))
-
-
 def _lc_band(terms, n: int) -> _Band:
     """sum_i LC_n(a_i, f_i) as a `_Band` of half-bandwidth block - 1, which
-    holds each whole block (see `_lc_blocks`)."""
-    lay, blocks = _lc_blocks(terms, n)
+    holds each whole block: block j is sum_i a_i(j/m) C_block(f_i), and
+    after the m blocks come t zero rows and columns.  The terms are checked
+    and sampled in order, here, so the first bad term raises.  Each block sum
+    starts from zero, as a block accumulated in place does, so a zero entry
+    is +0.0."""
+    lay = block_layout(n)
+    parts = [(_lc_values(lay, a, f), circulant(f, lay.block)) for a, f in terms]
     b = lay.block - 1
     ab = np.zeros((n, 2 * b + 1), dtype=complex)
     # entry (r, c) of block j lies at ab[j*block + c, b + r - c]: in a view
@@ -807,17 +786,18 @@ def _lc_band(terms, n: int) -> _Band:
     s0, s1 = ab.strides
     placed = as_strided(ab[:, b:], shape=(lay.m, lay.block, lay.block),
                         strides=(lay.block * s0, s0 - s1, s1))
-    for j, block in enumerate(blocks):
-        placed[j] = block.T
+    for j in range(lay.m):
+        placed[j] = sum(vals[j] * C for vals, C in parts).T
     return _Band(ab, b)
 
 
 def lc_op(a: FuncExpr, f: TrigPoly, n: int) -> np.ndarray:
-    """Locally circulant operator: blocks a(i/m) C_block(f), then a zero block.
+    """Locally circulant operator: blocks a(i/m) C_block(f), then a zero block,
+    read from its band.
 
     Normal by construction (each block is circulant).
     """
-    return _lc_sum(((a, f),), n)
+    return _lc_band(((a, f),), n).dense()
 
 
 def _lc_eigs(a: FuncExpr, f: TrigPoly, n: int) -> np.ndarray:
@@ -869,19 +849,30 @@ _SHIFT_POLY = TrigPoly.from_coeff_map({1: 1.0})
 COUNTEREXAMPLES = ("alt_identity", "half_shift", "scaled_cycle", "jordan_shift")
 
 
-def counterexample(name: str, n: int) -> np.ndarray:
-    """Pathological sequences: alternating +-I, nilpotent half shift, the
-    zero-distributed scaled cycle, and the Jordan-type shift."""
+DENSE_ONLY = ("half_shift", "scaled_cycle")  # entries n/2 and n - 1 off the diagonal
+
+
+def _counterexample_band(name: str, n: int):
+    """The band of a counterexample: alternating +-I at b = 0 and the Jordan
+    shift T_n(e^{i theta}) at b = 1; None for the DENSE_ONLY ones."""
     if n < 2:
         raise DomainError("counterexamples need n >= 2")
     if name == "alt_identity":
-        return (-1.0) ** n * np.eye(n, dtype=complex)
+        return _Band((-1.0) ** n * np.ones((n, 1), dtype=complex), 0)
+    return _toeplitz_band(_SHIFT_POLY, n) if name == "jordan_shift" else None
+
+
+def counterexample(name: str, n: int) -> np.ndarray:
+    """Pathological sequences: alternating +-I, nilpotent half shift, the
+    zero-distributed scaled cycle, and the Jordan-type shift.  The first and
+    the last are read from their band."""
+    band = _counterexample_band(name, n)
+    if band is not None:
+        return band.dense()
     if name == "half_shift":
         return _half_shift(n)
     if name == "scaled_cycle":
         return _scaled_cycle(n)
-    if name == "jordan_shift":
-        return toeplitz(_SHIFT_POLY, n)
     raise UnknownNameError(f"unknown counterexample {name!r}; choose from {COUNTEREXAMPLES}")
 
 
@@ -891,7 +882,8 @@ def toeplitz_seq(f: TrigPoly, label: str = "f") -> MatrixSeq:
 
 
 def diag_seq(a: FuncExpr) -> MatrixSeq:
-    return MatrixSeq(f"D({a.source})", lambda n: diag_sampling(a, n), symbol=a)
+    return MatrixSeq(f"D({a.source})", lambda n: diag_sampling(a, n), symbol=a,
+                     band=lambda n: _diag_band(a, n))
 
 
 def circulant_seq(f: TrigPoly, label: str = "f") -> MatrixSeq:
@@ -902,7 +894,7 @@ def circulant_seq(f: TrigPoly, label: str = "f") -> MatrixSeq:
 def lt_seq(a: FuncExpr, f: TrigPoly, label: str = "f") -> MatrixSeq:
     return MatrixSeq(
         f"LT({a.source},{label})", lambda n: lt_op(a, f, n), symbol=GltExpr(((a, f),)),
-        svals=lambda n: _lt_svals(a, f, n),
+        svals=lambda n: _lt_svals(a, f, n), band=lambda n: _lt_band(a, f, n),
     )
 
 
@@ -949,12 +941,22 @@ def counterexample_seq(name: str) -> MatrixSeq:
     if name == "scaled_cycle":
         info["corner_capped_above"] = SCALED_CYCLE_CAP_SIZE
         info["corner_cap_value"] = SCALED_CYCLE_CAP_VALUE
-    return MatrixSeq(name, lambda n: counterexample(name, n), info=info)
+    band = None if name in DENSE_ONLY else lambda n: _counterexample_band(name, n)
+    return MatrixSeq(name, lambda n: counterexample(name, n), info=info, band=band)
+
+
+def _constant_seq(name: str, value: complex) -> MatrixSeq:
+    """value * I_n, read from its band at half-bandwidth 0."""
+
+    def band(n):
+        return _Band(np.full((n, 1), value, dtype=complex), 0)
+
+    return MatrixSeq(name, lambda n: band(n).dense(), band=band)
 
 
 def identity_seq() -> MatrixSeq:
-    return MatrixSeq("I", lambda n: np.eye(n, dtype=complex))
+    return _constant_seq("I", 1.0)
 
 
 def zero_seq() -> MatrixSeq:
-    return MatrixSeq("0", lambda n: np.zeros((n, n), dtype=complex))
+    return _constant_seq("0", 0.0)

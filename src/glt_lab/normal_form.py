@@ -22,7 +22,6 @@ from .matrices import (
     _check_ladder,
     _lc_band,
     _lc_eigs,
-    _lc_sum,
     d_af,
     glt_product_seq,
     q_block,
@@ -78,8 +77,9 @@ class NormalForm:
         times, then I_t) and F^H diag(f(2 pi k/block)) F = C_block(f), so this
         is the sum of the terms' locally circulant operators.  Exactly real
         when every a_i is real on the grid and every f_i has real Fourier
-        coefficients; raises d_af's errors, term by term."""
-        return _lc_sum(self.source.terms, self.n)
+        coefficients; raises d_af's errors, term by term.  Read from the
+        sum's band (`matrices._lc_band`)."""
+        return _lc_band(self.source.terms, self.n).dense()
 
     def diagonal(self) -> np.ndarray:
         return np.diag(self.d)

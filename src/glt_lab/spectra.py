@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, EvalError, NumericalError
-from .matrices import _BAND_MIN_N, MatrixSeq, _Band, _check_ladder, _dense, _square_finite, svdvals
+from .matrices import _BAND_MIN_N, MatrixSeq, _Band, _check_ladder, _square_finite, svdvals
 from .symbols import (
     FuncExpr,
     GltExpr,
@@ -58,7 +58,7 @@ def eigenvalues(A) -> np.ndarray:
     values are the dense matrix's bit for bit."""
     if isinstance(A, _Band) and A.b == 0:
         return _square_finite(A).ab[:, 0].astype(complex)
-    A = _square_finite(_dense(A))
+    A = _square_finite(A.dense() if isinstance(A, _Band) else A)
     d = np.diagonal(A)
     if np.count_nonzero(A) == np.count_nonzero(d):
         return d.copy()
@@ -194,9 +194,9 @@ def _spectrum(seq: MatrixSeq, n: int, kind: str) -> np.ndarray:
     kind, otherwise a decomposition of A_n.  A closed-form `svals` is put in
     the order `svdvals` returns, non-increasing, so the means sum alike.
     From n = _BAND_MIN_N, the first size the band SVD takes, both kinds
-    decompose the sequence's `band` when it has one: the diagonal factor's
-    width-0 band is its own spectrum, and `eigenvalues` forms the dense
-    matrix of a wider one."""
+    decompose the sequence's `band` when it has one: a width-0 band (the
+    diagonal factor's, `diag`'s) is its own spectrum, and `eigenvalues`
+    forms the dense matrix of a wider one."""
     hook = seq.svals if kind == "sv" else seq.eigs
     if hook is None:
         A = seq.band(n) if seq.band is not None and n >= _BAND_MIN_N else seq(n)

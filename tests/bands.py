@@ -1,0 +1,16 @@
+"""The band operand the tests hand the band routes, built from a dense matrix."""
+
+import numpy as np
+
+from glt_lab import matrices
+
+
+def as_band(A, b=None):
+    """A square array A as a `matrices._Band`: its band storage at
+    half-bandwidth b, by default that of its outermost diagonal holding a
+    nonzero entry, so a dense oracle and the band route see one matrix."""
+    A = np.asarray(A)
+    if b is None:
+        i, j = np.nonzero(A)
+        b = int(np.abs(i - j).max(initial=0))
+    return matrices._Band(matrices._band_storage(A, b), b)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from bands import as_band
 
 from glt_lab import (
     DomainError,
@@ -13,6 +14,7 @@ from glt_lab import (
     circulant,
     circulant_seq,
     counterexample,
+    counterexample_seq,
     diag_seq,
     glt_product_seq,
     identity_seq,
@@ -81,8 +83,8 @@ def route(monkeypatch):
     taken = []
     gram, dense = acs._gram_p, acs._dense_svdvals
 
-    def gram_spy(core, n, b):
-        p = gram(core, n, b)
+    def gram_spy(core, n):
+        p = gram(core, n)
         if p is not None:
             taken.append("gram")
         return p
@@ -146,16 +148,16 @@ class TestGramRoute:
     def test_glt_minus_lc(self, f, n, route, band_route):
         # the Gram band reaches two diagonals past the block corners, b = sqrt(n) - 1
         A = glt_minus_lc(f, n)
-        p = p_metric(A)
+        p = p_metric(as_band(A))
         assert abs(p - p_svd(A)) <= 1e-12 * p_svd(A)
         assert route == ["gram"] and band_route == [(n, math.isqrt(n) + 1)]
-        assert p_metric(-A) == p
+        assert p_metric(as_band(-A)) == p
 
     @pytest.mark.parametrize("f", [F_REAL, F_CPLX], ids=["real", "complex"])
     def test_glt_minus_normal_form(self, f, route, band_route):
         expr = GltExpr(((A_QUAD, f), (A_EXP, F_REAL)))
         A = glt_product_seq(expr)(576) - normal_form(expr, 576).matrix()
-        assert abs(p_metric(A) - p_svd(A)) <= 1e-10 * p_svd(A)
+        assert abs(p_metric(as_band(A)) - p_svd(A)) <= 1e-10 * p_svd(A)
         assert route == ["gram"] and band_route == [(576, 25)]
 
     @pytest.mark.parametrize("dtype", [float, complex])
@@ -250,8 +252,10 @@ class TestRealValuedRoute:
         solver = matrices._band_svdvals
         monkeypatch.setattr(matrices, "_band_svdvals",
                             lambda ab, b: banded.append(n) or solver(ab, b))
-        p = p_metric(A)
-        assert p_metric(-A) == p
+        # only a band operand takes the band SVD
+        operand = as_band if kind == "banded" else np.asarray
+        p = p_metric(operand(A))
+        assert p_metric(operand(-A)) == p
         assert p == pytest.approx(p_svd(A), rel=1e-12, abs=1e-14)
         assert bool(banded) == (kind == "banded")
 
@@ -314,10 +318,10 @@ class TestSignSymmetry:
                                       for b in sorted({0, 1, 2, 3, n // 64, n // 32})])
     def test_band_route(self, n, b, dtype):
         A = half_integer_band(n, b, dtype, np.random.default_rng(1000 * n + b))
-        s = matrices._banded_svdvals(A, b)
+        s = matrices._banded_svdvals(as_band(A, b))
         assert s is not None
-        assert s.tobytes() == matrices._banded_svdvals(-A, b).tobytes()
-        assert p_metric(A) == p_metric(-A)
+        assert s.tobytes() == matrices._banded_svdvals(as_band(-A, b)).tobytes()
+        assert p_metric(as_band(A)) == p_metric(as_band(-A))
 
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("shape", ["tall", "wide", "strided"])
@@ -405,12 +409,12 @@ class TestBandGramRoute:
     @pytest.mark.parametrize("n", [576, 1024])
     def test_gram_band_matches_the_dense_gram(self, f, n):
         A = glt_minus_lc(f, n)
-        core, b = matrices._svd_reduce(A, A != 0)
-        assert np.iscomplexobj(core) == (f is F_CPLX)
-        gb, G = acs._gram_band(core, b), acs._gram(core)
+        core = matrices._band_reduce(as_band(A))
+        assert np.iscomplexobj(core.ab) == (f is F_CPLX)
+        gb, G = acs._gram_band(core), acs._gram(core.dense())
         kd = gb.shape[1] - 1
         # the block corners set b; the Gram band reaches two diagonals further
-        assert kd == matrices._half_bandwidth(core, n) + 2
+        assert kd == core.b + 2
         tol = 1e-14 * np.abs(G).max()
         for d in range(kd + 1):
             np.testing.assert_allclose(gb[: n - d, d], np.diagonal(G, -d), rtol=0, atol=tol)
@@ -421,7 +425,7 @@ class TestBandGramRoute:
     def test_gram_band_of_a_half_integer_band_is_exact(self, dtype):
         # every product and sum is exact, so both Gram matrices are too
         core = half_integer_band(512, 8, dtype, np.random.default_rng(3))
-        gb, G = acs._gram_band(core, 8), acs._gram(core)
+        gb, G = acs._gram_band(as_band(core, 8)), acs._gram(core)
         assert gb.shape == (512, 17)
         for d in range(17):
             assert np.array_equal(gb[: 512 - d, d], np.diagonal(G, -d))
@@ -432,30 +436,34 @@ class TestBandGramRoute:
         # padding, so no zero changes sign with C
         for A in (half_integer_band(1024, 32, dtype, np.random.default_rng(7)),
                   glt_minus_lc(F_CPLX if dtype is complex else F_REAL, 1024)):
-            C, b = matrices._svd_reduce(A, A != 0)
-            assert acs._gram_band(-C, b).tobytes() == acs._gram_band(C, b).tobytes()
+            C = matrices._band_reduce(as_band(A))
+            negated = matrices._Band(-C.ab, C.b)
+            assert acs._gram_band(negated).tobytes() == acs._gram_band(C).tobytes()
 
     @staticmethod
     def refused(case):
+        """A band whose core the Gram band gate refuses."""
         rng = np.random.default_rng(4)
-        if case == "toeplitz-circulant":
-            return toeplitz(F_REAL, 1024) - circulant(F_REAL, 1024)  # a 4 x 4 core
+        if case == "toeplitz-circulant":  # a 4 x 4 core
+            return acs._difference(toeplitz_seq(F_REAL), circulant_seq(F_REAL), 1024)
         if case == "small":
-            return glt_minus_lc(F_REAL, 484)
+            return as_band(glt_minus_lc(F_REAL, 484))
         if case == "b-above-the-gate":
-            return half_integer_band(512, 33, float, rng)  # b > 512/16
+            return as_band(half_integer_band(512, 33, float, rng))  # b > 512/16
         if case == "kd-above-the-gate":
-            return half_integer_band(512, 17, float, rng)  # b <= 32 < kd = 34
+            return as_band(half_integer_band(512, 17, float, rng))  # b <= 32 < kd = 34
         A = glt_minus_lc(F_REAL, 576)
         A[::7] = 0  # a 493 x 576 core
-        return A
+        return as_band(A)
 
     @pytest.mark.parametrize("case", ["toeplitz-circulant", "small", "b-above-the-gate",
                                       "kd-above-the-gate", "rectangular"])
     def test_cores_the_gate_refuses(self, case, band_route):
-        A = self.refused(case)
-        assert acs._gram_band(*matrices._svd_reduce(A, A != 0)) is None
-        assert p_metric(A) == pytest.approx(p_svd(A), rel=1e-10, abs=1e-14)
+        band = self.refused(case)
+        core = matrices._band_reduce(band)
+        assert not isinstance(core, matrices._Band) or acs._gram_band(core) is None
+        A = band.dense()
+        assert p_metric(band) == pytest.approx(p_svd(A), rel=1e-10, abs=1e-14)
         assert band_route == []
 
     @pytest.mark.parametrize("dtype", [float, complex])
@@ -464,7 +472,7 @@ class TestBandGramRoute:
         # b up to n/32, within both band gates, where the Gram band route
         # goes first; a full band's Gram half-width 2b then reaches n/16
         A = half_integer_band(n, b, dtype, np.random.default_rng(1000 * n + b))
-        assert p_metric(A) == p_metric(-A)
+        assert p_metric(as_band(A)) == p_metric(as_band(-A))
         assert band_route == [(n, 2 * b)] * 2
 
     @pytest.mark.parametrize("f, routine", [(F_REAL, "dsbtrd"), (F_CPLX, "zhbtrd")],
@@ -479,9 +487,10 @@ class TestBandGramRoute:
         table = {**matrices._lapack(), routine: failing}
         monkeypatch.setattr(matrices, "_lapack", lambda: table)
         A = glt_minus_lc(f, 576)
-        assert p_metric(A) == p_svdvals(A)
+        # b = 23 is above the band SVD's 576/32, so the dense SVD runs
+        assert p_metric(as_band(A)) == p_svdvals(A)
         assert calls == [routine] and route == ["dense"]
-        gb = acs._gram_band(*matrices._svd_reduce(A, A != 0))
+        gb = acs._gram_band(matrices._band_reduce(as_band(A)))
         message = f"eigensolver failed: {routine} returned info = 1"
         with pytest.raises(NumericalError, match=message):
             matrices._band_tridiagonal(gb)
@@ -499,12 +508,13 @@ class TestBandGramRoute:
     def test_benchmark_normal_form_at_1600_is_certified(self, terms, route, band_route):
         # the gate's bound reached half its limit on these operands; the band
         # route must keep them off the dense SVD, which is three times slower
-        A = build_sequence(f"glt({terms})")(1600) - build_sequence(f"normal-form({terms})")(1600)
-        p = p_metric(A)
+        band = acs._difference(build_sequence(f"glt({terms})"),
+                               build_sequence(f"normal-form({terms})"), 1600)
+        p = p_metric(band)
         assert band_route == [(1600, 41)]
         assert route == ["gram"]
-        assert abs(p - p_real_svd(A)) <= 1e-12 * p
-        counted, full = count_and_sterf(A)  # Sturm counts against dsterf on the same band
+        assert abs(p - p_real_svd(band.dense())) <= 1e-12 * p
+        counted, full = count_and_sterf(band)  # Sturm counts against dsterf on the same band
         assert counted == p and abs(p - full) <= 1e-12 * p
 
     @pytest.mark.parametrize("scale", [2.0**-520, 2.0**520], ids=["tiny", "huge"])
@@ -513,7 +523,9 @@ class TestBandGramRoute:
         # squaring neither underflows nor overflows; b = 8 <= 512/32, so the
         # band SVD takes the core, as it takes svdvals' operand
         A = scale * half_integer_band(512, 8, float, np.random.default_rng(6))
-        assert p_metric(A) == p_svdvals(A) == p_metric(-A)
+        s = svdvals(as_band(A))
+        p_band_svd = float((np.arange(513) / 512 + np.append(s, 0.0)).min())
+        assert p_metric(as_band(A)) == p_band_svd == p_metric(as_band(-A))
         assert route == [] and band_route == [] and band_svd == [8] * 3
 
     @pytest.mark.parametrize("n", [1024, 1600])
@@ -521,8 +533,8 @@ class TestBandGramRoute:
         # b = sqrt(n) - 1 is within both band gates, n/32 and n/16; the Gram
         # band route is the faster of the two on these acs differences
         A = glt_minus_lc(F_REAL, n)
-        assert matrices._svd_reduce(A, A != 0)[1] <= n // matrices._BAND_N_PER_B
-        p = p_metric(A)
+        assert matrices._band_reduce(as_band(A)).b <= n // matrices._BAND_N_PER_B
+        p = p_metric(as_band(A))
         assert band_route == [(n, math.isqrt(n) + 1)] and band_svd == []
         assert abs(p - p_real_svd(A)) <= 1e-12 * p
 
@@ -547,10 +559,12 @@ def banded_with_spectrum(sigma, seed=0):
 
 
 def count_and_sterf(A):
-    """(p from Sturm counts, p from dsterf) of A's Gram band, each None where
-    its gate declines, from the same tridiagonal."""
+    """(p from Sturm counts, p from dsterf) of the Gram band of A, a band or
+    the dense matrix of one, each None where its gate declines, from the same
+    tridiagonal."""
     n = A.shape[0]
-    gb = acs._gram_band(*matrices._svd_reduce(A, A != 0))
+    band = A if isinstance(A, matrices._Band) else as_band(A)
+    gb = acs._gram_band(matrices._band_reduce(band))
     d, e = matrices._band_tridiagonal(gb)
     counted = acs._count_p(d.copy(), e.copy(), n)
     return counted, acs._spectrum_p(matrices._tridiagonal_eigvalsh(d, e), n)
@@ -611,8 +625,8 @@ class TestCountRoute:
         counted, full = count_and_sterf(A)
         assert counted is not None and full is not None
         assert abs(counted - full) <= 1e-12 * full
-        p = p_metric(A)
-        assert p == counted and p == p_metric(-A)
+        p = p_metric(as_band(A))
+        assert p == counted and p == p_metric(as_band(-A))
         assert abs(p - (p_svd(A) if np.iscomplexobj(A) else p_real_svd(A.real))) <= 1e-12 * p
         assert sterf == [] and len(band_route) == 2
 
@@ -632,9 +646,9 @@ class TestCountRoute:
         sigma = rng.uniform(0.9, 1.0, n)
         sigma[2::period] = 0
         A = rotations(n, 0, rng) @ np.diag(sigma) @ rotations(n, 1, rng)
-        assert matrices._svd_reduce(A, A != 0)[0].shape == (n, n)
+        assert matrices._band_reduce(as_band(A)).shape == (n, n)
         assert count_and_sterf(A) == (None, None)
-        p = p_metric(A)
+        p = p_metric(as_band(A))
         assert route == [] and band_svd == [2]
         assert p == pytest.approx(1 - 1 / period, rel=1e-12)
         assert p == pytest.approx(p_svd(A), rel=1e-12)
@@ -655,12 +669,12 @@ class TestCountRoute:
         # more live intervals than one count call holds
         n = 768
         A = banded_with_spectrum(tied(n, acs._COUNT_BATCH + 8), seed=4)
-        p = p_metric(A)
+        p = p_metric(as_band(A))
         assert sterf == [n] and route == ["gram"]
         assert p == pytest.approx(0.5, rel=1e-14) and p == pytest.approx(p_svd(A), rel=1e-12)
 
     def test_round_cap_takes_dsterf(self, sterf, route, monkeypatch):
-        A = glt_minus_lc(F_REAL, 576)
+        A = as_band(glt_minus_lc(F_REAL, 576))
         p = p_metric(A)
         monkeypatch.setattr(acs, "_COUNT_ROUNDS", 5)
         assert p_metric(A) == pytest.approx(p, rel=1e-12)
@@ -684,8 +698,8 @@ class TestCountRoute:
 
             return counts
 
-        A = glt_minus_lc(F_CPLX, 576)
-        gb = acs._gram_band(*matrices._svd_reduce(A, A != 0))
+        A = as_band(glt_minus_lc(F_CPLX, 576))
+        gb = acs._gram_band(matrices._band_reduce(A))
         full = acs._spectrum_p(matrices._tridiagonal_eigvalsh(*matrices._band_tridiagonal(gb)), 576)
         monkeypatch.setattr(acs, "_sturm_counter", broken)
         assert p_metric(A) == full
@@ -707,7 +721,7 @@ class TestCountRoute:
         assert table["int"] == np.int64
         monkeypatch.setattr(matrices, "_lapack", lambda: table)
         A = glt_minus_lc(F_REAL, 576)
-        assert p_metric(A) == p_svdvals(A)
+        assert p_metric(as_band(A)) == p_svdvals(A)
         assert route == ["dense"]
 
 
@@ -767,8 +781,10 @@ class TestWithoutBandRoutines:
         solver = matrices._band_svdvals
         monkeypatch.setattr(matrices, "_band_svdvals",
                             lambda ab, b: banded.append(ab.shape[0]) or solver(ab, b))
-        T, A = toeplitz(F_CPLX, 512), glt_minus_lc(F_CPLX, 1024)
         glt = glt_product_seq(GltExpr(((A_QUAD, F_REAL),)))
+        T = toeplitz_seq(F_CPLX).band(512)
+        A = acs._difference(glt_product_seq(GltExpr(((A_QUAD, F_CPLX),))), lc_seq(A_QUAD, F_CPLX),
+                            1024)
 
         def run():
             ladder = acs_equivalent(glt, lc_seq(A_QUAD, F_REAL), (256, 576, 1024), tol=0.5)
@@ -1067,8 +1083,9 @@ def same_bits(x, y):
 
 
 class TestBandOperands:
-    """p_metric of a band equals p of its dense matrix bit for bit, and the
-    acs ladder subtracts in band storage from n = 512, the Gram band floor."""
+    """p_metric of the band difference equals p of the dense difference's
+    band storage bit for bit, and the dense route's within roundoff; the acs
+    ladder subtracts in band storage from n = 512, the Gram band floor."""
 
     @pytest.mark.parametrize("f", [F_REAL, F_CPLX], ids=["real", "complex"])
     @pytest.mark.parametrize("n", [96, 512, 1024, 1600])
@@ -1076,19 +1093,20 @@ class TestBandOperands:
         for seq_a, seq_b in band_pairs(f):
             D = seq_a(n) - seq_b(n)
             diff = acs._difference(seq_a, seq_b, n)
+            b = max(seq_a.band(n).b, seq_b.band(n).b)
             if n < matrices._GRAM_BAND_MIN_N:
                 assert isinstance(diff, np.ndarray) and diff.tobytes() == D.tobytes()
-                b = max(seq_a.band(n).b, seq_b.band(n).b)
-                diff = matrices._Band(matrices._band_storage(D, b), b)
+                diff = as_band(D, b)
             else:
                 assert isinstance(diff, matrices._Band)
                 assert diff.ab.tobytes() == matrices._band_storage(D, diff.b).tobytes()
             start = len(band_route)
-            p = p_metric(D)
+            p = p_metric(as_band(D, b))
             middle = len(band_route)
             assert same_bits(p_metric(diff), p)
             # the same Gram bands reach the eigensolver
             assert band_route[middle:] == band_route[start:middle]
+            assert p == pytest.approx(p_metric(D), rel=1e-12)
 
     @pytest.mark.parametrize("f", [F_REAL, F_CPLX], ids=["real", "complex"])
     @pytest.mark.parametrize("n", [576, 1024])
@@ -1104,16 +1122,55 @@ class TestBandOperands:
         for zero in ((slice(None, None, 7), slice(None)), (slice(None), slice(3, 9))):
             A = D.copy()
             A[zero] = 0
-            band = matrices._Band(matrices._band_storage(A, diff.b), diff.b)
-            want_core = matrices._svd_reduce(A, A != 0)[0]
+            band = as_band(A, diff.b)
+            want_core = matrices._svd_reduce(A)
             formed.clear()
-            core = matrices._band_reduce(band)[0]
+            core = matrices._band_reduce(band)
             assert core.dtype == want_core.dtype and core.tobytes() == want_core.tobytes()
             assert same_bits(p_metric(band), p_metric(A))
             assert formed == []
         formed.clear()
-        assert same_bits(p_metric(diff), p_metric(D))
+        assert same_bits(p_metric(diff), p_metric(as_band(D, diff.b)))
         assert formed == []
+
+    @pytest.mark.parametrize("f", [F_REAL, F_CPLX], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", [576, 1024])
+    def test_matching_zero_rows_and_columns_keep_the_band(self, n, f, band_route, monkeypatch):
+        # dropping row and column k alike leaves a band no wider; its dense
+        # matrix is the dense reduction's core bit for bit
+        formed = []
+        dense = matrices._Band.dense
+        monkeypatch.setattr(matrices._Band, "dense", lambda band: formed.append(1) or dense(band))
+        D = acs._difference(*band_pairs(f)[0], n).dense()
+        for zero in (slice(None, None, 61), slice(3, 9), slice(n - 30, None)):
+            A = D.copy()
+            A[zero] = A[:, zero] = 0
+            band = as_band(A, math.isqrt(n) - 1)
+            formed.clear()
+            core = matrices._band_reduce(band)
+            p = p_metric(band)
+            assert formed == [] and band_route[-1][0] == core.shape[0]
+            assert isinstance(core, matrices._Band) and core.b <= band.b
+            want = matrices._svd_reduce(A)
+            assert core.dense().tobytes() == want.tobytes()
+            assert core.ab.tobytes() == matrices._band_storage(want, core.b).tobytes()
+            assert p == pytest.approx(p_metric(A), rel=1e-12)
+
+
+    @pytest.mark.parametrize("spec_a", ["lt(2+x | 2+cos(theta))",
+                                        "normal-form(2+x | 2+cos(theta))"])
+    @pytest.mark.parametrize("n", [1000, 1700])
+    def test_zero_tail_keeps_the_band_gram_route(self, n, spec_a, band_route):
+        # the t = n - m*block zero rows and columns are the same indices, so
+        # the core stays a band and takes the Gram band at non-square n
+        seq_a, seq_b = build_sequence(spec_a), build_sequence("lc(1 | 2+cos(theta))")
+        lay = matrices.block_layout(n)
+        assert lay.t > 0
+        diff = acs._difference(seq_a, seq_b, n)
+        assert isinstance(diff, matrices._Band)
+        p = p_metric(diff)
+        assert band_route == [(n - lay.t, lay.block - 1)]
+        assert same_bits(p, p_metric(seq_a(n) - seq_b(n)))
 
     def test_ladder_subtracts_bands_from_the_floor(self, monkeypatch):
         seq_a, seq_b = band_pairs(F_CPLX)[1]
@@ -1127,7 +1184,12 @@ class TestBandOperands:
         taken.clear()
         dense = acs.acs_distance(seq_a, dataclasses.replace(seq_b, band=None), sizes)
         assert taken == [False] * 4
-        assert all(same_bits(p, q) for p, q in zip(est.p_values, dense.p_values))
+        assert est.p_values == pytest.approx(dense.p_values, rel=1e-12)
+        # the bands read back from the dense matrices give the same bits
+        rebuilt = [dataclasses.replace(s, band=lambda n, s=s: as_band(s(n), s.band(n).b))
+                   for s in (seq_a, seq_b)]
+        again = acs.acs_distance(*rebuilt, sizes)
+        assert all(same_bits(p, q) for p, q in zip(est.p_values, again.p_values))
 
     def test_overflowing_glt_raises_the_dense_error(self):
         # a(x) f_k overflows to inf near x = 1, with a and f finite
@@ -1168,13 +1230,14 @@ WIDE = TrigPoly.from_coeff_map({600: 1.0})  # circulant needs n > 1200
 POLE = parse_expr("1/(x-0.5)", "a")  # glt hits it at every even n
 
 
-def one_band_pairs(f):
-    """(A, B) pairs where exactly one sequence carries `band`, among them a
-    circulant, whose wrapped slots are written in place too."""
+def mixed_pairs(f):
+    """(A, B) pairs of different band families, among them a circulant,
+    whose wrapped slots are subtracted too, and the dense-only half shift."""
     glt = glt_product_seq(GltExpr(((A_NEG, f), (A_QUAD, TWO_COS))))
     diag = diag_seq(A_NEG)
     return [(toeplitz_seq(f), diag), (diag, circulant_seq(f)),
-            (circulant_seq(f), lt_seq(A_NEG, f)), (glt, diag)]
+            (circulant_seq(f), lt_seq(A_NEG, f)), (glt, diag),
+            (glt, counterexample_seq("half_shift"))]
 
 
 def band_only(seq, n):
@@ -1191,18 +1254,22 @@ def raised(fn):
     return type(info.value), str(info.value)
 
 
-class TestOneBandDifference:
-    """With one band the difference is built in place in the other operand's
-    dense matrix, and is A_n - B_n bit for bit, signed zeros included."""
+class TestMixedDifference:
+    """Bands of two families are subtracted in band storage, and a pair with
+    a dense-only side densely; either way the difference is A_n - B_n bit
+    for bit, signed zeros included."""
 
     @pytest.mark.parametrize("f", [F_SIGNED, F_REAL], ids=["signed", "real"])
     @pytest.mark.parametrize("n", [511, 512, 1024])
     def test_equals_the_dense_difference(self, n, f):
-        for seq_a, seq_b in one_band_pairs(f):
+        for seq_a, seq_b in mixed_pairs(f):
             want = seq_a(n) - seq_b(n)
-            got = acs._difference(band_only(seq_a, n), band_only(seq_b, n), n)
-            assert isinstance(got, np.ndarray) and got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
+            banded = n >= matrices._GRAM_BAND_MIN_N and seq_b.band is not None
+            got = acs._difference(band_only(seq_a, n) if banded else seq_a,
+                                  band_only(seq_b, n) if banded else seq_b, n)
+            assert isinstance(got, matrices._Band) == banded
+            got = got.dense() if banded else got
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
             for part in ("real", "imag"):
                 signs = np.signbit(getattr(got, part))
                 assert np.array_equal(signs, np.signbit(getattr(want, part)))
@@ -1219,11 +1286,16 @@ class TestOneBandDifference:
             assert raised(lambda: acs._difference(seq_a, seq_b, n)) == want
 
     def test_ladder_p_values_are_unchanged(self):
+        # from the floor, p of the dense difference's band storage
         sizes = (256, 512, 576, 1024)
-        for seq_a, seq_b in one_band_pairs(F_SIGNED):
+        for seq_a, seq_b in mixed_pairs(F_SIGNED):
             est = acs.acs_distance(seq_a, seq_b, sizes)
-            dense = [p_metric(seq_a(n) - seq_b(n)) for n in sizes]
-            assert all(same_bits(p, q) for p, q in zip(est.p_values, dense))
+            dense = [seq_a(n) - seq_b(n) for n in sizes]
+            want = [p_metric(D if n < matrices._GRAM_BAND_MIN_N or seq_b.band is None
+                             else as_band(D, max(seq_a.band(n).b, seq_b.band(n).b)))
+                    for n, D in zip(sizes, dense)]
+            assert all(same_bits(p, q) for p, q in zip(est.p_values, want))
+            assert est.p_values == pytest.approx([p_metric(D) for D in dense], rel=1e-12)
 
 
 class TestPeriodicBandDifference:
@@ -1242,7 +1314,8 @@ class TestPeriodicBandDifference:
             want = seq_a(n) - seq_b(n)
             got = acs._difference(band_only(seq_a, n), band_only(seq_b, n), n)
             assert isinstance(got, matrices._Band) == (n >= matrices._GRAM_BAND_MIN_N)
-            assert matrices._dense(got).tobytes() == want.tobytes()
+            assert (got.dense() if isinstance(got, matrices._Band) else got).tobytes() == \
+                want.tobytes()
             assert same_bits(p_metric(got), p_metric(want))
 
     @pytest.mark.parametrize("n", [512, 1024])
@@ -1252,7 +1325,7 @@ class TestPeriodicBandDifference:
         row = np.add.outer(np.arange(n), np.arange(-2, 3))
         wrapped = (row < 0) | (row >= n)
         assert not diff.ab[~wrapped].any() and diff.ab[wrapped].all()
-        assert matrices._band_reduce(diff)[0].shape == (4, 4)
+        assert matrices._band_reduce(diff).shape == (4, 4)
 
     def test_a_wrapped_slot_is_never_aliased(self):
         # widened to deg 300 >= n/2, the circulant's corners would land on

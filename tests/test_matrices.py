@@ -1,5 +1,6 @@
 import importlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from glt_lab import (
     toeplitz_seq,
 )
 from glt_lab import matrices
+from glt_lab.cli import build_sequence
 from glt_lab.errors import GltLabError
 from glt_lab.normal_form import diagonal_factor_seq
 
@@ -516,11 +518,35 @@ def band_seqs():
         ("lc", lc_seq(A_CPLX, F_BAND), lambda n: block_layout(n).block - 1),
         ("normal-form", normal_form_seq(two), lambda n: block_layout(n).block - 1),
         ("diagonal-factor", diagonal_factor_seq(two), lambda n: 0),
+        ("diag", diag_seq(A_NEG), lambda n: 0),
+        ("identity", matrices.identity_seq(), lambda n: 0),
+        ("zero", matrices.zero_seq(), lambda n: 0),
+        # a negative a: its block-crossing and wrapped slots stay +0
+        ("lt", lt_seq(A_NEG, F_BAND), lambda n: 2),
+        ("lt-complex", lt_seq(A_CPLX, TWO_COS), lambda n: 1),
+        ("alt-identity", counterexample_seq("alt_identity"), lambda n: 0),
+        ("jordan-shift", counterexample_seq("jordan_shift"), lambda n: 1),
     ]
 
 
 BAND_SEQS = band_seqs()
 BAND_IDS = [name for name, _, _ in BAND_SEQS]
+
+
+# one spec per head of `cli.build_sequence`, and each counterexample, with
+# negative coefficient functions and complex symbols where a head takes them
+EVERY_HEAD = [
+    "toeplitz(0.5 - 2*cos(theta) + i*sin(2*theta))",
+    "circulant(0.5 - 2*cos(theta) + i*sin(2*theta))",
+    "diag(x - 0.5)",
+    "lt(x - 0.5 | 0.5 - 2*cos(theta) + i*sin(2*theta))",
+    "lc(x - 0.5 | 0.5 - 2*cos(theta))",
+    "glt(x - 0.5 | 2*cos(theta) ; 1 + i*x | i*sin(2*theta))",
+    "normal-form(x - 0.5 | 2*cos(theta) ; 1 + i*x | i*sin(2*theta))",
+    *(f"counterexample({name})" for name in matrices.COUNTEREXAMPLES),
+    "identity",
+    "zero",
+]
 
 
 def raised(fn):
@@ -535,9 +561,38 @@ class TestBandHooks:
 
     def test_which_families_carry_band(self):
         assert all(seq.band is not None for _, seq, _ in BAND_SEQS)
-        for seq in (lt_seq(X, F_BAND), lt_seq(X, F_BAND).shifted(1.0), diag_seq(X),
-                    counterexample_seq("jordan_shift")):
-            assert seq.band is None
+        assert matrices.DENSE_ONLY == ("half_shift", "scaled_cycle")
+        for name in matrices.COUNTEREXAMPLES:
+            seq = counterexample_seq(name)
+            assert (seq.band is None) == (name in matrices.DENSE_ONLY)
+            assert (seq.shifted(1.0).band is None) == (name in matrices.DENSE_ONLY)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 95, 96, 512, 1000])
+    def test_every_head_carries_a_band_or_is_dense_only(self, n):
+        # every head of `build_sequence`: the band's dense matrix is the
+        # generator's bit for bit, signed zeros included (alt_identity at odd
+        # n, lt's block-crossing slots at t = 8 when n = 1000), and both
+        # raise the same error at the same n
+        heads = set(re.findall(r"([a-z-]+)(?:\(|,|\.)", build_sequence.__doc__.split(":")[1]))
+        assert heads == {spec.partition("(")[0] for spec in EVERY_HEAD}
+        for spec in EVERY_HEAD:
+            seq = build_sequence(spec)
+            if seq.band is None:
+                assert spec.removeprefix("counterexample(")[:-1] in matrices.DENSE_ONLY
+                continue
+            try:
+                A = seq(n)
+            except GltLabError:
+                assert raised(lambda: seq.band(n)) == raised(lambda: seq(n)), spec
+                continue
+            got = matrices._band_to_dense(*seq.band(n))
+            assert got.dtype == A.dtype and got.tobytes() == A.tobytes(), spec
+            if spec.startswith(("lt(", "lc(", "normal-form(")):
+                # off the blocks, in slots that cross blocks too, every zero is +0
+                lay = block_layout(n)
+                at = np.minimum(np.arange(n) // lay.block, lay.m)  # the tail is block m
+                off = (at[:, None] != at) | (at[:, None] == lay.m)
+                assert not np.signbit(A[off].view(float)).any(), spec
 
     # n <= 2 deg, n = 1, a tail block (t > 0 at 10, 26, 50, 101) and none
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 10, 25, 26, 50, 64, 101, 144])
@@ -547,9 +602,10 @@ class TestBandHooks:
         try:
             A = seq(n)
         except GltLabError:
-            # the block and circulant size rules
+            # the block, circulant and counterexample size rules
             assert name in ("lc", "normal-form", "diagonal-factor", "circulant",
-                            "circulant-shifted")
+                            "circulant-shifted", "lt", "lt-complex", "alt-identity",
+                            "jordan-shift")
             return
         ab, b = seq.band(n)
         assert b == width(n)
@@ -621,8 +677,8 @@ def slot_index(n, b):
 
 
 class TestSliceBandStorage:
-    """`_band_storage` and `_write_band` copy one diagonal slice per run of
-    slots; the index-array form is their bitwise oracle."""
+    """`_band_storage` and `_band_to_dense` copy one diagonal slice per run
+    of slots; the index-array form is their bitwise oracle."""
 
     CASES = [(1, 0), (1, 3), (2, 1), (3, 5), (4, 2), (5, 2), (7, 2), (7, 3), (9, 4), (10, 4),
              (40, 6), (64, 0), (64, 31), (64, 32)]
@@ -645,21 +701,14 @@ class TestSliceBandStorage:
 
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("n, b", CASES)
-    def test_write_band_equals_the_index_arrays(self, n, b, dtype):
+    def test_band_to_dense_equals_the_index_arrays(self, n, b, dtype):
         rng = np.random.default_rng(n + 7 * b)
-        M, ab = self.draw((n, n), dtype, rng), self.draw((n, 2 * b + 1), dtype, rng)
+        ab = self.draw((n, 2 * b + 1), dtype, rng)
         i, off = slot_index(n, b)
-        want = M.copy()
+        ab[off] = 0  # a slot that stands for no entry holds +0
+        want = np.zeros((n, n), dtype)
         want[i[~off], np.nonzero(~off)[0]] = ab[~off]
-        got = matrices._write_band(M, ab, b)
-        assert got is M and got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("M", [np.zeros((8, 8), order="F"), np.zeros((8, 16))[:, ::2]],
-                             ids=["fortran", "strided"])
-    def test_write_band_refuses_an_array_without_a_flat_view(self, M):
-        # a flat copy would take the writes and leave M as it was
-        with pytest.raises(ValueError, match="C-contiguous"):
-            matrices._write_band(M, np.ones((8, 3)), 1)
+        assert matrices._band_to_dense(ab, b).tobytes() == want.tobytes()
 
     def test_sequences_return_c_contiguous_arrays(self):
         seq = matrices.MatrixSeq("transposed", lambda n: np.arange(n * n).reshape(n, n).T)
@@ -672,7 +721,7 @@ class TestSliceBandStorage:
         M = np.ones((1024, 1024), complex)
         ab = matrices._band_storage(M, 32)
         assert traced_peak(matrices._band_storage, M, 32) < 1.1 * ab.nbytes
-        assert traced_peak(matrices._write_band, M, ab, 32) < 64 * 1024
+        assert traced_peak(matrices._band_to_dense, ab, 32) < M.nbytes + 64 * 1024
 
 
 def seq_builders():
@@ -701,7 +750,7 @@ def seq_builders():
 
 @pytest.mark.parametrize("n", [25, 64])
 def test_every_call_returns_a_new_array(n):
-    # `acs._difference` overwrites the dense operand it is given
+    # a caller that writes into one matrix leaves the next call's alone
     for name, seq in seq_builders():
         for s in (seq, seq.shifted(0.5)):
             A, B = s(n), s(n)

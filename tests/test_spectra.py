@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from bands import as_band
 from scipy.optimize import linear_sum_assignment
 
 from glt_lab import (
@@ -38,7 +39,7 @@ from glt_lab import (
     zero_distributed_test,
     zero_seq,
 )
-from glt_lab import matrices, spectra
+from glt_lab import acs, matrices, spectra
 from glt_lab.errors import NumericalError
 from glt_lab.matrices import counterexample, lt_op, svdvals
 from glt_lab.spectra import TestFamily as Family
@@ -748,8 +749,10 @@ F_REAL = TrigPoly.from_coeff_map({-2: 0.4, -1: 1.1, 0: 1.0, 1: 0.9, 2: -0.4})
 
 
 def assert_svdvals_match_complex_svd(A):
+    """svdvals of A, dense or a band, against the complex SVD of its matrix."""
     s = svdvals(A)
-    dense = np.linalg.svd(A.astype(complex), compute_uv=False)
+    M = A.dense() if isinstance(A, matrices._Band) else A
+    dense = np.linalg.svd(M.astype(complex), compute_uv=False)
     assert s.shape == (A.shape[0],)
     assert np.all(np.diff(s) <= 0)
     assert np.abs(s - dense).max() <= 1e-12 * max(1.0, dense[0])
@@ -770,14 +773,20 @@ def random_trig_poly(degree, complex_coeffs, seed):
 
 @pytest.fixture
 def banded_results(monkeypatch):
-    """The banded helper's result per svdvals call, None where it declined."""
+    """The band SVD's result per svdvals call on a band, None where the gate
+    (`_narrow`) or the helper declined."""
     results = []
-    helper = matrices._banded_svdvals
+    narrow, helper = matrices._narrow, matrices._banded_svdvals
 
-    def spy(*args):
-        results.append(helper(*args))
+    def narrow_spy(band):
+        results.append(None)
+        return narrow(band)
+
+    def spy(band):
+        results[-1] = helper(band)
         return results[-1]
 
+    monkeypatch.setattr(matrices, "_narrow", narrow_spy)
     monkeypatch.setattr(matrices, "_banded_svdvals", spy)
     return results
 
@@ -844,14 +853,15 @@ class TestSvdvals:
     @pytest.mark.parametrize("b", [0, 1, 2])
     @pytest.mark.parametrize("n", BAND_SIZES)
     def test_banded_toeplitz(self, banded_results, n, b, complex_coeffs):
-        assert_svdvals_match_complex_svd(toeplitz(random_trig_poly(b, complex_coeffs, b), n))
+        f = random_trig_poly(b, complex_coeffs, b)
+        assert_svdvals_match_complex_svd(toeplitz_seq(f).band(n))
         assert took_band(banded_results) == [n >= 96]
 
     @pytest.mark.parametrize("a2", ["exp(x)", "1+i*x"], ids=["real", "complex"])
     @pytest.mark.parametrize("n", BAND_SIZES)
     def test_banded_two_term_glt(self, banded_results, n, a2):
         expr = GltExpr(((A_HOOK, F_REAL), (parse_expr(a2, "a"), TrigPoly.from_coeff_map({1: 1}))))
-        assert_svdvals_match_complex_svd(glt_product_seq(expr)(n))
+        assert_svdvals_match_complex_svd(glt_product_seq(expr).band(n))
         assert took_band(banded_results) == [n >= 96]
 
     @pytest.mark.parametrize("complex_coeffs", [False, True], ids=["real", "complex"])
@@ -859,15 +869,15 @@ class TestSvdvals:
     def test_banded_largest_accepted_band(self, banded_results, n, complex_coeffs):
         b = n // 32
         f = random_trig_poly(b, complex_coeffs, 3)
-        assert_svdvals_match_complex_svd(toeplitz(f, n))
-        svdvals(toeplitz(random_trig_poly(b + 1, complex_coeffs, 3), n))
+        assert_svdvals_match_complex_svd(toeplitz_seq(f).band(n))
+        svdvals(toeplitz_seq(random_trig_poly(b + 1, complex_coeffs, 3)).band(n))
         assert took_band(banded_results) == [True, False]
 
     @pytest.mark.parametrize("A", [
         # exact zero singular value, zero main diagonal, one-sided band
-        counterexample("jordan_shift", 512),
+        counterexample_seq("jordan_shift").band(512),
         # b = 0: a complex diagonal, one entry of it zero
-        np.diag(np.exp(1j * np.arange(600)) * np.linspace(0.0, 3.0, 600)),
+        matrices._Band((np.exp(1j * np.arange(600)) * np.linspace(0.0, 3.0, 600))[:, None], 0),
     ], ids=["jordan-shift-512", "complex-diagonal-600"])
     def test_banded_edge_cases(self, banded_results, A):
         assert_svdvals_match_complex_svd(A)
@@ -877,7 +887,7 @@ class TestSvdvals:
         A = toeplitz(F_REAL, 640)
         A[100:110] = 0
         A[-1] = 0
-        assert_svdvals_match_complex_svd(A)
+        assert_svdvals_match_complex_svd(as_band(A))
         assert took_band(banded_results) == [True]
 
     @pytest.mark.parametrize("f", [F_REAL, TrigPoly.from_coeff_map({0: 1j, 1: 2})],
@@ -887,14 +897,14 @@ class TestSvdvals:
         A[5, 6] = np.nan
         # the banded path's message: the dense one reports no convergence
         with pytest.raises(NumericalError, match="SVD failed: matrix has non-finite entries"):
-            svdvals(A)
+            svdvals(as_band(A))
 
     def test_banded_path_follows_the_band(self, banded_results):
         n = 1024
         glt = glt_product_seq(GltExpr(((A_HOOK, F_REAL),)))
-        s = singular_values(glt(n))
-        singular_values(toeplitz(F_REAL, n) - circulant(F_REAL, n))
-        singular_values(glt(n) - lc_op(A_HOOK, F_REAL, n))
+        s = singular_values(glt.band(n))
+        singular_values(acs._difference(toeplitz_seq(F_REAL), circulant_seq(F_REAL), n))
+        singular_values(acs._difference(glt, lc_seq(A_HOOK, F_REAL), n))
         # the glt - lc difference has b = 31 <= 1024/32 (p_metric gives it to
         # its Gram band route first); toeplitz - circulant fills two corners
         assert took_band(banded_results) == [True, False, True]
@@ -912,19 +922,26 @@ def band_operand_seqs(kind):
 
 
 class TestBandOperands:
-    """`singular_values` of a sequence's band equals that of its dense matrix
-    bit for bit, on the band route and on the dense fallback alike; the sv
-    ladder hands the band over from n = 96, the band SVD's floor."""
+    """`singular_values` of a sequence's band equals that of its dense
+    matrix's band storage bit for bit, and the dense route's within
+    roundoff, or bit for bit off the band gate; the sv ladder hands the band
+    over from n = 96, the band SVD's floor."""
 
     @pytest.mark.parametrize("kind", ["real", "complex"])
     @pytest.mark.parametrize("n", [96, 512, 1024, 1600])
     def test_values_equal_the_dense_route(self, n, kind, banded_results):
         for seq in band_operand_seqs(kind):
-            want = singular_values(seq(n))
-            assert singular_values(seq.band(n)).tobytes() == want.tobytes()
-        # glt and Toeplitz take the band SVD at every size, from their dense
-        # matrix as from their band; the normal form (b = sqrt(n) - 1) only
-        # from n = 1024
+            band, A = seq.band(n), seq(n)
+            s = singular_values(band)
+            assert s.tobytes() == singular_values(as_band(A, band.b)).tobytes()
+            want = singular_values(A)
+            if banded_results[-1] is None:
+                assert s.tobytes() == want.tobytes()
+            else:
+                assert np.abs(s - want).max() <= 1e-13 * want[0]
+        # glt and Toeplitz take the band SVD at every size, from their band
+        # as from their dense matrix's band storage; the normal form
+        # (b = sqrt(n) - 1) only from n = 1024
         took = took_band(banded_results)
         assert took[0::2] == took[1::2]
         assert took[0::2] == [True, True, n >= 1024]
@@ -937,10 +954,10 @@ class TestBandOperands:
         A[100:110] = 0
         A[:, -1] = 0
         W = normal_form_seq(band_operand_seqs(kind)[0].symbol)(196)
-        for M, b in ((A, 2), (W, 13)):
-            band = matrices._Band(matrices._band_storage(M, b), b)
-            assert singular_values(band).tobytes() == singular_values(M).tobytes()
-        assert took_band(banded_results) == [True, True, False, False]
+        s, want = singular_values(as_band(A, 2)), singular_values(A)
+        assert np.abs(s - want).max() <= 1e-13 * want[0]
+        assert singular_values(as_band(W, 13)).tobytes() == singular_values(W).tobytes()
+        assert took_band(banded_results) == [True, False]
 
     def test_ladder_takes_the_band_from_the_band_floor(self, monkeypatch):
         seq = band_operand_seqs("complex")[0]
@@ -956,7 +973,11 @@ class TestBandOperands:
         table = sv_symbol_residual(seq, seq.symbol, sizes)
         assert taken == [(64, False), (95, False), (96, True), (256, True)]
         dense = sv_symbol_residual(dataclasses.replace(seq, band=None), seq.symbol, sizes)
-        assert table.residuals.tobytes() == dense.residuals.tobytes()
+        np.testing.assert_allclose(table.residuals, dense.residuals, rtol=0, atol=1e-13)
+        # the bands read back from the dense matrices give the same bits
+        rebuilt = dataclasses.replace(seq, band=lambda n: as_band(seq(n), seq.band(n).b))
+        again = sv_symbol_residual(rebuilt, seq.symbol, sizes)
+        assert table.residuals.tobytes() == again.residuals.tobytes()
 
     @pytest.mark.parametrize("b", [0, 2, 7])
     @pytest.mark.parametrize("dtype", [float, complex])

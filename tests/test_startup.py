@@ -45,10 +45,12 @@ SPY = """
     glt_lab.acs._band_tridiagonal = spy("_band_tridiagonal")
 """
 
+# the n = 1024 glt - lc difference as the acs ladder forms it, a band
 GLT_LC = """
+    from glt_lab.acs import _difference
     from glt_lab.cli import build_sequence
     f = "1 + x^2 | 2 + cos(theta) + 0.5*i*sin(2*theta)"
-    A = build_sequence(f"glt({f})")(1024) - build_sequence(f"lc({f})")(1024)
+    A = _difference(build_sequence(f"glt({f})"), build_sequence(f"lc({f})"), 1024)
 """
 
 
@@ -94,11 +96,11 @@ def test_cold_banded_svdvals_leaves_scipy_out(coeffs):
     out = run_python(SPY, f"""
         import json, sys
         import numpy as np
-        from glt_lab import TrigPoly, toeplitz
+        from glt_lab import TrigPoly, toeplitz_seq
         from glt_lab.matrices import svdvals
-        A = toeplitz(TrigPoly.from_coeff_map({coeffs}), 512)
+        A = toeplitz_seq(TrigPoly.from_coeff_map({coeffs})).band(512)
         s = svdvals(A)
-        dense = np.linalg.svd(A, compute_uv=False)
+        dense = np.linalg.svd(A.dense(), compute_uv=False)
         print(json.dumps({{"scipy": "scipy" in sys.modules, "calls": calls,
                            "error": float(np.abs(s - dense).max() / max(1.0, dense[0]))}}))
     """)
@@ -135,7 +137,7 @@ def test_band_routes_run_with_scipy_blocked():
         ladder = sv_symbol_residual(seq, seq.symbol, sizes).residuals
         dense = sv_symbol_residual(oracle, seq.symbol, sizes).residuals
         p = p_metric(A)
-        s = np.linalg.svd(A, compute_uv=False)
+        s = np.linalg.svd(A.dense(), compute_uv=False)
         p_dense = float((np.arange(1025) / 1024 + np.append(s, 0.0)).min())
         print(json.dumps({"calls": calls, "ladder": float(np.abs(ladder - dense).max()),
                           "p": abs(p - p_dense) / p_dense}))
