@@ -6,9 +6,10 @@ Usage:
     glt-lab parse <expr>
 
 Config files are flat INI: one section per experiment and an optional
-global `output` path for the CSV report (stdout when absent).  A `seed` is
-optional: nothing in the package is random, so it is ignored like any other
-global key the runner does not read.  Exit code 0 when every verdict is
+global `output` path for the CSV report (stdout when absent).  Each section
+is parsed against `KINDS`, the keys its kind reads, before any runs; any
+other key is an error unless `[global]` or `[DEFAULT]` sets it (a `seed`,
+say: nothing in the package is random).  Exit code 0 when every verdict is
 PASS or N/A, 1 when any row FAILs, 2 on configuration errors.  `run` and
 `demo` use one BLAS thread and give the caller's count back when they end.
 """
@@ -201,6 +202,8 @@ def build_sequence(spec: str, max_degree: int = 8) -> MatrixSeq:
         raise ConfigError(f"bad sequence spec {spec!r}")
     head, inner = m.group(1), (m.group(2) or "").strip()
     if head in ("identity", "zero"):
+        if inner:
+            raise ConfigError(f"sequence {head!r} takes no arguments")
         return matrices.identity_seq() if head == "identity" else matrices.zero_seq()
     if not inner:
         raise ConfigError(f"sequence {head!r} needs arguments")
@@ -232,7 +235,7 @@ def build_sequence(spec: str, max_degree: int = 8) -> MatrixSeq:
 class Experiment:
     name: str
     kind: str
-    options: dict
+    options: dict  # key -> parsed value, every key of KINDS[kind]
 
 
 @dataclass
@@ -241,83 +244,87 @@ class RunConfig:
     experiments: list
 
 
-def load_config(path: str) -> RunConfig:
-    parser = configparser.ConfigParser(delimiters=("=",), inline_comment_prefixes=("#",))
-    parser.optionxform = str.lower
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot parse config {path!r}: {exc}") from exc
-    experiments = []
-    output = parser.defaults().get("output")
-    for section in parser.sections():
-        opts = dict(parser.items(section))
-        if section.lower() == "global":
-            output = opts.get("output", output)
-            continue
-        kind = opts.pop("kind", None)
-        if kind is None:
-            raise ConfigError(f"experiment [{section}] is missing a kind")
-        if kind not in RUNNERS:
-            raise ConfigError(f"experiment [{section}] has unknown kind {kind!r}")
-        experiments.append(Experiment(section, kind, opts))
-    if not experiments:
-        raise ConfigError("config defines no experiments")
-    return RunConfig(output, experiments)
-
-
-def _require(opts: dict, key: str, section: str) -> str:
-    if key not in opts:
-        raise ConfigError(f"experiment [{section}] is missing the {key!r} key")
-    return opts[key]
-
-
-def _number(exp: Experiment, key: str, default, kind=float, maximum=math.inf):
-    """A non-negative numeric option (finite for floats) at most `maximum`,
-    or `default` when the key is absent."""
-    text = exp.options.get(key)
-    if text is None:
-        return default
+def _number(key, text, kind=float, maximum=math.inf):
+    """`text` as a non-negative `kind` (finite for floats) at most `maximum`."""
     try:
         value = kind(text)
     except ValueError:
-        value = None
-    if value is None or not 0 <= value < math.inf:
+        value = math.nan
+    if not 0 <= value < math.inf:
         what = "integer" if kind is int else "number"
-        raise ConfigError(
-            f"experiment [{exp.name}]: {key} must be a non-negative {what}, got {text!r}"
-        )
+        raise ConfigError(f"{key} must be a non-negative {what}, got {text!r}")
     if value > maximum:
-        raise ConfigError(f"experiment [{exp.name}]: {key} must be at most {maximum}, got {text!r}")
+        raise ConfigError(f"{key} must be at most {maximum}, got {text!r}")
     return value
+
+
+def _choice(what, text, choices):
+    if text not in choices:
+        raise ConfigError(f"unknown {what} {text!r}; choose from {tuple(choices)}")
+    return text
 
 
 # Coefficients past degree n - 1 fall outside an n x n Toeplitz band, so a
 # degree above the desk-scale sizes adds cost and no entry.
 MAX_DEGREE_CAP = 4096
 
+# key -> parser(text, the options parsed before it); a key means the same
+# thing in every kind that reads it
+PARSERS = {
+    "max_degree": lambda text, _: _number("max_degree", text, int, MAX_DEGREE_CAP),
+    **dict.fromkeys(("sequence", "sequence_a", "sequence_b"),
+                    lambda text, opts: build_sequence(text, opts["max_degree"])),
+    "terms": lambda text, opts: _parse_terms(text, opts["max_degree"]),
+    "symbol": lambda text, _: _parse_expr_cfg(text, "k"),
+    "function": lambda text, _: _parse_expr_cfg(text, "F"),
+    "mode": lambda text, _: _choice("mode", text, ("sv", "eig")),
+    "sizes": lambda text, _: _parse_sizes(text),
+    "grid": lambda text, _: _parse_grid(text),
+    "tolerance": lambda text, _: _number("tolerance", text),
+    "acs_tolerance": lambda text, _: _number("acs_tolerance", text),
+    "shifts": lambda text, _: tuple(_parse_complex(s) for s in text.split(",")),
+    "name": lambda text, _: _choice("counterexample", text, DEMOS),
+}
 
-def _max_degree(exp: Experiment) -> int:
-    return _number(exp, "max_degree", 8, int, MAX_DEGREE_CAP)
 
-
-def _seq(exp: Experiment, key: str) -> MatrixSeq:
-    return build_sequence(_require(exp.options, key, exp.name), _max_degree(exp))
-
-
-def _terms(exp: Experiment) -> GltExpr:
-    return _parse_terms(_require(exp.options, "terms", exp.name), _max_degree(exp))
-
-
-def _sizes(exp: Experiment):
-    return _parse_sizes(_require(exp.options, "sizes", exp.name))
-
-
-def _grid(exp: Experiment):
-    return _parse_grid(exp.options["grid"]) if "grid" in exp.options else None
+def load_config(path: str) -> RunConfig:
+    """Parse every experiment section into its options, checked against KINDS."""
+    parser = configparser.ConfigParser(delimiters=("=",), inline_comment_prefixes=("#",))
+    parser.optionxform = str.lower
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            parser.read_file(fh)
+        defaults = parser.defaults()
+        sections = [(s, dict(parser.items(s)), dict(parser.items(s, raw=True)))
+                    for s in parser.sections()]
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot parse config {path!r}: {exc}") from exc
+    experiments = []
+    output = defaults.get("output")
+    for section, items, raw in sections:
+        if section.lower() == "global":
+            output = items.get("output", output)
+            continue
+        kind = items.pop("kind", None)
+        if kind not in KINDS:
+            raise ConfigError(f"experiment [{section}] has unknown kind {kind!r}" if kind
+                              else f"experiment [{section}] is missing a kind")
+        # configparser copies [DEFAULT] into every section: a key that
+        # holds its [DEFAULT] text came from there, and is ignored if unread
+        for key in items:
+            if key not in KINDS[kind] and raw[key] != defaults.get(key):
+                raise ConfigError(f"experiment [{section}] has unknown key {key!r} for {kind}")
+        options = {}
+        for key, default in KINDS[kind].items():
+            if key not in items and default is REQUIRED:
+                raise ConfigError(f"experiment [{section}] is missing the {key!r} key")
+            options[key] = PARSERS[key](items[key], options) if key in items else default
+        experiments.append(Experiment(section, kind, options))
+    if not experiments:
+        raise ConfigError("config defines no experiments")
+    return RunConfig(output, experiments)
 
 
 # ---------------------------------------------------------------------------
@@ -372,69 +379,48 @@ def _residual_rows(name, table):
     return rows
 
 
-def run_symbol_check(exp: Experiment) -> list:
-    seq = _seq(exp, "sequence")
-    symbol = _parse_expr_cfg(_require(exp.options, "symbol", exp.name), "k")
-    mode = exp.options.get("mode", "sv")
-    if mode not in ("sv", "eig"):
-        raise ConfigError(f"mode must be sv or eig, got {mode!r}")
-    sizes = _sizes(exp)
-    grid = spectra.as_symbol_grid(symbol, _grid(exp))
-    tol = _number(exp, "tolerance", None)
-    fn = sv_symbol_residual if mode == "sv" else eig_symbol_residual
-    table = fn(seq, grid, sizes)
-    if tol is not None:
-        table = replace(table, bounds=np.full(len(sizes), tol))
-    return _residual_rows(exp.name, table)
+def run_symbol_check(name, opts) -> list:
+    grid = spectra.as_symbol_grid(opts["symbol"], opts["grid"])
+    fn = sv_symbol_residual if opts["mode"] == "sv" else eig_symbol_residual
+    table = fn(opts["sequence"], grid, opts["sizes"])
+    if opts["tolerance"] is not None:
+        table = replace(table, bounds=np.full(len(opts["sizes"]), opts["tolerance"]))
+    return _residual_rows(name, table)
 
 
-def run_acs(exp: Experiment) -> list:
-    seq_a, seq_b = _seq(exp, "sequence_a"), _seq(exp, "sequence_b")
-    sizes = _sizes(exp)
-    tol = _number(exp, "tolerance", 0.5)
-    verdict, est = acs_equivalent(seq_a, seq_b, sizes, tol)
-    rows = _ladder(exp.name, est.sizes, "p", est.p_values)
-    rows.append(_row(exp.name, sizes[-1], "rho_estimate", est.rho_estimate, tol, verdict))
+def run_acs(name, opts) -> list:
+    sizes, tol = opts["sizes"], opts["tolerance"]
+    verdict, est = acs_equivalent(opts["sequence_a"], opts["sequence_b"], sizes, tol)
+    rows = _ladder(name, est.sizes, "p", est.p_values)
+    rows.append(_row(name, sizes[-1], "rho_estimate", est.rho_estimate, tol, verdict))
     return rows
 
 
-def run_normal_form(exp: Experiment) -> list:
-    expr = _terms(exp)
-    sizes = _sizes(exp)
-    resolution = _grid(exp)
-    acs_tol = _number(exp, "acs_tolerance", 0.5)
-    report = verify_normal_form(expr, sizes, resolution=resolution, acs_tol=acs_tol)
-    rows = _ladder(exp.name, sizes, "acs_p", report.acs_p_values)
-    rows.append(_row(exp.name, sizes[-1], "acs_rho", report.acs_rho, acs_tol, report.acs_pass))
-    return rows + _max_rows(exp.name, "eig_residual_max", report.eig_table)
+def run_normal_form(name, opts) -> list:
+    sizes, acs_tol = opts["sizes"], opts["acs_tolerance"]
+    report = verify_normal_form(opts["terms"], sizes, resolution=opts["grid"], acs_tol=acs_tol)
+    rows = _ladder(name, sizes, "acs_p", report.acs_p_values)
+    rows.append(_row(name, sizes[-1], "acs_rho", report.acs_rho, acs_tol, report.acs_pass))
+    return rows + _max_rows(name, "eig_residual_max", report.eig_table)
 
 
-def run_embed(exp: Experiment) -> list:
-    seq_a, seq_b = _seq(exp, "sequence_a"), _seq(exp, "sequence_b")
-    sizes = _sizes(exp)
-    residuals = [group_embed(seq_a, seq_b, n).residual_p for n in sizes]
-    return _ladder(exp.name, sizes, "embed_residual_p", residuals)
+def run_embed(name, opts) -> list:
+    sizes = opts["sizes"]
+    residuals = [group_embed(opts["sequence_a"], opts["sequence_b"], n).residual_p for n in sizes]
+    return _ladder(name, sizes, "embed_residual_p", residuals)
 
 
-def run_hermitian_fn(exp: Experiment) -> list:
-    seq = _seq(exp, "sequence")
-    g = _parse_expr_cfg(_require(exp.options, "function", exp.name), "F")
-    report = hermitian_function(seq, g, _sizes(exp), resolution=_grid(exp))
-    return (_max_rows(exp.name, "sv_residual_max", report.sv_table)
-            + _max_rows(exp.name, "eig_residual_max", report.eig_table))
+def run_hermitian_fn(name, opts) -> list:
+    report = hermitian_function(opts["sequence"], opts["function"], opts["sizes"],
+                                resolution=opts["grid"])
+    return (_max_rows(name, "sv_residual_max", report.sv_table)
+            + _max_rows(name, "eig_residual_max", report.eig_table))
 
 
-def run_shift_test(exp: Experiment) -> list:
-    opts = exp.options
-    seq = _seq(exp, "sequence")
-    symbol = _parse_expr_cfg(_require(opts, "symbol", exp.name), "k")
-    sizes = _sizes(exp)
-    resolution = _grid(exp)
-    shifts = DEFAULT_SHIFTS
-    if "shifts" in opts:
-        shifts = tuple(_parse_complex(s) for s in opts["shifts"].split(","))
-    report = affine_shift_test(seq, symbol, sizes, shifts, resolution=resolution)
-    return _shift_rows(exp.name, sizes, report)
+def run_shift_test(name, opts) -> list:
+    report = affine_shift_test(opts["sequence"], opts["symbol"], opts["sizes"], opts["shifts"],
+                               resolution=opts["grid"])
+    return _shift_rows(name, opts["sizes"], report)
 
 
 # ---------------------------------------------------------------------------
@@ -511,11 +497,8 @@ DEMOS = {
 }
 
 
-def run_counterexample(exp: Experiment) -> list:
-    name = _require(exp.options, "name", exp.name)
-    if name not in DEMOS:
-        raise ConfigError(f"unknown counterexample {name!r}; choose from {tuple(DEMOS)}")
-    return DEMOS[name](name=exp.name)
+def run_counterexample(name, opts) -> list:
+    return DEMOS[opts["name"]](name=name)
 
 
 RUNNERS = {
@@ -528,6 +511,24 @@ RUNNERS = {
     "shift-test": run_shift_test,
 }
 
+# kind -> the keys its runner reads, in parse order, each with its default
+# or REQUIRED; max_degree comes first, since sequences and terms read it
+REQUIRED = object()
+KINDS = {
+    "symbol-check": {"max_degree": 8, "sequence": REQUIRED, "symbol": REQUIRED, "mode": "sv",
+                     "sizes": REQUIRED, "grid": None, "tolerance": None},
+    "acs": {"max_degree": 8, "sequence_a": REQUIRED, "sequence_b": REQUIRED, "sizes": REQUIRED,
+            "tolerance": 0.5},
+    "normal-form": {"max_degree": 8, "terms": REQUIRED, "sizes": REQUIRED, "grid": None,
+                    "acs_tolerance": 0.5},
+    "embed": {"max_degree": 8, "sequence_a": REQUIRED, "sequence_b": REQUIRED, "sizes": REQUIRED},
+    "counterexample": {"name": REQUIRED},
+    "hermitian-fn": {"max_degree": 8, "sequence": REQUIRED, "function": REQUIRED,
+                     "sizes": REQUIRED, "grid": None},
+    "shift-test": {"max_degree": 8, "sequence": REQUIRED, "symbol": REQUIRED, "sizes": REQUIRED,
+                   "grid": None, "shifts": DEFAULT_SHIFTS},
+}
+
 
 def _dump_matrices(exp: Experiment, out_dir: Path) -> None:
     """Write the sequence `exp` tested, one file per size: `sequence` for
@@ -535,11 +536,10 @@ def _dump_matrices(exp: Experiment, out_dir: Path) -> None:
     Q^H D Q for normal-form, and nothing for counterexample."""
     if exp.kind == "counterexample":
         return
-    if exp.kind == "normal-form":
-        seq = normal_form_seq(_terms(exp))
-    else:
-        seq = _seq(exp, "sequence_a" if exp.kind in ("acs", "embed") else "sequence")
-    for n in _sizes(exp):
+    opts = exp.options
+    seq = (normal_form_seq(opts["terms"]) if exp.kind == "normal-form"
+           else opts.get("sequence", opts.get("sequence_a")))
+    for n in opts["sizes"]:
         A = seq(n)
         i, j = np.nonzero(A)
         z = A[i, j]
@@ -555,7 +555,7 @@ def run_config(path: str, dump_matrices: bool = False) -> int:
         rows = []
         for exp in config.experiments:
             try:
-                rows.extend(RUNNERS[exp.kind](exp))
+                rows.extend(RUNNERS[exp.kind](exp.name, exp.options))
                 if dump_matrices:
                     _dump_matrices(exp, out_dir)
             except ConfigError:

@@ -1,6 +1,7 @@
 import csv
 import io
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -120,6 +121,11 @@ class TestSequenceSpecs:
         expect = np.diag(np.arange(1, 9) / 8) @ (np.eye(8, k=1) + np.eye(8, k=-1)) + np.eye(8)
         np.testing.assert_allclose(A, expect, atol=1e-12)
 
+    @pytest.mark.parametrize("spec", ["identity(2*cos(theta))", "zero(x)", "identity(1)"])
+    def test_nullary_head_with_arguments_raises_config_error(self, spec):
+        with pytest.raises(ConfigError, match="takes no arguments"):
+            build_sequence(spec)
+
     def test_bad_spec_raises_config_error(self):
         with pytest.raises(ConfigError):
             build_sequence("frobnicate(x)")
@@ -194,7 +200,8 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("sizes", ["600, abc", "abc, 600", "1e3, 2e3"])
     def test_bad_sizes_in_a_later_experiment(self, tmp_path, sizes):
-        # the band-solver pre-load reads sizes first and must leave bad text to the runner
+        # every section is parsed before any runs, so a later bad section
+        # exits 2 with no report, not after the first one's ladder
         cfg = write_config(
             tmp_path,
             "[global]\nseed = 1\n\n[first]\nkind = symbol-check\n"
@@ -298,6 +305,169 @@ class TestConfigValidation:
         assert rc.experiments[0].kind == "symbol-check"
 
 
+# one valid value per key, so that a section of any kind built from it runs
+VALID = {
+    "max_degree": "4", "sequence": "toeplitz(2*cos(theta))",
+    "sequence_a": "toeplitz(2*cos(theta))", "sequence_b": "circulant(2*cos(theta))",
+    "terms": "x | 2*cos(theta)", "symbol": "2*cos(theta)", "function": "t^2", "mode": "sv",
+    "sizes": "16, 36", "grid": "4x64", "tolerance": "0.5", "acs_tolerance": "0.5",
+    "shifts": "0, 1", "name": "half_shift",
+}
+
+# values each key's parser refuses (a max_degree of 0 refuses the valid
+# sequences and terms, whose factors have degree 1)
+REFUSED = {
+    "max_degree": ["-1", "abc", "4097", "1.5", "0", ""],
+    "sequence": ["frobnicate(x)", "toeplitz(x)", "identity(2*cos(theta))", "zero(x)",
+                 "toeplitz(cos(9*theta))", "counterexample(nope)", "lt(x | 1 ; 1 | 1)",
+                 "diag(", "glt()", ""],
+    "terms": ["x", "x | 2*cos(9*theta)", "x | x", ";", "y | 1", ""],
+    "symbol": ["2**x", "y", "t", ""],
+    "function": ["x", "t +", "theta", ""],
+    "mode": ["svd", "EIG", ""],
+    "sizes": ["16, 8", "0, 8", "abc", "1e3", ""],
+    "grid": ["0", "4x0", "4x4x4", "a", ""],
+    "tolerance": ["nan", "-1", "inf", "half", ""],
+    "shifts": ["nan", "0, 1e400", "1+", "0,,1", ""],
+    "name": ["nope", "HALF_SHIFT", ""],
+}
+REFUSED["sequence_a"] = REFUSED["sequence_b"] = REFUSED["sequence"]
+REFUSED["acs_tolerance"] = REFUSED["tolerance"]
+
+
+def section(name, kind, **keys):
+    keys = {key: VALID[key] for key in cli.KINDS[kind]} | keys
+    return f"[{name}]\nkind = {kind}\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+
+
+def spy_runners(monkeypatch):
+    """Replace every runner with one that records its kind and returns no
+    rows; returns the record."""
+    called = []
+    for kind in cli.KINDS:
+        monkeypatch.setitem(cli.RUNNERS, kind,
+                            lambda name, opts, kind=kind: called.append(kind) or [])
+    return called
+
+
+class TestConfigSchema:
+    """Every section is parsed against its kind's keys before any runner
+    starts: a key the kind does not read, a missing key and a value its
+    parser refuses end as exit 2 with one `config error:` line."""
+
+    def assert_refused(self, proc, *fragments):
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("config error: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+        for fragment in fragments:
+            assert fragment in proc.stderr
+
+    def test_parsers_cover_every_key_of_every_kind(self):
+        assert list(cli.KINDS) == list(cli.RUNNERS)
+        assert {key for keys in cli.KINDS.values() for key in keys} == cli.PARSERS.keys()
+        assert cli.PARSERS.keys() == VALID.keys() == REFUSED.keys()
+
+    def test_readme_lists_the_keys_of_every_kind(self):
+        text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        rows = dict(re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", text, re.M))
+        for kind, keys in cli.KINDS.items():
+            listed = re.findall(r"(?:^|, )`(\w+)`( \*req\*)?", rows[kind])
+            assert [(key, bool(req)) for key, req in listed] == [
+                (key, default is cli.REQUIRED) for key, default in keys.items()]
+
+    def test_misspelt_tolerance_exits_2(self, tmp_path):
+        # an ignored key would leave the default bound, which PASSes this
+        # wrong symbol at n = 64 and 256 with exit 0
+        cfg = write_config(tmp_path, "[wrong]\nkind = symbol-check\n"
+                           "sequence = toeplitz(2*cos(theta))\nsymbol = 3*cos(theta)\n"
+                           "sizes = 64, 256\ntolerence = 0.001\n")
+        self.assert_refused(run_installed_cli("run", cfg),
+                            "experiment [wrong] has unknown key 'tolerence'")
+
+    @pytest.mark.parametrize("key, value", [("grid", "4x512"), ("mode", "eig")])
+    def test_acs_with_a_key_of_another_kind_exits_2(self, tmp_path, key, value):
+        cfg = write_config(tmp_path, section("close", "acs") + f"{key} = {value}\n")
+        self.assert_refused(run_installed_cli("run", cfg),
+                            f"experiment [close] has unknown key {key!r} for acs")
+
+    @pytest.mark.parametrize("spec", ["identity(2*cos(theta))", "zero(x)"])
+    def test_nullary_head_with_arguments_exits_2(self, tmp_path, spec):
+        # not I and 0 with the arguments dropped
+        cfg = write_config(tmp_path, section("nullary", "acs", sequence_a=spec))
+        self.assert_refused(run_installed_cli("run", cfg), "takes no arguments")
+
+    def test_bad_key_in_the_last_section_runs_nothing(self, tmp_path, monkeypatch):
+        out = tmp_path / "report.csv"
+        body = "".join(section(kind, kind) + "\n" for kind in cli.KINDS)
+        cfg = write_config(tmp_path, f"[global]\noutput = {out}\n\n{body}tolerance = 0.5\n")
+        called = spy_runners(monkeypatch)
+        code, stdout, err = run_cli(["run", cfg])
+        assert (code, stdout, called) == (2, "", [])
+        assert err == ("config error: experiment [shift-test] has unknown key 'tolerance' for "
+                       "shift-test\n")
+        assert not out.exists()
+
+    def test_default_keys_the_kind_does_not_read_are_ignored(self, tmp_path, monkeypatch):
+        # configparser copies [DEFAULT] into every section; a seed there, or
+        # a key only some kinds read, is ignored where it is not read
+        out = tmp_path / "report.csv"
+        body = "".join(section(kind, kind) + "\n" for kind in cli.KINDS)
+        cfg = write_config(tmp_path, f"[DEFAULT]\nseed = 3\nmode = eig\noutput = {out}\n\n"
+                           + body.replace("mode = sv\n", ""))
+        called = spy_runners(monkeypatch)
+        assert run_cli(["run", cfg]) == (0, "", "")
+        assert called == list(cli.KINDS)
+        assert out.exists()
+        rc = load_config(cfg)
+        assert [exp.options["mode"] for exp in rc.experiments if "mode" in exp.options] == ["eig"]
+
+    def test_percent_sign_in_a_value_exits_2(self, tmp_path):
+        # configparser interpolates '%' when the sections are read
+        cfg = write_config(tmp_path, section("pct", "acs", sequence_a="toeplitz(50%)"))
+        code, out, err = run_cli(["run", cfg])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"config error: cannot parse config {cfg!r}: '%' must be followed")
+
+    def test_random_mutants_exit_2_before_any_runner(self, tmp_path, monkeypatch):
+        # seeded draws over every kind: rename a key (a typo, or a key of
+        # another kind), drop a required key, or give a key a value its
+        # parser refuses; the mutant is the last section, after a valid one
+        rng = np.random.default_rng(28)
+        every_key = sorted(cli.PARSERS)
+        called = spy_runners(monkeypatch)
+        out = tmp_path / "report.csv"
+        for draw in range(120):
+            kind = list(cli.KINDS)[draw % len(cli.KINDS)]
+            keys = {key: VALID[key] for key in cli.KINDS[kind]}
+            key = str(rng.choice(list(keys)))
+            how = draw // len(cli.KINDS) % 3
+            if how == 0:
+                name = key
+                while name in keys or name == "kind":
+                    i = int(rng.integers(len(key)))
+                    name = str(rng.choice([key[:i] + key[i + 1:], key[:i] + key[i] + key[i:],
+                                           key[:i] + key[i + 1:i + 2] + key[i:i + 1] + key[i + 2:],
+                                           rng.choice(every_key)]))
+                keys[name] = keys.pop(key)
+            elif how == 1 and cli.KINDS[kind][key] is cli.REQUIRED:
+                del keys[key]
+            else:
+                keys[key] = str(rng.choice(REFUSED[key]))
+            body = section("valid", "embed") + "\n[mutant]\nkind = " + kind + "\n" + "".join(
+                f"{k} = {v}\n" for k, v in keys.items())
+            cfg = write_config(tmp_path, f"[global]\noutput = {out}\n\n{body}")
+            code, stdout, err = run_cli(["run", cfg])
+            assert (code, stdout, called) == (2, "", []), body
+            assert err.startswith("config error: ") and err.count("\n") == 1, (body, err)
+            assert not out.exists()
+
+    def test_every_kind_runs_from_its_valid_section(self, tmp_path):
+        body = "".join(section(kind, kind) + "\n" for kind in cli.KINDS)
+        code, out, err = run_cli(["run", write_config(tmp_path, body)])
+        assert code in (0, 1) and err == ""
+        assert {row.split(",")[0] for row in out.splitlines()[1:]} == set(cli.KINDS)
+
+
 class TestRunCommand:
     def test_szego_ladder_exits_zero(self, tmp_path):
         cfg = write_config(tmp_path, GOOD_CONFIG)
@@ -374,14 +544,14 @@ class TestRunCommand:
             dumped = np.array([complex(float(r[2]), float(r[3])) for r in rows])
             assert np.array_equal(dumped, A[i, j])
 
-    def test_dump_matrices_normal_form_ignores_a_stray_sequence(self, tmp_path):
+    def test_dump_matrices_normal_form_dumps_the_normal_form(self, tmp_path):
         # the dump follows the kind: a normal-form section dumps the normal
-        # form it verified, whatever other keys it carries
+        # form it verified at every size
         terms = "x | 2*cos(theta)"
         cfg = write_config(
             tmp_path,
             f"[global]\noutput = {tmp_path / 'report.csv'}\n\n[nf]\nkind = normal-form\n"
-            f"terms = {terms}\nsequence = identity\nsizes = 16, 36, 64\n",
+            f"terms = {terms}\nsizes = 16, 36, 64\n",
         )
         code, _, _ = run_cli(["run", cfg, "--dump-matrices"])
         assert code == 0
@@ -394,16 +564,30 @@ class TestRunCommand:
                        for r in rows)
 
     def test_dump_matrices_counterexample_writes_nothing(self, tmp_path):
-        # a counterexample section runs a demo with its own sizes, so a stray
-        # `sizes` key names no matrix the run built
+        # a counterexample section runs a demo with its own sizes, so no
+        # matrix of the run is dumped
         cfg = write_config(
             tmp_path,
             f"[global]\noutput = {tmp_path / 'report.csv'}\n\n[hs]\nkind = counterexample\n"
-            "name = half_shift\nsizes = 8\n",
+            "name = half_shift\n",
         )
         code, _, _ = run_cli(["run", cfg, "--dump-matrices"])
         assert code == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini", "report.csv"]
+
+    @pytest.mark.parametrize("body, key", [
+        ("kind = normal-form\nterms = x | 2*cos(theta)\nsequence = identity\nsizes = 16, 36\n",
+         "sequence"),
+        ("kind = counterexample\nname = half_shift\nsizes = 8\n", "sizes"),
+    ], ids=["normal-form-sequence", "counterexample-sizes"])
+    def test_dump_matrices_with_a_stray_key_exits_2(self, tmp_path, body, key):
+        # the stray key is refused before anything runs or is dumped
+        cfg = write_config(tmp_path, f"[global]\noutput = {tmp_path / 'report.csv'}\n\n"
+                           f"[x]\n{body}")
+        code, out, err = run_cli(["run", cfg, "--dump-matrices"])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"config error: experiment [x] has unknown key {key!r}")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini"]
 
     def test_shift_test_kind(self, tmp_path):
         cfg = write_config(
