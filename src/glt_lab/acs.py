@@ -21,15 +21,14 @@ from .matrices import (
     _Band,
     _band_reduce,
     _band_tridiagonal,
-    _banded_svdvals,
     _check_ladder,
-    _dense_svdvals,
     _lapack,
     _pad,
     _square_finite,
     _sturm_counter,
     _svd_reduce,
     _tridiagonal_eigvalsh,
+    svdvals,
 )
 
 __all__ = [
@@ -62,9 +61,9 @@ def _objective(s: np.ndarray) -> np.ndarray:
     return np.arange(n + 1) / n + np.append(s, 0.0)
 
 
-# The Gram route's a-posteriori gate.  The eigenvalues of C^H C are sigma_i^2
-# to within a modest multiple of eps*sigma_1^2 (Demmel, Applied Numerical
-# Linear Algebra, 1997, sec. 5.4), so their square roots satisfy
+# The Gram band route's a-posteriori gate.  The eigenvalues of C^H C are
+# sigma_i^2 to within a modest multiple of eps*sigma_1^2 (Demmel, Applied
+# Numerical Linear Algebra, 1997, sec. 5.4), so their square roots satisfy
 # |sigma_hat_i - sigma_i| <= c*eps*sigma_1^2/sigma_hat_i.  c reached 9.4 on
 # the benchmark's acs and normal-form operands (acs-normal-form seeds 0-9,
 # n = 256-1600); _GRAM_SAFETY stands for it with a 10x margin.  _GRAM_RTOL
@@ -76,25 +75,13 @@ _GRAM_RTOL = 1e-10
 _GRAM_SCALE = (2.0**-400, 2.0**400)
 
 
-def _in_scale(M: np.ndarray) -> bool:
-    """Whether M's largest modulus lies strictly inside _GRAM_SCALE (that of
-    an empty or zero M does not)."""
-    return _GRAM_SCALE[0] < np.abs(M).max(initial=0.0) < _GRAM_SCALE[1]
-
-
-def _gram(C: np.ndarray) -> np.ndarray:
-    """C^H C, or C C^H when C has fewer rows, in one BLAS-3 product."""
-    C = np.ascontiguousarray(C)  # a strided view (a real part) costs a copy per operand
-    return C.conj().T @ C if C.shape[0] >= C.shape[1] else C @ C.conj().T
-
-
 def _gram_band(C: _Band):
     """C^H C of a band core C from `_band_reduce` in LAPACK lower band
     storage (`_band_tridiagonal`), or None when C is off the band route's
     gate, in O(n z kd) work for z nonzero diagonals.  C is off the gate when
     n is below _GRAM_BAND_MIN_N, when kd is above n/_GRAM_BAND_N_PER_KD,
-    when its entries lie outside _GRAM_SCALE, and when numpy's BLAS lacks
-    the band routines.
+    when its largest modulus lies outside the open interval _GRAM_SCALE,
+    and when numpy's BLAS lacks the band routines.
 
     C's band storage puts column j in row j, so entry (j + d, j) of the Gram
     matrix is the sum over s of conj(ab[j + d, s]) * ab[j, s + d]: both
@@ -116,7 +103,9 @@ def _gram_band(C: _Band):
         held[max(shift, 0) : n + min(shift, 0), c] = ab[max(-shift, 0) : n - max(shift, 0), s] != 0
     spread = cols[cols.size - 1 - held[:, ::-1].argmax(axis=1)] - cols[held.argmax(axis=1)]
     kd = int(spread.max(initial=0))
-    if kd > n // _GRAM_BAND_N_PER_KD or not _in_scale(ab):
+    if kd > n // _GRAM_BAND_N_PER_KD:
+        return None
+    if not _GRAM_SCALE[0] < np.abs(ab).max() < _GRAM_SCALE[1]:
         return None
     paired = np.zeros(2 * b + 1 + kd, bool)
     paired[cols] = True
@@ -223,76 +212,46 @@ def _spectrum_p(lam: np.ndarray, n: int):
 
 
 def _gram_p(core, n: int):
-    """p of a reduced core from its Gram matrix, or None when the core's
-    entries lie outside _GRAM_SCALE, an eigensolver fails, or the gate
-    cannot certify the value.  A `_Band` core off the band route forms its
-    dense matrix; a dense core never takes the band route.
-
-    On the band route (`_gram_band`), ?sbtrd/?hbtrd reduce the Gram band to
-    a real tridiagonal and Sturm counts find p (`_count_p`); otherwise a
-    Hermitian eigensolver takes the dense Gram matrix's spectrum.  On one
-    BLAS thread below n = 512, the dense Gram matrix and its eigensolver cost
-    0.6-1.0x the dense SVD: n = 256 complex 15.2 against 15.0 ms, n = 384
-    complex 48.6 against 48.2 ms, n = 256 real 5.0 against 7.9 ms (best of
-    seven, 2-vCPU machine, OpenBLAS 0.3.31).  A core that passes the gate of
-    `_gram_band` costs far less (see `_GRAM_BAND_MIN_N`).
-    """
-    try:
-        if isinstance(core, _Band):
-            gb = _gram_band(core)
-            if gb is not None:
-                return _count_p(*_band_tridiagonal(gb), n)
-            core = core.dense()
-        # a strided real part is copied once, for both passes
-        core = np.ascontiguousarray(core)
-        if not _in_scale(core):  # also the empty core of A = 0
-            return None
-        return _spectrum_p(np.linalg.eigvalsh(_gram(core)), n)
-    except (np.linalg.LinAlgError, NumericalError):
+    """p of a reduced core from its Gram band, or None when the core is not
+    a `_Band`, lies off the gate of `_gram_band`, an eigensolver fails, or
+    the gate of `_count_p` cannot certify the value.  ?sbtrd/?hbtrd reduce
+    the Gram band to a real tridiagonal, and Sturm counts find p on it
+    (`_count_p`)."""
+    if not isinstance(core, _Band):
         return None
-
-
-def _canonical_sign(core: np.ndarray) -> np.ndarray:
-    """core, or -core when its largest-magnitude entry (the first, for ties)
-    lies in the left half-plane or on the negative imaginary axis; an empty
-    core stays as it is.  core and -core map to the same bits."""
-    if core.size == 0:
-        return core
-    v = core.flat[np.argmax(np.abs(core))]
-    return -core if v.real < 0 or (v.real == 0 and v.imag < 0) else core
+    try:
+        gb = _gram_band(core)
+        return None if gb is None else _count_p(*_band_tridiagonal(gb), n)
+    except NumericalError:
+        return None
 
 
 def p_metric(A) -> float:
     """min_{i=1..n+1} {(i-1)/n + sigma_i(A)} with sigma_{n+1} = 0.
 
-    After the exact reductions of `svdvals`, p of the nonzero core comes
-    from its Gram matrix (Sturm counts on the band's tridiagonal, or a dense
-    spectrum) when the gate of `_gram_p` certifies it, else from the banded
-    path of `svdvals`, else from a dense SVD.  The Gram band route goes first
-    where both band gates pass: it is the faster one on acs differences.
-    p(A) = p(-A) bit for bit: the Gram route is exact in sign by arithmetic
-    ((-C)^H (-C) is C^H C product by product, and the rest of the route
-    reads only that), and so was the band route on every band
-    tested, but the dense SVD can round -C differently, so that route alone
-    decomposes the core in one canonical sign.
+    After the exact reductions of `svdvals` (`_band_reduce` of a
+    `matrices._Band`, `_svd_reduce` of a dense A), p of the nonzero core
+    comes from its Gram band when the core is a band and the gates of
+    `_gram_p` certify the value, and otherwise from `svdvals` of the core:
+    the band SVD where its gate passes, else the dense SVD in canonical
+    sign.  The Gram band route is the faster one on acs differences.
 
-    A may be a `matrices._Band`, and only a band core takes the band
-    routes: its core is a band when its zero rows are its zero columns and
-    it lies on the band gate, and otherwise it is scattered from its slots
-    into a dense core (`_band_reduce`).  A dense A always takes the dense
-    routes, which are the band routes' test oracle.
+    p(A) = p(-A) bit for bit: the Gram band route is exact in sign by
+    arithmetic ((-C)^H (-C) is C^H C product by product, and the rest of the
+    route reads only that), and `svdvals` gives -C the bits of C (see its
+    sign rule).
+
+    A band core needs a band A: its core is a band when its zero rows are
+    its zero columns and it lies on the band gate, and otherwise it is
+    scattered from its slots into a dense core (`_band_reduce`).  A dense A
+    always takes the dense SVD, the band routes' test oracle.
     """
     A = _operand(A)
     n = A.shape[0]
     core = _band_reduce(A) if isinstance(A, _Band) else _svd_reduce(A)
     p = _gram_p(core, n)
     if p is None:
-        if isinstance(core, _Band):
-            s = _banded_svdvals(core)
-            if s is not None:
-                return float(_objective(_pad(s, n)).min())
-            core = core.dense()
-        p = _objective(_dense_svdvals(_canonical_sign(core), n)).min()
+        p = _objective(_pad(svdvals(core), n)).min()
     return float(p)
 
 

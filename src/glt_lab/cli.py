@@ -6,12 +6,14 @@ Usage:
     glt-lab parse <expr>
 
 Config files are flat INI: one section per experiment and an optional
-global `output` path for the CSV report (stdout when absent).  Each section
-is parsed against `KINDS`, the keys its kind reads, before any runs; any
-other key is an error unless `[global]` or `[DEFAULT]` sets it (a `seed`,
-say: nothing in the package is random).  Exit code 0 when every verdict is
-PASS or N/A, 1 when any row FAILs, 2 on configuration errors.  `run` and
-`demo` use one BLAS thread and give the caller's count back when they end.
+`[global]` section whose `output` is the path of the CSV report (stdout when
+absent).  Each section is parsed against `KINDS`, the keys its kind reads,
+before any runs; `[global]` reads `output` and ignores `seed` (nothing in
+the package is random).  Any other key that a section sets itself is an
+error; a `[DEFAULT]` key that a section does not read is ignored.  Exit code
+0 when every verdict is PASS or N/A, 1 when any row FAILs, 2 on
+configuration errors.  `run` and `demo` use one BLAS thread and give the
+caller's count back when they end.
 """
 
 from __future__ import annotations
@@ -305,6 +307,9 @@ def load_config(path: str) -> RunConfig:
     output = defaults.get("output")
     for section, items, raw in sections:
         if section.lower() == "global":
+            for key in items:
+                if key not in ("output", "seed") and raw[key] != defaults.get(key):
+                    raise ConfigError(f"[{section}] has unknown key {key!r}")
             output = items.get("output", output)
             continue
         kind = items.pop("kind", None)

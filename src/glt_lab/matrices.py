@@ -216,10 +216,10 @@ _BAND_N_PER_B = 32
 # The band route of p_metric's Gram matrix (acs): a square core of size
 # n >= _GRAM_BAND_MIN_N whose half-bandwidth b and Gram half-width kd are
 # both at most n/_GRAM_BAND_N_PER_KD, the widest band any route takes, so
-# `_narrow` gates b there.  Its eigensolver costs O(n^2 kd) against
-# the dense route's O(n^3), and the two met near kd = n/16 on random bands
+# `_narrow` gates b there.  Its eigensolver costs O(n^2 kd) against a dense
+# Gram eigensolver's O(n^3), and the two met near kd = n/16 on random bands
 # (Gram kd = 2b) on a 2-vCPU VM (OpenBLAS 0.3.31, two BLAS threads): at
-# kd = n/16 the band route took 0.78-1.01x the dense route's time real and
+# kd = n/16 the band route took 0.78-1.01x the dense Gram's time real and
 # 0.91-1.01x complex, n = 512-1600.  The acs differences of glt against lc
 # or a normal form have kd = b + 2 with b about sqrt(n): at n = 1600
 # (kd = 41) the route takes 0.21 against 0.37 s real.  On one BLAS thread it
@@ -461,15 +461,6 @@ def _band_to_dense(ab: np.ndarray, b: int) -> np.ndarray:
     return M
 
 
-def _transpose_band(ab: np.ndarray, b: int) -> np.ndarray:
-    """The band storage of A^T from that of A: row i holds row i of A, entry
-    (i, j) at [i, b + j - i], read periodically as `_band_storage` reads."""
-    out = np.zeros_like(ab)
-    for column, rows, k in _slot_runs(ab.shape[0], b):
-        out[rows.start - k : rows.stop - k, 2 * b - column] = ab[rows, column]
-    return out
-
-
 class _Band(NamedTuple):
     """A square n x n matrix held as its `_band_storage` ab at half-bandwidth
     b, every entry no slot stands for zero; when n > 2b the wrapped slots
@@ -547,11 +538,12 @@ def _svd_reduce(A: np.ndarray) -> np.ndarray:
     """The exact reduction `svdvals` applies before a dense SVD: the rows and
     columns of A that hold a nonzero entry, real when their imaginary part
     is exactly zero.  The singular values of A are those of this core padded
-    with zeros to n."""
+    with zeros to A's row count.  A core that is already reduced, square or
+    not, comes back as it is, without a copy."""
     nonzero = A != 0
     rows = np.flatnonzero(nonzero.any(axis=1))
     cols = np.flatnonzero(nonzero.any(axis=0))
-    core = A if rows.size == cols.size == A.shape[0] else A[np.ix_(rows, cols)]
+    core = A if (rows.size, cols.size) == A.shape else A[np.ix_(rows, cols)]
     return core if _complex_valued(core) else core.real
 
 
@@ -581,7 +573,9 @@ def _band_reduce(band: _Band):
     band.dense()."""
     ab, b = band
     nonzero = ab != 0
-    cols, rows = nonzero.any(axis=1), _transpose_band(nonzero, b).any(axis=1)
+    cols, rows = nonzero.any(axis=1), np.zeros(ab.shape[0], bool)
+    for column, run, k in _slot_runs(ab.shape[0], b):
+        rows[run.start - k : run.stop - k] |= nonzero[run, column]  # the rows of the run's entries
     if (rows == cols).all() and not band.wraps():
         core = _narrow(band if rows.all() else _drop(band, rows))
         if core is not None:
@@ -599,6 +593,16 @@ def _pad(s: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([s, np.zeros(n - s.size)])
 
 
+def _canonical_sign(core: np.ndarray) -> np.ndarray:
+    """core, or -core when its largest-magnitude entry (the first, for ties)
+    lies in the left half-plane or on the negative imaginary axis; an empty
+    core stays as it is.  core and -core map to the same bits."""
+    if core.size == 0:
+        return core
+    v = core.flat[np.argmax(np.abs(core))]
+    return -core if v.real < 0 or (v.real == 0 and v.imag < 0) else core
+
+
 def _dense_svdvals(core: np.ndarray, n: int) -> np.ndarray:
     """The singular values of a reduced core from a dense SVD, padded to n."""
     try:
@@ -609,14 +613,19 @@ def _dense_svdvals(core: np.ndarray, n: int) -> np.ndarray:
 
 
 def svdvals(A) -> np.ndarray:
-    """The n singular values of a square matrix A, non-increasing.
+    """The singular values of A, non-increasing, padded with zeros to its
+    row count n: n values for a square A.  A is a `_Band` or an array of n
+    rows; `p_metric` passes its reduced core, which may be rectangular.
 
     A `_Band` on the gate of `_narrow` takes the banded path above.  A dense
     array, or a band off it as its dense matrix, takes the dense SVD: rows
     and columns without a nonzero entry only add zero singular values, so
     the rest is decomposed alone and zeros pad the result back to n.  That
     block is decomposed in real arithmetic when its imaginary part is
-    exactly zero.
+    exactly zero, and in its canonical sign (`_canonical_sign`), so that
+    svdvals(A) and svdvals(-A) are the same bits: the dense SVD can round -A
+    differently from A.  The banded path needs no sign rule: it gave the
+    same bits for A and -A on every band tested.
     """
     if isinstance(A, _Band):
         band = _narrow(A)
@@ -624,7 +633,7 @@ def svdvals(A) -> np.ndarray:
         if s is not None:
             return s
         A = A.dense()
-    return _dense_svdvals(_svd_reduce(A), A.shape[0])
+    return _dense_svdvals(_canonical_sign(_svd_reduce(A)), A.shape[0])
 
 
 def _toeplitz_band(f: TrigPoly, n: int) -> _Band:

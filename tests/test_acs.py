@@ -54,34 +54,27 @@ def p_bruteforce(A):
 
 
 def p_svd(A):
-    """Oracle for the Gram route: the dense SVD of the whole matrix."""
+    """Oracle for the Gram band route: the dense SVD of the whole matrix."""
     A = np.asarray(A, dtype=complex)
     n = A.shape[0]
     s = np.linalg.svd(A, compute_uv=False)
     return float((np.arange(n + 1) / n + np.append(s, 0.0)).min())
 
 
-def canonical_sign(A):
-    """A, or -A when its largest entry v lies in the left half-plane or on
-    the negative imaginary axis: A and -A give the same array bit for bit."""
-    v = A.flat[np.argmax(np.abs(A))] if A.size else 0
-    return -A if v.real < 0 or (v.real == 0 and v.imag < 0) else A
-
-
 def p_svdvals(A):
-    """p from `svdvals` of A in its canonical sign, the route p_metric falls
-    back to."""
-    s = svdvals(canonical_sign(np.asarray(A)))
+    """p from `svdvals` of A, the route p_metric falls back to."""
+    s = svdvals(A)
     n = s.size
     return float((np.arange(n + 1) / n + np.append(s, 0.0)).min())
 
 
 @pytest.fixture
 def route(monkeypatch):
-    """Records, per p_metric call, whether the Gram route certified its
-    values ("gram") or the dense SVD ran ("dense")."""
+    """Records, per p_metric call, whether the Gram band route certified its
+    values ("gram"), and, per `svdvals` call, whether the dense SVD ran
+    ("dense")."""
     taken = []
-    gram, dense = acs._gram_p, acs._dense_svdvals
+    gram, dense = acs._gram_p, matrices._dense_svdvals
 
     def gram_spy(core, n):
         p = gram(core, n)
@@ -94,7 +87,7 @@ def route(monkeypatch):
         return dense(core, n)
 
     monkeypatch.setattr(acs, "_gram_p", gram_spy)
-    monkeypatch.setattr(acs, "_dense_svdvals", dense_spy)
+    monkeypatch.setattr(matrices, "_dense_svdvals", dense_spy)
     return taken
 
 
@@ -160,10 +153,35 @@ class TestGramRoute:
         assert abs(p_metric(as_band(A)) - p_svd(A)) <= 1e-10 * p_svd(A)
         assert route == ["gram"] and band_route == [(576, 25)]
 
+    @pytest.mark.parametrize("past", [0.99, 1.01])
+    def test_graded_spectrum_at_the_bound(self, past, route, band_svd):
+        # sigma_2.. decay geometrically; sigma_1 is set `past` times the
+        # largest value the gate certifies, 100 eps sigma_1^2 = 1e-10 p sigma_min,
+        # on a band of half-bandwidth 2 that both band gates take
+        n = 512
+        tail = 0.6 * 0.995 ** np.arange(n - 1)
+        obj = np.arange(1, n + 1) / n + np.append(tail, 0.0)
+        p = obj.min()
+        setting = tail[np.arange(1, n) / n <= p].min()
+        sigma_1 = past * np.sqrt(1e-10 * p * setting / (100 * np.finfo(float).eps))
+        A = as_band(banded_with_spectrum(np.append(sigma_1, tail), seed=1))
+        value = p_metric(A)
+        if past > 1:
+            assert route == [] and band_svd == [2]
+            assert value == p_svdvals(A)
+        else:
+            assert route == ["gram"] and band_svd == []
+            assert abs(value - p_svd(A.dense())) <= 1e-10 * p
+
+
+class TestDenseCores:
+    """A dense operand's core takes the dense SVD of `svdvals`, in canonical
+    sign: the Gram route takes band cores only."""
+
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("drop", ["rows", "cols"])
     def test_zero_rows_and_rectangular_cores(self, dtype, drop, route):
-        # a 50x60 or 60x45 core: the Gram matrix is formed on the short side
+        # a 50x60 or 60x45 core reaches the SVD as it is, with no copy
         rng = np.random.default_rng(11)
         A = rng.standard_normal((60, 60)).astype(dtype)
         if dtype is complex:
@@ -173,47 +191,33 @@ class TestGramRoute:
             A[::6] = 0
         else:
             A[:, ::4] = 0
-        assert abs(p_metric(A) - p_svd(A)) <= 1e-10 * p_svd(A)
-        assert route == ["gram"]
+        core = matrices._svd_reduce(A)
+        assert core.shape == ((50, 60) if drop == "rows" else (60, 45))
+        assert np.shares_memory(matrices._svd_reduce(core), core)
+        p = p_metric(A)
+        assert abs(p - p_svd(A)) <= 1e-10 * p_svd(A)
+        assert p_metric(-A) == p
+        assert route == ["dense", "dense"]
 
     def test_toeplitz_minus_circulant_is_exactly_four_over_n(self, route):
         A = toeplitz(F_REAL, 1024) - circulant(F_REAL, 1024)
         assert p_metric(A) == 4 / 1024
-        assert route == ["gram"]
+        assert route == ["dense"]
 
-    def test_exact_rank_falls_back(self, route):
-        # sigma_6 = 0 sets p = 5/40 and no relative bound can certify it
+    def test_exact_rank(self, route):
+        # sigma_6 = 0 sets p = 5/40
         A = with_spectrum([3.0, 2.0, 1.5, 1.0, 0.5] + [0.0] * 35)
         p = p_metric(A)
         assert route == ["dense"]
         assert p == p_svdvals(A)
         assert p == pytest.approx(5 / 40, abs=1e-14)
 
-    @pytest.mark.parametrize("past", [0.99, 1.01])
-    def test_graded_spectrum_at_the_bound(self, past, route):
-        # sigma_2.. decay geometrically; sigma_1 is set `past` times the
-        # largest value the gate certifies, 100 eps sigma_1^2 = 1e-10 p sigma_min
-        n = 100
-        tail = 0.6 * 0.995 ** np.arange(n - 1)
-        obj = np.arange(1, n + 1) / n + np.append(tail, 0.0)
-        p = obj.min()
-        setting = tail[np.arange(1, n) / n <= p].min()
-        sigma_1 = past * np.sqrt(1e-10 * p * setting / (100 * np.finfo(float).eps))
-        A = with_spectrum(np.append(sigma_1, tail), seed=1)
-        value = p_metric(A)
-        if past > 1:
-            assert route == ["dense"]
-            assert value == p_svdvals(A)
-        else:
-            assert route == ["gram"]
-            assert abs(value - p_svd(A)) <= 1e-10 * p
-
     @pytest.mark.parametrize("scale", [2.0**-520, 2.0**520], ids=["tiny", "huge"])
-    def test_extreme_scales_fall_back(self, scale, route):
-        # squaring would underflow or overflow
+    def test_extreme_scales(self, scale, route):
+        # squaring would underflow or overflow; the SVD does not square
         A = scale * with_spectrum(np.linspace(1.0, 0.5, 20))
         assert p_metric(A) == p_svdvals(A)
-        assert route == ["dense"]
+        assert route == ["dense", "dense"]
 
 
 # the seed-0 small-sweep acs operand: real-valued, and the phase of its
@@ -235,8 +239,8 @@ class TestRealValuedRoute:
             return build_sequence(f"glt({GLT_LC_0})")(n) - build_sequence(f"lc({GLT_LC_0})")(n)
         if kind == "banded":
             # the largest entry is -0.47; each odd row repeats the row above,
-            # so sigma_{n/2+1} = 0 sets p = 1/2, which the Gram gate cannot
-            # certify, and the band SVD (b = 2) runs
+            # so sigma_{n/2+1} = 0 sets p = 1/2; below n = 512 no Gram route
+            # runs, and the band SVD (b = 2) takes the core
             A = toeplitz(TrigPoly.from_coeff_map({-1: 0.003, 0: -0.47, 1: 0.007}), n)
             A[1::2] = A[::2]
             return A
@@ -286,11 +290,12 @@ class TestRealValuedRoute:
 
     @pytest.mark.parametrize("n", [256, 400])
     def test_no_copy_of_a_real_valued_operand(self, n, traced_peak):
-        # a complex copy alone would be 16 n^2 bytes; the route keeps one real
-        # copy of the core and its Gram matrix, 8 n^2 bytes each
+        # a complex copy alone would be 16 n^2 bytes; the dense SVD's
+        # canonical sign keeps one real copy of the core, its negation,
+        # 8 n^2 bytes
         A = self.operand("glt-lc", n)
         assert not A.imag.any() and A.real.flat[np.argmax(np.abs(A))] < 0
-        assert traced_peak(p_metric, A) < 24 * n * n
+        assert traced_peak(p_metric, A) < 16 * n * n
 
 
 def half_integer_band(n, b, dtype, rng):
@@ -308,11 +313,12 @@ def half_integer_band(n, b, dtype, rng):
 
 
 class TestSignSymmetry:
-    """p(A) = p(-A) bit for bit on every route: the band and Gram routes by
-    arithmetic, the dense fallback by its canonical sign."""
+    """p(A) = p(-A) and svdvals(A) = svdvals(-A) bit for bit on every route:
+    the band SVD and the Gram band route by arithmetic, the dense SVD by the
+    canonical sign of `svdvals`."""
 
     # the band SVD takes every b <= n/32 from n = 96, as p_metric's fallback
-    # after the Gram routes: its values for A and -A are the same bits
+    # after the Gram band route: its values for A and -A are the same bits
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("n, b", [(n, b) for n in (128, 256, 512, 1024)
                                       for b in sorted({0, 1, 2, 3, n // 64, n // 32})])
@@ -323,21 +329,11 @@ class TestSignSymmetry:
         assert s.tobytes() == matrices._banded_svdvals(as_band(-A, b)).tobytes()
         assert p_metric(as_band(A)) == p_metric(as_band(-A))
 
-    @pytest.mark.parametrize("dtype", [float, complex])
-    @pytest.mark.parametrize("shape", ["tall", "wide", "strided"])
-    def test_gram_of_the_negated_core(self, shape, dtype):
-        rng = np.random.default_rng(5)
-        M = rng.standard_normal((120, 90)).astype(dtype)
-        if dtype is complex:
-            M += 1j * rng.standard_normal((120, 90))
-        C = {"tall": M, "wide": M.T, "strided": M[::2, ::3]}[shape]
-        assert acs._gram(C).tobytes() == acs._gram(-C).tobytes()
-
     @staticmethod
     def rank_one(scale=1.0):
         """A rank-1 300 x 300 operand with every third column zero: sigma_2
-        is roundoff, which the Gram gate cannot certify, so the dense SVD
-        runs; unless its sign is fixed first, -A gives another sigma_2."""
+        is roundoff, and unless the sign is fixed before the dense SVD, -A
+        gives another sigma_2."""
         rng = np.random.default_rng(9)
         A = np.outer(rng.uniform(-1, 1, 300), rng.uniform(-1, 1, 300)) * scale
         A[:, ::3] = 0
@@ -354,32 +350,36 @@ class TestSignSymmetry:
         assert p == p_svdvals(A)
         assert p == pytest.approx(1 / 300, rel=1e-10)
 
-    def test_canonical_sign(self):
-        # the first largest entry, -2j, is flipped; a real part of -0 is not
-        # in the left half-plane
-        A = np.array([[0.5, -2j], [1.0, 2j]])
-        assert acs._canonical_sign(A).tobytes() == acs._canonical_sign(-A).tobytes()
-        assert acs._canonical_sign(-A).tobytes() == (-A).tobytes()
-        B = np.array([[complex(-0.0, 2.0)]])
-        assert acs._canonical_sign(B) is B
-        empty = np.zeros((0, 0))
-        assert acs._canonical_sign(empty) is empty
+    @pytest.mark.parametrize("scale", [1.0, 1j, -1j], ids=["real", "imag", "neg-imag"])
+    def test_svdvals_of_the_negated_operand(self, scale):
+        A = self.rank_one(scale)
+        assert svdvals(A).tobytes() == svdvals(-A).tobytes()
+
+    @pytest.mark.parametrize("f", [F_REAL, F_CPLX], ids=["real", "complex"])
+    def test_p_is_the_objective_of_svdvals(self, f, route):
+        # sigma_min is far above the Gram gate's bound here, yet a dense core
+        # takes no Gram route: p is read from the values of svdvals, bit for
+        # bit
+        A = glt_minus_lc(f, 256)
+        p = p_metric(A)
+        assert p == p_svdvals(A) == p_metric(-A)
+        assert route == ["dense"] * 3
 
     def test_zero_matrix(self, route):
-        # the empty core of A = 0 falls back with no sign to read
+        # the empty core of A = 0 takes the dense SVD with no sign to read
         Z = np.zeros((6, 6))
         assert p_metric(Z) == p_metric(-Z) == 0.0
         assert route == ["dense", "dense"]
 
     def test_complex_operand_makes_no_rotated_copy(self, traced_peak):
-        # the Gram route holds the conjugate transpose of the core and the
-        # Gram matrix, 16 n^2 bytes each; a rotated copy of the operand
-        # would add 16 n^2 more
+        # the dense SVD's canonical sign holds at most one negated copy of
+        # the core, 16 n^2 bytes; a rotated copy of the operand would add
+        # 16 n^2 more
         n = 256
         A = glt_product_seq(GltExpr(((A_QUAD, F_CPLX),)))(n) - lc_seq(A_QUAD, F_CPLX)(n)
         assert A.imag.any()
         p_metric(A)  # the first call leaves a few kB of one-off caches
-        assert traced_peak(p_metric, A) < 40 * n * n
+        assert traced_peak(p_metric, A) < 24 * n * n
 
 
 def p_real_svd(A):
@@ -411,7 +411,8 @@ class TestBandGramRoute:
         A = glt_minus_lc(f, n)
         core = matrices._band_reduce(as_band(A))
         assert np.iscomplexobj(core.ab) == (f is F_CPLX)
-        gb, G = acs._gram_band(core), acs._gram(core.dense())
+        C = core.dense()
+        gb, G = acs._gram_band(core), C.conj().T @ C
         kd = gb.shape[1] - 1
         # the block corners set b; the Gram band reaches two diagonals further
         assert kd == core.b + 2
@@ -425,7 +426,7 @@ class TestBandGramRoute:
     def test_gram_band_of_a_half_integer_band_is_exact(self, dtype):
         # every product and sum is exact, so both Gram matrices are too
         core = half_integer_band(512, 8, dtype, np.random.default_rng(3))
-        gb, G = acs._gram_band(as_band(core, 8)), acs._gram(core)
+        gb, G = acs._gram_band(as_band(core, 8)), core.conj().T @ core
         assert gb.shape == (512, 17)
         for d in range(17):
             assert np.array_equal(gb[: 512 - d, d], np.diagonal(G, -d))
@@ -488,21 +489,13 @@ class TestBandGramRoute:
         monkeypatch.setattr(matrices, "_lapack", lambda: table)
         A = glt_minus_lc(f, 576)
         # b = 23 is above the band SVD's 576/32, so the dense SVD runs
-        assert p_metric(as_band(A)) == p_svdvals(A)
+        p = p_metric(as_band(A))
         assert calls == [routine] and route == ["dense"]
+        assert p == p_svdvals(A)
         gb = acs._gram_band(matrices._band_reduce(as_band(A)))
         message = f"eigensolver failed: {routine} returned info = 1"
         with pytest.raises(NumericalError, match=message):
             matrices._band_tridiagonal(gb)
-
-    def test_dense_eigensolver_failure_falls_back(self, route, monkeypatch):
-        def failing(G):
-            raise np.linalg.LinAlgError("no convergence")
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
-        A = glt_minus_lc(F_REAL, 484)
-        assert p_metric(A) == p_svdvals(A)
-        assert route == ["dense"]
 
     @pytest.mark.parametrize("terms", BENCH_NF_TERMS, ids=["seed0", "seed1", "seed2"])
     def test_benchmark_normal_form_at_1600_is_certified(self, terms, route, band_route):
@@ -721,8 +714,9 @@ class TestCountRoute:
         assert table["int"] == np.int64
         monkeypatch.setattr(matrices, "_lapack", lambda: table)
         A = glt_minus_lc(F_REAL, 576)
-        assert p_metric(as_band(A)) == p_svdvals(A)
+        p = p_metric(as_band(A))
         assert route == ["dense"]
+        assert p == p_svdvals(A)
 
 
 # seeds 0-4 of perfbench's `acs-normal-form` workload: its normal-form terms
@@ -750,8 +744,9 @@ def test_benchmark_band_grams_are_certified_by_counts(seed, tmp_path, route, ban
                    f"[acs_glt_lc]\nkind = acs\nsequence_a = glt({glt})\n"
                    f"sequence_b = lc({glt})\nsizes = 256, 576, 1024\n", encoding="utf-8")
     assert main(["run", str(cfg)]) == 0
+    # the n = 256 cores are dense, and take the dense SVD
     assert [n for n, _ in band_route] == [576, 1600, 576, 1024]
-    assert route == ["gram"] * 6 and sterf == [] and band_svd == []
+    assert route == ["dense", "gram", "gram"] * 2 and sterf == [] and band_svd == []
 
 
 @pytest.fixture

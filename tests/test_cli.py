@@ -153,8 +153,9 @@ class TestSequenceSpecs:
 
 class TestConfigValidation:
     def test_missing_seed(self, tmp_path):
-        # nothing in the package is random: a seed is optional, and one the
-        # runner cannot read as an integer is ignored like any other global key
+        # nothing in the package is random: a seed is optional, and [global]
+        # ignores it, even one that is not an integer (it reads only output;
+        # any other key of its own exits 2)
         body = "[exp]\nkind = symbol-check\nsequence = identity\nsymbol = 1\nsizes = 8,16\n"
         for head in ("", "[global]\nseed = not-a-number\n\n"):
             code, out, err = run_cli(["run", write_config(tmp_path, head + body)])
@@ -407,13 +408,26 @@ class TestConfigSchema:
                        "shift-test\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["ouptut", "kind", "tolerance"])
+    def test_unknown_global_key_exits_2(self, tmp_path, monkeypatch, key):
+        # a misspelt output used to send the report to stdout with exit 0
+        out = tmp_path / "report.csv"
+        cfg = write_config(tmp_path, f"[global]\nseed = 1\n{key} = {out}\n\n"
+                           + section("close", "acs"))
+        called = spy_runners(monkeypatch)
+        code, stdout, err = run_cli(["run", cfg])
+        assert (code, stdout, called) == (2, "", [])
+        assert err == f"config error: [global] has unknown key {key!r}\n"
+        assert not out.exists()
+
     def test_default_keys_the_kind_does_not_read_are_ignored(self, tmp_path, monkeypatch):
-        # configparser copies [DEFAULT] into every section; a seed there, or
-        # a key only some kinds read, is ignored where it is not read
+        # configparser copies [DEFAULT] into every section, [global] too; a
+        # seed there, or a key only some kinds read, is ignored where it is
+        # not read
         out = tmp_path / "report.csv"
         body = "".join(section(kind, kind) + "\n" for kind in cli.KINDS)
         cfg = write_config(tmp_path, f"[DEFAULT]\nseed = 3\nmode = eig\noutput = {out}\n\n"
-                           + body.replace("mode = sv\n", ""))
+                           "[global]\nseed = 1\n\n" + body.replace("mode = sv\n", ""))
         called = spy_runners(monkeypatch)
         assert run_cli(["run", cfg]) == (0, "", "")
         assert called == list(cli.KINDS)

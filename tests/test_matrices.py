@@ -621,7 +621,8 @@ class TestBandHooks:
         ab, b = seq.band(n)
         t = block_layout(n).t
         assert t > 0 and not ab[n - t :].any()
-        assert not matrices._transpose_band(ab, b)[n - t :].any()
+        A = matrices._band_to_dense(ab, b)
+        assert not A[n - t :].any() and not A[:, n - t :].any()
 
     @pytest.mark.parametrize("n", range(20))
     @pytest.mark.parametrize("case", BAND_SEQS, ids=BAND_IDS)
@@ -664,7 +665,10 @@ class TestBandHooks:
         A = matrices._band_to_dense(ab, b)
         assert A.dtype == ab.dtype
         assert matrices._band_storage(A, b).tobytes() == ab.tobytes()
-        assert matrices._transpose_band(ab, b).tobytes() == matrices._band_storage(A.T, b).tobytes()
+        # below the band floor the reduced core is scattered from the slots,
+        # its rows and columns read from the same runs as A's
+        core, want = matrices._band_reduce(matrices._Band(ab, b)), matrices._svd_reduce(A)
+        assert core.shape == want.shape and core.tobytes() == want.tobytes()
 
 
 def slot_index(n, b):
@@ -756,3 +760,15 @@ def test_every_call_returns_a_new_array(n):
             A, B = s(n), s(n)
             assert not np.shares_memory(A, B), name
             assert A.tobytes() == B.tobytes()
+
+
+def test_canonical_sign():
+    # the first largest entry, -2j, is flipped; a real part of -0 is not in
+    # the left half-plane; `svdvals` decomposes every dense core in this sign
+    A = np.array([[0.5, -2j], [1.0, 2j]])
+    assert matrices._canonical_sign(A).tobytes() == matrices._canonical_sign(-A).tobytes()
+    assert matrices._canonical_sign(-A).tobytes() == (-A).tobytes()
+    B = np.array([[complex(-0.0, 2.0)]])
+    assert matrices._canonical_sign(B) is B
+    empty = np.zeros((0, 0))
+    assert matrices._canonical_sign(empty) is empty
