@@ -26,7 +26,6 @@ from .matrices import (
     _pad,
     _square_finite,
     _sturm_counter,
-    _svd_reduce,
     _tridiagonal_eigvalsh,
     svdvals,
 )
@@ -232,9 +231,10 @@ def p_metric(A) -> float:
     After the exact reductions of `svdvals` (`_band_reduce` of a
     `matrices._Band`, `_svd_reduce` of a dense A), p of the nonzero core
     comes from its Gram band when the core is a band and the gates of
-    `_gram_p` certify the value, and otherwise from `svdvals` of the core:
-    the band SVD where its gate passes, else the dense SVD in canonical
-    sign.  The Gram band route is the faster one on acs differences.
+    `_gram_p` certify the value, and otherwise from `svdvals` of the core,
+    or of a dense A whole, which `svdvals` reduces once itself: the band SVD
+    where its gate passes, else the dense SVD in canonical sign.  The Gram
+    band route is the faster one on acs differences.
 
     p(A) = p(-A) bit for bit: the Gram band route is exact in sign by
     arithmetic ((-C)^H (-C) is C^H C product by product, and the rest of the
@@ -248,7 +248,9 @@ def p_metric(A) -> float:
     """
     A = _operand(A)
     n = A.shape[0]
-    core = _band_reduce(A) if isinstance(A, _Band) else _svd_reduce(A)
+    # only a band core can take the Gram band route; a dense A goes to
+    # svdvals whole, which reduces it itself
+    core = _band_reduce(A) if isinstance(A, _Band) else A
     p = _gram_p(core, n)
     if p is None:
         p = _objective(_pad(svdvals(core), n)).min()

@@ -36,8 +36,8 @@ from .errors import ConfigError, ExprSyntaxError, GltLabError, VariableError
 from .matrices import MatrixSeq, counterexample_seq
 from .normal_form import (
     DEFAULT_SHIFTS,
+    _misfit_p,
     affine_shift_test,
-    group_embed,
     hermitian_function,
     normal_form_seq,
     verify_normal_form,
@@ -410,8 +410,13 @@ def run_normal_form(name, opts) -> list:
 
 
 def run_embed(name, opts) -> list:
-    sizes = opts["sizes"]
-    residuals = [group_embed(opts["sequence_a"], opts["sequence_b"], n).residual_p for n in sizes]
+    """The p of `group_embed`'s misfit per size, from the two singular value
+    spectra alone (`normal_form._misfit_p`), each taken by the route of the
+    sv ladders (`spectra._spectrum`), A_n's first: no singular vectors and
+    no n x n product."""
+    sizes, seq_a, seq_b = opts["sizes"], opts["sequence_a"], opts["sequence_b"]
+    residuals = [_misfit_p(spectra._spectrum(seq_a, n, "sv"), spectra._spectrum(seq_b, n, "sv"))
+                 for n in sizes]
     return _ladder(name, sizes, "embed_residual_p", residuals)
 
 

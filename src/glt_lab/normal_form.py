@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acs import acs_equivalent, p_metric
+from .acs import _objective, acs_equivalent
 from .errors import DomainError, HermitianError, NumericalError
 from .matrices import (
     MatrixSeq,
@@ -306,13 +306,23 @@ def _canonical_svd(A: np.ndarray):
     return U, s, Vh
 
 
+def _misfit_p(s_a: np.ndarray, s_b: np.ndarray) -> float:
+    """p of the misfit B - U A V of `group_embed` from the singular values
+    of A and of B, each non-increasing.  U and V pair sigma_i(A) with
+    sigma_i(B), so the misfit is Q diag(sigma(B) - sigma(A)) W and its
+    singular values are |sigma_i(B) - sigma_i(A)|."""
+    return float(_objective(np.sort(np.abs(s_b - s_a))[::-1]).min())
+
+
 def group_embed(seqA: MatrixSeq, seqB: MatrixSeq, n: int) -> EmbeddingPair:
     """Unitaries U, V with B_n ~ U A_n V built from sorted SVDs.
 
     With B = Q S W and A = Q' S' W' (descending singular values) and P, P'
     the permutations sorting each S ascending, U = Q P^T P' Q'^H and
-    V = W'^H P'^T P W.  When the two sequences share a singular value
-    distribution the misfit B - UAV has small p.
+    V = W'^H P'^T P W, so B - U A V = Q (S - P^T P' S' P'^T P) W: the sorted
+    spectra are paired.  `residual_p` is read from S and S' alone
+    (`_misfit_p`), without forming the misfit; it is small when the two
+    sequences share a singular value distribution, and exactly 0 when A = B.
     """
     A = seqA(n)
     B = seqB(n)
@@ -326,4 +336,4 @@ def group_embed(seqA: MatrixSeq, seqB: MatrixSeq, n: int) -> EmbeddingPair:
     order_p = np.argsort(Sp, kind="stable")
     U = Q[:, order][:, np.argsort(order_p)] @ Qp.conj().T
     V = Wp.conj().T[:, order_p][:, np.argsort(order)] @ W
-    return EmbeddingPair(U, V, p_metric(B - U @ A @ V))
+    return EmbeddingPair(U, V, _misfit_p(Sp, S))

@@ -40,6 +40,11 @@ __all__ = [
 DEFAULT_RECT_RESOLUTION = (64, 256)
 DEFAULT_UNIT_RESOLUTION = (4096,)
 
+# the most elements TestFamily.means evaluates in one block of hats: small
+# spectra take the whole family in a block or a few, and a t of this many
+# samples or more one hat per block
+_HAT_BLOCK = 16384
+
 
 def singular_values(A) -> np.ndarray:
     """Full singular value spectrum, sorted non-increasing.  A may be a
@@ -103,25 +108,32 @@ class TestFamily:
         per hat, with |t - c| scaled by 1/w as numpy's complex division by a
         real w does, so each value equals the parsed expression's.
 
-        One hat at a time through two reused buffers, so memory stays at a
-        few copies of t whatever the family size.  When t and the centers are
-        real, |t - c| is the same number in real arithmetic, so it runs there.
+        Hats go in blocks of rows, one row per hat over all of t, through two
+        reused buffers of at most _HAT_BLOCK elements, or of one row when t
+        is longer, so memory stays at a few copies of t whatever the family
+        size.  Each row's mean is the pairwise sum of its own hat, so every
+        value is the one a hat taken alone gives, bit for bit.  When t and
+        the centers are real, |t - c| is the same number in real arithmetic,
+        so it runs there.
         """
-        t = np.asarray(t)
+        t = np.asarray(t).ravel()
         if np.iscomplexobj(t) and not t.imag.any():
             t = t.real
         real = not np.iscomplexobj(t) and not self.centers.imag.any()
         centers = self.centers.real if real else self.centers
-        g = np.empty(t.shape)
-        diff = g if real else np.empty(t.shape, dtype=complex)
+        rows = max(1, min(len(self), _HAT_BLOCK // max(t.size, 1)))
+        g = np.empty((rows, t.size))
+        diff = g if real else np.empty(g.shape, dtype=complex)
         out = np.empty(len(self))
-        for j, (c, w) in enumerate(zip(centers, self.radii)):
-            np.subtract(t, c, out=diff)
-            np.abs(diff, out=g)
-            g *= 1.0 / w
-            np.subtract(1.0, g, out=g)
-            np.maximum(g, 0.0, out=g)
-            out[j] = g.mean()
+        for j in range(0, len(self), rows):
+            k = min(rows, len(self) - j)
+            block = g[:k]
+            np.subtract(t, centers[j : j + k, None], out=diff[:k])
+            np.abs(diff[:k], out=block)
+            block *= 1.0 / self.radii[j : j + k, None]
+            np.subtract(1.0, block, out=block)
+            np.maximum(block, 0.0, out=block)
+            out[j : j + k] = block.mean(axis=1)
         return out
 
 

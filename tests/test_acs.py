@@ -219,6 +219,23 @@ class TestDenseCores:
         assert p_metric(A) == p_svdvals(A)
         assert route == ["dense", "dense"]
 
+    @pytest.mark.parametrize("f", [F_REAL, F_CPLX], ids=["real", "complex"])
+    def test_a_dense_operand_is_scanned_once(self, f, route, monkeypatch):
+        # p_metric hands a dense A to svdvals whole, so the nonzero mask is
+        # formed once; p is svdvals' objective, bit for bit, although the
+        # reduced core is rectangular, and the same as from svdvals of that
+        # core, the route that scanned twice
+        A = glt_minus_lc(f, 121)
+        A[:, ::5] = 0
+        want = p_svdvals(A)
+        assert want == acs._objective(matrices._pad(svdvals(matrices._svd_reduce(A)), 121)).min()
+        route.clear()
+        scans = []
+        reduce = matrices._svd_reduce
+        monkeypatch.setattr(matrices, "_svd_reduce", lambda M: scans.append(M.shape) or reduce(M))
+        assert p_metric(A) == want
+        assert scans == [A.shape] and route == ["dense"]
+
 
 # the seed-0 small-sweep acs operand: real-valued, and the phase of its
 # largest entry is abs(v)/v = -(1 - 2^-53), one ulp off -1

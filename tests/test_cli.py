@@ -22,7 +22,7 @@ from glt_lab.cli import (
     rows_to_csv,
 )
 from glt_lab.errors import ConfigError
-from glt_lab.normal_form import normal_form
+from glt_lab.normal_form import group_embed, normal_form
 
 
 def run_cli(argv):
@@ -657,6 +657,47 @@ class TestRunCommand:
         code, out, _ = run_cli(["run", cfg])
         assert code == 0
         assert "embed_residual_p" in out
+
+    @pytest.mark.parametrize("a, b", [("circulant", "toeplitz"), ("toeplitz", "circulant")])
+    def test_embed_error_row_of_a_small_circulant(self, tmp_path, a, b):
+        # circulant(cos(3*theta)) needs n > 6: on either side, the row carries
+        # the generator's error, as when both matrices were built
+        cfg = write_config(
+            tmp_path,
+            f"[emb]\nkind = embed\nsequence_a = {a}(cos(3*theta))\n"
+            f"sequence_b = {b}(cos(3*theta))\nsizes = 4, 8\n",
+        )
+        code, out, _ = run_cli(["run", cfg])
+        assert code == 1
+        assert out.splitlines()[1:] == [
+            'emb,0,"error[circulant needs n > 2*degree, got n=4, degree=3]",0,,FAIL'
+        ]
+
+    def test_embed_takes_no_singular_vectors(self, tmp_path, monkeypatch):
+        # the misfit's p comes from the two spectra: every SVD the runner
+        # makes is values only, and no unitary pair is formed; the rows are
+        # group_embed's residual_p within roundoff
+        uv = []
+        svd = np.linalg.svd
+
+        def spy(A, full_matrices=True, compute_uv=True, **kwargs):
+            uv.append(compute_uv)
+            return svd(A, full_matrices=full_matrices, compute_uv=compute_uv, **kwargs)
+
+        specs = [("circulant(2*cos(theta))", "toeplitz(2*cos(theta))"),
+                 ("counterexample(half_shift)", "counterexample(jordan_shift)"),
+                 ("lt(1 + x | 2*cos(theta))", "lc(1 + x | 2*cos(theta))")]
+        sizes = (16, 64, 128)
+        body = "".join(f"[e{i}]\nkind = embed\nsequence_a = {a}\nsequence_b = {b}\n"
+                       f"sizes = {', '.join(map(str, sizes))}\n\n" for i, (a, b) in enumerate(specs))
+        cfg = write_config(tmp_path, body)
+        want = [group_embed(build_sequence(a), build_sequence(b), n).residual_p
+                for a, b in specs for n in sizes]
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        code, out, _ = run_cli(["run", cfg])
+        assert code == 0 and uv and not any(uv)
+        values = [float(row.split(",")[3]) for row in out.splitlines()[1:]]
+        np.testing.assert_allclose(values, want, rtol=1e-10, atol=1e-12)
 
     def test_counterexample_kind_routes_to_demo(self, tmp_path):
         cfg = write_config(

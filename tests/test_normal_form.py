@@ -20,19 +20,24 @@ from glt_lab import (
     identity_seq,
     lc_op,
     lc_seq,
+    lt_seq,
     normal_form,
+    p_metric,
     parse_expr,
     q_block,
     sort_perm,
     sv_symbol_residual,
     toeplitz_seq,
     verify_normal_form,
+    zero_seq,
 )
+from glt_lab import matrices
 from glt_lab.matrices import MatrixSeq, block_layout, circulant, d_af, diag_sampling, toeplitz
 from glt_lab.normal_form import (
     NORMALITY_TOL,
     NormalForm,
     _canonical_svd,
+    _misfit_p,
     _pushed_seq,
     diagonal_factor_seq,
     normal_form_seq,
@@ -503,6 +508,61 @@ class TestGroupEmbed:
         # identity vs zero: no unitary alignment helps, p stays 1
         pair = group_embed(identity_seq(), MatrixSeq("0", lambda n: np.zeros((n, n))), 16)
         assert pair.residual_p == pytest.approx(1.0)
+
+
+F_COMPLEX = TrigPoly.from_coeff_map({-2: 0.3j, -1: 0.5, 0: 1.0, 1: 0.5 + 0.3j, 2: -0.2})
+
+
+class TestMisfitP:
+    """`_misfit_p` of the two spectra, taken as the embed runner takes them
+    (`_spectrum`: the svals/eigs hooks, the band SVD from n = 96, else the
+    dense SVD), is the p of the misfit B - U A V formed densely from
+    group_embed's own U and V, the oracle."""
+
+    @staticmethod
+    def check(seq_a, seq_b, n):
+        pair = group_embed(seq_a, seq_b, n)
+        want = p_metric(seq_b(n) - pair.u @ seq_a(n) @ pair.v)
+        got = _misfit_p(_spectrum(seq_a, n, "sv"), _spectrum(seq_b, n, "sv"))
+        for value in (got, pair.residual_p):
+            assert abs(value - want) <= max(1e-12, 1e-10 * want)
+        return got
+
+    @pytest.fixture
+    def band_svd(self, monkeypatch):
+        """Records the half-bandwidth of every band the band SVD takes."""
+        bands = []
+        solver = matrices._band_svdvals
+        monkeypatch.setattr(matrices, "_band_svdvals", lambda ab, b: bands.append(b) or solver(ab, b))
+        return bands
+
+    @pytest.mark.parametrize("f", [SHIFT, TWO_COS, F_COMPLEX], ids=["shift", "two-cos", "complex"])
+    @pytest.mark.parametrize("n", [16, 64, 95, 96, 128, 256])
+    def test_circulant_vs_toeplitz(self, f, n, band_svd):
+        # the circulant's values come from its eigs hook; the Toeplitz
+        # matrix takes the band SVD from n = 96 and the dense SVD below
+        self.check(circulant_seq(f), toeplitz_seq(f), n)
+        assert band_svd == ([f.degree] if n >= 96 else [])
+
+    @pytest.mark.parametrize("n", [16, 64, 144])
+    def test_lt_vs_lc(self, n, band_svd):
+        # lt's svals hook and lc's eigs hook: no decomposition at all
+        self.check(lt_seq(X, TWO_COS), lc_seq(X, TWO_COS), n)
+        assert band_svd == []
+
+    @pytest.mark.parametrize("n", [16, 64, 128])
+    def test_half_shift_vs_jordan_shift(self, n):
+        # half_shift is dense at every size
+        self.check(counterexample_seq("half_shift"), counterexample_seq("jordan_shift"), n)
+
+    @pytest.mark.parametrize("n", [24, 128])
+    def test_equal_sequences_give_exactly_zero(self, n):
+        seq = toeplitz_seq(TWO_COS)
+        assert self.check(seq, seq, n) == 0.0
+
+    @pytest.mark.parametrize("n", [16, 128])
+    def test_identity_vs_zero_gives_one(self, n):
+        assert self.check(identity_seq(), zero_seq(), n) == 1.0
 
 
 class TestAlgebraResiduals:

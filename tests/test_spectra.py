@@ -226,6 +226,43 @@ class TestHatFamily:
                     assert got.dtype == want.dtype == complex
                     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
+    @staticmethod
+    def means_per_hat(family, t):
+        """The oracle of `means`: one hat at a time, each mean over a 1-D
+        buffer."""
+        t = np.asarray(t)
+        if np.iscomplexobj(t) and not t.imag.any():
+            t = t.real
+        real = not np.iscomplexobj(t) and not family.centers.imag.any()
+        centers = family.centers.real if real else family.centers
+        g = np.empty(t.shape)
+        diff = g if real else np.empty(t.shape, dtype=complex)
+        out = np.empty(len(family))
+        for j, (c, w) in enumerate(zip(centers, family.radii)):
+            np.subtract(t, c, out=diff)
+            np.abs(diff, out=g)
+            g *= 1.0 / w
+            np.subtract(1.0, g, out=g)
+            np.maximum(g, 0.0, out=g)
+            out[j] = g.mean()
+        return out
+
+    # blocks of the whole family, of a few hats with a short last block, and
+    # of one hat from a t of spectra._HAT_BLOCK samples on
+    @pytest.mark.parametrize("size", [1, 2, 31, 128, 1600, 5461, 16383, 16384, 40000])
+    @pytest.mark.parametrize("t_kind", ["real", "complex", "real-valued complex"])
+    @pytest.mark.parametrize("complex_centers", [False, True])
+    def test_means_equal_the_per_hat_loop_bitwise(self, size, t_kind, complex_centers):
+        rng = np.random.default_rng(size)
+        centers = rng.uniform(-3, 3, 13) + (1j * rng.uniform(-1, 1, 13) if complex_centers else 0)
+        family = Family(centers, rng.uniform(0.05, 3, 13))
+        t = rng.uniform(-3, 3, size)
+        if t_kind == "complex":
+            t = t + 1j * rng.uniform(-1, 1, size)
+        elif t_kind == "real-valued complex":
+            t = t.astype(complex)
+        assert family.means(t).tobytes() == self.means_per_hat(family, t).tobytes()
+
     def test_family_has_nine_members(self):
         fam = default_family(2.0)
         assert len(fam) == 9
