@@ -26,7 +26,6 @@ from .matrices import (
     _pad,
     _square_finite,
     _sturm_counter,
-    _tridiagonal_eigvalsh,
     svdvals,
 )
 
@@ -120,11 +119,12 @@ def _gram_band(C: _Band):
 # or that holds sigma_1, and counts all their midpoints in one dlaebz call.
 # On the benchmark's Gram bands (n = 576-1600) it took 53-54 rounds and
 # 132-176 counts in all.  More than _COUNT_BATCH live intervals (ties in the
-# objective), _COUNT_ROUNDS rounds, or an interval that no longer splits in
-# floating point send the band to dsterf.  Rounds stay below log2(n) + 53
-# (the search starts on t <= 1, where p lies, and stops intervals at a width
-# of _COUNT_RTOL * p >= _COUNT_RTOL / n), so the cap is never reached below
-# n = 2^70.
+# objective), _COUNT_ROUNDS rounds, a count that is not monotone, or an
+# interval that no longer splits in floating point end the search, and
+# p_metric takes `svdvals` of the core instead.  Rounds stay below
+# log2(n) + 53 (the search starts on t <= 1, where p lies, and stops
+# intervals at a width of _COUNT_RTOL * p >= _COUNT_RTOL / n), so the cap is
+# never reached below n = 2^70.
 _COUNT_RTOL = 2 * np.finfo(float).eps
 _COUNT_ROUNDS = 128
 _COUNT_BATCH = 64
@@ -175,12 +175,13 @@ def _count_search(below, k: int, n: int, hi: float):
 
 def _count_p(d: np.ndarray, e: np.ndarray, n: int):
     """p of a reduced core from the real tridiagonal (d, e) of its Gram
-    matrix, padded to n, or None when the gate declines: the search of
-    `_count_search` on Sturm counts, then the gate of `_spectrum_p` as one
-    count.  That gate needs sigma_i >= loss/(_GRAM_RTOL * p) at the last
-    index i that can set p, min(k, floor(p n) + 1), so it holds when at least
-    that many singular values lie at or above the bound.  When the search
-    cannot finish, dsterf takes the whole spectrum of (d, e) instead.
+    matrix, padded to n, by Sturm counts alone, or None when the search of
+    `_count_search` cannot finish or the gate cannot certify its value.  The
+    gate asks that the error of sigma_i, at most loss/sigma_i with
+    loss = _GRAM_SAFETY * eps * sigma_1^2, stay below _GRAM_RTOL * p at every
+    index i that can set p ((i-1)/n <= p; the padded zeros are exact), so one
+    count decides it: at least min(k, floor(p n) + 1) singular values lie at
+    or above loss/(_GRAM_RTOL * p).
     """
     k = d.size
     below = _sturm_counter(d, e, _COUNT_BATCH)
@@ -188,7 +189,7 @@ def _count_p(d: np.ndarray, e: np.ndarray, n: int):
     radius = np.append(radius, 0.0) + np.insert(radius, 0, 0.0)
     found = _count_search(below, k, n, math.sqrt((d + radius).max()) * (1 + 4 * _COUNT_RTOL))
     if found is None:
-        return _spectrum_p(_tridiagonal_eigvalsh(d, e), n)
+        return None
     p, sigma1 = found
     loss = _GRAM_SAFETY * np.finfo(float).eps * sigma1**2
     bound = loss / (_GRAM_RTOL * p)
@@ -196,26 +197,11 @@ def _count_p(d: np.ndarray, e: np.ndarray, n: int):
     return p if k - below(np.array([bound * bound]))[0] >= setting else None
 
 
-def _spectrum_p(lam: np.ndarray, n: int):
-    """p from the eigenvalues lam, ascending, of a reduced core's Gram
-    matrix, padded to n, or None when the gate cannot certify that the error
-    of sigma_i stays below _GRAM_RTOL * p at every index i that can set p.
-    A value sigma_i from the Gram matrix can set the minimum only when
-    (i-1)/n <= p; the padded zeros are exact."""
-    s = _pad(np.sqrt(np.maximum(lam[::-1], 0.0)), n)
-    p = _objective(s).min()
-    k = lam.size
-    setting = s[:k][np.arange(k) / n <= p]
-    loss = _GRAM_SAFETY * np.finfo(float).eps * s[0] ** 2
-    return p if loss <= _GRAM_RTOL * p * setting.min() else None
-
-
 def _gram_p(core, n: int):
     """p of a reduced core from its Gram band, or None when the core is not
     a `_Band`, lies off the gate of `_gram_band`, an eigensolver fails, or
-    the gate of `_count_p` cannot certify the value.  ?sbtrd/?hbtrd reduce
-    the Gram band to a real tridiagonal, and Sturm counts find p on it
-    (`_count_p`)."""
+    `_count_p` declines.  ?sbtrd/?hbtrd reduce the Gram band to a real
+    tridiagonal, and Sturm counts find p on it (`_count_p`)."""
     if not isinstance(core, _Band):
         return None
     try:
@@ -230,13 +216,13 @@ def p_metric(A) -> float:
 
     After the exact reductions of `svdvals` (`_band_reduce` of a
     `matrices._Band`, `_svd_reduce` of a dense A), p of the nonzero core
-    comes from its Gram band when the core is a band and the gates of
-    `_gram_p` certify the value, and otherwise from `svdvals` of the core,
-    or of a dense A whole, which `svdvals` reduces once itself: the band SVD
-    where its gate passes, else the dense SVD in canonical sign.  The Gram
-    band route is the faster one on acs differences.
+    comes from Sturm counts on its Gram band (`_gram_p`) when the core is a
+    band and every gate passes, and otherwise from `svdvals` of the core, or
+    of a dense A whole, which `svdvals` reduces once itself: the band SVD
+    where its gate passes, else the dense SVD in canonical sign.  The count
+    route is the faster one on acs differences.
 
-    p(A) = p(-A) bit for bit: the Gram band route is exact in sign by
+    p(A) = p(-A) bit for bit: the count route is exact in sign by
     arithmetic ((-C)^H (-C) is C^H C product by product, and the rest of the
     route reads only that), and `svdvals` gives -C the bits of C (see its
     sign rule).

@@ -9,10 +9,10 @@ floor(n/m) plus a trailing zero block.
 numpy builds every family.  The banded SVD path of `svdvals` reduces a narrow
 band to a bidiagonal with LAPACK's ?gbbrd and takes its singular values by
 dqds (dlasq1), in O(n^2 b) and within eps*sigma_1 of the dense SVD, and
-p_metric's band Gram route reduces a Hermitian band to a real tridiagonal
-with dsbtrd or zhbtrd (`_band_tridiagonal`), then counts its eigenvalues
-below given points with dlaebz (`_sturm_counter`), or takes them all with
-dsterf (`_tridiagonal_eigvalsh`).  numpy's linalg API exposes none of these
+p_metric's count route reduces a Hermitian band to a real tridiagonal with
+dsbtrd or zhbtrd (`_band_tridiagonal`), then counts its eigenvalues below
+given points with dlaebz (`_sturm_counter`); where the counts decline,
+p_metric takes `svdvals`.  numpy's linalg API exposes none of these
 routines, so one cached ctypes table (`_lapack`) takes them from the BLAS
 that numpy itself links, the first time a matrix takes a band route; when
 that library does not export them, the band routes decline and the dense
@@ -267,7 +267,6 @@ def _lapack():
             "dlasq1": (i, d, d, d, i),
             "dsbtrd": (ch, ch, i, i, d, i, d, d, d, i, d, i),
             "zhbtrd": (ch, ch, i, i, z, i, d, d, z, i, z, i),
-            "dsterf": (i, d, d, i),
             # called with raw pointers from `_sturm_counter`, which allocates
             # every argument itself
             "dlaebz": (ctypes.c_void_p,) * 20,
@@ -366,15 +365,6 @@ def _band_tridiagonal(gb: np.ndarray):
     else:
         _call("dsbtrd", *args, np.zeros(1), _int(1), np.empty(n), task="eigensolver")
     return d, e[: n - 1]
-
-
-def _tridiagonal_eigvalsh(d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """The eigenvalues, ascending, of the real symmetric tridiagonal with
-    diagonal d and off-diagonal e, both overwritten: dsterf (root-free QL/QR),
-    the last step of LAPACK's band eigensolvers.  A nonzero info raises
-    NumericalError."""
-    _call("dsterf", _int(d.size), d, e, task="eigensolver")
-    return d
 
 
 def _sturm_counter(d: np.ndarray, e: np.ndarray, size: int):

@@ -324,11 +324,8 @@ def group_embed(seqA: MatrixSeq, seqB: MatrixSeq, n: int) -> EmbeddingPair:
     (`_misfit_p`), without forming the misfit; it is small when the two
     sequences share a singular value distribution, and exactly 0 when A = B.
     """
-    A = seqA(n)
-    B = seqB(n)
-    if A.shape != B.shape:
-        raise DomainError("sequences must produce matrices of the same size")
-    Q, S, W = _canonical_svd(B)
+    A = seqA(n)  # built first, so its errors come first
+    Q, S, W = _canonical_svd(seqB(n))
     Qp, Sp, Wp = _canonical_svd(A)
     # P = I[order] and P' = I[order_p], so the permutation products are
     # column gathers: X P^T = X[:, order] and X P' = X[:, argsort(order_p)]

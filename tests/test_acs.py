@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from bands import as_band
+from scipy.linalg import eigvalsh_tridiagonal
 
 from glt_lab import (
     DomainError,
@@ -568,26 +569,36 @@ def banded_with_spectrum(sigma, seed=0):
     return rotations(n, 0, rng) @ np.diag(rng.permutation(sigma)) @ rotations(n, 1, rng)
 
 
+def spectrum_p(lam, n):
+    """The full-spectrum gate, the oracle of the count route's: p from the
+    eigenvalues lam, ascending, of a reduced core's Gram matrix, padded to n,
+    or None when the error 100 eps sigma_1^2 / sigma_i may exceed 1e-10 p at
+    some index i that can set p, (i-1)/n <= p; the padded zeros are exact."""
+    s = matrices._pad(np.sqrt(np.maximum(lam[::-1], 0.0)), n)
+    p = acs._objective(s).min()
+    k = lam.size
+    setting = s[:k][np.arange(k) / n <= p]
+    loss = acs._GRAM_SAFETY * np.finfo(float).eps * s[0] ** 2
+    return p if loss <= acs._GRAM_RTOL * p * setting.min() else None
+
+
 def count_and_sterf(A):
-    """(p from Sturm counts, p from dsterf) of the Gram band of A, a band or
-    the dense matrix of one, each None where its gate declines, from the same
-    tridiagonal."""
+    """(p from Sturm counts, p from the full spectrum) of the Gram band of A,
+    a band or the dense matrix of one, each None where its gate declines,
+    from the same tridiagonal; scipy's dsterf takes the full spectrum."""
     n = A.shape[0]
     band = A if isinstance(A, matrices._Band) else as_band(A)
     gb = acs._gram_band(matrices._band_reduce(band))
     d, e = matrices._band_tridiagonal(gb)
     counted = acs._count_p(d.copy(), e.copy(), n)
-    return counted, acs._spectrum_p(matrices._tridiagonal_eigvalsh(d, e), n)
+    return counted, spectrum_p(eigvalsh_tridiagonal(d, e, lapack_driver="sterf"), n)
 
 
 @pytest.fixture
-def sterf(monkeypatch):
-    """Records the size of every tridiagonal that the count route hands
-    dsterf."""
+def fallback(monkeypatch):
+    """Records the size of every core that p_metric hands `svdvals`."""
     sizes = []
-    solver = acs._tridiagonal_eigvalsh
-    monkeypatch.setattr(acs, "_tridiagonal_eigvalsh",
-                        lambda d, e: sizes.append(d.size) or solver(d, e))
+    monkeypatch.setattr(acs, "svdvals", lambda core: sizes.append(core.shape[0]) or svdvals(core))
     return sizes
 
 
@@ -611,8 +622,8 @@ def tied(n, ties):
 class TestCountRoute:
     """The band Gram route finds p from Sturm counts on the band's
     tridiagonal: the same p as dsterf's full spectrum on the same band and as
-    the dense SVD, the same gate decision, and dsterf when the search cannot
-    finish."""
+    the dense SVD, and the same gate decision; when the search cannot finish,
+    `svdvals` takes the core."""
 
     @staticmethod
     def operand(case):
@@ -630,7 +641,7 @@ class TestCountRoute:
                                       "random-real-1024-32", "random-complex-1024-7",
                                       "random-real-1600-12", "glt-lc-real", "glt-lc-complex",
                                       "ties"])
-    def test_p_matches_dsterf_and_the_dense_svd(self, case, sterf, band_route):
+    def test_p_matches_dsterf_and_the_dense_svd(self, case, route, band_route):
         A = self.operand(case)
         counted, full = count_and_sterf(A)
         assert counted is not None and full is not None
@@ -638,7 +649,7 @@ class TestCountRoute:
         p = p_metric(as_band(A))
         assert p == counted and p == p_metric(as_band(-A))
         assert abs(p - (p_svd(A) if np.iscomplexobj(A) else p_real_svd(A.real))) <= 1e-12 * p
-        assert sterf == [] and len(band_route) == 2
+        assert route == ["gram", "gram"] and len(band_route) == 2
 
     def test_ties_are_each_refined(self):
         # eight indices tie at p = 1/2; p is found to roundoff
@@ -675,25 +686,30 @@ class TestCountRoute:
             decisions.append(full is not None)
         assert decisions == [True, True, False, False]
 
-    def test_many_ties_take_dsterf(self, sterf, route):
-        # more live intervals than one count call holds
+    def test_many_ties_take_svdvals(self, fallback, route, band_svd):
+        # more live intervals than one count call holds: the core, of
+        # half-bandwidth 2, goes to the band SVD
         n = 768
         A = banded_with_spectrum(tied(n, acs._COUNT_BATCH + 8), seed=4)
         p = p_metric(as_band(A))
-        assert sterf == [n] and route == ["gram"]
+        assert fallback == [n] and route == [] and band_svd == [2]
         assert p == pytest.approx(0.5, rel=1e-14) and p == pytest.approx(p_svd(A), rel=1e-12)
 
-    def test_round_cap_takes_dsterf(self, sterf, route, monkeypatch):
+    def test_round_cap_takes_svdvals(self, fallback, route, monkeypatch):
+        # b = 23 is above the band SVD's 576/32, so the dense SVD runs
         A = as_band(glt_minus_lc(F_REAL, 576))
         p = p_metric(A)
         monkeypatch.setattr(acs, "_COUNT_ROUNDS", 5)
-        assert p_metric(A) == pytest.approx(p, rel=1e-12)
-        assert sterf == [576] and route == ["gram", "gram"]
+        capped = p_metric(A)
+        assert fallback == [576] and route == ["gram", "dense"]
+        assert capped == pytest.approx(p, rel=1e-12)
+        assert capped == pytest.approx(p_real_svd(A.dense()), rel=1e-12)
 
     @pytest.mark.parametrize("call", [0, 1, 20])
-    def test_non_monotone_count_takes_dsterf(self, call, sterf, route, monkeypatch):
+    def test_non_monotone_count_takes_svdvals(self, call, fallback, route, monkeypatch):
         # one count is raised above its left neighbour's: the search stops
-        # and dsterf gives the full spectrum of the same tridiagonal
+        # and the dense SVD takes the core; dsterf's full spectrum of the same
+        # tridiagonal gives the same p
         counter = acs._sturm_counter
 
         def broken(d, e, size):
@@ -710,10 +726,12 @@ class TestCountRoute:
 
         A = as_band(glt_minus_lc(F_CPLX, 576))
         gb = acs._gram_band(matrices._band_reduce(A))
-        full = acs._spectrum_p(matrices._tridiagonal_eigvalsh(*matrices._band_tridiagonal(gb)), 576)
+        full = spectrum_p(eigvalsh_tridiagonal(*matrices._band_tridiagonal(gb),
+                                               lapack_driver="sterf"), 576)
         monkeypatch.setattr(acs, "_sturm_counter", broken)
-        assert p_metric(A) == full
-        assert sterf == [576] and route == ["gram"]
+        p = p_metric(A)
+        assert fallback == [576] and route == ["dense"]
+        assert abs(p - full) <= 1e-12 * full and abs(p - p_svd(A.dense())) <= 1e-12 * p
 
     def test_counter_takes_at_most_its_size(self):
         below = matrices._sturm_counter(np.arange(4.0), np.ones(3), 5)
@@ -752,8 +770,8 @@ BENCH_SECTIONS = [
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_benchmark_band_grams_are_certified_by_counts(seed, tmp_path, route, band_route, sterf,
-                                                      band_svd):
+def test_benchmark_band_grams_are_certified_by_counts(seed, tmp_path, route, band_route,
+                                                      fallback, band_svd):
     terms, glt = BENCH_SECTIONS[seed]
     cfg = tmp_path / "exp.ini"
     cfg.write_text(f"[global]\noutput = {tmp_path / 'r.csv'}\n\n"
@@ -763,7 +781,7 @@ def test_benchmark_band_grams_are_certified_by_counts(seed, tmp_path, route, ban
     assert main(["run", str(cfg)]) == 0
     # the n = 256 cores are dense, and take the dense SVD
     assert [n for n, _ in band_route] == [576, 1600, 576, 1024]
-    assert route == ["dense", "gram", "gram"] * 2 and sterf == [] and band_svd == []
+    assert route == ["dense", "gram", "gram"] * 2 and fallback == [256, 256] and band_svd == []
 
 
 @pytest.fixture
