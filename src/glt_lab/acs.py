@@ -8,6 +8,7 @@ d(A, B) = limsup p(A_n - B_n), estimated here on a finite size ladder.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -24,6 +25,7 @@ from .matrices import (
     _check_ladder,
     _lapack,
     _pad,
+    _record,
     _square_finite,
     _sturm_counter,
     svdvals,
@@ -197,47 +199,37 @@ def _count_p(d: np.ndarray, e: np.ndarray, n: int):
     return p if k - below(np.array([bound * bound]))[0] >= setting else None
 
 
-def _gram_p(core, n: int):
-    """p of a reduced core from its Gram band, or None when the core is not
-    a `_Band`, lies off the gate of `_gram_band`, an eigensolver fails, or
-    `_count_p` declines.  ?sbtrd/?hbtrd reduce the Gram band to a real
-    tridiagonal, and Sturm counts find p on it (`_count_p`)."""
-    if not isinstance(core, _Band):
-        return None
-    try:
-        gb = _gram_band(core)
-        return None if gb is None else _count_p(*_band_tridiagonal(gb), n)
-    except NumericalError:
-        return None
-
-
 def p_metric(A) -> float:
     """min_{i=1..n+1} {(i-1)/n + sigma_i(A)} with sigma_{n+1} = 0.
 
-    After the exact reductions of `svdvals` (`_band_reduce` of a
-    `matrices._Band`, `_svd_reduce` of a dense A), p of the nonzero core
-    comes from Sturm counts on its Gram band (`_gram_p`) when the core is a
-    band and every gate passes, and otherwise from `svdvals` of the core, or
-    of a dense A whole, which `svdvals` reduces once itself: the band SVD
-    where its gate passes, else the dense SVD in canonical sign.  The count
-    route is the faster one on acs differences.
+    p is read from the nonzero core of A.  A `matrices._Band` is reduced
+    exactly as `svdvals` reduces it (`_band_reduce`): its core is a band
+    when its zero rows are its zero columns and it lies on the band gate,
+    and is otherwise scattered from its slots into a dense core.  A band
+    core whose Gram band `_gram_band` accepts takes the count route, the
+    faster one on acs differences: ?sbtrd/?hbtrd reduce the Gram band to a
+    real tridiagonal, and Sturm counts find p on it (`_count_p`).  Where the
+    core is dense, the Gram gate declines, an eigensolver fails or
+    `_count_p` declines, p comes from `svdvals` of the core, or of a dense A
+    whole, which `svdvals` reduces once itself: the band SVD where its gate
+    passes, else the dense SVD in canonical sign, so a dense A always takes
+    the dense SVD, the band routes' test oracle.
 
     p(A) = p(-A) bit for bit: the count route is exact in sign by
     arithmetic ((-C)^H (-C) is C^H C product by product, and the rest of the
     route reads only that), and `svdvals` gives -C the bits of C (see its
     sign rule).
-
-    A band core needs a band A: its core is a band when its zero rows are
-    its zero columns and it lies on the band gate, and otherwise it is
-    scattered from its slots into a dense core (`_band_reduce`).  A dense A
-    always takes the dense SVD, the band routes' test oracle.
     """
     A = _operand(A)
     n = A.shape[0]
-    # only a band core can take the Gram band route; a dense A goes to
-    # svdvals whole, which reduces it itself
     core = _band_reduce(A) if isinstance(A, _Band) else A
-    p = _gram_p(core, n)
+    p = kd = None
+    gb = _gram_band(core) if isinstance(core, _Band) else None
+    if gb is not None:
+        kd = gb.shape[1] - 1
+        with contextlib.suppress(NumericalError):  # an eigensolver failed
+            p = _count_p(*_band_tridiagonal(gb), n)
+    _record("p_metric", core.shape[0], "svdvals" if p is None else "counts", kd)
     if p is None:
         p = _objective(_pad(svdvals(core), n)).min()
     return float(p)

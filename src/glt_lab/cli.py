@@ -32,7 +32,7 @@ import numpy as np
 
 from . import matrices, spectra
 from .acs import acs_equivalent, p_metric
-from .errors import ConfigError, ExprSyntaxError, GltLabError, VariableError
+from .errors import ConfigError, ExprSyntaxError, GltLabError, NumericalError, VariableError
 from .matrices import MatrixSeq, counterexample_seq
 from .normal_form import (
     DEFAULT_SHIFTS,
@@ -125,8 +125,8 @@ def _parse_sizes(text: str):
         raise ConfigError(f"bad sizes {text!r}: {exc}") from exc
     if len(sizes) < 1:
         raise ConfigError("sizes must be non-empty")
-    if min(sizes) < 1:
-        raise ConfigError(f"sizes must be positive, got {sizes}")
+    if min(sizes) < 1 or max(sizes) > MAX_SIZE:
+        raise ConfigError(f"sizes must be positive and at most {MAX_SIZE}, got {sizes}")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ConfigError(f"sizes must be strictly ascending, got {sizes}")
     return sizes
@@ -140,8 +140,8 @@ def _parse_grid(text: str):
         raise ConfigError(f"bad grid {text!r}") from exc
     if len(res) not in (1, 2):
         raise ConfigError(f"grid needs 1 or 2 axes, got {text!r}")
-    if min(res) < 1:
-        raise ConfigError(f"grid resolutions must be positive, got {text!r}")
+    if min(res) < 1 or max(res) > MAX_SIZE:
+        raise ConfigError(f"grid resolutions must be positive and at most {MAX_SIZE}, got {text!r}")
     return res
 
 
@@ -269,6 +269,9 @@ def _choice(what, text, choices):
 # Coefficients past degree n - 1 fall outside an n x n Toeplitz band, so a
 # degree above the desk-scale sizes adds cost and no entry.
 MAX_DEGREE_CAP = 4096
+# The largest size and grid axis: an n x n complex array holds < 2^63 bytes,
+# so an allocation too large fails with MemoryError (an error row), not ValueError.
+MAX_SIZE = 2**29
 
 # key -> parser(text, the options parsed before it); a key means the same
 # thing in every kind that reads it
@@ -339,6 +342,8 @@ def load_config(path: str) -> RunConfig:
 def _row(name, n, metric, value, bound=None, ok=None) -> ReportRow:
     """A report row.  Its verdict is N/A when neither `bound` nor `ok` is
     given, else PASS when `ok`, which defaults to `value <= bound`."""
+    if not math.isfinite(value):
+        raise NumericalError(f"{metric} is not finite: {value}")
     if bound is None and ok is None:
         verdict = "N/A"
     elif value <= bound if ok is None else ok:
@@ -570,8 +575,8 @@ def run_config(path: str, dump_matrices: bool = False) -> int:
                     _dump_matrices(exp, out_dir)
             except ConfigError:
                 raise
-            except GltLabError as exc:
-                # numerical failures become FAIL rows, not crashes
+            except (GltLabError, MemoryError) as exc:
+                # numerical and allocation failures become FAIL rows, not crashes
                 rows.append(ReportRow(exp.name, 0, f"error[{exc}]", 0.0, None, "FAIL"))
         return _emit(rows, config.output)
     except ConfigError as exc:

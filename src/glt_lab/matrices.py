@@ -24,6 +24,7 @@ and `_one_blas_thread` uses them to run the CLI's commands on one BLAS thread.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import functools
 import math
 from dataclasses import dataclass, field
@@ -187,6 +188,21 @@ def _complex_valued(A: np.ndarray) -> bool:
     """Whether A has a nonzero imaginary part (a real dtype has none, and its
     `imag` would allocate a zero array)."""
     return np.iscomplexobj(A) and bool(A.imag.any())
+
+
+_ROUTES = contextvars.ContextVar("glt_lab_routes", default=None)
+
+
+def _record(stage: str, n: int, route: str, width: int | None = None) -> None:
+    """Append (stage, n, route, width) to the route record, the list set in
+    _ROUTES, if any: one entry per route decision of `svdvals` ("band" with
+    b, or "dense"), p_metric ("counts" or "svdvals", n the core's size, width
+    the kd of a Gram band it reduced), `spectra._spectrum` ("sv" or "eig":
+    "hook", "band" with b, or "dense") and `spectra.eigenvalues` ("diagonal"
+    or "solver").  No run sets it, and no report holds it."""
+    routes = _ROUTES.get()
+    if routes is not None:
+        routes.append((stage, n, route, width))
 
 
 # Crossover of the banded path on one BLAS thread, as the CLI runs
@@ -503,27 +519,6 @@ def _narrow(band: _Band):
     return _Band(np.ascontiguousarray(ab if _complex_valued(ab) else ab.real), b)
 
 
-def _banded_svdvals(band: _Band):
-    """The singular values, non-increasing, of a band from `_narrow`, from a
-    band bidiagonalisation and dqds (`_band_svdvals`), or None when the band
-    is too wide for that to beat a dense SVD (b above n // _BAND_N_PER_B),
-    or when numpy's BLAS lacks the band routines.  The storage is copied,
-    since ?gbbrd overwrites it.
-
-    The reduction is backward stable, so the values agree with the dense SVD
-    to an absolute eps*sigma_1, in O(n^2 b) work: they differed from
-    np.linalg.svd by at most 8e-15 * sigma_1 on random real and complex
-    bands and two-term `glt` matrices with n = 256-1600 and b = 1-40.
-    """
-    ab, b = band
-    if b > ab.shape[0] // _BAND_N_PER_B or _lapack() is None:
-        return None
-    ab = ab.copy()
-    if not np.isfinite(ab).all():
-        raise NumericalError("SVD failed: matrix has non-finite entries")
-    return _band_svdvals(ab, b)
-
-
 def _svd_reduce(A: np.ndarray) -> np.ndarray:
     """The exact reduction `svdvals` applies before a dense SVD: the rows and
     columns of A that hold a nonzero entry, real when their imaginary part
@@ -593,37 +588,42 @@ def _canonical_sign(core: np.ndarray) -> np.ndarray:
     return -core if v.real < 0 or (v.real == 0 and v.imag < 0) else core
 
 
-def _dense_svdvals(core: np.ndarray, n: int) -> np.ndarray:
-    """The singular values of a reduced core from a dense SVD, padded to n."""
-    try:
-        s = np.linalg.svd(core, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD failed: {exc}") from exc
-    return _pad(s, n)
-
-
 def svdvals(A) -> np.ndarray:
     """The singular values of A, non-increasing, padded with zeros to its
     row count n: n values for a square A.  A is a `_Band` or an array of n
     rows; `p_metric` passes its reduced core, which may be rectangular.
 
-    A `_Band` on the gate of `_narrow` takes the banded path above.  A dense
-    array, or a band off it as its dense matrix, takes the dense SVD: rows
-    and columns without a nonzero entry only add zero singular values, so
-    the rest is decomposed alone and zeros pad the result back to n.  That
-    block is decomposed in real arithmetic when its imaginary part is
-    exactly zero, and in its canonical sign (`_canonical_sign`), so that
-    svdvals(A) and svdvals(-A) are the same bits: the dense SVD can round -A
-    differently from A.  The banded path needs no sign rule: it gave the
-    same bits for A and -A on every band tested.
+    A `_Band` on the gate of `_narrow` with b <= n // _BAND_N_PER_B, where
+    the band SVD beats a dense one, takes it when numpy's BLAS has its
+    routines: ?gbbrd and dqds (`_band_svdvals`), backward stable and O(n^2 b),
+    on a copy of the storage, which ?gbbrd overwrites.  The values differed
+    from np.linalg.svd by at most 8e-15 * sigma_1 on random real and complex
+    bands and two-term `glt` matrices with n = 256-1600 and b = 1-40, and
+    were the same bits for A and -A on every band tested: no sign rule.
+
+    A dense array, or a band off that path as its dense matrix, takes the
+    dense SVD: rows and columns without a nonzero entry only add zero
+    singular values, so the rest is decomposed alone and zeros pad the
+    result back to n.  That block is decomposed in real arithmetic when its
+    imaginary part is exactly zero, and in its canonical sign
+    (`_canonical_sign`), so that svdvals(A) and svdvals(-A) are the same
+    bits: the dense SVD can round -A differently from A.
     """
+    n = A.shape[0]
     if isinstance(A, _Band):
         band = _narrow(A)
-        s = None if band is None else _banded_svdvals(band)
-        if s is not None:
-            return s
+        if band is not None and band.b <= n // _BAND_N_PER_B and _lapack() is not None:
+            _record("svdvals", n, "band", band.b)
+            if not np.isfinite(band.ab).all():
+                raise NumericalError("SVD failed: matrix has non-finite entries")
+            return _band_svdvals(band.ab.copy(), band.b)
         A = A.dense()
-    return _dense_svdvals(_canonical_sign(_svd_reduce(A)), A.shape[0])
+    _record("svdvals", n, "dense")
+    try:
+        s = np.linalg.svd(_canonical_sign(_svd_reduce(A)), compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD failed: {exc}") from exc
+    return _pad(s, n)
 
 
 def _toeplitz_band(f: TrigPoly, n: int) -> _Band:

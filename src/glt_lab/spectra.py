@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, EvalError, NumericalError
-from .matrices import _BAND_MIN_N, MatrixSeq, _Band, _check_ladder, _square_finite, svdvals
+from .matrices import (_BAND_MIN_N, MatrixSeq, _Band, _check_ladder, _record, _square_finite,
+                       svdvals)
 from .symbols import (
     FuncExpr,
     GltExpr,
@@ -61,12 +62,12 @@ def eigenvalues(A) -> np.ndarray:
     order.  A may be a `matrices._Band`: at half-bandwidth 0 its storage is
     that diagonal, and a wider band is decomposed as its dense matrix, so the
     values are the dense matrix's bit for bit."""
-    if isinstance(A, _Band) and A.b == 0:
-        return _square_finite(A).ab[:, 0].astype(complex)
-    A = _square_finite(A.dense() if isinstance(A, _Band) else A)
-    d = np.diagonal(A)
-    if np.count_nonzero(A) == np.count_nonzero(d):
-        return d.copy()
+    A = _square_finite(A.dense() if isinstance(A, _Band) and A.b else A)
+    d = A.ab[:, 0] if isinstance(A, _Band) else np.diagonal(A)
+    diagonal = isinstance(A, _Band) or np.count_nonzero(A) == np.count_nonzero(d)
+    _record("eigenvalues", d.size, "diagonal" if diagonal else "solver")
+    if diagonal:
+        return d.astype(complex)
     try:
         return np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:
@@ -212,7 +213,9 @@ def _spectrum(seq: MatrixSeq, n: int, kind: str) -> np.ndarray:
     hook = seq.svals if kind == "sv" else seq.eigs
     if hook is None:
         A = seq.band(n) if seq.band is not None and n >= _BAND_MIN_N else seq(n)
+        _record(kind, n, *(("band", A.b) if isinstance(A, _Band) else ("dense",)))
         return singular_values(A) if kind == "sv" else eigenvalues(A)
+    _record(kind, n, "hook")
     samples = np.asarray(hook(n))
     if samples.shape != (n,):
         raise ValueError(f"{seq.name}: {kind} hook returned shape {samples.shape} for n={n}")

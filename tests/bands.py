@@ -1,4 +1,5 @@
-"""The band operand the tests hand the band routes, built from a dense matrix."""
+"""The band operand the tests hand the band routes, built from a dense matrix,
+and the band SVDs a route record shows."""
 
 import numpy as np
 
@@ -14,3 +15,8 @@ def as_band(A, b=None):
         i, j = np.nonzero(A)
         b = int(np.abs(i - j).max(initial=0))
     return matrices._Band(matrices._band_storage(A, b), b)
+
+
+def band_svds(routes):
+    """The half-bandwidth of every band the band SVD took, from a record."""
+    return [b for stage, _, route, b in routes if (stage, route) == ("svdvals", "band")]

@@ -2,6 +2,8 @@ import tracemalloc
 
 import pytest
 
+from glt_lab import matrices
+
 
 @pytest.fixture
 def traced_peak():
@@ -23,3 +25,13 @@ def traced_peak():
                 tracemalloc.stop()
 
     return peak
+
+
+@pytest.fixture
+def routes():
+    """The route record while the test runs: the (stage, n, route, width)
+    entry of every route decision, in order (`matrices._record`)."""
+    record = []
+    token = matrices._ROUTES.set(record)
+    yield record
+    matrices._ROUTES.reset(token)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from bands import as_band
+from bands import as_band, band_svds
 from scipy.linalg import eigvalsh_tridiagonal
 
 from glt_lab import (
@@ -69,51 +69,17 @@ def p_svdvals(A):
     return float((np.arange(n + 1) / n + np.append(s, 0.0)).min())
 
 
-@pytest.fixture
-def route(monkeypatch):
-    """Records, per p_metric call, whether the Gram band route certified its
-    values ("gram"), and, per `svdvals` call, whether the dense SVD ran
-    ("dense")."""
-    taken = []
-    gram, dense = acs._gram_p, matrices._dense_svdvals
-
-    def gram_spy(core, n):
-        p = gram(core, n)
-        if p is not None:
-            taken.append("gram")
-        return p
-
-    def dense_spy(core, n):
-        taken.append("dense")
-        return dense(core, n)
-
-    monkeypatch.setattr(acs, "_gram_p", gram_spy)
-    monkeypatch.setattr(matrices, "_dense_svdvals", dense_spy)
-    return taken
+def p_entry(n, route, kd=None):  # the record of p_metric on a core of size n
+    return ("p_metric", n, route, kd)
 
 
-@pytest.fixture
-def band_route(monkeypatch):
-    """Records (n, kd) of every Gram band that p_metric hands the band
-    tridiagonal reduction."""
-    bands = []
-    reduce = acs._band_tridiagonal
-
-    def spy(gb):
-        bands.append((gb.shape[0], gb.shape[1] - 1))
-        return reduce(gb)
-
-    monkeypatch.setattr(acs, "_band_tridiagonal", spy)
-    return bands
+def sv_entry(n, route, b=None):  # the record of svdvals on an operand of n rows
+    return ("svdvals", n, route, b)
 
 
-@pytest.fixture
-def band_svd(monkeypatch):
-    """Records the half-bandwidth of every band the band SVD takes."""
-    bands = []
-    solver = matrices._band_svdvals
-    monkeypatch.setattr(matrices, "_band_svdvals", lambda ab, b: bands.append(b) or solver(ab, b))
-    return bands
+def gram_bands(routes):
+    """(n, kd) of every Gram band p_metric reduced, in order."""
+    return [(n, kd) for stage, n, _, kd in routes if stage == "p_metric" and kd is not None]
 
 
 def glt_minus_lc(f, n):
@@ -139,23 +105,23 @@ A_EXP = parse_expr("exp(0.4*x)", "a")
 class TestGramRoute:
     @pytest.mark.parametrize("f", [F_REAL, F_CPLX], ids=["real", "complex"])
     @pytest.mark.parametrize("n", [576, 1024])
-    def test_glt_minus_lc(self, f, n, route, band_route):
+    def test_glt_minus_lc(self, f, n, routes):
         # the Gram band reaches two diagonals past the block corners, b = sqrt(n) - 1
         A = glt_minus_lc(f, n)
         p = p_metric(as_band(A))
         assert abs(p - p_svd(A)) <= 1e-12 * p_svd(A)
-        assert route == ["gram"] and band_route == [(n, math.isqrt(n) + 1)]
+        assert routes == [p_entry(n, "counts", math.isqrt(n) + 1)]
         assert p_metric(as_band(-A)) == p
 
     @pytest.mark.parametrize("f", [F_REAL, F_CPLX], ids=["real", "complex"])
-    def test_glt_minus_normal_form(self, f, route, band_route):
+    def test_glt_minus_normal_form(self, f, routes):
         expr = GltExpr(((A_QUAD, f), (A_EXP, F_REAL)))
         A = glt_product_seq(expr)(576) - normal_form(expr, 576).matrix()
         assert abs(p_metric(as_band(A)) - p_svd(A)) <= 1e-10 * p_svd(A)
-        assert route == ["gram"] and band_route == [(576, 25)]
+        assert routes == [p_entry(576, "counts", 25)]
 
     @pytest.mark.parametrize("past", [0.99, 1.01])
-    def test_graded_spectrum_at_the_bound(self, past, route, band_svd):
+    def test_graded_spectrum_at_the_bound(self, past, routes):
         # sigma_2.. decay geometrically; sigma_1 is set `past` times the
         # largest value the gate certifies, 100 eps sigma_1^2 = 1e-10 p sigma_min,
         # on a band of half-bandwidth 2 that both band gates take
@@ -168,10 +134,10 @@ class TestGramRoute:
         A = as_band(banded_with_spectrum(np.append(sigma_1, tail), seed=1))
         value = p_metric(A)
         if past > 1:
-            assert route == [] and band_svd == [2]
+            assert routes == [p_entry(n, "svdvals", 3), sv_entry(n, "band", 2)]
             assert value == p_svdvals(A)
         else:
-            assert route == ["gram"] and band_svd == []
+            assert routes == [p_entry(n, "counts", 3)]
             assert abs(value - p_svd(A.dense())) <= 1e-10 * p
 
 
@@ -181,7 +147,7 @@ class TestDenseCores:
 
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("drop", ["rows", "cols"])
-    def test_zero_rows_and_rectangular_cores(self, dtype, drop, route):
+    def test_zero_rows_and_rectangular_cores(self, dtype, drop, routes):
         # a 50x60 or 60x45 core reaches the SVD as it is, with no copy
         rng = np.random.default_rng(11)
         A = rng.standard_normal((60, 60)).astype(dtype)
@@ -198,44 +164,43 @@ class TestDenseCores:
         p = p_metric(A)
         assert abs(p - p_svd(A)) <= 1e-10 * p_svd(A)
         assert p_metric(-A) == p
-        assert route == ["dense", "dense"]
+        assert routes == [p_entry(60, "svdvals"), sv_entry(60, "dense")] * 2
 
-    def test_toeplitz_minus_circulant_is_exactly_four_over_n(self, route):
+    def test_toeplitz_minus_circulant_is_exactly_four_over_n(self, routes):
         A = toeplitz(F_REAL, 1024) - circulant(F_REAL, 1024)
         assert p_metric(A) == 4 / 1024
-        assert route == ["dense"]
+        assert routes == [p_entry(1024, "svdvals"), sv_entry(1024, "dense")]
 
-    def test_exact_rank(self, route):
+    def test_exact_rank(self, routes):
         # sigma_6 = 0 sets p = 5/40
         A = with_spectrum([3.0, 2.0, 1.5, 1.0, 0.5] + [0.0] * 35)
         p = p_metric(A)
-        assert route == ["dense"]
+        assert routes == [p_entry(40, "svdvals"), sv_entry(40, "dense")]
         assert p == p_svdvals(A)
         assert p == pytest.approx(5 / 40, abs=1e-14)
 
     @pytest.mark.parametrize("scale", [2.0**-520, 2.0**520], ids=["tiny", "huge"])
-    def test_extreme_scales(self, scale, route):
+    def test_extreme_scales(self, scale, routes):
         # squaring would underflow or overflow; the SVD does not square
         A = scale * with_spectrum(np.linspace(1.0, 0.5, 20))
         assert p_metric(A) == p_svdvals(A)
-        assert route == ["dense", "dense"]
+        assert routes == [p_entry(20, "svdvals"), sv_entry(20, "dense"), sv_entry(20, "dense")]
 
     @pytest.mark.parametrize("f", [F_REAL, F_CPLX], ids=["real", "complex"])
-    def test_a_dense_operand_is_scanned_once(self, f, route, monkeypatch):
+    def test_a_dense_operand_is_scanned_once(self, f, routes):
         # p_metric hands a dense A to svdvals whole, so the nonzero mask is
-        # formed once; p is svdvals' objective, bit for bit, although the
-        # reduced core is rectangular, and the same as from svdvals of that
-        # core, the route that scanned twice
+        # formed once: both record A's 121 rows, not the core's 96; p is
+        # svdvals' objective, bit for bit, although the reduced core is
+        # rectangular, and the same as from svdvals of that core, the route
+        # that scanned twice
         A = glt_minus_lc(f, 121)
-        A[:, ::5] = 0
+        A[::5] = 0
         want = p_svdvals(A)
+        assert matrices._svd_reduce(A).shape == (96, 121)
         assert want == acs._objective(matrices._pad(svdvals(matrices._svd_reduce(A)), 121)).min()
-        route.clear()
-        scans = []
-        reduce = matrices._svd_reduce
-        monkeypatch.setattr(matrices, "_svd_reduce", lambda M: scans.append(M.shape) or reduce(M))
+        routes.clear()
         assert p_metric(A) == want
-        assert scans == [A.shape] and route == ["dense"]
+        assert routes == [p_entry(121, "svdvals"), sv_entry(121, "dense")]
 
 
 # the seed-0 small-sweep acs operand: real-valued, and the phase of its
@@ -268,18 +233,14 @@ class TestRealValuedRoute:
              ("banded", 256), ("i-real", 64)]
 
     @pytest.mark.parametrize("kind, n", CASES)
-    def test_sign_symmetric_and_close_to_the_svd(self, kind, n, monkeypatch):
+    def test_sign_symmetric_and_close_to_the_svd(self, kind, n, routes):
         A = self.operand(kind, n)
-        banded = []
-        solver = matrices._band_svdvals
-        monkeypatch.setattr(matrices, "_band_svdvals",
-                            lambda ab, b: banded.append(n) or solver(ab, b))
         # only a band operand takes the band SVD
         operand = as_band if kind == "banded" else np.asarray
         p = p_metric(operand(A))
         assert p_metric(operand(-A)) == p
         assert p == pytest.approx(p_svd(A), rel=1e-12, abs=1e-14)
-        assert bool(banded) == (kind == "banded")
+        assert bool(band_svds(routes)) == (kind == "banded")
 
     @pytest.mark.parametrize("kind, n", [("glt-lc", 36), ("glt-lc", 64), ("glt-lc", 121),
                                          ("banded", 256)])
@@ -340,11 +301,11 @@ class TestSignSymmetry:
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("n, b", [(n, b) for n in (128, 256, 512, 1024)
                                       for b in sorted({0, 1, 2, 3, n // 64, n // 32})])
-    def test_band_route(self, n, b, dtype):
+    def test_band_route(self, n, b, dtype, routes):
         A = half_integer_band(n, b, dtype, np.random.default_rng(1000 * n + b))
-        s = matrices._banded_svdvals(as_band(A, b))
-        assert s is not None
-        assert s.tobytes() == matrices._banded_svdvals(as_band(-A, b)).tobytes()
+        s = svdvals(as_band(A, b))
+        assert routes == [sv_entry(n, "band", b)]
+        assert s.tobytes() == svdvals(as_band(-A, b)).tobytes()
         assert p_metric(as_band(A)) == p_metric(as_band(-A))
 
     @staticmethod
@@ -358,13 +319,13 @@ class TestSignSymmetry:
         return A
 
     @pytest.mark.parametrize("scale", [1.0, 1j, -1j], ids=["real", "imag", "neg-imag"])
-    def test_dense_fallback(self, scale, route):
+    def test_dense_fallback(self, scale, routes):
         # a purely imaginary largest entry is flipped onto the positive
         # imaginary axis
         A = self.rank_one(scale)
         p = p_metric(A)
         assert p_metric(-A) == p
-        assert route == ["dense", "dense"]
+        assert routes == [p_entry(300, "svdvals"), sv_entry(300, "dense")] * 2
         assert p == p_svdvals(A)
         assert p == pytest.approx(1 / 300, rel=1e-10)
 
@@ -374,20 +335,21 @@ class TestSignSymmetry:
         assert svdvals(A).tobytes() == svdvals(-A).tobytes()
 
     @pytest.mark.parametrize("f", [F_REAL, F_CPLX], ids=["real", "complex"])
-    def test_p_is_the_objective_of_svdvals(self, f, route):
+    def test_p_is_the_objective_of_svdvals(self, f, routes):
         # sigma_min is far above the Gram gate's bound here, yet a dense core
         # takes no Gram route: p is read from the values of svdvals, bit for
         # bit
         A = glt_minus_lc(f, 256)
         p = p_metric(A)
         assert p == p_svdvals(A) == p_metric(-A)
-        assert route == ["dense"] * 3
+        metric = [p_entry(256, "svdvals"), sv_entry(256, "dense")]
+        assert routes == metric + [sv_entry(256, "dense")] + metric
 
-    def test_zero_matrix(self, route):
+    def test_zero_matrix(self, routes):
         # the empty core of A = 0 takes the dense SVD with no sign to read
         Z = np.zeros((6, 6))
         assert p_metric(Z) == p_metric(-Z) == 0.0
-        assert route == ["dense", "dense"]
+        assert routes == [p_entry(6, "svdvals"), sv_entry(6, "dense")] * 2
 
     def test_complex_operand_makes_no_rotated_copy(self, traced_peak):
         # the dense SVD's canonical sign holds at most one negated copy of
@@ -477,26 +439,26 @@ class TestBandGramRoute:
 
     @pytest.mark.parametrize("case", ["toeplitz-circulant", "small", "b-above-the-gate",
                                       "kd-above-the-gate", "rectangular"])
-    def test_cores_the_gate_refuses(self, case, band_route):
+    def test_cores_the_gate_refuses(self, case, routes):
         band = self.refused(case)
         core = matrices._band_reduce(band)
         assert not isinstance(core, matrices._Band) or acs._gram_band(core) is None
         A = band.dense()
         assert p_metric(band) == pytest.approx(p_svd(A), rel=1e-10, abs=1e-14)
-        assert band_route == []
+        assert gram_bands(routes) == [] and routes[0][2] == "svdvals"
 
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("n, b", [(512, 4), (512, 16), (1024, 7), (1024, 32)])
-    def test_sign_symmetry_on_half_integer_bands(self, n, b, dtype, band_route):
+    def test_sign_symmetry_on_half_integer_bands(self, n, b, dtype, routes):
         # b up to n/32, within both band gates, where the Gram band route
         # goes first; a full band's Gram half-width 2b then reaches n/16
         A = half_integer_band(n, b, dtype, np.random.default_rng(1000 * n + b))
         assert p_metric(as_band(A)) == p_metric(as_band(-A))
-        assert band_route == [(n, 2 * b)] * 2
+        assert gram_bands(routes) == [(n, 2 * b)] * 2
 
     @pytest.mark.parametrize("f, routine", [(F_REAL, "dsbtrd"), (F_CPLX, "zhbtrd")],
                              ids=["real", "complex"])
-    def test_nonzero_info_falls_back(self, f, routine, route, monkeypatch):
+    def test_nonzero_info_falls_back(self, f, routine, routes, monkeypatch):
         calls = []
 
         def failing(*args):
@@ -508,28 +470,27 @@ class TestBandGramRoute:
         A = glt_minus_lc(f, 576)
         # b = 23 is above the band SVD's 576/32, so the dense SVD runs
         p = p_metric(as_band(A))
-        assert calls == [routine] and route == ["dense"]
-        assert p == p_svdvals(A)
+        assert routes == [p_entry(576, "svdvals", 25), sv_entry(576, "dense")]
+        assert calls == [routine] and p == p_svdvals(A)
         gb = acs._gram_band(matrices._band_reduce(as_band(A)))
         message = f"eigensolver failed: {routine} returned info = 1"
         with pytest.raises(NumericalError, match=message):
             matrices._band_tridiagonal(gb)
 
     @pytest.mark.parametrize("terms", BENCH_NF_TERMS, ids=["seed0", "seed1", "seed2"])
-    def test_benchmark_normal_form_at_1600_is_certified(self, terms, route, band_route):
+    def test_benchmark_normal_form_at_1600_is_certified(self, terms, routes):
         # the gate's bound reached half its limit on these operands; the band
         # route must keep them off the dense SVD, which is three times slower
         band = acs._difference(build_sequence(f"glt({terms})"),
                                build_sequence(f"normal-form({terms})"), 1600)
         p = p_metric(band)
-        assert band_route == [(1600, 41)]
-        assert route == ["gram"]
+        assert routes == [p_entry(1600, "counts", 41)]
         assert abs(p - p_real_svd(band.dense())) <= 1e-12 * p
         counted, full = count_and_sterf(band)  # Sturm counts against dsterf on the same band
         assert counted == p and abs(p - full) <= 1e-12 * p
 
     @pytest.mark.parametrize("scale", [2.0**-520, 2.0**520], ids=["tiny", "huge"])
-    def test_extreme_scales_fall_back(self, scale, route, band_route, band_svd):
+    def test_extreme_scales_fall_back(self, scale, routes):
         # the scale gate reads the band storage before any Gram product, so
         # squaring neither underflows nor overflows; b = 8 <= 512/32, so the
         # band SVD takes the core, as it takes svdvals' operand
@@ -537,16 +498,17 @@ class TestBandGramRoute:
         s = svdvals(as_band(A))
         p_band_svd = float((np.arange(513) / 512 + np.append(s, 0.0)).min())
         assert p_metric(as_band(A)) == p_band_svd == p_metric(as_band(-A))
-        assert route == [] and band_route == [] and band_svd == [8] * 3
+        metric = [p_entry(512, "svdvals"), sv_entry(512, "band", 8)]
+        assert routes == [sv_entry(512, "band", 8)] + metric * 2
 
     @pytest.mark.parametrize("n", [1024, 1600])
-    def test_gram_band_goes_before_the_band_svd(self, n, band_route, band_svd):
+    def test_gram_band_goes_before_the_band_svd(self, n, routes):
         # b = sqrt(n) - 1 is within both band gates, n/32 and n/16; the Gram
         # band route is the faster of the two on these acs differences
         A = glt_minus_lc(F_REAL, n)
         assert matrices._band_reduce(as_band(A)).b <= n // matrices._BAND_N_PER_B
         p = p_metric(as_band(A))
-        assert band_route == [(n, math.isqrt(n) + 1)] and band_svd == []
+        assert routes == [p_entry(n, "counts", math.isqrt(n) + 1)]
         assert abs(p - p_real_svd(A)) <= 1e-12 * p
 
 
@@ -594,14 +556,6 @@ def count_and_sterf(A):
     return counted, spectrum_p(eigvalsh_tridiagonal(d, e, lapack_driver="sterf"), n)
 
 
-@pytest.fixture
-def fallback(monkeypatch):
-    """Records the size of every core that p_metric hands `svdvals`."""
-    sizes = []
-    monkeypatch.setattr(acs, "svdvals", lambda core: sizes.append(core.shape[0]) or svdvals(core))
-    return sizes
-
-
 def random_band(n, b, dtype, seed):
     """A random band of half-bandwidth b whose singular values lie in
     [1/3, 1], so that none sinks below the Gram gate and p lies inside."""
@@ -641,7 +595,7 @@ class TestCountRoute:
                                       "random-real-1024-32", "random-complex-1024-7",
                                       "random-real-1600-12", "glt-lc-real", "glt-lc-complex",
                                       "ties"])
-    def test_p_matches_dsterf_and_the_dense_svd(self, case, route, band_route):
+    def test_p_matches_dsterf_and_the_dense_svd(self, case, routes):
         A = self.operand(case)
         counted, full = count_and_sterf(A)
         assert counted is not None and full is not None
@@ -649,7 +603,7 @@ class TestCountRoute:
         p = p_metric(as_band(A))
         assert p == counted and p == p_metric(as_band(-A))
         assert abs(p - (p_svd(A) if np.iscomplexobj(A) else p_real_svd(A.real))) <= 1e-12 * p
-        assert route == ["gram", "gram"] and len(band_route) == 2
+        assert [entry[2] for entry in routes] == ["counts"] * 2 and len(gram_bands(routes)) == 2
 
     def test_ties_are_each_refined(self):
         # eight indices tie at p = 1/2; p is found to roundoff
@@ -657,7 +611,7 @@ class TestCountRoute:
         assert p_metric(A) == pytest.approx(0.5, rel=1e-14)
 
     @pytest.mark.parametrize("period", [4, 8])
-    def test_rank_deficient_cores_are_declined_by_both_gates(self, period, route, band_svd):
+    def test_rank_deficient_cores_are_declined_by_both_gates(self, period, routes):
         # sigma_i = 0 at every index 2 mod period, so that no row or column
         # of the band is zero, and in [0.9, 1] elsewhere: p = 1 - 1/period
         # is set at a zero singular value, which the Gram matrix cannot
@@ -670,7 +624,7 @@ class TestCountRoute:
         assert matrices._band_reduce(as_band(A)).shape == (n, n)
         assert count_and_sterf(A) == (None, None)
         p = p_metric(as_band(A))
-        assert route == [] and band_svd == [2]
+        assert routes == [p_entry(n, "svdvals", 3), sv_entry(n, "band", 2)]
         assert p == pytest.approx(1 - 1 / period, rel=1e-12)
         assert p == pytest.approx(p_svd(A), rel=1e-12)
 
@@ -686,27 +640,28 @@ class TestCountRoute:
             decisions.append(full is not None)
         assert decisions == [True, True, False, False]
 
-    def test_many_ties_take_svdvals(self, fallback, route, band_svd):
+    def test_many_ties_take_svdvals(self, routes):
         # more live intervals than one count call holds: the core, of
         # half-bandwidth 2, goes to the band SVD
         n = 768
         A = banded_with_spectrum(tied(n, acs._COUNT_BATCH + 8), seed=4)
         p = p_metric(as_band(A))
-        assert fallback == [n] and route == [] and band_svd == [2]
+        assert routes == [p_entry(n, "svdvals", 3), sv_entry(n, "band", 2)]
         assert p == pytest.approx(0.5, rel=1e-14) and p == pytest.approx(p_svd(A), rel=1e-12)
 
-    def test_round_cap_takes_svdvals(self, fallback, route, monkeypatch):
+    def test_round_cap_takes_svdvals(self, routes, monkeypatch):
         # b = 23 is above the band SVD's 576/32, so the dense SVD runs
         A = as_band(glt_minus_lc(F_REAL, 576))
         p = p_metric(A)
         monkeypatch.setattr(acs, "_COUNT_ROUNDS", 5)
         capped = p_metric(A)
-        assert fallback == [576] and route == ["gram", "dense"]
+        assert routes == [p_entry(576, "counts", 25), p_entry(576, "svdvals", 25),
+                          sv_entry(576, "dense")]
         assert capped == pytest.approx(p, rel=1e-12)
         assert capped == pytest.approx(p_real_svd(A.dense()), rel=1e-12)
 
     @pytest.mark.parametrize("call", [0, 1, 20])
-    def test_non_monotone_count_takes_svdvals(self, call, fallback, route, monkeypatch):
+    def test_non_monotone_count_takes_svdvals(self, call, routes, monkeypatch):
         # one count is raised above its left neighbour's: the search stops
         # and the dense SVD takes the core; dsterf's full spectrum of the same
         # tridiagonal gives the same p
@@ -730,7 +685,7 @@ class TestCountRoute:
                                                lapack_driver="sterf"), 576)
         monkeypatch.setattr(acs, "_sturm_counter", broken)
         p = p_metric(A)
-        assert fallback == [576] and route == ["dense"]
+        assert routes == [p_entry(576, "svdvals", 25), sv_entry(576, "dense")]
         assert abs(p - full) <= 1e-12 * full and abs(p - p_svd(A.dense())) <= 1e-12 * p
 
     def test_counter_takes_at_most_its_size(self):
@@ -739,7 +694,7 @@ class TestCountRoute:
         with pytest.raises(ValueError, match="at most 6 points"):
             below(np.zeros(7))
 
-    def test_dlaebz_failure_falls_back(self, route, monkeypatch):
+    def test_dlaebz_failure_falls_back(self, routes, monkeypatch):
         import ctypes
 
         def failing(*pointers):
@@ -750,7 +705,7 @@ class TestCountRoute:
         monkeypatch.setattr(matrices, "_lapack", lambda: table)
         A = glt_minus_lc(F_REAL, 576)
         p = p_metric(as_band(A))
-        assert route == ["dense"]
+        assert routes == [p_entry(576, "svdvals", 25), sv_entry(576, "dense")]
         assert p == p_svdvals(A)
 
 
@@ -770,8 +725,7 @@ BENCH_SECTIONS = [
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_benchmark_band_grams_are_certified_by_counts(seed, tmp_path, route, band_route,
-                                                      fallback, band_svd):
+def test_benchmark_band_grams_are_certified_by_counts(seed, tmp_path, routes):
     terms, glt = BENCH_SECTIONS[seed]
     cfg = tmp_path / "exp.ini"
     cfg.write_text(f"[global]\noutput = {tmp_path / 'r.csv'}\n\n"
@@ -780,8 +734,10 @@ def test_benchmark_band_grams_are_certified_by_counts(seed, tmp_path, route, ban
                    f"sequence_b = lc({glt})\nsizes = 256, 576, 1024\n", encoding="utf-8")
     assert main(["run", str(cfg)]) == 0
     # the n = 256 cores are dense, and take the dense SVD
-    assert [n for n, _ in band_route] == [576, 1600, 576, 1024]
-    assert route == ["dense", "gram", "gram"] * 2 and fallback == [256, 256] and band_svd == []
+    dense = [p_entry(256, "svdvals"), sv_entry(256, "dense")]
+    assert [entry for entry in routes if entry[0] in ("p_metric", "svdvals")] == [
+        *dense, p_entry(576, "counts", 25), p_entry(1600, "counts", 41),
+        *dense, p_entry(576, "counts", 25), p_entry(1024, "counts", 33)]
 
 
 @pytest.fixture
@@ -805,12 +761,7 @@ class TestWithoutBandRoutines:
         without_band_routines()
         assert matrices._lapack() is None
 
-    def test_dense_routes_give_the_same_verdicts(self, without_band_routines, band_route,
-                                                 monkeypatch):
-        banded = []
-        solver = matrices._band_svdvals
-        monkeypatch.setattr(matrices, "_band_svdvals",
-                            lambda ab, b: banded.append(ab.shape[0]) or solver(ab, b))
+    def test_dense_routes_give_the_same_verdicts(self, without_band_routines, routes):
         glt = glt_product_seq(GltExpr(((A_QUAD, F_REAL),)))
         T = toeplitz_seq(F_CPLX).band(512)
         A = acs._difference(glt_product_seq(GltExpr(((A_QUAD, F_CPLX),))), lc_seq(A_QUAD, F_CPLX),
@@ -821,10 +772,13 @@ class TestWithoutBandRoutines:
             return svdvals(T), p_metric(A), ladder
 
         s, p, (verdict, est) = run()
-        assert banded == [512] and band_route == [(576, 25), (1024, 33), (1024, 33)]
+        assert [n for stage, n, route, _ in routes if route == "band"] == [512]
+        assert gram_bands(routes) == [(576, 25), (1024, 33), (1024, 33)]
+        routes.clear()
         without_band_routines()
         s_dense, p_dense, (verdict_dense, est_dense) = run()
-        assert banded == [512] and len(band_route) == 3
+        assert {route for _, _, route, _ in routes} == {"svdvals", "dense"}
+        assert gram_bands(routes) == []
         np.testing.assert_allclose(s_dense, s, rtol=0, atol=1e-12 * s[0])
         assert p_dense == pytest.approx(p, rel=1e-12)
         assert verdict_dense == verdict is True
@@ -1119,7 +1073,7 @@ class TestBandOperands:
 
     @pytest.mark.parametrize("f", [F_REAL, F_CPLX], ids=["real", "complex"])
     @pytest.mark.parametrize("n", [96, 512, 1024, 1600])
-    def test_p_equals_the_dense_route(self, n, f, band_route):
+    def test_p_equals_the_dense_route(self, n, f, routes):
         for seq_a, seq_b in band_pairs(f):
             D = seq_a(n) - seq_b(n)
             diff = acs._difference(seq_a, seq_b, n)
@@ -1130,12 +1084,12 @@ class TestBandOperands:
             else:
                 assert isinstance(diff, matrices._Band)
                 assert diff.ab.tobytes() == matrices._band_storage(D, diff.b).tobytes()
-            start = len(band_route)
+            start = len(routes)
             p = p_metric(as_band(D, b))
-            middle = len(band_route)
+            middle = len(routes)
             assert same_bits(p_metric(diff), p)
-            # the same Gram bands reach the eigensolver
-            assert band_route[middle:] == band_route[start:middle]
+            # the same routes, and the same Gram bands reach the eigensolver
+            assert routes[middle:] == routes[start:middle]
             assert p == pytest.approx(p_metric(D), rel=1e-12)
 
     @pytest.mark.parametrize("f", [F_REAL, F_CPLX], ids=["real", "complex"])
@@ -1165,7 +1119,7 @@ class TestBandOperands:
 
     @pytest.mark.parametrize("f", [F_REAL, F_CPLX], ids=["real", "complex"])
     @pytest.mark.parametrize("n", [576, 1024])
-    def test_matching_zero_rows_and_columns_keep_the_band(self, n, f, band_route, monkeypatch):
+    def test_matching_zero_rows_and_columns_keep_the_band(self, n, f, routes, monkeypatch):
         # dropping row and column k alike leaves a band no wider; its dense
         # matrix is the dense reduction's core bit for bit
         formed = []
@@ -1179,7 +1133,7 @@ class TestBandOperands:
             formed.clear()
             core = matrices._band_reduce(band)
             p = p_metric(band)
-            assert formed == [] and band_route[-1][0] == core.shape[0]
+            assert formed == [] and gram_bands(routes)[-1][0] == core.shape[0]
             assert isinstance(core, matrices._Band) and core.b <= band.b
             want = matrices._svd_reduce(A)
             assert core.dense().tobytes() == want.tobytes()
@@ -1190,7 +1144,7 @@ class TestBandOperands:
     @pytest.mark.parametrize("spec_a", ["lt(2+x | 2+cos(theta))",
                                         "normal-form(2+x | 2+cos(theta))"])
     @pytest.mark.parametrize("n", [1000, 1700])
-    def test_zero_tail_keeps_the_band_gram_route(self, n, spec_a, band_route):
+    def test_zero_tail_keeps_the_band_gram_route(self, n, spec_a, routes):
         # the t = n - m*block zero rows and columns are the same indices, so
         # the core stays a band and takes the Gram band at non-square n
         seq_a, seq_b = build_sequence(spec_a), build_sequence("lc(1 | 2+cos(theta))")
@@ -1199,7 +1153,7 @@ class TestBandOperands:
         diff = acs._difference(seq_a, seq_b, n)
         assert isinstance(diff, matrices._Band)
         p = p_metric(diff)
-        assert band_route == [(n - lay.t, lay.block - 1)]
+        assert gram_bands(routes) == [(n - lay.t, lay.block - 1)]
         assert same_bits(p, p_metric(seq_a(n) - seq_b(n)))
 
     def test_ladder_subtracts_bands_from_the_floor(self, monkeypatch):

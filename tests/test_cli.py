@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from glt_lab import acs, cli, matrices
+from glt_lab import cli, matrices
 from glt_lab.cli import (
     CSV_HEADER,
     MAX_DEGREE_CAP,
@@ -911,6 +911,41 @@ SMALL_CHECK = (
 )
 
 
+class TestOversizedInputs:
+    """Sizes and grid axes above MAX_SIZE exit 2 before any allocation; within
+    it, an allocation numpy cannot make, and a report value that overflows,
+    end as the experiment's error row, never a traceback."""
+
+    @pytest.mark.parametrize("keys", [f"sizes = 32, {10**14}", f"sizes = 32, {10**30}",
+                                      "sizes = 32, 536870913", f"grid = {10**14}x8\nsizes = 8"])
+    def test_above_the_cap_exits_2(self, tmp_path, keys):
+        # half_shift has no band: each of these sizes asks for 4 EiB or more
+        cfg = write_config(tmp_path, "[big]\nkind = symbol-check\n"
+                           f"sequence = counterexample(half_shift)\nsymbol = 1\n{keys}\n")
+        code, out, err = run_cli(["run", cfg])
+        assert code == 2 and out == "" and f"at most {cli.MAX_SIZE}, got" in err
+
+    @pytest.mark.parametrize("spec, mode, top, row", [
+        ("counterexample(half_shift)", "sv", cli.MAX_SIZE, 'big,0,"error[Unable to allocate 4.00'
+         ' EiB for an array with shape (536870912, 536870912) and data type complex128]",0,,FAIL'),
+        ("circulant(2*cos(theta))", "eig", 10**6, None)])
+    def test_sizes_within_the_cap_run(self, tmp_path, spec, mode, top, row):
+        cfg = write_config(tmp_path, f"[big]\nkind = symbol-check\nsequence = {spec}\n"
+                           f"symbol = 1\nmode = {mode}\nsizes = 32, {top}\ntolerance = 2\n")
+        code, out, _ = run_cli(["run", cfg])
+        assert code == (row is not None) and [r for r in out.splitlines() if "error[" in r] == [
+            row] * (row is not None)
+
+    def test_non_finite_report_value_is_an_error_row(self, tmp_path):
+        f = "1" + "0" * 200 + "*cos(theta)"  # |A^H A - A A^H|_F overflows
+        cfg = write_config(tmp_path, f"[s]\nkind = shift-test\nsequence = toeplitz({f})\n"
+                           f"symbol = {f}\nsizes = 16, 32\n")
+        proc = run_installed_cli("run", cfg)
+        assert proc.returncode == 1 and "Traceback" not in proc.stderr
+        row = "s,0,error[normality_residual is not finite: nan],0,,FAIL"
+        assert proc.stdout.splitlines()[1:] == [row]
+
+
 class TestRefusedExpressionsExit2:
     """Deep nesting and a trig factor that its polynomial does not fit end
     as exit 2 with one message line, never a traceback or a report."""
@@ -1044,7 +1079,7 @@ def spy_threads(monkeypatch, registry, key, threads, outcome=None):
     return seen
 
 
-# every size takes a band route (`_banded_svdvals` at 512, the band Gram
+# every size takes a band route (the band SVD at 512, the band Gram
 # route of p_metric at 576 and 1024), and those give the same bits on one
 # and on two BLAS threads
 BAND_CONFIG = """
@@ -1092,7 +1127,8 @@ class TestOneBlasThread:
         assert run_cli(["demo", "nope"])[0] == 2
         assert threads() == 2
 
-    def test_without_thread_routines_nothing_is_set(self, tmp_path, monkeypatch, threads):
+    def test_without_thread_routines_nothing_is_set(self, tmp_path, monkeypatch, threads,
+                                                    routes):
         out = tmp_path / "report.csv"
         cfg = write_config(tmp_path, f"[global]\noutput = {out}\n{BAND_CONFIG}")
         assert run_cli(["run", cfg])[0] == 0
@@ -1101,15 +1137,12 @@ class TestOneBlasThread:
             monkeypatch.delitem(matrices._lapack(), name)
         seen = [spy_threads(monkeypatch, cli.RUNNERS, kind, threads)
                 for kind in ("symbol-check", "acs")]
-        band = []
-        for module, name in ((matrices, "_band_svdvals"), (acs, "_band_tridiagonal")):
-            routine = getattr(module, name)
-            monkeypatch.setattr(module, name, lambda *a, name=name, routine=routine:
-                                band.append(name) or routine(*a))
+        routes.clear()
         assert run_cli(["run", cfg])[0] == 0
         assert out.read_bytes() == pinned
         assert seen == [[2], [2]] and threads() == 2
-        assert band == ["_band_svdvals", "_band_tridiagonal", "_band_tridiagonal"]
+        assert [entry for entry in routes if entry[0] != "sv"] == [("svdvals", 512, "band", 1),
+            ("p_metric", 576, "counts", 24), ("p_metric", 1024, "counts", 32)]
 
 
 def test_reports_do_not_depend_on_openblas_num_threads(tmp_path):

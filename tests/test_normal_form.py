@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from bands import band_svds
 from scipy.optimize import linear_sum_assignment
 
 from glt_lab import (
@@ -31,7 +32,6 @@ from glt_lab import (
     verify_normal_form,
     zero_seq,
 )
-from glt_lab import matrices
 from glt_lab.matrices import MatrixSeq, block_layout, circulant, d_af, diag_sampling, toeplitz
 from glt_lab.normal_form import (
     NORMALITY_TOL,
@@ -528,27 +528,19 @@ class TestMisfitP:
             assert abs(value - want) <= max(1e-12, 1e-10 * want)
         return got
 
-    @pytest.fixture
-    def band_svd(self, monkeypatch):
-        """Records the half-bandwidth of every band the band SVD takes."""
-        bands = []
-        solver = matrices._band_svdvals
-        monkeypatch.setattr(matrices, "_band_svdvals", lambda ab, b: bands.append(b) or solver(ab, b))
-        return bands
-
     @pytest.mark.parametrize("f", [SHIFT, TWO_COS, F_COMPLEX], ids=["shift", "two-cos", "complex"])
     @pytest.mark.parametrize("n", [16, 64, 95, 96, 128, 256])
-    def test_circulant_vs_toeplitz(self, f, n, band_svd):
+    def test_circulant_vs_toeplitz(self, f, n, routes):
         # the circulant's values come from its eigs hook; the Toeplitz
         # matrix takes the band SVD from n = 96 and the dense SVD below
         self.check(circulant_seq(f), toeplitz_seq(f), n)
-        assert band_svd == ([f.degree] if n >= 96 else [])
+        assert band_svds(routes) == ([f.degree] if n >= 96 else [])
 
     @pytest.mark.parametrize("n", [16, 64, 144])
-    def test_lt_vs_lc(self, n, band_svd):
+    def test_lt_vs_lc(self, n, routes):
         # lt's svals hook and lc's eigs hook: no decomposition at all
         self.check(lt_seq(X, TWO_COS), lc_seq(X, TWO_COS), n)
-        assert band_svd == []
+        assert band_svds(routes) == []
 
     @pytest.mark.parametrize("n", [16, 64, 128])
     def test_half_shift_vs_jordan_shift(self, n):

@@ -119,7 +119,7 @@ class TestDecompositions:
         assert multiset_close(ev, [1, 1j, -1, -1j], 1e-10)
 
     @pytest.mark.parametrize("dtype", [float, complex])
-    def test_diagonal_spectrum_skips_the_dense_solver(self, dtype, monkeypatch):
+    def test_diagonal_spectrum_skips_the_dense_solver(self, dtype, routes):
         rng = np.random.default_rng(5)
         d = rng.standard_normal(300).astype(dtype)
         if dtype is complex:
@@ -127,17 +127,15 @@ class TestDecompositions:
         d[::7] = 0
         A = np.diag(d)
         oracle = np.linalg.eigvals(A.astype(complex))
-        calls = []
-        dense = np.linalg.eigvals
-        monkeypatch.setattr(np.linalg, "eigvals", lambda M: calls.append(M.shape) or dense(M))
         np.testing.assert_array_equal(eigenvalues(A), oracle)
         np.testing.assert_array_equal(eigenvalues(np.zeros((4, 4))), np.zeros(4))
         C = A.astype(complex)
         assert not np.shares_memory(eigenvalues(C), C)  # a copy, not a view of A
-        assert calls == []
+        diagonal = [("eigenvalues", 300, "diagonal", None), ("eigenvalues", 4, "diagonal", None)]
+        assert routes == [diagonal[0], diagonal[1], diagonal[0]]
         A[3, 7] = 0.5  # one nonzero off the diagonal
         np.testing.assert_allclose(eigenvalues(A), oracle, atol=1e-14)
-        assert calls == [(300, 300)]
+        assert routes[3:] == [("eigenvalues", 300, "solver", None)]
 
     def test_tridiagonal_closed_form(self):
         # 0-diagonal, 1-off-diagonal Toeplitz has eigenvalues 2cos(k pi/(n+1));
@@ -808,28 +806,9 @@ def random_trig_poly(degree, complex_coeffs, seed):
     return TrigPoly(c)
 
 
-@pytest.fixture
-def banded_results(monkeypatch):
-    """The band SVD's result per svdvals call on a band, None where the gate
-    (`_narrow`) or the helper declined."""
-    results = []
-    narrow, helper = matrices._narrow, matrices._banded_svdvals
-
-    def narrow_spy(band):
-        results.append(None)
-        return narrow(band)
-
-    def spy(band):
-        results[-1] = helper(band)
-        return results[-1]
-
-    monkeypatch.setattr(matrices, "_narrow", narrow_spy)
-    monkeypatch.setattr(matrices, "_banded_svdvals", spy)
-    return results
-
-
-def took_band(results):
-    return [s is not None for s in results]
+def took_band(routes):
+    """Per svdvals call in the `routes` record, whether the band SVD took it."""
+    return [route == "band" for stage, _, route, _ in routes if stage == "svdvals"]
 
 
 class TestSvdvals:
@@ -889,26 +868,26 @@ class TestSvdvals:
     @pytest.mark.parametrize("complex_coeffs", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("b", [0, 1, 2])
     @pytest.mark.parametrize("n", BAND_SIZES)
-    def test_banded_toeplitz(self, banded_results, n, b, complex_coeffs):
+    def test_banded_toeplitz(self, routes, n, b, complex_coeffs):
         f = random_trig_poly(b, complex_coeffs, b)
         assert_svdvals_match_complex_svd(toeplitz_seq(f).band(n))
-        assert took_band(banded_results) == [n >= 96]
+        assert took_band(routes) == [n >= 96]
 
     @pytest.mark.parametrize("a2", ["exp(x)", "1+i*x"], ids=["real", "complex"])
     @pytest.mark.parametrize("n", BAND_SIZES)
-    def test_banded_two_term_glt(self, banded_results, n, a2):
+    def test_banded_two_term_glt(self, routes, n, a2):
         expr = GltExpr(((A_HOOK, F_REAL), (parse_expr(a2, "a"), TrigPoly.from_coeff_map({1: 1}))))
         assert_svdvals_match_complex_svd(glt_product_seq(expr).band(n))
-        assert took_band(banded_results) == [n >= 96]
+        assert took_band(routes) == [n >= 96]
 
     @pytest.mark.parametrize("complex_coeffs", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("n", [96, 128, 640])
-    def test_banded_largest_accepted_band(self, banded_results, n, complex_coeffs):
+    def test_banded_largest_accepted_band(self, routes, n, complex_coeffs):
         b = n // 32
         f = random_trig_poly(b, complex_coeffs, 3)
         assert_svdvals_match_complex_svd(toeplitz_seq(f).band(n))
         svdvals(toeplitz_seq(random_trig_poly(b + 1, complex_coeffs, 3)).band(n))
-        assert took_band(banded_results) == [True, False]
+        assert took_band(routes) == [True, False]
 
     @pytest.mark.parametrize("A", [
         # exact zero singular value, zero main diagonal, one-sided band
@@ -916,16 +895,16 @@ class TestSvdvals:
         # b = 0: a complex diagonal, one entry of it zero
         matrices._Band((np.exp(1j * np.arange(600)) * np.linspace(0.0, 3.0, 600))[:, None], 0),
     ], ids=["jordan-shift-512", "complex-diagonal-600"])
-    def test_banded_edge_cases(self, banded_results, A):
+    def test_banded_edge_cases(self, routes, A):
         assert_svdvals_match_complex_svd(A)
-        assert took_band(banded_results) == [True]
+        assert took_band(routes) == [True]
 
-    def test_banded_zero_rows(self, banded_results):
+    def test_banded_zero_rows(self, routes):
         A = toeplitz(F_REAL, 640)
         A[100:110] = 0
         A[-1] = 0
         assert_svdvals_match_complex_svd(as_band(A))
-        assert took_band(banded_results) == [True]
+        assert took_band(routes) == [True]
 
     @pytest.mark.parametrize("f", [F_REAL, TrigPoly.from_coeff_map({0: 1j, 1: 2})],
                              ids=["real", "complex"])
@@ -936,7 +915,7 @@ class TestSvdvals:
         with pytest.raises(NumericalError, match="SVD failed: matrix has non-finite entries"):
             svdvals(as_band(A))
 
-    def test_banded_path_follows_the_band(self, banded_results):
+    def test_banded_path_follows_the_band(self, routes):
         n = 1024
         glt = glt_product_seq(GltExpr(((A_HOOK, F_REAL),)))
         s = singular_values(glt.band(n))
@@ -944,9 +923,10 @@ class TestSvdvals:
         singular_values(acs._difference(glt, lc_seq(A_HOOK, F_REAL), n))
         # the glt - lc difference has b = 31 <= 1024/32 (p_metric gives it to
         # its Gram band route first); toeplitz - circulant fills two corners
-        assert took_band(banded_results) == [True, False, True]
+        assert took_band(routes) == [True, False, True]
         # svdvals returns the banded values rather than decomposing again
-        assert np.array_equal(s, banded_results[0])
+        band = matrices._narrow(glt.band(n))
+        assert np.array_equal(s, matrices._band_svdvals(band.ab.copy(), band.b))
 
 
 def band_operand_seqs(kind):
@@ -966,25 +946,24 @@ class TestBandOperands:
 
     @pytest.mark.parametrize("kind", ["real", "complex"])
     @pytest.mark.parametrize("n", [96, 512, 1024, 1600])
-    def test_values_equal_the_dense_route(self, n, kind, banded_results):
+    def test_values_equal_the_dense_route(self, n, kind, routes):
         for seq in band_operand_seqs(kind):
             band, A = seq.band(n), seq(n)
-            s = singular_values(band)
+            s, want = singular_values(band), singular_values(A)
             assert s.tobytes() == singular_values(as_band(A, band.b)).tobytes()
-            want = singular_values(A)
-            if banded_results[-1] is None:
+            if routes[-1][2] == "dense":
                 assert s.tobytes() == want.tobytes()
             else:
                 assert np.abs(s - want).max() <= 1e-13 * want[0]
         # glt and Toeplitz take the band SVD at every size, from their band
         # as from their dense matrix's band storage; the normal form
         # (b = sqrt(n) - 1) only from n = 1024
-        took = took_band(banded_results)
-        assert took[0::2] == took[1::2]
-        assert took[0::2] == [True, True, n >= 1024]
+        took = took_band(routes)
+        assert took[0::3] == took[2::3] and took[1::3] == [False] * 3  # the dense matrices
+        assert took[0::3] == [True, True, n >= 1024]
 
     @pytest.mark.parametrize("kind", ["real", "complex"])
-    def test_zero_rows_and_a_wide_band(self, kind, banded_results):
+    def test_zero_rows_and_a_wide_band(self, kind, routes):
         # zero rows keep the band route, as in svdvals; a band wider than
         # n/16 falls back to the dense SVD of the same matrix
         A = toeplitz(F_REAL if kind == "real" else F_HOOK, 640)
@@ -994,21 +973,15 @@ class TestBandOperands:
         s, want = singular_values(as_band(A, 2)), singular_values(A)
         assert np.abs(s - want).max() <= 1e-13 * want[0]
         assert singular_values(as_band(W, 13)).tobytes() == singular_values(W).tobytes()
-        assert took_band(banded_results) == [True, False]
+        assert took_band(routes) == [True, False, False, False]
 
-    def test_ladder_takes_the_band_from_the_band_floor(self, monkeypatch):
+    def test_ladder_takes_the_band_from_the_band_floor(self, routes):
         seq = band_operand_seqs("complex")[0]
-        taken = []
-        spectrum = spectra.singular_values
-
-        def spy(A):
-            taken.append((A.shape[0], isinstance(A, matrices._Band)))
-            return spectrum(A)
-
-        monkeypatch.setattr(spectra, "singular_values", spy)
         sizes = (64, 95, 96, 256)
         table = sv_symbol_residual(seq, seq.symbol, sizes)
-        assert taken == [(64, False), (95, False), (96, True), (256, True)]
+        assert [entry for entry in routes if entry[0] == "sv"] == [
+            ("sv", 64, "dense", None), ("sv", 95, "dense", None), ("sv", 96, "band", 2),
+            ("sv", 256, "band", 2)]
         dense = sv_symbol_residual(dataclasses.replace(seq, band=None), seq.symbol, sizes)
         np.testing.assert_allclose(table.residuals, dense.residuals, rtol=0, atol=1e-13)
         # the bands read back from the dense matrices give the same bits
@@ -1037,15 +1010,10 @@ class TestBandOperands:
         assert raised(lambda: eigenvalues(band)) == raised(lambda: eigenvalues(band.dense()))
 
     @pytest.mark.parametrize("index", [0, 1], ids=["glt", "toeplitz"])
-    def test_eig_ladder_takes_the_band_with_the_dense_bits(self, index, monkeypatch):
+    def test_eig_ladder_takes_the_band_with_the_dense_bits(self, index, routes, monkeypatch):
         seq = band_operand_seqs("complex")[index]
         sizes = (64, 96, 144, 576, 1600)
-        taken, solved = [], []
-        spectrum, solve = spectra.eigenvalues, np.linalg.eigvals
-
-        def spy(A):
-            taken.append((A.shape[0], isinstance(A, matrices._Band)))
-            return spectrum(A)
+        solved, solve = [], np.linalg.eigvals
 
         def solver(A):
             # the solver is deterministic, so equal input bytes give equal
@@ -1053,10 +1021,10 @@ class TestBandOperands:
             solved.append(hashlib.sha256(A.tobytes()).hexdigest())
             return solve(A) if A.shape[0] <= 144 else np.diagonal(A).copy()
 
-        monkeypatch.setattr(spectra, "eigenvalues", spy)
         monkeypatch.setattr(np.linalg, "eigvals", solver)
         table = eig_symbol_residual(seq, seq.symbol, sizes)
-        assert taken == [(64, False), (96, True), (144, True), (576, True), (1600, True)]
+        assert [(n, route) for stage, n, route, _ in routes if stage == "eig"] == [
+            (64, "dense"), (96, "band"), (144, "band"), (576, "band"), (1600, "band")]
         banded, solved[:] = solved[:], []
         dense = eig_symbol_residual(dataclasses.replace(seq, band=None), seq.symbol, sizes)
         assert solved == banded and len(solved) == len(sizes)

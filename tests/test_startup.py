@@ -30,19 +30,15 @@ def run_python(*parts: str) -> dict:
     return json.loads(proc.stdout)
 
 
-# counts the calls of the two band routes' LAPACK wrappers
+# sets the route record; calls() counts its entries of the two band routes:
+# the band SVDs, and the Gram bands p_metric reduced
 SPY = """
     from glt_lab import matrices
-    calls = {"_band_svdvals": 0, "_band_tridiagonal": 0}
-    def spy(name):
-        routine = getattr(matrices, name)
-        def counted(*args):
-            calls[name] += 1
-            return routine(*args)
-        return counted
-    matrices._band_svdvals = spy("_band_svdvals")
-    import glt_lab.acs
-    glt_lab.acs._band_tridiagonal = spy("_band_tridiagonal")
+    record = []
+    matrices._ROUTES.set(record)
+    def calls():
+        return {"band SVD": sum(e[0] == "svdvals" and e[2] == "band" for e in record),
+                "Gram band": sum(e[0] == "p_metric" and e[3] is not None for e in record)}
 """
 
 # the n = 1024 glt - lc difference as the acs ladder forms it, a band
@@ -101,11 +97,11 @@ def test_cold_banded_svdvals_leaves_scipy_out(coeffs):
         A = toeplitz_seq(TrigPoly.from_coeff_map({coeffs})).band(512)
         s = svdvals(A)
         dense = np.linalg.svd(A.dense(), compute_uv=False)
-        print(json.dumps({{"scipy": "scipy" in sys.modules, "calls": calls,
+        print(json.dumps({{"scipy": "scipy" in sys.modules, "calls": calls(),
                            "error": float(np.abs(s - dense).max() / max(1.0, dense[0]))}}))
     """)
     assert out.pop("error") <= 1e-12
-    assert out == {"scipy": False, "calls": {"_band_svdvals": 1, "_band_tridiagonal": 0}}
+    assert out == {"scipy": False, "calls": {"band SVD": 1, "Gram band": 0}}
 
 
 def test_p_metric_leaves_scipy_out():
@@ -114,9 +110,9 @@ def test_p_metric_leaves_scipy_out():
         import json, sys
         from glt_lab import p_metric
         p_metric(A)
-        print(json.dumps({"scipy": "scipy" in sys.modules, "calls": calls}))
+        print(json.dumps({"scipy": "scipy" in sys.modules, "calls": calls()}))
     """)
-    assert out == {"scipy": False, "calls": {"_band_svdvals": 0, "_band_tridiagonal": 1}}
+    assert out == {"scipy": False, "calls": {"band SVD": 0, "Gram band": 1}}
 
 
 def test_band_routes_run_with_scipy_blocked():
@@ -139,10 +135,10 @@ def test_band_routes_run_with_scipy_blocked():
         p = p_metric(A)
         s = np.linalg.svd(A.dense(), compute_uv=False)
         p_dense = float((np.arange(1025) / 1024 + np.append(s, 0.0)).min())
-        print(json.dumps({"calls": calls, "ladder": float(np.abs(ladder - dense).max()),
+        print(json.dumps({"calls": calls(), "ladder": float(np.abs(ladder - dense).max()),
                           "p": abs(p - p_dense) / p_dense}))
     """)
-    assert out.pop("calls") == {"_band_svdvals": 3, "_band_tridiagonal": 1}
+    assert out.pop("calls") == {"band SVD": 3, "Gram band": 1}
     assert out["ladder"] <= 1e-12 and out["p"] <= 1e-12
 
 
