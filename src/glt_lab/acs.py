@@ -282,8 +282,8 @@ def _difference(seqA: MatrixSeq, seqB: MatrixSeq, n: int):
     band, two sequences that both carry `band` are subtracted in band
     storage, padded to the wider band (T_n - C_n keeps only C_n's wrapped
     slots), or densely when a nonzero wrapped slot would alias at that width
-    (`_Band.widened`).  Below the floor, or when either carries no band,
-    both are dense.  A_n is built first, so its errors come first."""
+    (`_Band.widened` only pads).  Below the floor, or when either carries no
+    band, both are dense.  A_n is built first, so its errors come first."""
     if n < _GRAM_BAND_MIN_N or seqA.band is None or seqB.band is None:
         return seqA(n) - seqB(n)
     A, B = seqA.band(n), seqB.band(n)

@@ -158,6 +158,20 @@ def _parse_complex(text: str) -> complex:
     return z
 
 
+def _shift_label(c: complex) -> str:
+    """The name of shift c in the report's metric names."""
+    return f"{c:g}"
+
+
+def _parse_shifts(text: str) -> tuple:
+    """The shifts, once no two of them share a label in the report."""
+    shifts = tuple(_parse_complex(s) for s in text.split(","))
+    labels = [_shift_label(c) for c in shifts]
+    if len(set(labels)) < len(labels):
+        raise ConfigError(f"shifts {text!r} share report labels: {', '.join(labels)}")
+    return shifts
+
+
 def _parse_expr_cfg(text: str, role: str):
     try:
         return parse_expr(text, role)
@@ -287,7 +301,7 @@ PARSERS = {
     "grid": lambda text, _: _parse_grid(text),
     "tolerance": lambda text, _: _number("tolerance", text),
     "acs_tolerance": lambda text, _: _number("acs_tolerance", text),
-    "shifts": lambda text, _: tuple(_parse_complex(s) for s in text.split(",")),
+    "shifts": lambda text, _: _parse_shifts(text),
     "name": lambda text, _: _choice("counterexample", text, DEMOS),
 }
 
@@ -364,9 +378,9 @@ def _shift_rows(name, sizes, report) -> list:
     whether the shift verdicts license an eigenvalue conclusion."""
     rows = []
     for c, table, ok in zip(report.shifts, report.tables, report.shift_pass):
-        worst = table.max_per_size()
-        rows += _ladder(name, sizes, f"sv_residual_max[shift={c:g}]", worst)
-        rows.append(_row(name, sizes[-1], f"shift_verdict[shift={c:g}]", worst[-1], ok=ok))
+        worst, label = table.max_per_size(), _shift_label(c)
+        rows += _ladder(name, sizes, f"sv_residual_max[shift={label}]", worst)
+        rows.append(_row(name, sizes[-1], f"shift_verdict[shift={label}]", worst[-1], ok=ok))
     rows += _ladder(name, sizes, "normality_residual", report.normality_residuals)
     licensed = report.all_pass and report.is_normal
     rows.append(_row(name, sizes[-1], "eig_conclusion_licensed", 1.0 if licensed else 0.0))

@@ -89,7 +89,8 @@ def block_layout(n: int) -> BlockLayout:
 
 @dataclass(frozen=True)
 class MatrixSeq:
-    """A named matrix sequence: a pure map from size n to a dense n x n matrix.
+    """A named matrix sequence: a pure map from size n to a dense n x n matrix,
+    given by `generator` or, without one, read from `band` as band(n).dense().
 
     `symbol` optionally attaches the symbol the sequence is expected to
     distribute like (a GltExpr, TrigPoly, FuncExpr or sampled grid).
@@ -97,29 +98,29 @@ class MatrixSeq:
     `svals` and `eigs` optionally map n to the n singular values or
     eigenvalues of A_n in closed form, for sequences whose structure fixes
     them.  The residual ladders use them instead of a dense decomposition;
-    each raises the errors the generator raises at the same n.  `eigs` is
+    each raises the errors seq(n) raises at the same n.  `eigs` is
     given only to normal sequences, whose singular values are the moduli of
     their eigenvalues: a sequence given `eigs` alone gets `svals = |eigs|`
     here, and `shifted` relies on it.
 
     `band` optionally maps n to A_n as a `_Band` (ab, b): bit for bit what
-    `_band_storage(seq(n), b)` holds, signed zeros included, raising the
-    generator's errors at the same n; seq(n) holds +0 where no slot stands
-    for an entry.  When n > 2b, slot [j, b + k] with j + k off the matrix
-    stands for the corner entry ((j + k) mod n, j).  Every builder and its
-    `shifted` sequences carry it but the DENSE_ONLY counterexamples: b = 0
-    for `diag_seq`, `identity_seq`, `zero_seq`, `diagonal_factor_seq` and
-    alt_identity, deg f for `toeplitz_seq`, `circulant_seq`, `lt_seq`,
-    `glt_product_seq` and jordan_shift, block - 1 for `lc_seq` and
-    `normal_form_seq`.  The residual ladders hand `singular_values` and
-    `eigenvalues` the band from n = _BAND_MIN_N, and the `acs` ladder
-    subtracts two bands from n = _GRAM_BAND_MIN_N, so a band route forms no
-    dense n x n of that sequence.  The dense generator stays the hook's
-    oracle.
+    `_band_storage(seq(n), b)` holds, signed zeros included; seq(n) holds +0
+    where no slot stands for an entry.  When n > 2b, slot [j, b + k] with
+    j + k off the matrix stands for the corner entry ((j + k) mod n, j).
+    Every builder and its `shifted` sequences carry it but the DENSE_ONLY
+    counterexamples: b = 0 for `diag_seq`, `identity_seq`, `zero_seq`,
+    `diagonal_factor_seq` and alt_identity, deg f for `toeplitz_seq`,
+    `circulant_seq`, `lt_seq`, `glt_product_seq` and jordan_shift, block - 1
+    for `lc_seq` and `normal_form_seq`.  Of these only the normal form's two
+    keep a generator; every other band is its sequence's one definition,
+    checked by `_band_storage` and the tests' scipy builders.
+    The residual ladders hand `singular_values` and `eigenvalues` the band
+    from n = _BAND_MIN_N, and the `acs` ladder subtracts two bands from n =
+    _GRAM_BAND_MIN_N, so a band route forms no dense n x n of that sequence.
     """
 
     name: str
-    generator: object
+    generator: object = None
     symbol: object = None
     info: dict = field(default_factory=dict)
     svals: object = None
@@ -132,15 +133,19 @@ class MatrixSeq:
             object.__setattr__(self, "svals", lambda n: np.abs(eigs(n)))
 
     def __call__(self, n: int) -> np.ndarray:
-        A = np.ascontiguousarray(self.generator(n), dtype=complex)
+        A = self.band(n).dense() if self.generator is None else self.generator(n)
+        A = np.ascontiguousarray(A, dtype=complex)
         if A.shape != (n, n):
-            raise ValueError(f"{self.name}: generator returned shape {A.shape} for n={n}")
+            raise ValueError(f"{self.name}: shape {A.shape} for n={n}")
         return A
 
     def shifted(self, c: complex) -> "MatrixSeq":
         """The sequence A_n - c*I_n.  A normal A_n (one with `eigs`) stays
-        normal with eigenvalues lambda_i - c, so the closed forms carry over,
-        and a band becomes its storage minus c times that of I_n."""
+        normal with eigenvalues lambda_i - c, so the closed forms carry over.
+        A band becomes its storage minus c times that of I_n, and the dense
+        matrix is read from it: the bits of A_n - c*I_n, since every entry
+        no slot stands for is +0, and +0 - c*0 is +0.  A sequence without a
+        band is shifted densely."""
         c = complex(c)
         base, band = self.eigs, self.band
 
@@ -150,8 +155,7 @@ class MatrixSeq:
 
         return MatrixSeq(
             name=f"{self.name} - ({c})*I",
-            generator=lambda n: self(n) - c * np.eye(n, dtype=complex),
-            symbol=None,
+            generator=None if band else lambda n: self(n) - c * np.eye(n, dtype=complex),
             info=dict(self.info),
             eigs=None if base is None else lambda n: base(n) - c,
             band=None if band is None else shifted_band,
@@ -492,16 +496,11 @@ class _Band(NamedTuple):
         return 2 * b < len(ab) and any(ab[len(ab) - d :, b + d].any() or ab[:d, b - d].any()
                                        for d in range(1, b + 1))
 
-    def widened(self, b: int):
-        """The storage of the same matrix at a half-bandwidth b >= self.b, or
-        None when a nonzero wrapped slot has no slot at b (n <= 2b)."""
-        if b == self.b:
-            return self.ab
-        if 2 * b >= self.ab.shape[0] and self.wraps():
-            return None
-        ab = np.zeros((self.ab.shape[0], 2 * b + 1), dtype=self.ab.dtype)
-        ab[:, b - self.b : b + self.b + 1] = self.ab
-        return ab
+    def widened(self, b: int) -> np.ndarray:
+        """The storage padded to a half-bandwidth b >= self.b: that of the same
+        matrix unless a nonzero wrapped slot would alias at b (n <= 2b), which
+        the caller rules out."""
+        return self.ab if b == self.b else np.pad(self.ab, ((0, 0), (b - self.b,) * 2))
 
 
 def _narrow(band: _Band):
@@ -825,9 +824,7 @@ def d_af(a: FuncExpr, f: TrigPoly, n: int) -> np.ndarray:
 def _half_shift(n: int) -> np.ndarray:
     q = n // 2
     A = np.zeros((n, n), dtype=complex)
-    # top-right rectangular identity: q x (n - q)
-    for i in range(q):
-        A[i, q + i] = 1.0
+    A[np.arange(q), q + np.arange(q)] = 1.0  # top-right rectangular identity: q x (n - q)
     return A
 
 
@@ -876,32 +873,26 @@ def counterexample(name: str, n: int) -> np.ndarray:
 
 
 def toeplitz_seq(f: TrigPoly, label: str = "f") -> MatrixSeq:
-    return MatrixSeq(f"T({label})", lambda n: toeplitz(f, n), symbol=f,
-                     band=lambda n: _toeplitz_band(f, n))
+    return MatrixSeq(f"T({label})", symbol=f, band=lambda n: _toeplitz_band(f, n))
 
 
 def diag_seq(a: FuncExpr) -> MatrixSeq:
-    return MatrixSeq(f"D({a.source})", lambda n: diag_sampling(a, n), symbol=a,
-                     band=lambda n: _diag_band(a, n))
+    return MatrixSeq(f"D({a.source})", symbol=a, band=lambda n: _diag_band(a, n))
 
 
 def circulant_seq(f: TrigPoly, label: str = "f") -> MatrixSeq:
-    return MatrixSeq(f"C({label})", lambda n: circulant(f, n), symbol=f,
-                     eigs=lambda n: _circulant_eigs(f, n), band=lambda n: _circulant_band(f, n))
+    return MatrixSeq(f"C({label})", symbol=f, eigs=lambda n: _circulant_eigs(f, n),
+                     band=lambda n: _circulant_band(f, n))
 
 
 def lt_seq(a: FuncExpr, f: TrigPoly, label: str = "f") -> MatrixSeq:
-    return MatrixSeq(
-        f"LT({a.source},{label})", lambda n: lt_op(a, f, n), symbol=GltExpr(((a, f),)),
-        svals=lambda n: _lt_svals(a, f, n), band=lambda n: _lt_band(a, f, n),
-    )
+    return MatrixSeq(f"LT({a.source},{label})", symbol=GltExpr(((a, f),)),
+                     svals=lambda n: _lt_svals(a, f, n), band=lambda n: _lt_band(a, f, n))
 
 
 def lc_seq(a: FuncExpr, f: TrigPoly, label: str = "f") -> MatrixSeq:
-    return MatrixSeq(
-        f"LC({a.source},{label})", lambda n: lc_op(a, f, n), symbol=GltExpr(((a, f),)),
-        eigs=lambda n: _lc_eigs(a, f, n), band=lambda n: _lc_band(((a, f),), n),
-    )
+    return MatrixSeq(f"LC({a.source},{label})", symbol=GltExpr(((a, f),)),
+                     eigs=lambda n: _lc_eigs(a, f, n), band=lambda n: _lc_band(((a, f),), n))
 
 
 def _glt_band(expr: GltExpr, n: int) -> _Band:
@@ -929,28 +920,22 @@ def glt_product_seq(expr: GltExpr) -> MatrixSeq:
     dense matrix is read from it.
     """
     label = " + ".join(f"D({a.source})T(deg{f.degree})" for a, f in expr.terms)
-    return MatrixSeq(label, lambda n: _glt_band(expr, n).dense(), symbol=expr,
-                     band=lambda n: _glt_band(expr, n))
+    return MatrixSeq(label, symbol=expr, band=lambda n: _glt_band(expr, n))
 
 
 def counterexample_seq(name: str) -> MatrixSeq:
     if name not in COUNTEREXAMPLES:
         raise UnknownNameError(f"unknown counterexample {name!r}; choose from {COUNTEREXAMPLES}")
-    info = {}
-    if name == "scaled_cycle":
-        info["corner_capped_above"] = SCALED_CYCLE_CAP_SIZE
-        info["corner_cap_value"] = SCALED_CYCLE_CAP_VALUE
-    band = None if name in DENSE_ONLY else lambda n: _counterexample_band(name, n)
-    return MatrixSeq(name, lambda n: counterexample(name, n), info=info, band=band)
+    if name not in DENSE_ONLY:
+        return MatrixSeq(name, band=lambda n: _counterexample_band(name, n))
+    info = {"corner_capped_above": SCALED_CYCLE_CAP_SIZE,
+            "corner_cap_value": SCALED_CYCLE_CAP_VALUE} if name == "scaled_cycle" else {}
+    return MatrixSeq(name, lambda n: counterexample(name, n), info=info)
 
 
 def _constant_seq(name: str, value: complex) -> MatrixSeq:
     """value * I_n, read from its band at half-bandwidth 0."""
-
-    def band(n):
-        return _Band(np.full((n, 1), value, dtype=complex), 0)
-
-    return MatrixSeq(name, lambda n: band(n).dense(), band=band)
+    return MatrixSeq(name, band=lambda n: _Band(np.full((n, 1), value, dtype=complex), 0))
 
 
 def identity_seq() -> MatrixSeq:

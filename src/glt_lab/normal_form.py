@@ -171,14 +171,14 @@ def _matrix_function(A: np.ndarray, g: FuncExpr) -> np.ndarray:
 
 def _pushed_seq(seq: MatrixSeq, g: FuncExpr) -> MatrixSeq:
     """The sequence g(A_n), with HermitianError at any n where A_n is not
-    Hermitian (to 1e-10).  g(A_n) = V g(Lambda) V^H is normal, so its
-    eigenvalues are g(lambda_i); the dense generator stays as their oracle.
-    Each n's eigenvalues are taken once and kept, read-only, for the sv and
-    eig ladders alike."""
+    Hermitian (to 1e-10 max|A_n|).  g(A_n) = V g(Lambda) V^H is normal, so
+    its eigenvalues are g(lambda_i); the dense generator stays as their
+    oracle.  Each n's eigenvalues are taken once and kept, read-only, for the
+    sv and eig ladders alike."""
 
     def hermitian(n):
         A = seq(n)
-        if np.abs(A - A.conj().T).max() > 1e-10:
+        if np.abs(A - A.conj().T).max() > 1e-10 * np.abs(A).max():
             raise HermitianError(f"{seq.name} is not Hermitian at n={n}")
         return A
 
@@ -197,16 +197,16 @@ def hermitian_function(seq: MatrixSeq, g: FuncExpr, sizes,
                        resolution=None) -> HermitianFnReport:
     """Distribution test for {g(A_n)} against the pushed symbol g(k).
 
-    A_n must be Hermitian (checked to 1e-10); g is applied through the
-    eigendecomposition, never a series expansion.  The attached symbol of
-    `seq` supplies k.
+    A_n must be Hermitian and k real, each checked to 1e-10 relative to its
+    largest modulus; g is applied through the eigendecomposition, never a
+    series expansion.  The attached symbol of `seq` supplies k.
     """
     if seq.symbol is None:
         raise DomainError("sequence needs an attached symbol")
     sizes = tuple(int(n) for n in sizes)
     pushed_seq = _pushed_seq(seq, g)
     base = as_symbol_grid(seq.symbol, resolution)
-    if np.abs(base.samples.imag).max(initial=0.0) > 1e-10:
+    if np.abs(base.samples.imag).max(initial=0.0) > 1e-10 * base.max_abs():
         raise HermitianError("symbol of a Hermitian sequence must be real-valued")
     pushed = SymbolGrid(base.domain, base.resolution, g(t=base.samples.real))
     sv_table = sv_symbol_residual(pushed_seq, pushed, sizes)

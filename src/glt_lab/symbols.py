@@ -320,7 +320,7 @@ def _theta_samples(f: FuncExpr, quad_points: int) -> np.ndarray:
     return np.broadcast_to(f(theta=theta), theta.shape)
 
 
-# coefficient parts at or below this magnitude are quadrature roundoff
+# coefficient parts at or below this times max |c_k| are quadrature roundoff
 COEFF_TOL = 1e-12
 # the largest relative misfit max|f - T| / max|f| of the extracted polynomial
 # T on the check nodes: a trig polynomial of degree <= max_degree fits to
@@ -336,8 +336,8 @@ def trig_poly_from_expr(f: FuncExpr, max_degree: int = 8) -> TrigPoly:
     Computes k = -max_degree..max_degree from one sampling and one FFT: the
     midpoint rule (1/quad) sum_j f(theta_j) e^{-ik theta_j} for every k at
     once, exact to roundoff for degrees below quad/2.  Zeroes real and
-    imaginary parts at or below `COEFF_TOL` and trims the outermost
-    coefficients that vanish.
+    imaginary parts at or below `COEFF_TOL` max|c_k|, at any scale of f, and
+    trims the outermost coefficients that vanish.
 
     The polynomial must then match f on m = 2 quad + 1 other midpoints, to
     within FIT_RTOL of max|f| there; otherwise f is not a trig polynomial of
@@ -353,8 +353,9 @@ def trig_poly_from_expr(f: FuncExpr, max_degree: int = 8) -> TrigPoly:
     # at k times e^{ik pi} e^{-ik h/2}; e^{ik pi} = (-1)^k is taken exactly
     phase = np.where(k % 2, -1.0, 1.0) * np.exp(-1j * np.pi * k / quad)
     c = np.fft.fft(vals)[k % quad] / quad * phase
-    re = np.where(np.abs(c.real) <= COEFF_TOL, 0.0, c.real)
-    im = np.where(np.abs(c.imag) <= COEFF_TOL, 0.0, c.imag)
+    tol = COEFF_TOL * np.abs(c).max()
+    re = np.where(np.abs(c.real) <= tol, 0.0, c.real)
+    im = np.where(np.abs(c.imag) <= tol, 0.0, c.imag)
     c = re + 1j * im
     d = int(np.abs(k[c != 0]).max(initial=0))
     m = 2 * quad + 1

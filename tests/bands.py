@@ -1,5 +1,7 @@
 """The band operand the tests hand the band routes, built from a dense matrix,
-and the band SVDs a route record shows."""
+the band SVDs a route record shows, and a sequence stripped of its band."""
+
+import dataclasses
 
 import numpy as np
 
@@ -20,3 +22,9 @@ def as_band(A, b=None):
 def band_svds(routes):
     """The half-bandwidth of every band the band SVD took, from a record."""
     return [b for stage, _, route, b in routes if (stage, route) == ("svdvals", "band")]
+
+
+def dense_only(seq):
+    """seq without its band: the same dense matrices, taken through seq
+    itself, so every ladder and acs step takes the dense route."""
+    return dataclasses.replace(seq, generator=seq, band=None)

@@ -283,6 +283,20 @@ class TestConfigValidation:
         assert out == ""
         assert f"complex literal {shift!r} is not finite" in err
 
+    @pytest.mark.parametrize("shifts", ["1, 1.0000001", "1, 1", "0, 0.5i, 0.50000001i"])
+    def test_shifts_sharing_a_label_exit_2(self, tmp_path, shifts):
+        # each shift's rows are named by its label, which must tell them apart
+        cfg = write_config(
+            tmp_path,
+            "[exp]\nkind = shift-test\nsequence = circulant(2*cos(theta))\n"
+            f"symbol = 2*cos(theta)\nshifts = {shifts}\nsizes = 16, 32\n",
+        )
+        code, out, err = run_cli(["run", cfg])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"config error: shifts {shifts!r} share report labels")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("section", [
         "kind = symbol-check\nsequence = toeplitz(x)\nsymbol = x\n",
         "kind = symbol-check\nsequence = circulant(x*cos(theta))\nsymbol = x\n",
@@ -822,6 +836,31 @@ class TestNumericalFailureRows:
         assert code == 1
         assert list(csv.reader(io.StringIO(out)))[1] == ["nf", "0", f"error[{message}]", "0", "",
                                                          "FAIL"]
+
+
+class TestHermitianFnScale:
+    """hermitian-fn judges A_n Hermitian and its symbol real relative to
+    their scale, as normality is judged."""
+
+    def run(self, tmp_path, sequence):
+        cfg = write_config(tmp_path, f"[h]\nkind = hermitian-fn\nsequence = {sequence}\n"
+                                     "function = t^2\nsizes = 16, 64\n")
+        return run_cli(["run", cfg])
+
+    def test_a_small_jordan_shift_is_an_error_row(self, tmp_path):
+        # 1e-11 T_n(e^{i theta}) is all off Hermitian, below an absolute 1e-10
+        code, out, err = self.run(tmp_path, "toeplitz(0.00000000001*exp(i*theta))")
+        assert code == 1
+        assert out.splitlines()[1:] == [
+            "h,0,error[symbol of a Hermitian sequence must be real-valued],0,,FAIL"]
+        assert "Traceback" not in err
+
+    def test_a_large_hermitian_toeplitz_passes(self, tmp_path):
+        # its symbol's roundoff lies above an absolute 1e-10
+        code, out, _ = self.run(tmp_path, "toeplitz(100000000*cos(theta) + 30000000*cos(2*theta))")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert len(rows) == 4 and all(row[5] == "PASS" for row in rows)
 
 
 class TestThetaOnlySymbols:

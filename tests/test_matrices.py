@@ -728,6 +728,55 @@ class TestSliceBandStorage:
         assert traced_peak(matrices._band_to_dense, ab, 32) < M.nbytes + 64 * 1024
 
 
+# the shifts of the parity test, with signed zeros in c * 0 (c = -1, -i, 2)
+PARITY_SHIFTS = [0, 1, -1, 1j, -1j, 0.5 + 0.5j, -1 + 1j, 2, -2]
+PARITY_SIZES = [1, 2, 8, 32, 64, 97]
+
+
+class TestDenseFromBand:
+    """A band-carrying sequence's dense matrix is read from its band, and its
+    shift from the shifted band: the bits of band(n).dense() and of the dense
+    shift A_n - c*I_n, which stays here as the oracle."""
+
+    @pytest.mark.parametrize("spec", EVERY_HEAD)
+    def test_dense_matrix_is_the_band_dense(self, spec):
+        seq = build_sequence(spec)
+        if seq.band is None:
+            assert spec.removeprefix("counterexample(")[:-1] in matrices.DENSE_ONLY
+            return
+        for n in PARITY_SIZES:
+            try:
+                A = seq(n)
+            except GltLabError:
+                assert raised(lambda: seq.band(n)) == raised(lambda: seq(n)), (spec, n)
+                continue
+            assert A.tobytes() == seq.band(n).dense().tobytes(), (spec, n)
+
+    @pytest.mark.parametrize("spec", [spec for spec in EVERY_HEAD if spec.startswith(
+        ("toeplitz(", "circulant(", "lt(", "lc(", "glt(", "counterexample(alt",
+         "counterexample(jordan"))])
+    def test_shift_is_the_dense_shift(self, spec):
+        seq = build_sequence(spec)
+        for n in PARITY_SIZES:
+            try:
+                A = seq(n)
+            except GltLabError:
+                assert raised(lambda: seq.shifted(1)(n)) == raised(lambda: seq(n)), (spec, n)
+                continue
+            for c in map(complex, PARITY_SHIFTS):
+                want = A - c * np.eye(n, dtype=complex)
+                assert seq.shifted(c)(n).tobytes() == want.tobytes(), (spec, n, c)
+
+    def test_only_the_normal_form_keeps_a_generator(self):
+        # every other band is its sequence's one definition, and a shifted
+        # band is shifted alone
+        for spec in EVERY_HEAD:
+            seq = build_sequence(spec)
+            if seq.band is not None:
+                assert (seq.generator is None) == (not spec.startswith("normal-form(")), spec
+                assert seq.shifted(0.5).generator is None, spec
+
+
 def seq_builders():
     """Every public `*_seq` builder, with the arguments each is built from."""
     two = GltExpr(((A_NEG, F_BAND), (A_CPLX, TWO_COS)))

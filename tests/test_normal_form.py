@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from bands import band_svds
+from bands import band_svds, dense_only
 from scipy.optimize import linear_sum_assignment
 
 from glt_lab import (
@@ -347,11 +347,19 @@ class TestHermitianFunction:
             assert report.eig_table.max_per_size()[i] <= 8.0 / n
 
     def test_rejects_non_hermitian(self):
-        seq = toeplitz_seq(SHIFT)
-        seq = MatrixSeq(seq.name, seq.generator, symbol=SHIFT)
+        seq = dense_only(toeplitz_seq(SHIFT))
         g = parse_expr("t", "F")
         with pytest.raises(HermitianError):
             hermitian_function(seq, g, (8, 16, 32))
+
+    @pytest.mark.parametrize("scale", [1e-11, 1e8])
+    def test_hermitian_is_judged_at_the_matrix_scale(self, scale):
+        # the Jordan shift at any scale is all off Hermitian, its symbol
+        # replaced by a real one so the matrix check is the one that runs
+        seq = dataclasses.replace(toeplitz_seq(TrigPoly.from_coeff_map({1: scale})),
+                                  symbol=TrigPoly.from_coeff_map({0: scale}))
+        with pytest.raises(HermitianError, match="is not Hermitian at n=8"):
+            hermitian_function(seq, parse_expr("t", "F"), (8, 16))
 
     @pytest.mark.parametrize("g", ["t^2", "exp(t)", "abs(t)-1", "i*t+2", "3"])
     @pytest.mark.parametrize("n", [16, 37, 64])

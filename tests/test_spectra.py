@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from bands import as_band
+from bands import as_band, dense_only
 from scipy.optimize import linear_sum_assignment
 
 from glt_lab import (
@@ -982,7 +982,7 @@ class TestBandOperands:
         assert [entry for entry in routes if entry[0] == "sv"] == [
             ("sv", 64, "dense", None), ("sv", 95, "dense", None), ("sv", 96, "band", 2),
             ("sv", 256, "band", 2)]
-        dense = sv_symbol_residual(dataclasses.replace(seq, band=None), seq.symbol, sizes)
+        dense = sv_symbol_residual(dense_only(seq), seq.symbol, sizes)
         np.testing.assert_allclose(table.residuals, dense.residuals, rtol=0, atol=1e-13)
         # the bands read back from the dense matrices give the same bits
         rebuilt = dataclasses.replace(seq, band=lambda n: as_band(seq(n), seq.band(n).b))
@@ -1026,7 +1026,7 @@ class TestBandOperands:
         assert [(n, route) for stage, n, route, _ in routes if stage == "eig"] == [
             (64, "dense"), (96, "band"), (144, "band"), (576, "band"), (1600, "band")]
         banded, solved[:] = solved[:], []
-        dense = eig_symbol_residual(dataclasses.replace(seq, band=None), seq.symbol, sizes)
+        dense = eig_symbol_residual(dense_only(seq), seq.symbol, sizes)
         assert solved == banded and len(solved) == len(sizes)
         assert table.residuals.tobytes() == dense.residuals.tobytes()
 
@@ -1035,7 +1035,7 @@ class TestBandOperands:
         seq = glt_product_seq(GltExpr(((parse_expr("exp(700*x)", "a"),
                                         TrigPoly.from_coeff_map({-1: 5e4, 1: 5e4})),)))
         with np.errstate(over="ignore"):
-            for s in (seq, dataclasses.replace(seq, band=None)):
+            for s in (seq, dense_only(seq)):
                 got = raised(lambda: sv_symbol_residual(s, parse_expr("2+cos(theta)", "k"),
                                                         (128, 512)))
                 assert got == (DomainError, "matrix has non-finite entries")

@@ -127,7 +127,7 @@ def test_band_routes_run_with_scipy_blocked():
         import numpy as np
         from glt_lab import MatrixSeq, TrigPoly, p_metric, sv_symbol_residual, toeplitz_seq
         seq = toeplitz_seq(TrigPoly.from_coeff_map({-1: 0.5j, 0: 2.0, 1: 1 - 1j, 2: 0.25}))
-        oracle = MatrixSeq("oracle", seq.generator,
+        oracle = MatrixSeq("oracle", seq,
                            svals=lambda n: np.linalg.svd(seq(n), compute_uv=False))
         sizes = (128, 256, 512)
         ladder = sv_symbol_residual(seq, seq.symbol, sizes).residuals

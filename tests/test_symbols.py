@@ -282,6 +282,15 @@ class TestTrigFactorMisfit:
         for source in ("0.5 + cos(4000*theta)", "exp(theta)"):
             assert traced_peak(extract, source) < 8e6
 
+    @pytest.mark.parametrize("scale", ["100000000", "0.0000000000001"])
+    def test_roundoff_is_cleaned_at_the_factor_scale(self, scale):
+        # the noise parts scale with f: 1e8 cos(theta) kept degree 8 noise of
+        # ~1e-9, and 1e-13 cos(theta) was cleaned to zero and then refused
+        f = trig_poly_from_expr(parse_expr(f"{scale}*cos(theta)", "k"))
+        assert f.degree == 1 and f.coeff(0) == 0
+        assert f.coeff(-1) == np.conj(f.coeff(1))  # T_n(f) is exactly Hermitian
+        assert f.coeff(1) == pytest.approx(float(scale) / 2, rel=1e-14)
+
     def test_benchmark_factors_fit_to_roundoff(self):
         # the degree-2 factors of perfbench's workloads: the check passes
         # them, and the coefficients are the ones written
