@@ -11,42 +11,43 @@ import numpy as np
 
 from glt_lab import (
     TrigPoly,
-    circulant,
+    circulant_seq,
     circulant_spectrum,
     d_af,
     fourier_matrix,
-    lc_op,
-    lt_op,
+    lc_seq,
+    lt_seq,
     parse_expr,
     q_block,
-    toeplitz,
+    toeplitz_seq,
 )
 
 two_cos = TrigPoly.from_coeff_map({1: 1, -1: 1})
 shift = TrigPoly.from_coeff_map({1: 1})
 a = parse_expr("x", "a")
+Tseq, Cseq = toeplitz_seq(two_cos), circulant_seq(two_cos)
 
 print("Toeplitz of 2cos(theta), n=5 (tridiagonal):")
-print(toeplitz(two_cos, 5).real)
+print(Tseq(5).real)
 print("\nCirculant of the same symbol wraps the band into the corners:")
-print(circulant(two_cos, 5).real)
+print(Cseq(5).real)
 
 n = 8
 F = fourier_matrix(n)
-C = circulant(two_cos, n)
+C = Cseq(n)
 D = circulant_spectrum(two_cos, n)
 print("\nFourier diagonalization residual |F^H D F - C|:",
       f"{np.abs(F.conj().T @ D @ F - C).max():.2e}")
 print("eigenvalue samples f(2 pi k/n):", np.round(np.diag(D).real, 4))
 
-diff = toeplitz(two_cos, 32) - circulant(two_cos, 32)
+diff = Tseq(32) - Cseq(32)
 s = np.linalg.svd(diff, compute_uv=False)
 print("\nrank(T - C) at n=32:", int(np.count_nonzero(s > 1e-10 * s[0])),
       "(bound 2*degree^2 = 2)")
 
 n = 36
-LT = lt_op(a, two_cos, n)
-LC = lc_op(a, two_cos, n)
+LT = lt_seq(a, two_cos)(n)
+LC = lc_seq(a, two_cos)(n)
 print(f"\nlocally Toeplitz vs locally circulant at n={n}:",
       f"rank of difference = {np.count_nonzero(np.linalg.svd(LT - LC, compute_uv=False) > 1e-10)}")
 norm_res = np.linalg.norm(LC.conj().T @ LC - LC @ LC.conj().T, "fro")

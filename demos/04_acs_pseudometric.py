@@ -12,7 +12,7 @@ from glt_lab import (
     acs_distance,
     acs_equivalent,
     circulant_seq,
-    counterexample,
+    counterexample_seq,
     glt_product_seq,
     lt_seq,
     optimal_split,
@@ -24,7 +24,7 @@ from glt_lab.symbols import GltExpr
 two_cos = TrigPoly.from_coeff_map({1: 1, -1: 1})
 x = parse_expr("x", "a")
 
-E = counterexample("scaled_cycle", 3)
+E = counterexample_seq("scaled_cycle")(3)
 split = optimal_split(E)
 print("scaled cycle at n=3 has singular values (9, 1/3, 1/3)")
 print(f"  optimal split keeps {split.split_index - 1} triplet(s): p = {split.p_value:.4f}")

@@ -24,23 +24,17 @@ from .matrices import (
     BlockLayout,
     MatrixSeq,
     block_layout,
-    circulant,
     circulant_seq,
     circulant_spectrum,
-    counterexample,
     counterexample_seq,
     d_af,
-    diag_sampling,
     diag_seq,
     fourier_matrix,
     glt_product_seq,
     identity_seq,
-    lc_op,
     lc_seq,
-    lt_op,
     lt_seq,
     q_block,
-    toeplitz,
     toeplitz_seq,
     zero_seq,
 )

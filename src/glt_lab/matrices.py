@@ -1,9 +1,9 @@
-"""Generators for every structured matrix family used in the laboratory.
+"""The structured matrix sequences of the laboratory, one `MatrixSeq` per family.
 
-All generators return dense complex n x n arrays and are pure: the same size
-always yields the same matrix.  Every family but two counterexamples also
-gives A_n in LAPACK band storage (`_Band`, the `band` hook of its
-`MatrixSeq`), and its dense matrix is read from the same entries.  The
+Each sequence is pure, A_n a dense complex n x n array: the same size always
+yields the same matrix.  Every family but two counterexamples is defined by
+A_n in LAPACK band storage (`_Band`, the `band` hook of its `MatrixSeq`),
+and its dense matrix is read from the same entries.  The
 locally-structured operators split n into m = floor(sqrt(n)) blocks of size
 floor(n/m) plus a trailing zero block.
 numpy builds every family.  The banded SVD path of `svdvals` reduces a narrow
@@ -40,16 +40,10 @@ __all__ = [
     "BlockLayout",
     "MatrixSeq",
     "block_layout",
-    "toeplitz",
-    "diag_sampling",
-    "circulant",
     "circulant_spectrum",
     "fourier_matrix",
-    "lt_op",
-    "lc_op",
     "q_block",
     "d_af",
-    "counterexample",
     "COUNTEREXAMPLES",
     "DENSE_ONLY",
     "toeplitz_seq",
@@ -91,6 +85,7 @@ def block_layout(n: int) -> BlockLayout:
 class MatrixSeq:
     """A named matrix sequence: a pure map from size n to a dense n x n matrix,
     given by `generator` or, without one, read from `band` as band(n).dense().
+    The `*_seq` builders are the library's one way to build a family's A_n.
 
     `symbol` optionally attaches the symbol the sequence is expected to
     distribute like (a GltExpr, TrigPoly, FuncExpr or sampled grid).
@@ -107,11 +102,12 @@ class MatrixSeq:
     `_band_storage(seq(n), b)` holds, signed zeros included; seq(n) holds +0
     where no slot stands for an entry.  When n > 2b, slot [j, b + k] with
     j + k off the matrix stands for the corner entry ((j + k) mod n, j).
-    Every builder and its `shifted` sequences carry it but the DENSE_ONLY
-    counterexamples: b = 0 for `diag_seq`, `identity_seq`, `zero_seq`,
-    `diagonal_factor_seq` and alt_identity, deg f for `toeplitz_seq`,
-    `circulant_seq`, `lt_seq`, `glt_product_seq` and jordan_shift, block - 1
-    for `lc_seq` and `normal_form_seq`.  Of these only the normal form's two
+    Every `*_seq` builder and its `shifted` sequences carry it but the
+    DENSE_ONLY counterexamples, whose generators are dense: b = 0 for
+    `diag_seq`, `identity_seq`, `zero_seq`, `diagonal_factor_seq` and
+    alt_identity, deg f for `toeplitz_seq`, `circulant_seq`, `lt_seq`,
+    `glt_product_seq` and jordan_shift, block - 1 for `lc_seq` and
+    `normal_form_seq`.  Of these only the normal form's two
     keep a generator; every other band is its sequence's one definition,
     checked by `_band_storage` and the tests' scipy builders.
     The residual ladders hand `singular_values` and `eigenvalues` the band
@@ -636,11 +632,6 @@ def _toeplitz_band(f: TrigPoly, n: int) -> _Band:
     return _Band(ab, d)
 
 
-def toeplitz(f: TrigPoly, n: int) -> np.ndarray:
-    """Toeplitz matrix [f_{i-j}]: banded with bandwidth = degree of f."""
-    return _toeplitz_band(f, n).dense()
-
-
 def _grid_values(a: FuncExpr, m: int) -> np.ndarray:
     """a(1/m), a(2/m), ..., a(1); EvalError at the first non-finite value."""
     nodes = np.arange(1, m + 1) / m
@@ -658,36 +649,22 @@ def _diag_band(a: FuncExpr, n: int) -> _Band:
     return _Band(_grid_values(a, n)[:, None], 0)
 
 
-def diag_sampling(a: FuncExpr, n: int) -> np.ndarray:
-    """Diagonal matrix diag(a(1/n), a(2/n), ..., a(1))."""
-    return _diag_band(a, n).dense()
-
-
 def _check_circulant_size(f: TrigPoly, n: int) -> None:
     if n <= 2 * f.degree:
         raise DomainError(f"circulant needs n > 2*degree, got n={n}, degree={f.degree}")
 
 
 def _circulant_band(f: TrigPoly, n: int) -> _Band:
-    """C_n(f) as a `_Band` of half-bandwidth d = deg f: f_k in column d + k."""
+    """C_n(f) = sum_k f_k C^k, C the downward cyclic shift, as a `_Band` of
+    half-bandwidth d = deg f: f_k in column d + k.  The wrapped slots hold
+    its corners, which n > 2d keeps from aliasing."""
     _check_circulant_size(f, n)
     d = f.degree
     return _Band(np.tile(np.array([f.coeff(k) for k in range(-d, d + 1)], complex), (n, 1)), d)
 
 
-def circulant(f: TrigPoly, n: int) -> np.ndarray:
-    """Circulant matrix sum_k f_k C^k, C the downward cyclic shift.
-
-    C places f_k on the same diagonals as the Toeplitz matrix (entry (i,j)
-    carries f_{i-j} whenever |i-j| <= degree), so the two differ only in the
-    wrapped corner entries, which its band's wrapped slots hold.  Requires
-    n > 2*degree so the band wraps without aliasing.
-    """
-    return _circulant_band(f, n).dense()
-
-
 def _circulant_eigs(f: TrigPoly, n: int) -> np.ndarray:
-    """Eigenvalues f(2*pi*k/n), k = 0..n-1, of circulant(f, n)."""
+    """Eigenvalues f(2*pi*k/n), k = 0..n-1, of C_n(f)."""
     _check_circulant_size(f, n)
     return f(2 * np.pi * np.arange(n) / n)
 
@@ -698,7 +675,7 @@ def circulant_spectrum(f: TrigPoly, n: int) -> np.ndarray:
 
 
 def fourier_matrix(n: int) -> np.ndarray:
-    """Unitary Fourier matrix F with F^H diag(f(2 pi k/n)) F = circulant(f).
+    """Unitary Fourier matrix F with F^H diag(f(2 pi k/n)) F = C_n(f).
 
     Entry (j, k) is omega^(jk)/sqrt(n) with omega = e^(2 pi i/n).
     """
@@ -732,10 +709,11 @@ def _lt_parts(a: FuncExpr, f: TrigPoly, n: int):
 
 
 def _lt_band(a: FuncExpr, f: TrigPoly, n: int) -> _Band:
-    """lt_op(a, f, n) as a `_Band` of half-bandwidth deg f: the rows of block
-    i hold a(i/m) times T_block(f)'s storage on the slots that stand for an
-    entry of the block; a slot that crosses into another block, a wrapped
-    slot and the zero tail's hold +0."""
+    """The locally Toeplitz LT_n(a, f), blocks a(i/m) T_block(f) then a zero
+    block, as a `_Band` of half-bandwidth deg f: the rows of block i hold
+    a(i/m) times T_block(f)'s storage on the slots that stand for an entry
+    of the block; a slot that crosses into another block, a wrapped slot and
+    the zero tail's hold +0."""
     lay, T, vals = _lt_parts(a, f, n)
     d = T.b
     row = np.add.outer(np.arange(lay.block), np.arange(-d, d + 1))  # of each slot's entry
@@ -745,14 +723,8 @@ def _lt_band(a: FuncExpr, f: TrigPoly, n: int) -> _Band:
     return _Band(ab, d)
 
 
-def lt_op(a: FuncExpr, f: TrigPoly, n: int) -> np.ndarray:
-    """Locally Toeplitz operator: blocks a(i/m) T_block(f), then a zero block,
-    read from its band."""
-    return _lt_band(a, f, n).dense()
-
-
 def _lt_svals(a: FuncExpr, f: TrigPoly, n: int) -> np.ndarray:
-    """Singular values of lt_op(a, f, n): |a(i/m)| sigma(T_block(f)) for each
+    """Singular values of LT_n(a, f): |a(i/m)| sigma(T_block(f)) for each
     block, then t zeros.  One block-sized SVD."""
     lay, T, vals = _lt_parts(a, f, n)
     return _blockwise(lay, np.abs(vals), svdvals(_square_finite(T)))
@@ -769,13 +741,14 @@ def _lc_values(lay: BlockLayout, a: FuncExpr, f: TrigPoly) -> np.ndarray:
 
 def _lc_band(terms, n: int) -> _Band:
     """sum_i LC_n(a_i, f_i) as a `_Band` of half-bandwidth block - 1, which
-    holds each whole block: block j is sum_i a_i(j/m) C_block(f_i), and
-    after the m blocks come t zero rows and columns.  The terms are checked
-    and sampled in order, here, so the first bad term raises.  Each block sum
-    starts from zero, as a block accumulated in place does, so a zero entry
-    is +0.0."""
+    holds each whole block: block j is sum_i a_i(j/m) C_block(f_i), each
+    C_block(f_i) read from its `_circulant_band`, and after the m blocks come
+    t zero rows and columns.  The terms are checked and sampled in order,
+    here, so the first bad term raises.  Each block sum starts from zero, as
+    a block accumulated in place does, so a zero entry is +0.0."""
     lay = block_layout(n)
-    parts = [(_lc_values(lay, a, f), circulant(f, lay.block)) for a, f in terms]
+    parts = [(_lc_values(lay, a, f), _circulant_band(f, lay.block).dense())
+             for a, f in terms]
     b = lay.block - 1
     ab = np.zeros((n, 2 * b + 1), dtype=complex)
     # entry (r, c) of block j lies at ab[j*block + c, b + r - c]: in a view
@@ -789,17 +762,8 @@ def _lc_band(terms, n: int) -> _Band:
     return _Band(ab, b)
 
 
-def lc_op(a: FuncExpr, f: TrigPoly, n: int) -> np.ndarray:
-    """Locally circulant operator: blocks a(i/m) C_block(f), then a zero block,
-    read from its band.
-
-    Normal by construction (each block is circulant).
-    """
-    return _lc_band(((a, f),), n).dense()
-
-
 def _lc_eigs(a: FuncExpr, f: TrigPoly, n: int) -> np.ndarray:
-    """Eigenvalues of lc_op(a, f, n) in block order: a(i/m) f(2*pi*j/block),
+    """Eigenvalues of LC_n(a, f) in block order: a(i/m) f(2*pi*j/block),
     then t zeros."""
     lay = block_layout(n)
     return _blockwise(lay, _lc_values(lay, a, f), _circulant_eigs(f, lay.block))
@@ -848,28 +812,17 @@ COUNTEREXAMPLES = ("alt_identity", "half_shift", "scaled_cycle", "jordan_shift")
 DENSE_ONLY = ("half_shift", "scaled_cycle")  # entries n/2 and n - 1 off the diagonal
 
 
-def _counterexample_band(name: str, n: int):
-    """The band of a counterexample: alternating +-I at b = 0 and the Jordan
-    shift T_n(e^{i theta}) at b = 1; None for the DENSE_ONLY ones."""
+def _counterexample(name: str, n: int):
+    """The counterexample `name` at size n: the band of alternating +-I
+    (b = 0) or of the Jordan shift T_n(e^{i theta}) (b = 1), else the dense
+    nilpotent half shift or zero-distributed scaled cycle (DENSE_ONLY)."""
     if n < 2:
         raise DomainError("counterexamples need n >= 2")
     if name == "alt_identity":
         return _Band((-1.0) ** n * np.ones((n, 1), dtype=complex), 0)
-    return _toeplitz_band(_SHIFT_POLY, n) if name == "jordan_shift" else None
-
-
-def counterexample(name: str, n: int) -> np.ndarray:
-    """Pathological sequences: alternating +-I, nilpotent half shift, the
-    zero-distributed scaled cycle, and the Jordan-type shift.  The first and
-    the last are read from their band."""
-    band = _counterexample_band(name, n)
-    if band is not None:
-        return band.dense()
-    if name == "half_shift":
-        return _half_shift(n)
-    if name == "scaled_cycle":
-        return _scaled_cycle(n)
-    raise UnknownNameError(f"unknown counterexample {name!r}; choose from {COUNTEREXAMPLES}")
+    if name == "jordan_shift":
+        return _toeplitz_band(_SHIFT_POLY, n)
+    return _half_shift(n) if name == "half_shift" else _scaled_cycle(n)
 
 
 def toeplitz_seq(f: TrigPoly, label: str = "f") -> MatrixSeq:
@@ -926,11 +879,12 @@ def glt_product_seq(expr: GltExpr) -> MatrixSeq:
 def counterexample_seq(name: str) -> MatrixSeq:
     if name not in COUNTEREXAMPLES:
         raise UnknownNameError(f"unknown counterexample {name!r}; choose from {COUNTEREXAMPLES}")
+    build = functools.partial(_counterexample, name)
     if name not in DENSE_ONLY:
-        return MatrixSeq(name, band=lambda n: _counterexample_band(name, n))
+        return MatrixSeq(name, band=build)
     info = {"corner_capped_above": SCALED_CYCLE_CAP_SIZE,
             "corner_cap_value": SCALED_CYCLE_CAP_VALUE} if name == "scaled_cycle" else {}
-    return MatrixSeq(name, lambda n: counterexample(name, n), info=info)
+    return MatrixSeq(name, build, info=info)
 
 
 def _constant_seq(name: str, value: complex) -> MatrixSeq:

@@ -75,10 +75,10 @@ class NormalForm:
     def matrix(self) -> np.ndarray:
         """Q^H D Q in closed form: Q is block diagonal (F_block repeated m
         times, then I_t) and F^H diag(f(2 pi k/block)) F = C_block(f), so this
-        is the sum of the terms' locally circulant operators.  Exactly real
-        when every a_i is real on the grid and every f_i has real Fourier
-        coefficients; raises d_af's errors, term by term.  Read from the
-        sum's band (`matrices._lc_band`)."""
+        is the sum of the terms' locally circulant operators, each the matrix
+        of an `lc_seq`.  Exactly real when every a_i is real on the grid and
+        every f_i has real Fourier coefficients; raises d_af's errors, term
+        by term.  Read from the sum's band (`matrices._lc_band`)."""
         return _lc_band(self.source.terms, self.n).dense()
 
     def diagonal(self) -> np.ndarray:

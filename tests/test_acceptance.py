@@ -15,21 +15,19 @@ from scipy.optimize import linear_sum_assignment
 from glt_lab import (
     GltExpr,
     TrigPoly,
-    circulant,
     circulant_seq,
     circulant_spectrum,
+    diag_seq,
     group_embed,
-    lt_op,
+    lt_seq,
     optimal_split,
     p_metric,
     parse_expr,
     sv_symbol_residual,
-    toeplitz,
     toeplitz_seq,
     verify_normal_form,
 )
 from glt_lab.cli import main
-from glt_lab.matrices import diag_sampling
 
 X = parse_expr("x", "a")
 TWO_COS = TrigPoly.from_coeff_map({1: 1, -1: 1})
@@ -65,7 +63,7 @@ def test_criterion_1_circulant_exactness():
     worst = 0.0
     for f in random_trig_corpus():
         for n in (16, 64, 256):
-            lam = np.linalg.eigvals(circulant(f, n))
+            lam = np.linalg.eigvals(circulant_seq(f)(n))
             expect = np.diag(circulant_spectrum(f, n))
             worst = max(worst, matching_distance(lam, expect))
     elapsed = time.process_time() - start
@@ -77,7 +75,7 @@ def test_criterion_2_corner_rank_bound():
     for f in random_trig_corpus():
         d = f.degree
         for n in (16, 64, 256):
-            diff = toeplitz(f, n) - circulant(f, n)
+            diff = toeplitz_seq(f)(n) - circulant_seq(f)(n)
             s = np.linalg.svd(diff, compute_uv=False)
             rank = 0 if s[0] == 0 else int(np.count_nonzero(s > 1e-10 * s[0]))
             ok = ok and rank <= 2 * d * d
@@ -88,7 +86,7 @@ def test_criterion_3_lt_approximation_bound():
     ok = True
     for n in (64, 256, 1024):
         m = int(np.sqrt(n))
-        A = diag_sampling(X, n) @ toeplitz(TWO_COS, n) - lt_op(X, TWO_COS, n)
+        A = diag_seq(X)(n) @ toeplitz_seq(TWO_COS)(n) - lt_seq(X, TWO_COS)(n)
         p = p_metric(A)
         bound = (2 * m + 2 * np.sqrt(n)) / n + 3 * 2.0 / m
         ok = ok and p <= bound + 1e-8

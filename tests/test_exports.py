@@ -25,3 +25,15 @@ def test_every_exported_name_resolves(name):
     exported = getattr(module, "__all__", ())
     assert len(set(exported)) == len(exported), "duplicate names in __all__"
     assert [attr for attr in exported if not hasattr(module, attr)] == []
+
+
+# each family is built through its sequence, `<family>_seq(...)(n)`; the dense
+# builders that spelled the same matrices a second way are gone
+DROPPED_BUILDERS = ("toeplitz", "circulant", "diag_sampling", "lt_op", "lc_op", "counterexample")
+
+
+@pytest.mark.parametrize("name", ["glt_lab", "glt_lab.matrices"])
+def test_dense_builders_are_gone(name):
+    module = importlib.import_module(name)
+    assert [attr for attr in DROPPED_BUILDERS if hasattr(module, attr)] == []
+    assert set(DROPPED_BUILDERS).isdisjoint(getattr(module, "__all__", ()))

@@ -19,7 +19,6 @@ from glt_lab import (
     group_embed,
     hermitian_function,
     identity_seq,
-    lc_op,
     lc_seq,
     lt_seq,
     normal_form,
@@ -32,7 +31,7 @@ from glt_lab import (
     verify_normal_form,
     zero_seq,
 )
-from glt_lab.matrices import MatrixSeq, block_layout, circulant, d_af, diag_sampling, toeplitz
+from glt_lab.matrices import MatrixSeq, block_layout, d_af
 from glt_lab.normal_form import (
     NORMALITY_TOL,
     NormalForm,
@@ -77,7 +76,7 @@ class TestNormalForm:
     def test_matrix_equals_block_circulant_sum(self):
         expr = GltExpr(((X, SHIFT),))
         nf = normal_form(expr, 16)
-        np.testing.assert_allclose(nf.matrix(), lc_op(X, SHIFT, 16), atol=1e-10)
+        np.testing.assert_allclose(nf.matrix(), lc_seq(X, SHIFT)(16), atol=1e-10)
         np.testing.assert_allclose(nf.d, d_af(X, SHIFT, 16), atol=1e-14)
         A = nf.matrix()
         assert np.linalg.norm(A.conj().T @ A - A @ A.conj().T, "fro") <= 1e-10
@@ -102,7 +101,7 @@ class TestNormalForm:
 
     def test_one_term_matrix_is_the_locally_circulant_operator(self):
         nf = normal_form(GltExpr(((parse_expr("1+x^2", "a"), TWO_COS),)), 50)
-        assert np.array_equal(nf.matrix(), lc_op(parse_expr("1+x^2", "a"), TWO_COS, 50))
+        assert np.array_equal(nf.matrix(), lc_seq(parse_expr("1+x^2", "a"), TWO_COS)(50))
 
     @pytest.mark.parametrize("n", [9, 10, 37, 64])
     def test_real_terms_give_an_exactly_real_matrix(self, n):
@@ -166,14 +165,14 @@ class TestNormalFormSeq:
         want = np.zeros((n, n), dtype=complex)
         nodes = np.arange(1, lay.m + 1) / lay.m
         for a, f in terms:
-            C = circulant(f, lay.block)
+            C = circulant_seq(f)(lay.block)
             for j, v in enumerate(np.broadcast_to(a(x=nodes), nodes.shape).astype(complex)):
                 span = slice(j * lay.block, (j + 1) * lay.block)
                 want[span, span] += v * C
         got = NormalForm(expr, n).matrix()
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         if len(terms) == 1:
-            assert lc_op(*terms[0], n).tobytes() == want.tobytes()
+            assert lc_seq(*terms[0])(n).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("terms, n, error, message", [
         (((X, TWO_COS),), 3, DomainError, "locally structured operators need n >= 4"),
@@ -573,7 +572,7 @@ class TestAlgebraResiduals:
         sym = expr * expr + expr
 
         def gen(n):
-            A = diag_sampling(X, n) @ toeplitz(TWO_COS, n)
+            A = diag_seq(X)(n) @ toeplitz_seq(TWO_COS)(n)
             return A @ A + A
 
         seq = MatrixSeq("p(DT)", gen)

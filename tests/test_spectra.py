@@ -15,7 +15,6 @@ from glt_lab import (
     GltLabError,
     TrigPoly,
     affine_shift_test,
-    circulant,
     circulant_seq,
     counterexample_seq,
     default_family,
@@ -25,7 +24,6 @@ from glt_lab import (
     glt_product_seq,
     hermitian_function,
     identity_seq,
-    lc_op,
     lc_seq,
     lt_seq,
     normal_form_seq,
@@ -33,7 +31,6 @@ from glt_lab import (
     sample_symbol,
     singular_values,
     sv_symbol_residual,
-    toeplitz,
     toeplitz_seq,
     verify_normal_form,
     zero_distributed_test,
@@ -41,7 +38,7 @@ from glt_lab import (
 )
 from glt_lab import acs, matrices, spectra
 from glt_lab.errors import NumericalError
-from glt_lab.matrices import counterexample, lt_op, svdvals
+from glt_lab.matrices import svdvals
 from glt_lab.spectra import TestFamily as Family
 from glt_lab.spectra import (
     _grid_samples,
@@ -103,7 +100,7 @@ class TestDecompositions:
         np.testing.assert_allclose(np.sort(ev.real), 1, atol=1e-14)
 
     def test_spectra_are_arrays(self):
-        A = toeplitz(TWO_COS, 6)
+        A = toeplitz_seq(TWO_COS)(6)
         for spectrum in (singular_values(A), eigenvalues(A)):
             assert isinstance(spectrum, np.ndarray) and spectrum.shape == (6,)
 
@@ -115,7 +112,7 @@ class TestDecompositions:
         assert np.all(sv >= 0)
 
     def test_circulant_shift_eigenvalues_are_roots_of_unity(self):
-        ev = eigenvalues(circulant(SHIFT, 4))
+        ev = eigenvalues(circulant_seq(SHIFT)(4))
         assert multiset_close(ev, [1, 1j, -1, -1j], 1e-10)
 
     @pytest.mark.parametrize("dtype", [float, complex])
@@ -141,7 +138,7 @@ class TestDecompositions:
         # 0-diagonal, 1-off-diagonal Toeplitz has eigenvalues 2cos(k pi/(n+1));
         # oracle: dense Hermitian eigensolver on the assembled matrix
         n = 8
-        T = toeplitz(TWO_COS, n)
+        T = toeplitz_seq(TWO_COS)(n)
         closed = 2 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
         oracle = np.linalg.eigvalsh(T.real)
         assert multiset_close(oracle, closed, 1e-12)
@@ -163,7 +160,7 @@ class TestFunctionals:
         # the hat at 1 with width 1: of {1, i, -1, -i} only 1 lands in the
         # support, so the mean is F(1)/4 = 1/4
         fam = Family([1.0], [1.0])
-        dist = eigenvalues(circulant(SHIFT, 4))
+        dist = eigenvalues(circulant_seq(SHIFT)(4))
         assert fam.means(dist)[0] == pytest.approx(0.25, abs=1e-12)
 
     def test_symbol_means_constant(self):
@@ -426,7 +423,7 @@ class TestInvarianceProperties:
     def test_normal_matrix_bridge(self, n):
         # block circulant operators are normal: sorted |eigenvalues| must
         # equal sorted singular values
-        A = lc_op(X, TWO_COS, n)
+        A = lc_seq(X, TWO_COS)(n)
         sv = singular_values(A)
         ev = np.sort(np.abs(eigenvalues(A)))[::-1]
         assert np.abs(sv - ev).max() <= 1e-10
@@ -434,7 +431,7 @@ class TestInvarianceProperties:
     @pytest.mark.parametrize("s", [0, 1, 2, 3])
     def test_polynomial_push_through_on_normal_blocks(self, s):
         n = 36
-        A = lc_op(X, TWO_COS, n)
+        A = lc_seq(X, TWO_COS)(n)
         lam = eigenvalues(A)
         sv_power = singular_values(np.linalg.matrix_power(A, s))
         expected = np.sort(np.abs(lam) ** s)[::-1]
@@ -488,7 +485,7 @@ class TestStructuredHooks:
 
     def test_eigs_alone_give_svals_as_moduli(self):
         eigs = hook_seqs()["lc"].eigs
-        seq = matrices.MatrixSeq("normal", lambda n: lc_op(A_HOOK, F_HOOK, n), eigs=eigs)
+        seq = matrices.MatrixSeq("normal", lc_seq(A_HOOK, F_HOOK), eigs=eigs)
         for n in HOOK_SIZES:
             assert np.array_equal(seq.svals(n), np.abs(eigs(n)))
         dense = dense_only(seq)
@@ -827,16 +824,16 @@ class TestSvdvals:
     @pytest.mark.parametrize("f", [F_REAL, F_HOOK], ids=["real", "complex"])
     @pytest.mark.parametrize("n", [5, 16, 37, 64])
     def test_toeplitz_minus_circulant(self, f, n):
-        assert_svdvals_match_complex_svd(toeplitz(f, n) - circulant(f, n))
+        assert_svdvals_match_complex_svd(toeplitz_seq(f)(n) - circulant_seq(f)(n))
 
     @pytest.mark.parametrize("f", [F_REAL, F_HOOK], ids=["real", "complex"])
     @pytest.mark.parametrize("n", [37, 50, 64])
     def test_lt_minus_lc(self, f, n):
-        assert_svdvals_match_complex_svd(lt_op(A_HOOK, f, n) - lc_op(A_HOOK, f, n))
+        assert_svdvals_match_complex_svd(lt_seq(A_HOOK, f)(n) - lc_seq(A_HOOK, f)(n))
 
     @pytest.mark.parametrize("n", [2, 7, 10])
     def test_half_shift(self, n):
-        assert_svdvals_match_complex_svd(counterexample("half_shift", n))
+        assert_svdvals_match_complex_svd(counterexample_seq("half_shift")(n))
 
     @pytest.mark.parametrize("A", [
         np.zeros((5, 5), dtype=complex),
@@ -900,7 +897,7 @@ class TestSvdvals:
         assert took_band(routes) == [True]
 
     def test_banded_zero_rows(self, routes):
-        A = toeplitz(F_REAL, 640)
+        A = toeplitz_seq(F_REAL)(640)
         A[100:110] = 0
         A[-1] = 0
         assert_svdvals_match_complex_svd(as_band(A))
@@ -909,7 +906,7 @@ class TestSvdvals:
     @pytest.mark.parametrize("f", [F_REAL, TrigPoly.from_coeff_map({0: 1j, 1: 2})],
                              ids=["real", "complex"])
     def test_banded_nan_entry_raises_numerical_error(self, f):
-        A = toeplitz(f, 640)
+        A = toeplitz_seq(f)(640)
         A[5, 6] = np.nan
         # the banded path's message: the dense one reports no convergence
         with pytest.raises(NumericalError, match="SVD failed: matrix has non-finite entries"):
@@ -966,7 +963,7 @@ class TestBandOperands:
     def test_zero_rows_and_a_wide_band(self, kind, routes):
         # zero rows keep the band route, as in svdvals; a band wider than
         # n/16 falls back to the dense SVD of the same matrix
-        A = toeplitz(F_REAL if kind == "real" else F_HOOK, 640)
+        A = toeplitz_seq(F_REAL if kind == "real" else F_HOOK)(640)
         A[100:110] = 0
         A[:, -1] = 0
         W = normal_form_seq(band_operand_seqs(kind)[0].symbol)(196)
