@@ -537,6 +537,88 @@ GENERATOR_SEQS = [case for case in BAND_SEQS if case[1].generator is not None]
 GENERATOR_IDS = [name for name, _, _ in GENERATOR_SEQS]
 
 
+def oracle_positive(build):
+    def checked(n):
+        if n <= 0:
+            raise DomainError("size must be positive")
+        return build(n)
+    return checked
+
+
+def oracle_circulant(f):
+    def build(n):
+        if n <= 2 * f.degree:
+            raise DomainError(f"circulant needs n > 2*degree, got n={n}, degree={f.degree}")
+        return TestBuildersMatchScipy.scipy_circulant(f, n)
+    return build
+
+
+def oracle_local(a, f, periodic):
+    """The block-diagonal definition of lt / lc: a(i/m) times the block's
+    Toeplitz or circulant matrix, then a zero tail."""
+    def build(n):
+        if n < 4:
+            raise DomainError(SIZE_RULE)
+        lay = block_layout(n)
+        if periodic and lay.block <= 2 * f.degree:
+            raise DomainError(f"block size {lay.block} must exceed 2*degree={2 * f.degree} "
+                              f"at n={n}")
+        B = (TestBuildersMatchScipy.scipy_circulant if periodic
+             else TestBuildersMatchScipy.scipy_toeplitz)(f, lay.block)
+        return scipy.linalg.block_diag(*(v * B for v in TestBuildersMatchScipy.grid(a, lay.m)),
+                                       np.zeros((lay.t, lay.t)))
+    return build
+
+
+def oracle_counterexample(build):
+    def checked(n):
+        if n < 2:
+            raise DomainError("counterexamples need n >= 2")
+        return build(n)
+    return checked
+
+
+def dense_oracles():
+    """Each generator-free family of `band_seqs` by its definition, built
+    from scipy's Toeplitz and circulant matrices and the sampled grids, with
+    the size rule it documents, so no oracle reads a band."""
+    toeplitz, grid = TestBuildersMatchScipy.scipy_toeplitz, TestBuildersMatchScipy.grid
+    eye = lambda n: np.eye(n, dtype=complex)  # noqa: E731
+    two = GltExpr(((A_NEG, F_BAND), (A_CPLX, TWO_COS)))
+    glt = lambda expr: oracle_positive(  # noqa: E731
+        lambda n: sum(grid(a, n)[:, None] * toeplitz(g, n) for a, g in expr.terms))
+    circulant_real = oracle_circulant(TWO_COS)
+    return {
+        "toeplitz": oracle_positive(lambda n: toeplitz(F_BAND, n)),
+        "toeplitz-real": oracle_positive(lambda n: toeplitz(TWO_COS, n)),
+        "toeplitz-deg4": oracle_positive(
+            lambda n: toeplitz(TrigPoly.from_coeff_map({-4: 1, 0: 0.5, 3: -2j}), n)),
+        "toeplitz-shifted": oracle_positive(lambda n: toeplitz(F_BAND, n) + eye(n)),
+        "circulant": oracle_circulant(F_BAND),
+        "circulant-shifted": lambda n: circulant_real(n) - (0.5 - 1j) * eye(n),
+        "glt": glt(two),
+        "glt-one-term": glt(GltExpr(((A_NEG, SHIFT),))),
+        "lc": oracle_local(A_CPLX, F_BAND, periodic=True),
+        "diag": oracle_positive(lambda n: np.diag(grid(A_NEG, n))),
+        "identity": eye,
+        "zero": lambda n: np.zeros((n, n), dtype=complex),
+        "lt": oracle_local(A_NEG, F_BAND, periodic=False),
+        "lt-complex": oracle_local(A_CPLX, TWO_COS, periodic=False),
+        "alt-identity": oracle_counterexample(lambda n: (-1) ** n * eye(n)),
+        "jordan-shift": oracle_counterexample(lambda n: np.eye(n, k=-1, dtype=complex)),
+    }
+
+
+DENSE_ORACLES = dense_oracles()
+
+
+def generator(name, seq):
+    """What the band of family `name` must store at n: its sequence's own
+    generator where one remains, else the family's definition in
+    `DENSE_ORACLES`."""
+    return seq if seq.generator is not None else DENSE_ORACLES[name]
+
+
 # one spec per head of `cli.build_sequence`, and each counterexample, with
 # negative coefficient functions and complex symbols where a head takes them
 EVERY_HEAD = [
@@ -560,10 +642,11 @@ def raised(fn):
 
 
 class TestBandHooks:
-    """Every `band` has its declared half-bandwidth.  Where a generator
-    remains, the normal form's and its diagonal factor's, the band is bit for
-    bit its matrix in band storage and raises its errors; every other dense
-    matrix is read from the band."""
+    """Every `band` has its declared half-bandwidth, holds its family's
+    matrix in band storage and raises its errors.  The normal form and its
+    diagonal factor are checked against their generators; every other dense
+    matrix is read from the band, so it is checked against its definition in
+    `DENSE_ORACLES`."""
 
     def test_which_families_carry_band(self):
         assert all(seq.band is not None for _, seq, _ in BAND_SEQS)
@@ -606,30 +689,28 @@ class TestBandHooks:
     # n <= 2 deg, n = 1, a tail block (t > 0 at 10, 26, 50, 101) and none
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 10, 25, 26, 50, 64, 101, 144])
     @pytest.mark.parametrize("case", BAND_SEQS, ids=BAND_IDS)
-    def test_band_has_the_declared_half_bandwidth(self, case, n):
+    def test_band_is_the_band_storage_of_the_generator(self, case, n):
+        # bit for bit against a remaining generator; by value, signed zeros
+        # aside, against a family's definition in DENSE_ORACLES
         name, seq, width = case
         try:
-            ab, b = seq.band(n)
+            A = generator(name, seq)(n)
         except GltLabError:
             # the block, circulant and counterexample size rules
             assert name in ("lc", "normal-form", "diagonal-factor", "circulant",
                             "circulant-shifted", "lt", "lt-complex", "alt-identity",
                             "jordan-shift")
             return
-        assert b == width(n) and ab.shape == (n, 2 * b + 1)
-
-    # the blocks hold the degree-2 terms from n = 25; the sizes below are
-    # errors, which test_errors_match_the_generator compares
-    @pytest.mark.parametrize("n", [25, 26, 50, 64, 101, 144])
-    @pytest.mark.parametrize("case", GENERATOR_SEQS, ids=GENERATOR_IDS)
-    def test_band_is_the_band_storage_of_the_generator(self, case, n):
-        _, seq, width = case
-        A = seq(n)
         ab, b = seq.band(n)
-        want = matrices._band_storage(A, width(n))
-        assert ab.dtype == want.dtype and ab.shape == want.shape
-        assert ab.tobytes() == want.tobytes()
-        assert matrices._band_to_dense(ab, b).tobytes() == A.tobytes()
+        assert b == width(n)
+        want = matrices._band_storage(A, b)
+        assert ab.dtype == want.dtype and ab.shape == want.shape == (n, 2 * b + 1)
+        got = matrices._band_to_dense(ab, b)
+        if seq.generator is not None:
+            assert ab.tobytes() == want.tobytes()
+            assert got.tobytes() == A.tobytes()
+        else:
+            assert np.array_equal(ab, want) and np.array_equal(got, A)
 
     @pytest.mark.parametrize("n", [26, 50, 101])
     @pytest.mark.parametrize("name", ["lc", "normal-form"])
@@ -642,15 +723,20 @@ class TestBandHooks:
         assert not A[n - t :].any() and not A[:, n - t :].any()
 
     @pytest.mark.parametrize("n", range(20))
-    @pytest.mark.parametrize("case", GENERATOR_SEQS, ids=GENERATOR_IDS)
+    @pytest.mark.parametrize("case", BAND_SEQS, ids=BAND_IDS)
     def test_errors_match_the_generator(self, case, n):
-        _, seq, _ = case
+        # the band and the dense matrix raise the generator's error, or both
+        # build its matrix
+        name, seq, _ = case
+        build = generator(name, seq)
         try:
-            seq(n)
+            A = build(n)
         except GltLabError:
-            assert raised(lambda: seq.band(n)) == raised(lambda: seq(n))
+            want = raised(lambda: build(n))
+            assert raised(lambda: seq.band(n)) == want and raised(lambda: seq(n)) == want
         else:
             seq.band(n)
+            assert seq(n).shape == A.shape and np.array_equal(seq(n), A)
 
     @pytest.mark.parametrize("n", [4, 16, 36, 100])
     def test_pole_errors_match_the_generator(self, n):
